@@ -7,9 +7,9 @@ end-of-episode state transitions become dictionary lookups instead of SAT
 calls.  The paper parallelises this over 64 processes; here the O(r²) pair
 queries are answered either by a single incremental SAT solver (``n_jobs=1``)
 or sharded across a process pool in which every worker owns its own solver
-over the shared CNF encoding (:mod:`repro.runner.parallel`).  Both paths
-produce bit-identical matrices, and results are memoised in the on-disk
-artifact cache (:mod:`repro.runner.cache`) when one is configured.
+over the shared CNF encoding (:func:`repro.runner.parallel.sharded_map`).
+Both paths produce bit-identical matrices, and results are memoised in the
+on-disk artifact cache (:mod:`repro.runner.cache`) when one is configured.
 
 The same structure doubles as the compatibility *graph* used by the TARMAC
 baseline's maximal-clique sampling.
@@ -18,17 +18,13 @@ baseline's maximal-clique sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.circuits.netlist import Netlist
 from repro.runner.cache import ArtifactCache, get_default_cache, netlist_fingerprint
-from repro.runner.parallel import (
-    parallel_activatability,
-    parallel_compatibility_matrix,
-    serial_activatability,
-    serial_compatibility_matrix,
-)
+from repro.runner.parallel import sharded_map
 from repro.sat.justify import Justifier
 from repro.simulation.rare_nets import RareNet
 
@@ -102,6 +98,23 @@ class CompatibilityAnalysis:
         return graph
 
 
+Requirement = tuple[str, int]
+
+
+def is_activatable(justifier: Justifier, requirement: Requirement) -> bool:
+    """Pre-filter verdict: can this rare net take its rare value at all?"""
+    net, value = requirement
+    return justifier.is_satisfiable({net: value})
+
+
+def pair_is_compatible(
+    justifier: Justifier, pair: tuple[Requirement, Requirement]
+) -> bool:
+    """Pair verdict: can both rare nets take their rare values together?"""
+    (net_i, value_i), (net_j, value_j) = pair
+    return justifier.are_compatible({net_i: value_i}, {net_j: value_j})
+
+
 #: Sentinel meaning "use the process-wide default artifact cache".
 _DEFAULT_CACHE = object()
 
@@ -113,7 +126,6 @@ def compute_compatibility(
     n_jobs: int = 1,
     justifier: Justifier | None = None,
     cache: ArtifactCache | None | object = _DEFAULT_CACHE,
-    n_workers: int | None = None,
 ) -> CompatibilityAnalysis:
     """Build the :class:`CompatibilityAnalysis` for ``rare_nets`` of ``netlist``.
 
@@ -130,8 +142,6 @@ def compute_compatibility(
         cache: artifact cache for memoising the result on disk; defaults to
             the process-wide cache (:func:`repro.runner.cache
             .get_default_cache`), pass ``None`` to disable.
-        n_workers: deprecated alias for ``n_jobs`` (paper-parity name kept
-            from the original serial interface).
 
     The boolean matrix is bit-identical across all execution paths (serial,
     sharded, cache hit).  Downstream SAT *witnesses* are not guaranteed
@@ -140,37 +150,37 @@ def compute_compatibility(
     different state than a fresh one (cache hit / sharded path), and may
     return different — equally valid — models for the same requirements.
     """
-    if n_workers is not None:
-        # The legacy alias keeps its original strict contract (>= 1); the
-        # n_jobs spelling additionally allows <= 0 as "one worker per CPU".
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        n_jobs = n_workers
     if cache is _DEFAULT_CACHE:
         cache = get_default_cache()
 
     justifier = justifier or Justifier(netlist)
 
+    # Workers replicate the caller's solver tuning on their private stacks.
+    make_justifier = partial(Justifier, config=justifier.config)
+
     def _build() -> dict:
-        # O(r) activatability pre-filter: sharded across workers like the
-        # pair queries when n_jobs > 1 (verdicts are exact SAT answers, so
-        # the sharded result is bit-identical to the serial one).  The two
-        # stages use separate pools because pair shards are defined over the
+        # The O(r) activatability pre-filter and the O(r²) pair queries are
+        # two sharded maps because the pairs are defined over the
         # *post-filter* subset; the duplicated per-worker init (bench parse +
         # CNF encode) is milliseconds against the O(r²) solve time.
         candidates = [(rare.net, rare.rare_value) for rare in rare_nets]
-        if n_jobs == 1 or len(rare_nets) < 2:
-            verdicts = serial_activatability(justifier, candidates)
-        else:
-            verdicts = parallel_activatability(netlist, candidates, n_jobs)
+        verdicts = sharded_map(
+            netlist, make_justifier, is_activatable, candidates, n_jobs,
+            justifier=justifier, label="activatability-shard",
+        )
         activatable = [rare for rare, ok in zip(rare_nets, verdicts) if ok]
         unsatisfiable = [rare for rare, ok in zip(rare_nets, verdicts) if not ok]
 
         requirements = [(rare.net, rare.rare_value) for rare in activatable]
-        if n_jobs == 1 or len(activatable) < 2:
-            matrix = serial_compatibility_matrix(justifier, requirements)
-        else:
-            matrix = parallel_compatibility_matrix(netlist, requirements, n_jobs)
+        rows, cols = np.triu_indices(len(requirements), 1)
+        compatible = sharded_map(
+            netlist, make_justifier, pair_is_compatible,
+            [(requirements[i], requirements[j]) for i, j in zip(rows, cols)],
+            n_jobs, justifier=justifier, label="compat-shard",
+        )
+        matrix = np.eye(len(requirements), dtype=bool)
+        matrix[rows, cols] = compatible
+        matrix[cols, rows] = compatible
         return {"rare_nets": activatable, "matrix": matrix, "unsatisfiable": unsatisfiable}
 
     if cache is not None:
@@ -194,4 +204,9 @@ def compute_compatibility(
     )
 
 
-__all__ = ["CompatibilityAnalysis", "compute_compatibility"]
+__all__ = [
+    "CompatibilityAnalysis",
+    "compute_compatibility",
+    "is_activatable",
+    "pair_is_compatible",
+]

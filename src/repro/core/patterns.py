@@ -14,12 +14,15 @@ netlist, consumed by the multi-cycle Trojan evaluator
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.circuits.netlist import Netlist
 from repro.core.compatibility import CompatibilityAnalysis
+from repro.runner.parallel import sharded_map
 from repro.sat.justify import Justifier, greedy_maximal_subset
+from repro.simulation.rare_nets import RareNet
 from repro.utils.rng import RngLike, make_rng
 
 
@@ -156,6 +159,34 @@ class SequenceSet:
         return cls(inputs=inputs, sequences=sequences, technique=technique)
 
 
+def pattern_witness_with_repair(
+    justifier: Justifier, rare_set: tuple[RareNet, ...]
+) -> tuple[dict[str, int] | None, int]:
+    """Witness one compatible set, greedily repairing an unsatisfiable one.
+
+    The first query asks for every net of ``rare_set`` in the given order.
+    When that set has no witness, nets are re-added greedily rarest first,
+    keeping each net only if the accumulated set stays satisfiable
+    (:func:`repro.sat.justify.greedy_maximal_subset`).  This retains as many
+    rare nets as possible, unlike simply truncating the set.  Returns
+    ``(witness or None, number of requirements realised)``.
+    """
+
+    def requirements(rares) -> dict[str, int]:
+        return {rare.net: rare.rare_value for rare in rares}
+
+    witness = justifier.witness(requirements(rare_set))
+    if witness is not None:
+        return witness, len(rare_set)
+    kept = greedy_maximal_subset(
+        sorted(rare_set, key=lambda rare: rare.probability),
+        lambda candidate: justifier.is_satisfiable(requirements(candidate)),
+    )
+    if not kept:
+        return None, 0
+    return justifier.witness(requirements(kept)), len(kept)
+
+
 def generate_patterns(
     compatibility: CompatibilityAnalysis,
     compatible_sets: list[frozenset[int]],
@@ -169,96 +200,35 @@ def generate_patterns(
     yielding an input pattern that drives every net in the set to its rare
     value.  Sets that turn out not to be jointly satisfiable (possible when
     the environment only used the pairwise approximation) are repaired by
-    greedily dropping their least-rare nets until a witness exists.
+    :func:`pattern_witness_with_repair`.
 
     ``n_jobs > 1`` shards the per-set witness queries across worker
-    processes (:func:`repro.runner.parallel.parallel_pattern_witnesses`);
-    ``n_jobs=1`` is the reference serial path on the analysis's own
-    incremental solver.  Every path emits a valid witness per (repaired)
-    set, but the concrete patterns may differ between paths because worker
-    solvers start from fresh clause databases.
+    processes (:func:`repro.runner.parallel.sharded_map`); ``n_jobs=1`` is
+    the reference path on the analysis's own incremental solver.  Every path
+    emits a valid witness per (repaired) set, but the concrete patterns may
+    differ between paths because worker solvers start from fresh clause
+    databases.
     """
-    if n_jobs != 1 and len(compatible_sets) > 1:
-        return _generate_patterns_sharded(
-            compatibility, compatible_sets, technique, n_jobs
-        )
     justifier = compatibility.justifier
-    netlist = compatibility.netlist
-    assignments: list[dict[str, int]] = []
-    realized_sizes: list[int] = []
-    for indices in compatible_sets:
-        requirements = compatibility.requirements(indices)
-        witness = justifier.witness(requirements)
-        if witness is None:
-            witness, requirements = _repair_set(compatibility, justifier, indices)
-            if witness is None:
-                continue
-        assignments.append(witness)
-        realized_sizes.append(len(requirements))
-    return PatternSet.from_assignments(
-        netlist,
-        assignments,
-        technique=technique,
-        metadata={"set_sizes": realized_sizes},
-    )
-
-
-def _generate_patterns_sharded(
-    compatibility: CompatibilityAnalysis,
-    compatible_sets: list[frozenset[int]],
-    technique: str,
-    n_jobs: int,
-) -> PatternSet:
-    """The ``n_jobs > 1`` witness path: one requirement set per shard item."""
-    from repro.runner.parallel import parallel_pattern_witnesses
-
-    ordered_sets = [
-        tuple(
-            (compatibility.rare_nets[index].net, compatibility.rare_nets[index].rare_value)
-            for index in sorted(
-                indices, key=lambda i: compatibility.rare_nets[i].probability
-            )
-        )
-        for indices in compatible_sets
-    ]
-    results = parallel_pattern_witnesses(
+    results = sharded_map(
         compatibility.netlist,
-        ordered_sets,
+        partial(
+            Justifier, preferred_values=justifier.preferred_values, config=justifier.config
+        ),
+        pattern_witness_with_repair,
+        [tuple(compatibility.rare_nets[index] for index in indices)
+         for indices in compatible_sets],
         n_jobs,
-        preferred_values=compatibility.justifier.preferred_values,
+        justifier=justifier,
+        label="witness-shard",
     )
-    assignments = [witness for witness, _ in results if witness is not None]
-    realized_sizes = [realized for witness, realized in results if witness is not None]
+    found = [(witness, realized) for witness, realized in results if witness is not None]
     return PatternSet.from_assignments(
         compatibility.netlist,
-        assignments,
+        [witness for witness, _ in found],
         technique=technique,
-        metadata={"set_sizes": realized_sizes},
+        metadata={"set_sizes": [realized for _, realized in found]},
     )
 
 
-def _repair_set(
-    compatibility: CompatibilityAnalysis,
-    justifier: Justifier,
-    indices: frozenset[int],
-) -> tuple[dict[str, int] | None, dict[str, int]]:
-    """Shrink a jointly-unsatisfiable set to a maximal satisfiable subset.
-
-    Nets are re-added greedily (rarest first), keeping each net only if the
-    accumulated requirement set stays satisfiable.  This retains as many rare
-    nets as possible, unlike simply truncating the set.  The policy lives in
-    :func:`repro.sat.justify.greedy_maximal_subset`, shared with the sharded
-    pattern and sequence witness paths.
-    """
-    ordered = sorted(indices, key=lambda i: compatibility.rare_nets[i].probability)
-    kept = greedy_maximal_subset(
-        ordered,
-        lambda candidate: justifier.is_satisfiable(compatibility.requirements(candidate)),
-    )
-    if not kept:
-        return None, {}
-    requirements = compatibility.requirements(kept)
-    return justifier.witness(requirements), requirements
-
-
-__all__ = ["PatternSet", "SequenceSet", "generate_patterns"]
+__all__ = ["PatternSet", "SequenceSet", "generate_patterns", "pattern_witness_with_repair"]

@@ -29,19 +29,21 @@ the combinational flow's :class:`~repro.core.patterns.PatternSet`: any
 sampled multi-cycle Trojan whose trigger nets all landed in one generated set
 provably fires on that set's witness sequence.  ``n_jobs > 1`` shards the
 per-set witness extraction across worker processes
-(:func:`repro.runner.parallel.parallel_sequence_witnesses`), with ``n_jobs=1``
-as the serial reference path on one incremental unrolled solver.
+(:func:`repro.runner.parallel.sharded_map`), with ``n_jobs=1`` as the
+reference path on one incremental unrolled solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro import obs
 from repro.circuits.netlist import Netlist
 from repro.core.patterns import SequenceSet
+from repro.runner.parallel import sharded_map
 from repro.sat.justify import greedy_maximal_subset
 from repro.sat.solver import SolverConfig
 from repro.sat.temporal import SequentialJustifier, temporal_fire_cycles
@@ -340,6 +342,26 @@ def sequence_witness_with_repair(
     return witness.sequence, witness.fire_cycle, realized
 
 
+def make_sequence_justifier(
+    netlist: Netlist,
+    cycles: int,
+    initial_state: dict[str, int] | None = None,
+    config: SolverConfig | None = None,
+    preferred_values: dict[str, int] | None = None,
+) -> SequentialJustifier:
+    """A biased unrolled solver stack (picklable as a ``functools.partial``).
+
+    Sharded workers build their stacks with it, so they unroll from the same
+    machine state, with the same tuning and witness bias, as the caller's.
+    """
+    justifier = SequentialJustifier(
+        netlist, cycles, initial_state=initial_state, config=config
+    )
+    if preferred_values:
+        justifier.set_preferred_values(preferred_values)
+    return justifier
+
+
 def generate_sequences(
     netlist: Netlist,
     rare_nets: list[RareNet],
@@ -425,24 +447,22 @@ def _generate_sequences(
     compatibility.justifier.set_preferred_values(preferred)
     sets = greedy_compatible_sets(compatibility, num_sequences, seed=seed)
     ordered_sets = [compatibility.ordered_requirements(indices) for indices in sets]
-    if n_jobs != 1 and len(ordered_sets) > 1:
-        from repro.runner.parallel import parallel_sequence_witnesses
-
-        results = parallel_sequence_witnesses(
-            netlist, ordered_sets, cycles, mode, count, n_jobs,
-            preferred_values=preferred,
-            # Workers must unroll from the same machine state the sets were
-            # analysed from (a caller-supplied justifier may not be at reset).
+    results = sharded_map(
+        netlist,
+        partial(
+            make_sequence_justifier,
+            cycles=cycles,
+            # A caller-supplied justifier may not unroll from reset.
             initial_state=compatibility.justifier.initial_state,
-            solver_config=solver_config,
-        )
-    else:
-        results = [
-            sequence_witness_with_repair(
-                compatibility.justifier, ordered, mode, count, cycles
-            )
-            for ordered in ordered_sets
-        ]
+            config=compatibility.justifier.config,
+            preferred_values=preferred,
+        ),
+        partial(sequence_witness_with_repair, mode=mode, count=count, cycles=cycles),
+        ordered_sets,
+        n_jobs,
+        justifier=compatibility.justifier,
+        label="sequence-shard",
+    )
     sequences: list[np.ndarray] = []
     for ordered, (sequence, fire_cycle, realized) in zip(ordered_sets, results):
         if sequence is None:
@@ -467,6 +487,7 @@ __all__ = [
     "analyze_sequential_compatibility",
     "generate_sequences",
     "greedy_compatible_sets",
+    "make_sequence_justifier",
     "sequence_witness_with_repair",
     "temporal_activatability",
 ]

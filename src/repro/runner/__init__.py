@@ -3,9 +3,9 @@
 This package is the orchestration layer the DETERRENT paper implies but the
 per-harness scripts used to re-implement ad hoc:
 
-- :mod:`repro.runner.parallel` — process-sharded pairwise-compatibility
-  computation (the paper's 64-process offline phase, §3.3), with a serial
-  fallback that is bit-identical to the sharded path.
+- :mod:`repro.runner.parallel` — :func:`~repro.runner.parallel.sharded_map`,
+  the one sharded map behind every per-item SAT stage (the paper's
+  64-process offline phase, §3.3), with an inline reference path.
 - :mod:`repro.runner.cache` — content-addressed on-disk artifact cache for
   rare nets, compatibility analyses, and Trojan populations, keyed by netlist
   fingerprint + configuration fingerprint.
@@ -23,7 +23,6 @@ per-harness scripts used to re-implement ad hoc:
 """
 
 from repro.runner.backends import (
-    BACKEND_NAMES,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -41,13 +40,7 @@ from repro.runner.cache import (
 )
 from repro.runner.execution import CellOutcome, ExperimentRun, ExperimentRunner, run_experiment
 from repro.runner.faults import CorruptResult, FaultPlan, FaultRule, SimulatedCrash
-from repro.runner.parallel import (
-    CompatibilityShard,
-    make_shards,
-    parallel_compatibility_matrix,
-    resolve_jobs,
-    serial_compatibility_matrix,
-)
+from repro.runner.parallel import Shard, make_shards, resolve_jobs, sharded_map
 from repro.runner.registry import ExperimentSpec, all_experiments, get_experiment
 from repro.runner.resilience import (
     ResilienceError,
@@ -62,7 +55,6 @@ __all__ = [
     "get_default_cache",
     "netlist_fingerprint",
     "set_default_cache",
-    "BACKEND_NAMES",
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
@@ -78,11 +70,10 @@ __all__ = [
     "ResiliencePolicy",
     "ResilientOutcome",
     "run_tasks",
-    "CompatibilityShard",
+    "Shard",
     "make_shards",
-    "parallel_compatibility_matrix",
     "resolve_jobs",
-    "serial_compatibility_matrix",
+    "sharded_map",
     "ExperimentSpec",
     "all_experiments",
     "get_experiment",

@@ -41,12 +41,6 @@ from __future__ import annotations
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Protocol, runtime_checkable
 
-#: The built-in in-process backends (historical constant; the full set of
-#: resolvable names — including registered extras like ``"queue"`` — comes
-#: from :func:`backend_names`).
-BACKEND_NAMES = ("serial", "process", "thread")
-
-
 @runtime_checkable
 class ExecutionBackend(Protocol):
     """The backend seam: build an executor for one round of work.
@@ -261,7 +255,6 @@ def resolve_backend(
 
 
 __all__ = [
-    "BACKEND_NAMES",
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",

@@ -33,7 +33,7 @@ from repro import obs
 from repro.runner.backends import ExecutionBackend, resolve_backend
 from repro.runner.cache import get_default_cache, set_default_cache
 from repro.runner.faults import FaultPlan
-from repro.runner.parallel import resolve_jobs
+from repro.runner.parallel import extend_sys_path, resolve_jobs
 from repro.runner.registry import ExperimentSpec, GridCell, get_experiment
 from repro.runner.resilience import ResiliencePolicy, policy_for_spec, run_tasks
 
@@ -116,9 +116,7 @@ def _jsonable(value: Any) -> Any:
 # ----------------------------------------------------------------------
 def _init_cell_worker(search_paths: list[str], cache_dir: str | None) -> None:
     """Replay the parent's import path and cache configuration in a worker."""
-    for path in search_paths:
-        if path not in sys.path:
-            sys.path.append(path)
+    extend_sys_path(search_paths)
     if cache_dir is not None:
         from repro.runner.cache import set_default_cache as _set
 

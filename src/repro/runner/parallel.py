@@ -1,48 +1,29 @@
-"""Process-sharded SAT workloads: pair queries, pre-filters, witnesses.
+"""One sharded map for every SAT stage: pair queries, pre-filters, witnesses.
 
 DETERRENT precomputes the O(r²) rare-net compatibility dictionary before
-training and parallelises it over 64 processes.  This module reproduces that
-shape: the upper triangle of the pair matrix is split into deterministic
-shards, each worker process owns its **own** incremental SAT stack
-(:class:`~repro.sat.justify.Justifier` over a private
-:class:`~repro.sat.solver.CdclSolver`) built from the shared circuit
-encoding, and the parent assembles the boolean matrix from the shard results.
+training and parallelises it over 64 processes.  :func:`sharded_map` is that
+shape, applied to every per-item SAT stage of the flow (activatability
+pre-filter, pair compatibility, pattern witnesses, sequence witnesses):
+``sharded_map(netlist, make_justifier, fn, items, n_jobs)`` returns
+``[fn(justifier, item) for item in items]``.
 
-The same sharding discipline covers the other serial SAT stages of the flow:
+Inline versus sharded:
 
-- the O(r) **activatability pre-filter** (is each rare net individually
-  justifiable?) — exact verdicts, so the sharded result is bit-identical to
-  :func:`serial_activatability`;
-- **per-set witness generation** (one SAT witness per compatible set,
-  including the greedy repair of jointly-unsatisfiable sets) — valid
-  witnesses on every path, though the concrete model may differ from the
-  serial path because each worker solves on a fresh clause database (the same
-  caveat :func:`repro.core.compatibility.compute_compatibility` documents);
-- **sequence witnesses** on the unrolled transition relation
-  (:class:`~repro.sat.temporal.SequentialJustifier`), used by the
-  sequence-aware generation pipeline in :mod:`repro.core.sequence_gen`.
+- with ``n_jobs == 1`` or fewer than two items, every item runs inline, in
+  order, on the caller's own incremental justifier.  This is the reference
+  path;
+- otherwise the items are dealt into shards, and each backend worker builds
+  its own solver stack once with ``make_justifier(netlist)`` and answers its
+  shards on it.  Exact verdicts are therefore bit-identical to the inline
+  path; witnesses are valid but may be different models, because each
+  worker solves on a fresh clause database.
 
-All of them keep the ``n_jobs=1`` fallback contract: the serial path is the
-reference implementation, runs on the caller's own (incremental) solver
-stack, and is what every sharded path's verdicts are tested against.
+The shard→seed contract (anything touching :func:`make_shards` must keep
+all three):
 
-Two properties matter:
-
-- **Bit-identity** — every pair query is an exact SAT verdict, so the sharded
-  matrix equals the serial one bit for bit regardless of shard count or
-  completion order (:func:`serial_compatibility_matrix` is the ``n_jobs=1``
-  fallback and the reference).
-- **Determinism** — shard→pair assignment is a pure function of (pair count,
-  shard count), and each shard receives a seed derived only from
-  ``(base_seed, shard index)``, so any future randomised solver heuristic
-  stays reproducible under resharding of the same ``n_shards``.
-
-The shard→seed determinism contract, spelled out (anything touching
-:func:`make_shards` must preserve all three):
-
-1. pairs are enumerated in row-major upper-triangle order and dealt
-   round-robin — shard ``s`` owns pair number ``p`` iff ``p % n_shards ==
-   s`` — with no dependence on wall clock, process ids, or completion order;
+1. items are dealt round-robin in order — shard ``s`` owns item number
+   ``p`` iff ``p % n_shards == s`` — with no dependence on wall clock,
+   process ids, or completion order;
 2. ``shard.seed == base_seed + 7919 * shard.index`` (a fixed prime stride,
    so distinct shards never share a seed for any ``base_seed`` spacing
    < 7919), which makes worker-side randomness a pure function of the
@@ -50,20 +31,8 @@ The shard→seed determinism contract, spelled out (anything touching
 3. empty shards are dropped *after* indices and seeds are assigned, so a
    shard's identity never shifts with the number of non-empty peers.
 
-Consumers may therefore cache, replay, or re-execute any shard in isolation
-and obtain the same verdicts the full run would have produced.
-
-Netlists travel to workers as canonical ``.bench`` text (compact, and avoids
-pickling memoised derived structures); each worker re-encodes the CNF once in
-its initializer and answers all its shards incrementally.
-
-Where the shards *run* is pluggable: every entry point routes through
-:func:`repro.runner.resilience.run_tasks` over an
-:class:`~repro.runner.backends.ExecutionBackend` (process pool by default,
-thread pool or in-process serial on request), which also supplies per-shard
-retry with deterministic backoff, per-attempt timeouts, crash recovery, and
-graceful degradation to the serial backend.  Worker solver stacks are
-thread-local, so the same initializer contract holds under every backend.
+Any shard can therefore be cached, replayed, or re-run in isolation and
+give the results the full run would have produced.
 """
 
 from __future__ import annotations
@@ -72,16 +41,13 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Any, Callable, Sequence
 
 from repro.circuits.bench_io import dumps_bench, loads_bench
 from repro.circuits.netlist import Netlist
 from repro.runner.backends import ExecutionBackend
 from repro.runner.faults import FaultPlan
 from repro.runner.resilience import ResiliencePolicy, run_tasks
-from repro.sat.justify import Justifier, greedy_maximal_subset
-from repro.sat.solver import SolverConfig
 
 #: Shards submitted per worker; >1 smooths load imbalance between shards.
 OVERSUBSCRIPTION = 4
@@ -94,90 +60,49 @@ def resolve_jobs(n_jobs: int | None) -> int:
     return n_jobs
 
 
+def extend_sys_path(search_paths: list[str]) -> None:
+    """Replay the parent's ``sys.path`` in a worker.
+
+    Spawned workers can then import ``repro`` from a fresh checkout that was
+    never pip-installed.
+    """
+    for path in search_paths:
+        if path not in sys.path:
+            sys.path.append(path)
+
+
 @dataclass(frozen=True)
-class CompatibilityShard:
-    """One worker-sized slice of the pairwise-compatibility upper triangle.
+class Shard:
+    """One worker-sized slice of a work list: ``(position, item)`` pairs.
 
     ``seed`` is assigned deterministically from ``(base_seed, index)``.  The
     current solver is deterministic, so the seed does not influence results —
-    it exists so a future randomised heuristic (restarts, phase flipping)
-    keeps the shard→seed mapping reproducible.
+    it seeds the per-shard retry jitter, and keeps the shard→seed mapping
+    reproducible for any future randomised heuristic.
     """
 
     index: int
     seed: int
-    pairs: tuple[tuple[int, int], ...]
+    items: tuple[tuple[int, Any], ...]
 
 
-def make_shards(num_items: int, n_shards: int, base_seed: int = 0) -> list[CompatibilityShard]:
-    """Split the upper-triangle pairs of ``num_items`` items into shards.
+def make_shards(items: Sequence, n_shards: int, base_seed: int = 0) -> list[Shard]:
+    """Deal ``items`` round-robin into deterministic shards.
 
-    Pairs are enumerated in row-major order and dealt round-robin, so early
-    (long) rows and late (short) rows mix within every shard — cheap static
-    load balancing with a fully deterministic assignment.
+    Round-robin dealing mixes early and late items within every shard — on
+    the row-major pair list, long rows with short ones — which is cheap
+    static load balancing with a fully deterministic assignment.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n_shards)]
-    position = 0
-    for i in range(num_items):
-        for j in range(i + 1, num_items):
-            buckets[position % n_shards].append((i, j))
-            position += 1
+    buckets: list[list[tuple[int, Any]]] = [[] for _ in range(n_shards)]
+    for position, item in enumerate(items):
+        buckets[position % n_shards].append((position, item))
     return [
-        CompatibilityShard(index=index, seed=base_seed + 7919 * index, pairs=tuple(bucket))
+        Shard(index=index, seed=base_seed + 7919 * index, items=tuple(bucket))
         for index, bucket in enumerate(buckets)
         if bucket
     ]
-
-
-@dataclass(frozen=True)
-class WorkShard:
-    """One worker-sized slice of an indexed item list (pre-filter / witnesses).
-
-    Follows the exact shard→seed determinism contract of
-    :class:`CompatibilityShard`: items are dealt round-robin in index order,
-    ``seed == base_seed + 7919 * index``, and empty shards are dropped after
-    identities are assigned.
-    """
-
-    index: int
-    seed: int
-    items: tuple[int, ...]
-
-
-def make_item_shards(num_items: int, n_shards: int, base_seed: int = 0) -> list[WorkShard]:
-    """Split ``num_items`` indexed items into deterministic round-robin shards."""
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    buckets: list[list[int]] = [[] for _ in range(n_shards)]
-    for item in range(num_items):
-        buckets[item % n_shards].append(item)
-    return [
-        WorkShard(index=index, seed=base_seed + 7919 * index, items=tuple(bucket))
-        for index, bucket in enumerate(buckets)
-        if bucket
-    ]
-
-
-Requirement = tuple[str, int]
-
-
-def serial_compatibility_matrix(
-    justifier: Justifier, requirements: list[Requirement]
-) -> np.ndarray:
-    """Reference single-solver pairwise matrix (the ``n_jobs=1`` path)."""
-    count = len(requirements)
-    matrix = np.zeros((count, count), dtype=bool)
-    np.fill_diagonal(matrix, True)
-    for i in range(count):
-        net_i, value_i = requirements[i]
-        for j in range(i + 1, count):
-            net_j, value_j = requirements[j]
-            compatible = justifier.are_compatible({net_i: value_i}, {net_j: value_j})
-            matrix[i, j] = compatible
-            matrix[j, i] = compatible
-    return matrix
 
 
 # ----------------------------------------------------------------------
@@ -190,395 +115,83 @@ def serial_compatibility_matrix(
 _WORKER_STATE = threading.local()
 
 
-def _init_compat_worker(
+def _init_worker(
     search_paths: list[str],
     bench_text: str,
     name: str,
-    requirements: list[Requirement],
-    solver_config: SolverConfig | None = None,
+    make_justifier: Callable[[Netlist], Any],
+    fn: Callable[[Any, Any], Any],
 ) -> None:
-    """Build this worker's private solver stack over the shared encoding.
-
-    ``search_paths`` replays the parent's ``sys.path`` so spawned workers can
-    import ``repro`` from a fresh checkout that was never pip-installed.
-    ``solver_config`` (a picklable frozen dataclass) replicates the parent's
-    solver tuning on the worker's private stack.
-    """
-    for path in search_paths:
-        if path not in sys.path:
-            sys.path.append(path)
-    _WORKER_STATE.justifier = Justifier(
-        loads_bench(bench_text, name=name), config=solver_config
-    )
-    _WORKER_STATE.requirements = requirements
+    """Build this worker's private solver stack and remember the stage."""
+    extend_sys_path(search_paths)
+    _WORKER_STATE.justifier = make_justifier(loads_bench(bench_text, name=name))
+    _WORKER_STATE.fn = fn
 
 
-def _worker_justifier() -> Justifier:
+def _run_shard(shard: Shard) -> list[tuple[int, Any]]:
+    """Apply the stage to every item of one shard on the worker's solver."""
     justifier = getattr(_WORKER_STATE, "justifier", None)
     assert justifier is not None, "worker initializer did not run"
-    return justifier
+    fn = _WORKER_STATE.fn
+    return [(position, fn(justifier, item)) for position, item in shard.items]
 
 
-def _run_shard(shard: CompatibilityShard) -> list[tuple[int, int, bool]]:
-    """Answer every pair query of one shard on the worker's own solver."""
-    justifier = _worker_justifier()
-    requirements = _WORKER_STATE.requirements
-    results: list[tuple[int, int, bool]] = []
-    for i, j in shard.pairs:
-        net_i, value_i = requirements[i]
-        net_j, value_j = requirements[j]
-        compatible = justifier.are_compatible({net_i: value_i}, {net_j: value_j})
-        results.append((i, j, compatible))
-    return results
-
-
-def _run_sharded(
-    shard_fn,
-    shards,
-    initializer,
-    initargs: tuple,
+def sharded_map(
+    netlist: Netlist,
+    make_justifier: Callable[[Netlist], Any],
+    fn: Callable[[Any, Any], Any],
+    items: Sequence,
     n_jobs: int,
-    backend: ExecutionBackend | str | None,
-    resilience: ResiliencePolicy | None,
-    fault_plan: FaultPlan | None,
-    label: str = "shard",
+    *,
+    justifier: Any = None,
+    backend: ExecutionBackend | str | None = None,
+    resilience: ResiliencePolicy | None = None,
+    fault_plan: FaultPlan | None = None,
+    label: str,
 ) -> list:
-    """Drive one sharded stage through the backend + resilience seam.
+    """``[fn(justifier, item) for item in items]``, inline or sharded.
 
-    Results come back in shard order.  ``backend=None`` keeps the
-    historical behaviour (a process pool for ``n_jobs > 1``); the per-shard
-    retry/backoff jitter is seeded from each shard's own deterministic
-    seed, honouring the shard→seed contract.  ``label`` names the stage in
-    failure messages and in the telemetry span tree
-    (``tasks.<label>`` / ``<label>[i]``).
+    The inline path uses ``justifier`` (built with ``make_justifier`` when
+    None).  The sharded path runs through
+    :func:`repro.runner.resilience.run_tasks` — a process pool unless
+    ``backend`` says otherwise — with per-shard retry, timeouts, crash
+    recovery and degradation to serial.  ``make_justifier`` and ``fn`` must
+    be picklable (module-level callables or ``functools.partial`` of them),
+    as must the items and results.  ``label`` names the stage in failure
+    messages and in the telemetry span tree (``tasks.<label>`` /
+    ``<label>[i]``).  Results come back in item order on both paths.
     """
-    return run_tasks(
-        shard_fn,
+    items = list(items)
+    n_jobs = resolve_jobs(n_jobs)
+    if n_jobs == 1 or len(items) < 2:
+        if justifier is None:
+            justifier = make_justifier(netlist)
+        return [fn(justifier, item) for item in items]
+    shards = make_shards(items, n_jobs * OVERSUBSCRIPTION)
+    shard_results = run_tasks(
+        _run_shard,
         [(shard,) for shard in shards],
         backend=backend if backend is not None else "process",
         policy=resilience,
-        initializer=initializer,
-        initargs=initargs,
+        initializer=_init_worker,
+        initargs=(list(sys.path), dumps_bench(netlist), netlist.name, make_justifier, fn),
         max_workers=min(n_jobs, len(shards)),
         seeds=[shard.seed for shard in shards],
         fault_plan=fault_plan,
         label=label,
     ).results
-
-
-def parallel_compatibility_matrix(
-    netlist: Netlist,
-    requirements: list[Requirement],
-    n_jobs: int,
-    base_seed: int = 0,
-    solver_config: SolverConfig | None = None,
-    backend: ExecutionBackend | str | None = None,
-    resilience: ResiliencePolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-) -> np.ndarray:
-    """Compute the pairwise matrix across ``n_jobs`` backend workers.
-
-    Bit-identical to :func:`serial_compatibility_matrix` on the same inputs,
-    under every backend and under any recoverable worker failure (verdicts
-    are exact, and the resilience layer re-runs lost shards).
-    """
-    n_jobs = resolve_jobs(n_jobs)
-    count = len(requirements)
-    matrix = np.zeros((count, count), dtype=bool)
-    np.fill_diagonal(matrix, True)
-    if count < 2:
-        return matrix
-    shards = make_shards(count, n_jobs * OVERSUBSCRIPTION, base_seed=base_seed)
-    bench_text = dumps_bench(netlist)
-    shard_results = _run_sharded(
-        _run_shard, shards, _init_compat_worker,
-        (
-            list(sys.path), bench_text, netlist.name, list(requirements),
-            solver_config,
-        ),
-        n_jobs, backend, resilience, fault_plan, label="compat-shard",
-    )
+    results: list = [None] * len(items)
     for shard_result in shard_results:
-        for i, j, compatible in shard_result:
-            matrix[i, j] = compatible
-            matrix[j, i] = compatible
-    return matrix
-
-
-# ----------------------------------------------------------------------
-# Activatability pre-filter (the O(r) stage before the O(r²) pair queries)
-# ----------------------------------------------------------------------
-def serial_activatability(
-    justifier: Justifier, requirements: list[Requirement]
-) -> list[bool]:
-    """Reference single-solver pre-filter (the ``n_jobs=1`` path).
-
-    ``verdicts[i]`` is True iff requirement ``i`` is individually justifiable
-    — i.e. the rare net can take its rare value at all.
-    """
-    return [justifier.is_satisfiable({net: value}) for net, value in requirements]
-
-
-def _run_activatability_shard(shard: WorkShard) -> list[tuple[int, bool]]:
-    """Answer one shard of single-net justifiability queries."""
-    justifier = _worker_justifier()
-    requirements = _WORKER_STATE.requirements
-    results: list[tuple[int, bool]] = []
-    for item in shard.items:
-        net, value = requirements[item]
-        results.append((item, justifier.is_satisfiable({net: value})))
+        for position, result in shard_result:
+            results[position] = result
     return results
-
-
-def parallel_activatability(
-    netlist: Netlist,
-    requirements: list[Requirement],
-    n_jobs: int,
-    base_seed: int = 0,
-    solver_config: SolverConfig | None = None,
-    backend: ExecutionBackend | str | None = None,
-    resilience: ResiliencePolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-) -> list[bool]:
-    """Shard the activatability pre-filter across backend workers.
-
-    Verdicts are exact SAT answers, so the result is bit-identical to
-    :func:`serial_activatability` regardless of shard count, backend, or
-    recovered worker failures.
-    """
-    n_jobs = resolve_jobs(n_jobs)
-    if not requirements:
-        return []
-    shards = make_item_shards(
-        len(requirements), n_jobs * OVERSUBSCRIPTION, base_seed=base_seed
-    )
-    verdicts = [False] * len(requirements)
-    bench_text = dumps_bench(netlist)
-    shard_results = _run_sharded(
-        _run_activatability_shard, shards, _init_compat_worker,
-        (
-            list(sys.path), bench_text, netlist.name, list(requirements),
-            solver_config,
-        ),
-        n_jobs, backend, resilience, fault_plan, label="activatability-shard",
-    )
-    for shard_result in shard_results:
-        for item, verdict in shard_result:
-            verdicts[item] = verdict
-    return verdicts
-
-
-# ----------------------------------------------------------------------
-# Per-set witness generation (combinational patterns)
-# ----------------------------------------------------------------------
-OrderedRequirements = tuple[Requirement, ...]
-
-
-def _witness_with_repair(
-    justifier: Justifier, ordered_requirements: OrderedRequirements
-) -> tuple[dict[str, int] | None, int]:
-    """Witness one requirement set, greedily repairing unsatisfiable sets.
-
-    ``ordered_requirements`` must be sorted rarest-first: when the full set
-    has no witness, nets are re-added greedily in that order, keeping each
-    only while the accumulated set stays satisfiable — the shared policy of
-    :func:`repro.sat.justify.greedy_maximal_subset`, same as the serial
-    ``_repair_set`` in :mod:`repro.core.patterns`.  Returns ``(witness or
-    None, number of requirements realised)``.
-    """
-    requirements = dict(ordered_requirements)
-    witness = justifier.witness(requirements)
-    if witness is not None:
-        return witness, len(requirements)
-    kept = greedy_maximal_subset(
-        list(ordered_requirements),
-        lambda candidate: justifier.is_satisfiable(dict(candidate)),
-    )
-    if not kept:
-        return None, 0
-    return justifier.witness(dict(kept)), len(kept)
-
-
-def _init_witness_worker(
-    search_paths: list[str],
-    bench_text: str,
-    name: str,
-    ordered_sets: list[OrderedRequirements],
-    preferred_values: dict[str, int],
-    solver_config: SolverConfig | None = None,
-) -> None:
-    """Build this worker's solver stack plus the shared witness work list."""
-    for path in search_paths:
-        if path not in sys.path:
-            sys.path.append(path)
-    _WORKER_STATE.justifier = Justifier(
-        loads_bench(bench_text, name=name),
-        preferred_values=preferred_values or None,
-        config=solver_config,
-    )
-    _WORKER_STATE.witness_sets = ordered_sets
-
-
-def _run_witness_shard(
-    shard: WorkShard,
-) -> list[tuple[int, dict[str, int] | None, int]]:
-    """Generate the witnesses of one shard of requirement sets."""
-    justifier = _worker_justifier()
-    witness_sets = _WORKER_STATE.witness_sets
-    results: list[tuple[int, dict[str, int] | None, int]] = []
-    for item in shard.items:
-        witness, realized = _witness_with_repair(justifier, witness_sets[item])
-        results.append((item, witness, realized))
-    return results
-
-
-def parallel_pattern_witnesses(
-    netlist: Netlist,
-    ordered_sets: list[OrderedRequirements],
-    n_jobs: int,
-    preferred_values: dict[str, int] | None = None,
-    base_seed: int = 0,
-    solver_config: SolverConfig | None = None,
-    backend: ExecutionBackend | str | None = None,
-    resilience: ResiliencePolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-) -> list[tuple[dict[str, int] | None, int]]:
-    """Generate one SAT witness per requirement set across backend workers.
-
-    Every returned witness is a valid input pattern for its (possibly
-    repaired) set; the concrete model may differ from the serial path's
-    because workers solve on fresh clause databases (see the module
-    docstring).  Result order matches ``ordered_sets``.
-    """
-    n_jobs = resolve_jobs(n_jobs)
-    if not ordered_sets:
-        return []
-    shards = make_item_shards(
-        len(ordered_sets), n_jobs * OVERSUBSCRIPTION, base_seed=base_seed
-    )
-    witnesses: list[tuple[dict[str, int] | None, int]] = [(None, 0)] * len(ordered_sets)
-    bench_text = dumps_bench(netlist)
-    shard_results = _run_sharded(
-        _run_witness_shard, shards, _init_witness_worker,
-        (
-            list(sys.path), bench_text, netlist.name,
-            list(ordered_sets), dict(preferred_values or {}),
-            solver_config,
-        ),
-        n_jobs, backend, resilience, fault_plan, label="witness-shard",
-    )
-    for shard_result in shard_results:
-        for item, witness, realized in shard_result:
-            witnesses[item] = (witness, realized)
-    return witnesses
-
-
-# ----------------------------------------------------------------------
-# Per-set sequence witnesses (temporal SAT, repro.core.sequence_gen)
-# ----------------------------------------------------------------------
-def _init_sequence_worker(
-    search_paths: list[str],
-    bench_text: str,
-    name: str,
-    cycles: int,
-    mode: str,
-    count: int,
-    ordered_sets: list[OrderedRequirements],
-    preferred_values: dict[str, int],
-    initial_state: dict[str, int] | None,
-    solver_config: SolverConfig | None = None,
-) -> None:
-    """Build this worker's unrolled solver stack for sequence witnesses."""
-    for path in search_paths:
-        if path not in sys.path:
-            sys.path.append(path)
-    from repro.sat.temporal import SequentialJustifier
-
-    justifier = SequentialJustifier(
-        loads_bench(bench_text, name=name), cycles,
-        initial_state=initial_state, config=solver_config,
-    )
-    if preferred_values:
-        justifier.set_preferred_values(preferred_values)
-    _WORKER_STATE.sequence_justifier = justifier
-    _WORKER_STATE.sequence_sets = ordered_sets
-    _WORKER_STATE.sequence_rule = (mode, count)
-
-
-def _run_sequence_shard(shard: WorkShard) -> list[tuple[int, object, int, int]]:
-    """Generate the sequence witnesses of one shard of requirement sets."""
-    justifier = getattr(_WORKER_STATE, "sequence_justifier", None)
-    assert justifier is not None, "worker initializer did not run"
-    from repro.core.sequence_gen import sequence_witness_with_repair
-
-    mode, count = _WORKER_STATE.sequence_rule
-    results: list[tuple[int, object, int, int]] = []
-    for item in shard.items:
-        sequence, fire_cycle, realized = sequence_witness_with_repair(
-            justifier, _WORKER_STATE.sequence_sets[item], mode, count
-        )
-        results.append((item, sequence, fire_cycle, realized))
-    return results
-
-
-def parallel_sequence_witnesses(
-    netlist: Netlist,
-    ordered_sets: list[OrderedRequirements],
-    cycles: int,
-    mode: str,
-    count: int,
-    n_jobs: int,
-    preferred_values: dict[str, int] | None = None,
-    initial_state: dict[str, int] | None = None,
-    base_seed: int = 0,
-    solver_config: SolverConfig | None = None,
-    backend: ExecutionBackend | str | None = None,
-    resilience: ResiliencePolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-) -> list[tuple[object, int, int]]:
-    """Generate one replay-verified sequence witness per set across workers.
-
-    The sequential counterpart of :func:`parallel_pattern_witnesses`; result
-    order matches ``ordered_sets`` and each entry is ``(sequence or None,
-    first fire cycle or -1, number of requirements realised)``.
-    ``initial_state`` must match the state the sets were analysed from, so
-    worker unrolls justify from the same machine as the caller's.
-    """
-    n_jobs = resolve_jobs(n_jobs)
-    if not ordered_sets:
-        return []
-    shards = make_item_shards(
-        len(ordered_sets), n_jobs * OVERSUBSCRIPTION, base_seed=base_seed
-    )
-    witnesses: list[tuple[object, int, int]] = [(None, -1, 0)] * len(ordered_sets)
-    bench_text = dumps_bench(netlist)
-    shard_results = _run_sharded(
-        _run_sequence_shard, shards, _init_sequence_worker,
-        (
-            list(sys.path), bench_text, netlist.name, cycles, mode, count,
-            list(ordered_sets), dict(preferred_values or {}),
-            dict(initial_state) if initial_state else None,
-            solver_config,
-        ),
-        n_jobs, backend, resilience, fault_plan, label="sequence-shard",
-    )
-    for shard_result in shard_results:
-        for item, sequence, fire_cycle, realized in shard_result:
-            witnesses[item] = (sequence, fire_cycle, realized)
-    return witnesses
 
 
 __all__ = [
     "OVERSUBSCRIPTION",
-    "CompatibilityShard",
-    "WorkShard",
-    "make_item_shards",
+    "Shard",
+    "extend_sys_path",
     "make_shards",
-    "parallel_activatability",
-    "parallel_compatibility_matrix",
-    "parallel_pattern_witnesses",
-    "parallel_sequence_witnesses",
     "resolve_jobs",
-    "serial_activatability",
-    "serial_compatibility_matrix",
+    "sharded_map",
 ]

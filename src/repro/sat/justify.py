@@ -51,8 +51,8 @@ class Justifier:
         self._preferred_phases = {
             self.encoder.variable(net): bool(value) for net, value in preferred_values.items()
         }
-        # Keep the net-level mapping so worker processes can replicate the
-        # bias on their own solver stacks (see runner/parallel.py).
+        # Keep the net-level mapping so sharded workers can replicate the
+        # bias on their own solver stacks (see core/patterns.py).
         self.preferred_values = {net: int(value) for net, value in preferred_values.items()}
 
     def stats(self) -> SolverStats:

@@ -29,14 +29,11 @@ time-frame unrolls, where the learned-clause set would otherwise grow without
 bound across :meth:`~repro.sat.unroll.TimeFrameExpansion.extend_to` calls.
 
 Configuration is a frozen :class:`SolverConfig`; cumulative counters are a
-:class:`SolverStats` snapshot from :meth:`CdclSolver.stats`.  The legacy
-``decay``/``restart_base``/``restart_growth`` keyword arguments are still
-accepted for one release with a :class:`DeprecationWarning`.
+:class:`SolverStats` snapshot from :meth:`CdclSolver.stats`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 
@@ -235,36 +232,7 @@ class CdclSolver:
         cnf: CNF | None = None,
         *,
         config: SolverConfig | None = None,
-        decay: float | None = None,
-        restart_base: int | None = None,
-        restart_growth: float | None = None,
     ) -> None:
-        legacy = {
-            "decay": decay,
-            "restart_base": restart_base,
-            "restart_growth": restart_growth,
-        }
-        supplied = {key: value for key, value in legacy.items() if value is not None}
-        if supplied:
-            if config is not None:
-                raise ValueError(
-                    "pass either config=SolverConfig(...) or the legacy "
-                    f"keyword(s) {sorted(supplied)}, not both"
-                )
-            warnings.warn(
-                "CdclSolver(decay=, restart_base=, restart_growth=) is "
-                "deprecated; pass config=SolverConfig(var_decay=..., "
-                "restart_policy='geometric', restart_base=..., "
-                "restart_growth=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = SolverConfig(
-                var_decay=decay if decay is not None else 0.95,
-                restart_policy="geometric",
-                restart_base=restart_base if restart_base is not None else 100,
-                restart_growth=restart_growth if restart_growth is not None else 1.5,
-            )
         self.config = config if config is not None else SolverConfig()
 
         self._num_vars = 0

@@ -376,12 +376,6 @@ class TestCompatibilityParity:
         # The rebuilt analysis still has a working solver stack.
         assert again.set_is_satisfiable([0])
 
-    def test_n_workers_alias(self, small_multiplier, multiplier_rare_nets):
-        serial = compute_compatibility(
-            small_multiplier, multiplier_rare_nets, n_workers=1, cache=None
-        )
-        assert serial.num_rare_nets > 0
-
 
 # Module level so the fork-based process stress tests can reference it by name.
 def _flush_contender(cache_root: str, rounds: int) -> dict:

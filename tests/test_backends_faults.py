@@ -18,7 +18,6 @@ import pytest
 
 from repro.experiments.reporting import resilience_summary
 from repro.runner.backends import (
-    BACKEND_NAMES,
     ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
@@ -57,6 +56,9 @@ def boom(x):
     raise ValueError(f"boom {x}")
 
 
+#: The built-in in-process backends.
+BUILTIN_BACKENDS = ("serial", "process", "thread")
+
 TASKS = [(i,) for i in range(6)]
 EXPECTED = [i * i for i in range(6)]
 
@@ -80,7 +82,7 @@ class TestBackends:
     def test_all_backends_agree_with_serial(self):
         reference = run_tasks(square, TASKS, backend="serial").results
         assert reference == EXPECTED
-        for name in BACKEND_NAMES:
+        for name in BUILTIN_BACKENDS:
             outcome = run_tasks(square, TASKS, backend=name, max_workers=3)
             assert outcome.results == reference, name
             assert not outcome.had_failures
@@ -243,7 +245,7 @@ class TestRecovery:
         assert outcome.timeouts >= 1
 
     def test_corrupt_results_are_rejected_and_retried(self):
-        for backend in BACKEND_NAMES:
+        for backend in BUILTIN_BACKENDS:
             outcome = run_tasks(
                 square, TASKS, backend=backend, max_workers=2,
                 fault_plan=FaultPlan.corrupting(0, 3), policy=FAST,
@@ -430,25 +432,141 @@ class TestRunnerUnderFaults:
 
 
 # ----------------------------------------------------------------------
-# The sharded SAT paths under faults
+# The sharded SAT stages under faults
 # ----------------------------------------------------------------------
+def _c17_rare():
+    from repro.circuits.library import load_benchmark
+    from repro.simulation.rare_nets import extract_rare_nets
+
+    netlist = load_benchmark("c17")
+    rare = extract_rare_nets(netlist, threshold=0.5, num_patterns=64, seed=0)
+    assert len(rare) >= 3, "c17 must expose a few rare nets at 0.5"
+    return netlist, rare
+
+
+def _activatability_stage():
+    from repro.core.compatibility import is_activatable
+    from repro.sat.justify import Justifier
+
+    netlist, rare = _c17_rare()
+    return netlist, Justifier, is_activatable, [(r.net, r.rare_value) for r in rare], None
+
+
+def _pair_stage():
+    from repro.core.compatibility import pair_is_compatible
+    from repro.sat.justify import Justifier
+
+    netlist, rare = _c17_rare()
+    requirements = [(r.net, r.rare_value) for r in rare]
+    pairs = [
+        (requirements[i], requirements[j])
+        for i in range(len(requirements))
+        for j in range(i + 1, len(requirements))
+    ]
+    return netlist, Justifier, pair_is_compatible, pairs, None
+
+
+def _check_pattern(netlist, rare_set, expected, result):
+    """The witness drives at least its realised count of rare values."""
+    from repro.simulation.logic_sim import simulate_pattern
+
+    witness, realized = result
+    assert realized == expected[1] >= 1
+    simulated = simulate_pattern(netlist, witness)
+    held = sum(simulated[rare.net] == rare.rare_value for rare in rare_set)
+    assert held >= realized
+
+
+def _pattern_stage():
+    from repro.core.patterns import pattern_witness_with_repair
+    from repro.sat.justify import Justifier
+
+    netlist, rare = _c17_rare()
+    # Singletons, every pair, and the whole list (repaired when unsatisfiable).
+    sets = [(r,) for r in rare] + [
+        (rare[i], rare[j]) for i in range(len(rare)) for j in range(i + 1, len(rare))
+    ] + [tuple(rare)]
+    return netlist, Justifier, pattern_witness_with_repair, sets, _check_pattern
+
+
+def _check_sequence(netlist, ordered, expected, result):
+    """Replay: at the fire cycle at least the realised count of nets hold."""
+    from repro.sat.temporal import replay_fire_cycles
+    from repro.trojan.model import SequentialTrigger, TriggerCondition
+
+    sequence, fire_cycle, realized = result
+    assert realized == expected[2] >= 1
+    held = sum(
+        fire_cycle in replay_fire_cycles(
+            netlist,
+            SequentialTrigger(TriggerCondition((requirement,)), "consecutive", 1),
+            sequence,
+        )
+        for requirement in ordered
+    )
+    assert held >= realized
+
+
+def _sequence_stage():
+    from functools import partial
+
+    from repro.circuits.gates import GateType
+    from repro.circuits.netlist import Netlist
+    from repro.core.sequence_gen import make_sequence_justifier, sequence_witness_with_repair
+
+    netlist = Netlist("toy_seq")
+    netlist.add_input("a")
+    netlist.add_input("b")
+    netlist.add_flip_flop("q", "a")
+    netlist.add_flip_flop("r", "b")
+    netlist.add_gate("mix", GateType.AND, ("a", "q"))
+    netlist.add_gate("nq", GateType.NOT, ("q",))
+    netlist.add_gate("nb", GateType.NOT, ("b",))
+    netlist.add_gate("hold", GateType.AND, ("nb", "r"))
+    for output in ("mix", "nq", "hold"):
+        netlist.add_output(output)
+    # mix=1 needs q=1, so the last set is repaired down to (mix, hold).
+    sets = [
+        (("mix", 1),), (("hold", 1),), (("mix", 1), ("hold", 1)),
+        (("mix", 1), ("hold", 1), ("nq", 1)),
+    ]
+    return (
+        netlist,
+        partial(make_sequence_justifier, cycles=3),
+        partial(sequence_witness_with_repair, mode="consecutive", count=1, cycles=3),
+        sets,
+        _check_sequence,
+    )
+
+
 class TestShardedPathsUnderFaults:
-    def test_activatability_identical_under_crashing_workers(self):
-        from repro.circuits.library import load_benchmark
-        from repro.runner.parallel import parallel_activatability, serial_activatability
-        from repro.sat.justify import Justifier
-        from repro.simulation.rare_nets import extract_rare_nets
+    """Every sharded SAT stage recovers from a crashed shard.
 
-        netlist = load_benchmark("c17")
-        rare = extract_rare_nets(netlist, threshold=0.3, num_patterns=64, seed=0)
-        requirements = [(r.net, r.rare_value) for r in rare]
-        assert requirements, "c17 must expose at least one rare net at 0.3"
+    Exact-verdict stages must equal the inline reference; witness stages
+    must realise as many requirements as the inline path (repair verdicts
+    are exact) with witnesses that check out by simulation or replay.
+    """
 
-        reference = serial_activatability(Justifier(netlist), requirements)
-        faulted = parallel_activatability(
-            netlist, requirements, n_jobs=2,
+    @pytest.mark.parametrize(
+        "stage",
+        [_activatability_stage, _pair_stage, _pattern_stage, _sequence_stage],
+        ids=["activatability", "pairs", "pattern-witness", "sequence-witness"],
+    )
+    def test_stage_survives_crashing_workers(self, stage):
+        from repro.runner.parallel import sharded_map
+
+        netlist, make_justifier, fn, items, check = stage()
+        reference = sharded_map(netlist, make_justifier, fn, items, 1, label="inline")
+        faulted = sharded_map(
+            netlist, make_justifier, fn, items, 2,
             backend="thread",
             resilience=FAST,
             fault_plan=FaultPlan.crashing(0),
+            label="chaos",
         )
-        assert faulted == reference
+        assert len(faulted) == len(reference) == len(items)
+        if check is None:
+            assert faulted == reference
+        else:
+            for item, expected, result in zip(items, reference, faulted):
+                check(netlist, item, expected, result)

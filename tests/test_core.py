@@ -98,10 +98,6 @@ class TestCompatibility:
         for dropped in analysis.unsatisfiable:
             assert not analysis.justifier.is_satisfiable({dropped.net: dropped.rare_value})
 
-    def test_n_workers_validated(self, small_multiplier, multiplier_rare_nets):
-        with pytest.raises(ValueError):
-            compute_compatibility(small_multiplier, multiplier_rare_nets, n_workers=0)
-
 
 class TestEnvironment:
     def make_env(self, compatibility, **kwargs):

@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.circuits.library import load_benchmark
 from repro.cli import main as cli_main
+from repro.core.compatibility import is_activatable, pair_is_compatible
 from repro.experiments import common
 from repro.runner.execution import ExperimentRunner, run_experiment
-from repro.runner.parallel import make_shards, resolve_jobs
+from repro.runner.parallel import make_shards, resolve_jobs, sharded_map
+from repro.sat.justify import Justifier
 from repro.runner.registry import (
     ExperimentSpec,
     GridCell,
@@ -85,27 +89,82 @@ class TestRegistry:
             spec.resolve()
 
 
+def _pairs(count):
+    return [(i, j) for i in range(count) for j in range(i + 1, count)]
+
+
 class TestShards:
     def test_shards_cover_every_pair_exactly_once(self):
-        shards = make_shards(10, 4)
-        seen = [pair for shard in shards for pair in shard.pairs]
-        expected = [(i, j) for i in range(10) for j in range(i + 1, 10)]
-        assert sorted(seen) == expected
+        shards = make_shards(_pairs(10), 4)
+        seen = [pair for shard in shards for _, pair in shard.items]
+        assert sorted(seen) == _pairs(10)
 
     def test_shard_seeds_deterministic(self):
-        first = make_shards(8, 3, base_seed=5)
-        second = make_shards(8, 3, base_seed=5)
+        first = make_shards(_pairs(8), 3, base_seed=5)
+        second = make_shards(_pairs(8), 3, base_seed=5)
         assert first == second
         assert len({shard.seed for shard in first}) == len(first)
 
     def test_single_shard(self):
-        (shard,) = make_shards(4, 1)
-        assert len(shard.pairs) == 6
+        (shard,) = make_shards(_pairs(4), 1)
+        assert len(shard.items) == 6
 
     def test_empty_and_invalid(self):
-        assert make_shards(1, 4) == []
+        assert make_shards([], 4) == []
         with pytest.raises(ValueError):
-            make_shards(4, 0)
+            make_shards(_pairs(4), 0)
+
+    @given(
+        count=st.integers(min_value=0, max_value=30),
+        n_shards=st.integers(min_value=1, max_value=12),
+        base_seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_shards_partition_items_under_the_seed_contract(
+        self, count, n_shards, base_seed
+    ):
+        items = [f"item{position}" for position in range(count)]
+        shards = make_shards(items, n_shards, base_seed=base_seed)
+        dealt = sorted(pair for shard in shards for pair in shard.items)
+        assert dealt == list(enumerate(items))
+        for shard in shards:
+            assert shard.items
+            assert shard.seed == base_seed + 7919 * shard.index
+            assert all(position % n_shards == shard.index for position, _ in shard.items)
+
+
+@pytest.fixture(scope="module")
+def c17_requirements():
+    netlist = load_benchmark("c17")
+    nets = [gate.output for gate in netlist.topological_gates()]
+    return netlist, [(net, value) for net in nets for value in (0, 1)]
+
+
+class TestShardedMap:
+    """Every backend and job count gives the inline answer on exact stages."""
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        count=st.integers(min_value=0, max_value=30),
+        n_jobs=st.integers(min_value=1, max_value=5),
+        backend=st.sampled_from(["serial", "thread"]),
+    )
+    def test_sharded_verdicts_equal_inline(self, c17_requirements, count, n_jobs, backend):
+        netlist, requirements = c17_requirements
+        singles = [requirements[k % len(requirements)] for k in range(count)]
+        pairs = [
+            (requirements[k % len(requirements)], requirements[(3 * k + 1) % len(requirements)])
+            for k in range(count)
+        ]
+        for fn, items in ((is_activatable, singles), (pair_is_compatible, pairs)):
+            inline = sharded_map(netlist, Justifier, fn, items, 1, label="inline")
+            sharded = sharded_map(
+                netlist, Justifier, fn, items, n_jobs, backend=backend, label="sharded"
+            )
+            assert sharded == inline
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3

@@ -13,19 +13,16 @@ import numpy as np
 import pytest
 
 from repro.circuits.library import load_benchmark
-from repro.core.compatibility import compute_compatibility
+from repro.core.compatibility import compute_compatibility, is_activatable
 from repro.core.patterns import SequenceSet, generate_patterns
 from repro.core.sequence_gen import (
     analyze_sequential_compatibility,
     generate_sequences,
     greedy_compatible_sets,
+    make_sequence_justifier,
     sequence_witness_with_repair,
 )
-from repro.runner.parallel import (
-    make_item_shards,
-    parallel_activatability,
-    serial_activatability,
-)
+from repro.runner.parallel import make_shards, sharded_map
 from repro.sat.justify import Justifier
 from repro.sat.temporal import replay_fire_cycles
 from repro.simulation.logic_sim import simulate_pattern
@@ -175,11 +172,12 @@ class TestGenerateSequences:
         assert len(produced) == 0
         assert produced.metadata["num_activatable"] == 0
 
-    def test_parallel_sequence_witnesses_respect_initial_state(self):
+    def test_sharded_sequence_witnesses_respect_initial_state(self):
         """Workers must unroll from the caller's state, not silently from reset."""
+        from functools import partial
+
         from repro.circuits.gates import GateType
         from repro.circuits.netlist import Netlist
-        from repro.runner.parallel import parallel_sequence_witnesses
 
         netlist = Netlist("toy")
         netlist.add_input("a")
@@ -192,19 +190,25 @@ class TestGenerateSequences:
         trigger = SequentialTrigger(
             condition=TriggerCondition((("mix", 1),)), mode="consecutive", count=2
         )
-        seeded = parallel_sequence_witnesses(
-            netlist, ordered_sets, 2, "consecutive", 2, n_jobs=2,
-            initial_state={"q": 1},
+        witness = partial(
+            sequence_witness_with_repair, mode="consecutive", count=2, cycles=2
         )
+
+        def sharded(initial_state):
+            return sharded_map(
+                netlist,
+                partial(make_sequence_justifier, cycles=2, initial_state=initial_state),
+                witness, ordered_sets, n_jobs=2, label="sequence-shard",
+            )
+
+        seeded = sharded({"q": 1})
         for sequence, fire_cycle, realized in seeded:
             assert sequence is not None and realized == 1
             fires = replay_fire_cycles(
                 netlist, trigger, sequence, initial_state={"q": 1}
             )
             assert fires and fires[0] == fire_cycle == 1
-        from_reset = parallel_sequence_witnesses(
-            netlist, ordered_sets, 2, "consecutive", 2, n_jobs=2
-        )
+        from_reset = sharded(None)
         assert all(sequence is None for sequence, _, _ in from_reset)
 
     def test_sharded_generation_produces_valid_witnesses(self, controller, state_rare):
@@ -236,19 +240,19 @@ def combinational_rare(combinational):
 
 class TestItemShards:
     def test_shards_cover_every_item_exactly_once(self):
-        shards = make_item_shards(23, 5, base_seed=11)
-        items = [item for shard in shards for item in shard.items]
+        shards = make_shards(range(23), 5, base_seed=11)
+        items = [item for shard in shards for _, item in shard.items]
         assert sorted(items) == list(range(23))
 
     def test_seed_contract(self):
-        shards = make_item_shards(10, 3, base_seed=100)
+        shards = make_shards(range(10), 3, base_seed=100)
         for shard in shards:
             assert shard.seed == 100 + 7919 * shard.index
 
     def test_empty_and_invalid(self):
-        assert make_item_shards(0, 4) == []
+        assert make_shards([], 4) == []
         with pytest.raises(ValueError):
-            make_item_shards(4, 0)
+            make_shards(range(4), 0)
 
 
 class TestShardedActivatability:
@@ -256,8 +260,13 @@ class TestShardedActivatability:
         requirements = [
             (rare.net, rare.rare_value) for rare in combinational_rare[:16]
         ]
-        serial = serial_activatability(Justifier(combinational), requirements)
-        sharded = parallel_activatability(combinational, requirements, n_jobs=2)
+        serial = sharded_map(
+            combinational, Justifier, is_activatable, requirements, 1, label="inline"
+        )
+        sharded = sharded_map(
+            combinational, Justifier, is_activatable, requirements, 2,
+            label="activatability-shard",
+        )
         assert serial == sharded
 
     def test_compatibility_prefilter_identical_across_job_counts(

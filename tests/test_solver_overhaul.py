@@ -113,18 +113,6 @@ class TestSolverConfig:
         with pytest.raises(AttributeError):
             SolverConfig().var_decay = 0.5
 
-    def test_legacy_kwargs_deprecated(self):
-        cnf = CNF(num_vars=1, clauses=[[1]])
-        with pytest.warns(DeprecationWarning):
-            solver = CdclSolver(cnf, decay=0.9, restart_base=50)
-        assert solver.config.var_decay == 0.9
-        assert solver.config.restart_policy == "geometric"
-        assert solver.solve().satisfiable
-
-    def test_legacy_kwargs_conflict_with_config(self):
-        with pytest.raises(ValueError):
-            CdclSolver(config=SolverConfig(), decay=0.9)
-
 
 class TestSolverStats:
     def test_counters_accumulate_across_queries(self):
