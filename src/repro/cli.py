@@ -455,8 +455,8 @@ def _command_cache(args: argparse.Namespace) -> int:
     print(f"\n{total_entries} entries, {total_bytes / 1024:.1f} KiB under {root}")
     lifetime = cache.stats_snapshot()["lifetime"]
     if lifetime:
-        # Counters flushed into <root>/stats.json by runs, queue workers,
-        # and the HTTP service sharing this cache directory.
+        # Counters written through to <root>/stats.json by every run, queue
+        # worker and HTTP service sharing this cache directory.
         print(
             f"lifetime stats: {lifetime.get('hits', 0)} hits, "
             f"{lifetime.get('misses', 0)} misses, "

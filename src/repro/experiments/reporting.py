@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.utils.fsio import atomic_write
+
 
 def format_table(headers: list[str], rows: list[list[object]]) -> str:
     """Render a simple fixed-width text table.
@@ -47,10 +49,13 @@ def _format_cell(cell: object) -> str:
 
 
 def save_json(data: object, path: str | Path) -> Path:
-    """Serialise experiment results to JSON (creating parent directories)."""
+    """Serialise experiment results to JSON (creating parent directories).
+
+    The write is atomic, so an interrupted run leaves the previous file or
+    none, never a truncated one that ``deterrent report`` would choke on.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, default=str) + "\n")
+    atomic_write(path, (json.dumps(data, indent=2, default=str) + "\n").encode())
     return path
 
 

@@ -27,6 +27,7 @@ from bisect import bisect_left
 from pathlib import Path
 
 from repro.obs import _runtime
+from repro.utils.fsio import atomic_write
 
 #: Histogram bucket upper bounds in seconds: 1 µs … ~134 s, powers of two.
 #: Fixed for every instrument so histograms merge bucket-by-bucket.
@@ -260,8 +261,9 @@ def absorb_solver_stats(stats: dict) -> None:
 def flush(trace_dir: str | None = None) -> None:
     """Write this process's cumulative registry to ``metrics-<pid>.json``.
 
-    Atomic (temp file + ``os.replace``) and cumulative, so flushing after
-    every task is safe: the merged view reads each pid's latest totals once.
+    Atomic (:func:`repro.utils.fsio.atomic_write`) and cumulative, so
+    flushing after every task is safe: the merged view reads each pid's
+    latest totals once.
     """
     directory = trace_dir or _runtime.STATE.trace_dir
     if directory is None:
@@ -270,10 +272,8 @@ def flush(trace_dir: str | None = None) -> None:
     if not (snapshot["counters"] or snapshot["gauges"] or snapshot["histograms"]):
         return
     path = Path(directory) / f"metrics-{os.getpid()}.json"
-    tmp_path = path.with_suffix(f".tmp{os.getpid()}")
     try:
-        tmp_path.write_text(json.dumps(snapshot))
-        os.replace(tmp_path, path)
+        atomic_write(path, json.dumps(snapshot).encode())
     except OSError:
         pass  # telemetry must never take the workload down
 

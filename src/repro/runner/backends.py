@@ -84,8 +84,8 @@ def collect_executor_counters(executor: Executor) -> dict[str, int]:
 
     Probes the optional ``backend_counters()`` hook (see
     :meth:`ExecutionBackend.make_executor`).  Must be called *before* the
-    executor shuts down: the queue executor derives its counters from an
-    event log that lives in a directory shutdown may delete.  Never raises —
+    executor shuts down: the queue executor derives its counters from
+    event counts that live in a directory shutdown may delete.  Never raises —
     counters are telemetry, not control flow.
     """
     collect = getattr(executor, "backend_counters", None)

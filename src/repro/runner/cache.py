@@ -30,9 +30,16 @@ oldest entries first, every entry recomputable by construction.
 
 Loads are corruption tolerant: any failure to read or unpickle an entry is
 treated as a miss (the offending file is removed) and the artifact is simply
-recomputed.  Stores are atomic (write to a temp file, then ``os.replace``) so
+recomputed.  Stores are atomic (:func:`repro.utils.fsio.atomic_write`) so
 concurrent worker processes sharing one cache directory never observe partial
 writes.
+
+Every hit, miss, store and corrupt entry is counted twice: in the object's
+in-memory session :class:`CacheStats`, and written through to
+``<root>/stats.json`` (a :class:`repro.utils.fsio.CounterFile`), the
+lifetime counts of every process that ever used the root.  There is nothing
+to flush: ``deterrent cache`` and the service's ``GET /metrics`` read the
+file as it stands.
 
 The module-level *default cache* is what :func:`repro.experiments.common.
 prepare_benchmark` and the experiment runner consult when no explicit cache is
@@ -46,22 +53,16 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, is_dataclass, asdict
 from pathlib import Path
 from typing import Any
 
-try:
-    import fcntl
-except ImportError:  # non-POSIX platform: single-flight degrades to none
-    fcntl = None
-
 from repro import obs
 from repro.circuits.bench_io import dumps_bench
 from repro.circuits.netlist import Netlist
+from repro.utils.fsio import CounterFile, atomic_write, file_lock
 
 #: Environment variable that enables the default cache when set.
 CACHE_DIR_ENV = "DETERRENT_CACHE_DIR"
@@ -129,13 +130,6 @@ class CacheStats:
             "corrupt": self.corrupt,
         }
 
-    def merge(self, other: "CacheStats") -> None:
-        """Fold another counter set into this one (used to undo a detach)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.corrupt += other.corrupt
-
 
 @dataclass(frozen=True)
 class CacheEntry:
@@ -187,10 +181,9 @@ class ArtifactCache:
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
+        self._lifetime = CounterFile(self.root / "stats.json")
         # Session counters are bumped from worker threads (the thread backend
-        # shares one cache object) while flush/snapshot read them; every
-        # access goes through this lock so a flush's detach-and-reset never
-        # races an increment.
+        # shares one cache object); the lock keeps each increment whole.
         self._stats_lock = threading.Lock()
 
     def __getstate__(self) -> dict[str, Any]:
@@ -229,46 +222,25 @@ class ArtifactCache:
             with path.open("rb") as handle:
                 artifact = pickle.load(handle)
         except FileNotFoundError:
-            with self._stats_lock:
-                self.stats.misses += 1
-            obs.metrics.counter_add("cache_misses")
+            self._count(misses=1)
             return None
         except Exception:
             # Truncated/garbled entry (e.g. a crashed writer predating atomic
             # stores, or bit rot): drop it and recompute.
-            with self._stats_lock:
-                self.stats.corrupt += 1
-                self.stats.misses += 1
-            obs.metrics.counter_add("cache_corrupt")
-            obs.metrics.counter_add("cache_misses")
+            self._count(corrupt=1, misses=1)
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
-        with self._stats_lock:
-            self.stats.hits += 1
-        obs.metrics.counter_add("cache_hits")
+        self._count(hits=1)
         return artifact
 
     def store(self, kind: str, artifact: Any, **key_parts: Any) -> Path:
         """Atomically persist ``artifact`` and return its path."""
         path = self.path_for(kind, **key_parts)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                pickle.dump(artifact, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        with self._stats_lock:
-            self.stats.stores += 1
-        obs.metrics.counter_add("cache_stores")
+        atomic_write(path, pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL))
+        self._count(stores=1)
         return path
 
     def fetch(self, kind: str, builder, **key_parts: Any) -> Any:
@@ -285,7 +257,7 @@ class ArtifactCache:
             return artifact
         path = self.path_for(kind, **key_parts)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with _build_lock(path):
+        with file_lock(path):
             # Double-checked: a peer holding the lock may have stored it.
             artifact = self.load(kind, **key_parts)
             if artifact is None:
@@ -295,82 +267,31 @@ class ArtifactCache:
         return artifact
 
     # ------------------------------------------------------------------
-    # Stats: cheap snapshots + cross-process lifetime counters
+    # Stats: session counters + cross-process lifetime counters
     # ------------------------------------------------------------------
+    def _count(self, **deltas: int) -> None:
+        """Record cache events in the session, the registry and ``stats.json``."""
+        with self._stats_lock:
+            for key, value in deltas.items():
+                setattr(self.stats, key, getattr(self.stats, key) + value)
+        for key, value in deltas.items():
+            obs.metrics.counter_add(f"cache_{key}", value)
+        self._lifetime.add(deltas)
+
     def stats_snapshot(self) -> dict[str, Any]:
-        """Cheap stats view: this process's counters + the root's lifetime.
+        """This object's session counters and the root's lifetime counters.
 
         ``session`` counts hits/misses/stores/corrupt observed by *this*
-        ``ArtifactCache`` object since creation (or the last
-        :meth:`flush_stats`); ``lifetime`` adds every counter any process
-        has ever flushed into ``<root>/stats.json``.  One small JSON read —
+        ``ArtifactCache`` object since creation; ``lifetime`` is
+        ``<root>/stats.json`` (every session key present, 0 when never
+        counted), which every process using the root writes through on each
+        event, so it already includes this session.  One small JSON read —
         safe to call from a metrics endpoint on every scrape.
-
-        The session read and the persistent read happen under the same
-        advisory lock :meth:`flush_stats` holds, so a concurrent flusher can
-        never be observed half-way (session already reset, ``stats.json``
-        not yet updated — which used to under-count; or the reverse, which
-        double-counted).
-        """
-        with _build_lock(self.root / "stats.json"):
-            with self._stats_lock:
-                session = self.stats.as_dict()
-            lifetime = self._read_persistent_stats()
-        for key, value in session.items():
-            lifetime[key] = lifetime.get(key, 0) + value
-        return {"session": session, "lifetime": lifetime}
-
-    def flush_stats(self) -> dict[str, int]:
-        """Fold this process's counters into ``<root>/stats.json``; return it.
-
-        Guarded by the same advisory-lock mechanism as single-flight builds,
-        so queue workers and the serving process can flush concurrently
-        without losing increments.  The in-process counters detach (and
-        reset) atomically *inside* the lock, so a concurrent
-        :meth:`stats_snapshot` or increment can neither double-count a
-        flushed session nor lose counts bumped mid-flush; if the write
-        fails, the detached counters fold back so nothing is dropped.
         """
         with self._stats_lock:
-            if not any(self.stats.as_dict().values()):
-                return self._read_persistent_stats()
-        stats_path = self.root / "stats.json"
-        self.root.mkdir(parents=True, exist_ok=True)
-        with _build_lock(stats_path):
-            with self._stats_lock:
-                session_stats, self.stats = self.stats, CacheStats()
-            session = session_stats.as_dict()
-            merged = self._read_persistent_stats()
-            for key, value in session.items():
-                merged[key] = merged.get(key, 0) + value
-            merged["flushes"] = merged.get("flushes", 0) + 1
-            descriptor, temp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(descriptor, "w") as handle:
-                    json.dump(merged, handle)
-                os.replace(temp_name, stats_path)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                with self._stats_lock:
-                    self.stats.merge(session_stats)
-                raise
-        return merged
-
-    def _read_persistent_stats(self) -> dict[str, int]:
-        try:
-            loaded = json.loads((self.root / "stats.json").read_text())
-        except (OSError, json.JSONDecodeError):
-            return {}
-        if not isinstance(loaded, dict):
-            return {}
-        return {
-            str(key): int(value)
-            for key, value in loaded.items()
-            if isinstance(value, (int, float))
-        }
+            session = self.stats.as_dict()
+        lifetime = {**dict.fromkeys(session, 0), **self._lifetime.read()}
+        return {"session": session, "lifetime": lifetime}
 
     # ------------------------------------------------------------------
     # Inspection and eviction
@@ -529,31 +450,6 @@ class ArtifactCache:
                         continue
                 removed += 1
         return removed
-
-
-@contextmanager
-def _build_lock(artifact_path: Path):
-    """Advisory cross-process lock guarding one artifact's build.
-
-    Best-effort: when the lock file cannot be opened (missing parent
-    directory — e.g. a stats snapshot of a cache root that was never
-    written to), the context degrades to unlocked rather than raising.
-    """
-    if fcntl is None:
-        yield
-        return
-    lock_path = artifact_path.with_suffix(".lock")
-    try:
-        handle = lock_path.open("w")
-    except OSError:
-        yield
-        return
-    with handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
 
 
 _default_cache: ArtifactCache | None = None

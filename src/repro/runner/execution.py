@@ -297,11 +297,6 @@ class ExperimentRunner:
             run.results_path = save_json(
                 run.record(), self.results_dir / f"{spec.name}-{profile.name}.json"
             )
-        # Fold this run's hit/miss/store counters into the cache root's
-        # lifetime stats (surfaced by `deterrent cache` and GET /metrics).
-        cache = get_default_cache()
-        if cache is not None:
-            cache.flush_stats()
         return run
 
     # ------------------------------------------------------------------

@@ -259,8 +259,8 @@ def _collect_backend_counters(executor: Executor, outcome: ResilientOutcome) -> 
     """Fold an executor's self-reported counters into the outcome.
 
     Must run *before* :func:`_release_executor`: the queue executor may
-    delete its owned queue directory on shutdown, taking the event log the
-    counters are derived from with it.
+    delete its owned queue directory on shutdown, taking the event counts
+    the counters are derived from with it.
     """
     for key, value in collect_executor_counters(executor).items():
         outcome.backend_counters[key] = outcome.backend_counters.get(key, 0) + value

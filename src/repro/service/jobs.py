@@ -276,7 +276,6 @@ def run_service_job(payload: dict[str, Any]) -> dict[str, Any]:
     cache = get_default_cache()
     if cache is not None:
         cache.store(JOB_RESULT_KIND, record, **request.key_parts())
-        cache.flush_stats()
     return record
 
 

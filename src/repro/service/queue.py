@@ -5,8 +5,8 @@ needs no broker.  One job is one *task file*; workers claim jobs by
 atomically creating a *lease file*, renew the lease with heartbeats while
 they run, and *ack* by writing a result file and removing the task.  Every
 transition is a single atomic filesystem operation (``O_CREAT|O_EXCL``
-create, ``os.replace``, ``os.unlink``), so a crash at any point leaves the
-queue in a state the next reader understands:
+create, :func:`repro.utils.fsio.atomic_write`, ``os.unlink``), so a crash at
+any point leaves the queue in a state the next reader understands:
 
 - task file, no lease → queued (claimable);
 - task file + live lease → running (left alone);
@@ -21,19 +21,16 @@ Layout under the queue root::
     leases/<job_id>.lease    JSON lease (atomic claim via O_CREAT|O_EXCL)
     results/<job_id>.result  pickled QueueResult (atomic write)
     workers/<worker>.json    per-worker liveness heartbeat
-    events.log               append-only JSON lines (reclaims, corrupt tasks)
-    events.log.1             most recent rotated-out event segment
-    events_totals.json       counters folded out of rotated segments
-    events.lock              flock guarding event append/rotate/count
+    events_totals.json       lifetime event counts (reclaim, corrupt_task)
+    events_totals.lock       flock guarding the counts' read-modify-write
     stop                     cooperative shutdown marker
 
-The event log is size-bounded: when ``events.log`` grows past
-``events_max_bytes`` its per-event counts are folded into
-``events_totals.json`` and the file is rotated to ``events.log.1`` (one
-segment of raw history kept for inspection).  ``stats()`` therefore reports
-lifetime counters as *totals + current segment*, and every reader tolerates
-a rotation happening mid-read — event data is telemetry, never control
-flow.
+Queue events are counted, not logged: each reclaim or corrupt task adds one
+to its count in ``events_totals.json``, a
+:class:`repro.utils.fsio.CounterFile` every process sharing the directory
+adds to without losing increments.  ``stats()`` reports those lifetime
+counts.  Event counts are telemetry, never control flow: a failed add is
+dropped, and a missing or corrupt file reads as zero.
 
 Job ids are **deterministic content addresses**: the default id of a task
 spec is :func:`repro.runner.cache.config_fingerprint` over the spec's
@@ -59,17 +56,16 @@ import json
 import os
 import pickle
 import sys
-import tempfile
 import threading
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro import obs
 from repro.runner.cache import config_fingerprint
+from repro.utils.fsio import CounterFile, atomic_write
 
 #: Default lease duration: a worker that neither heartbeats nor acks within
 #: this window is presumed dead and its job becomes reclaimable.
@@ -77,9 +73,6 @@ DEFAULT_LEASE_SECONDS = 30.0
 
 #: A worker whose liveness heartbeat is older than this is reported dead.
 WORKER_LIVENESS_SECONDS = 10.0
-
-#: Rotate ``events.log`` once it grows past this many bytes.
-DEFAULT_EVENTS_MAX_BYTES = 1_000_000
 
 
 class LeaseLost(RuntimeError):
@@ -156,46 +149,22 @@ class QueueResult:
     elapsed: float = 0.0
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (tmp file + ``os.replace``)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(data)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-
-
 class DurableQueue:
     """Crash-safe work queue over one directory (see the module docstring)."""
 
     def __init__(
-        self,
-        root: str | Path,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        events_max_bytes: int = DEFAULT_EVENTS_MAX_BYTES,
+        self, root: str | Path, lease_seconds: float = DEFAULT_LEASE_SECONDS
     ) -> None:
         if lease_seconds <= 0:
             raise ValueError(f"lease_seconds must be > 0, got {lease_seconds}")
-        if events_max_bytes <= 0:
-            raise ValueError(f"events_max_bytes must be > 0, got {events_max_bytes}")
         self.root = Path(root)
         self.lease_seconds = float(lease_seconds)
-        self.events_max_bytes = int(events_max_bytes)
         self.tasks_dir = self.root / "tasks"
         self.leases_dir = self.root / "leases"
         self.results_dir = self.root / "results"
         self.workers_dir = self.root / "workers"
-        self.events_path = self.root / "events.log"
-        self.events_totals_path = self.root / "events_totals.json"
-        self.events_lock_path = self.root / "events.lock"
         self.stop_path = self.root / "stop"
+        self._events = CounterFile(self.root / "events_totals.json")
         for directory in (
             self.tasks_dir, self.leases_dir, self.results_dir, self.workers_dir
         ):
@@ -240,7 +209,7 @@ class DurableQueue:
         }
         buffer = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
         buffer += pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-        _atomic_write_bytes(task_path, buffer)
+        atomic_write(task_path, buffer)
         return job_id
 
     def cancel(self, job_id: str) -> bool:
@@ -292,16 +261,19 @@ class DurableQueue:
                 except OSError:
                     continue  # a peer won the reclaim race
                 deliveries = int(stale.get("deliveries", 1)) + 1
-                self._log_event(
-                    "reclaim",
-                    job_id=job_id,
-                    deliveries=deliveries,
-                    dead_worker=stale.get("worker"),
-                )
-            lease = self._try_lease(job_id, worker, deliveries, now)
-            if lease is None:
+                self._count_event("reclaim")
+            record = {
+                "job_id": job_id,
+                "worker": worker,
+                "pid": os.getpid(),
+                "deliveries": deliveries,
+                "leased_at": now,
+                "expires_at": now + self.lease_seconds,
+                "lease_seconds": self.lease_seconds,
+            }
+            if not self._try_lease(lease_path, record):
                 continue  # lost the claim race
-            loaded = self._read_task(task_path, job_id)
+            loaded = self._read_task(task_path)
             if loaded is None:
                 # Unreadable/corrupt task file: fail it permanently so it
                 # cannot wedge the queue, and move on.
@@ -319,12 +291,10 @@ class DurableQueue:
                     )
                 )
                 self._cleanup_done(job_id)
-                self._log_event("corrupt_task", job_id=job_id)
+                self._count_event("corrupt_task")
                 continue
             header, spec = loaded
-            lease.spec = spec
-            lease.header = header
-            return lease
+            return Lease(spec=spec, header=header, **record)
         return None
 
     def heartbeat(self, lease: Lease, now: float | None = None) -> None:
@@ -341,9 +311,8 @@ class DurableQueue:
                 f"{current.get('worker') if current else 'nobody'}"
             )
         lease.expires_at = now + lease.lease_seconds
-        _atomic_write_bytes(
-            lease_path, json.dumps(self._lease_payload(lease)).encode()
-        )
+        current["expires_at"] = lease.expires_at
+        atomic_write(lease_path, json.dumps(current).encode())
 
     def ack(self, lease: Lease, value: Any, elapsed: float = 0.0) -> None:
         """Complete ``lease`` with ``value``: store the result, retire the task.
@@ -411,7 +380,7 @@ class DurableQueue:
             if info.get("expires_at", 0.0) <= 0.0:
                 continue  # already force-expired
             info["expires_at"] = 0.0
-            _atomic_write_bytes(lease_path, json.dumps(info).encode())
+            atomic_write(lease_path, json.dumps(info).encode())
             expired += 1
         return expired
 
@@ -451,7 +420,7 @@ class DurableQueue:
         return self._read_lease(self.leases_dir / f"{job_id}.lease")
 
     def stats(self, now: float | None = None) -> dict[str, Any]:
-        """Cheap queue telemetry (directory scans + event-log counters)."""
+        """Cheap queue telemetry (directory scans + lifetime event counts)."""
         if now is None:
             now = time.time()
         task_ids = {path.stem for path in self.tasks_dir.glob("*.task")}
@@ -469,7 +438,7 @@ class DurableQueue:
             else:
                 expired_leases += 1
         pending = task_ids - done_ids
-        events = self._count_events()
+        events = self._events.read()
         workers = self.worker_liveness(now)
         return {
             "queued": len(pending) - live_leases - expired_leases,
@@ -503,7 +472,7 @@ class DurableQueue:
     # ------------------------------------------------------------------
     def request_stop(self) -> None:
         """Ask every worker polling this queue to exit after its current job."""
-        _atomic_write_bytes(self.stop_path, b"stop\n")
+        atomic_write(self.stop_path, b"stop\n")
 
     def clear_stop(self) -> None:
         """Remove the stop marker (e.g. before reusing a queue directory)."""
@@ -519,42 +488,17 @@ class DurableQueue:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _lease_payload(self, lease: Lease) -> dict[str, Any]:
-        return {
-            "job_id": lease.job_id,
-            "worker": lease.worker,
-            "pid": lease.pid,
-            "deliveries": lease.deliveries,
-            "leased_at": lease.leased_at,
-            "expires_at": lease.expires_at,
-            "lease_seconds": lease.lease_seconds,
-        }
-
-    def _try_lease(
-        self, job_id: str, worker: str, deliveries: int, now: float
-    ) -> Lease | None:
-        """Atomically create the lease file; None when a peer won the race."""
-        lease = Lease(
-            job_id=job_id,
-            spec=TaskSpec(fn=_unclaimed),  # replaced once the task file loads
-            header={},
-            worker=worker,
-            pid=os.getpid(),
-            deliveries=deliveries,
-            leased_at=now,
-            expires_at=now + self.lease_seconds,
-            lease_seconds=self.lease_seconds,
-        )
-        lease_path = self.leases_dir / f"{job_id}.lease"
+    def _try_lease(self, lease_path: Path, record: dict[str, Any]) -> bool:
+        """Atomically create the lease file; False when a peer won the race."""
         try:
             descriptor = os.open(
                 lease_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
             )
         except FileExistsError:
-            return None
+            return False
         with os.fdopen(descriptor, "w") as handle:
-            json.dump(self._lease_payload(lease), handle)
-        return lease
+            json.dump(record, handle)
+        return True
 
     def _owns(self, lease: Lease) -> bool:
         current = self._read_lease(self.leases_dir / f"{lease.job_id}.lease")
@@ -578,9 +522,7 @@ class DurableQueue:
         except (OSError, json.JSONDecodeError):
             return None
 
-    def _read_task(
-        self, task_path: Path, job_id: str
-    ) -> tuple[dict[str, Any], TaskSpec] | None:
+    def _read_task(self, task_path: Path) -> tuple[dict[str, Any], TaskSpec] | None:
         """Load (header, spec); extend ``sys.path`` from the header first.
 
         The header is a plain dict of primitives, safe to unpickle without
@@ -621,7 +563,7 @@ class DurableQueue:
                 ),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
-        _atomic_write_bytes(self.result_path(result.job_id), payload)
+        atomic_write(self.result_path(result.job_id), payload)
 
     def _cleanup_done(self, job_id: str, owner: Lease | None = None) -> None:
         """Retire a finished job's task file (and its lease when owned/stale)."""
@@ -635,103 +577,11 @@ class DurableQueue:
             except OSError:
                 pass
 
-    @contextmanager
-    def _events_lock(self):
-        """Cross-process flock serialising event append / rotate / count.
-
-        Best-effort: platforms without ``fcntl`` (or an unwritable lock
-        file) fall back to unlocked operation, which every reader already
-        tolerates.
-        """
-        handle = None
-        try:
-            handle = self.events_lock_path.open("w")
-            import fcntl
-
-            fcntl.flock(handle, fcntl.LOCK_EX)
-        except (ImportError, OSError):
-            pass
-        try:
-            yield
-        finally:
-            if handle is not None:
-                handle.close()  # closing the fd releases the flock
-
-    def _log_event(self, event: str, **fields: Any) -> None:
-        line = json.dumps({"event": event, "time": time.time(), **fields})
+    def _count_event(self, event: str) -> None:
+        """Add one ``event`` to the lifetime counts (and the obs registry)."""
         if obs.enabled():
             obs.metrics.counter_add(f"queue_event_{event}", 1)
-        try:
-            with self._events_lock():
-                with self.events_path.open("a") as handle:
-                    handle.write(line + "\n")
-                try:
-                    size = self.events_path.stat().st_size
-                except OSError:
-                    size = 0
-                if size > self.events_max_bytes:
-                    self._rotate_events()
-        except OSError:
-            pass  # telemetry only; never fail the queue operation
-
-    def _rotate_events(self) -> None:
-        """Fold the current segment's counts into the totals file, then rotate.
-
-        Called with the events lock held.  The counts are persisted *before*
-        ``os.replace`` so lifetime counters survive any number of rotations;
-        ``events.log.1`` (clobbering the previous one) keeps one segment of
-        raw history for inspection.
-        """
-        totals = self._read_event_totals()
-        for event, count in self._scan_event_file(self.events_path).items():
-            totals[event] = totals.get(event, 0) + count
-        _atomic_write_bytes(self.events_totals_path, json.dumps(totals).encode())
-        try:
-            os.replace(self.events_path, self.root / "events.log.1")
-        except OSError:
-            pass
-
-    def _read_event_totals(self) -> dict[str, int]:
-        try:
-            payload = json.loads(self.events_totals_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return {}
-        if not isinstance(payload, dict):
-            return {}
-        counts: dict[str, int] = {}
-        for event, count in payload.items():
-            try:
-                counts[str(event)] = int(count)
-            except (TypeError, ValueError):
-                continue
-        return counts
-
-    def _scan_event_file(self, path: Path) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        try:
-            with path.open() as handle:
-                for line in handle:
-                    try:
-                        event = json.loads(line).get("event")
-                    except json.JSONDecodeError:
-                        continue  # torn tail line mid-write/mid-rotation
-                    if event:
-                        counts[event] = counts.get(event, 0) + 1
-        except OSError:
-            pass  # rotated away (or never written) mid-read: count what's there
-        return counts
-
-    def _count_events(self) -> dict[str, int]:
-        """Lifetime event counters: rotated-out totals + the current segment."""
-        with self._events_lock():
-            counts = self._read_event_totals()
-            for event, count in self._scan_event_file(self.events_path).items():
-                counts[event] = counts.get(event, 0) + count
-        return counts
-
-
-def _unclaimed() -> None:  # pragma: no cover - placeholder, never called
-    raise RuntimeError("lease carries no task spec yet")
+        self._events.add({event: 1})
 
 
 # ----------------------------------------------------------------------
@@ -918,21 +768,6 @@ def _run_leased_job(
         queue.fail(lease, failure, elapsed=elapsed)
     else:
         queue.ack(lease, value, elapsed=elapsed)
-    _flush_cache_stats()
-
-
-def _flush_cache_stats() -> None:
-    """Persist this worker's cache counters into the cache root's lifetime
-    stats so `/metrics` and `deterrent cache` see fleet-wide totals."""
-    from repro.runner.cache import get_default_cache
-
-    cache = get_default_cache()
-    if cache is None:
-        return
-    try:
-        cache.flush_stats()
-    except OSError:
-        pass  # telemetry only
 
 
 def _install_cache(cache_dir: str) -> None:
@@ -959,7 +794,7 @@ def _write_worker_heartbeat(
         "current_job": current_job,
     }
     try:
-        _atomic_write_bytes(
+        atomic_write(
             queue.workers_dir / f"{worker_id}.json", json.dumps(payload).encode()
         )
     except OSError:
@@ -967,7 +802,6 @@ def _write_worker_heartbeat(
 
 
 __all__ = [
-    "DEFAULT_EVENTS_MAX_BYTES",
     "DEFAULT_LEASE_SECONDS",
     "WORKER_LIVENESS_SECONDS",
     "DurableQueue",

@@ -191,7 +191,7 @@ class _QueueExecutor(Executor):
         self._deliveries = 0
         # Reclaims are counted as a delta over this executor's lifetime so a
         # shared queue directory's history is not attributed to this run.
-        self._initial_reclaims = self.queue._count_events().get("reclaim", 0)
+        self._initial_reclaims = self.queue.stats()["reclaims"]
         to_spawn = backend.workers if backend.workers is not None else max_workers
         for index in range(max(0, to_spawn)):
             self._spawn(index)
@@ -270,12 +270,12 @@ class _QueueExecutor(Executor):
         """Robustness counters for the resilience layer / run records.
 
         Collected by ``run_tasks`` *before* shutdown (an owned queue
-        directory — and its event log — is deleted then): worker respawns
+        directory — and its event counts — is deleted then): worker respawns
         spent by this executor, lease reclaims that happened on its watch,
         and total job deliveries observed on resolved futures (deliveries >
         resolved futures means redelivered work).
         """
-        reclaims = self.queue._count_events().get("reclaim", 0) - self._initial_reclaims
+        reclaims = self.queue.stats()["reclaims"] - self._initial_reclaims
         return {
             "respawns": self._backend.respawns - self._respawns_left,
             "reclaims": max(0, reclaims),

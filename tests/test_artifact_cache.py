@@ -117,63 +117,65 @@ class TestDigestAddressing:
 
 
 class TestStatsPersistence:
-    """Lifetime hit/miss counters shared across processes (``/metrics``)."""
+    """Lifetime hit/miss counters shared across processes (``/metrics``).
 
-    def test_flush_persists_and_resets_the_session(self, tmp_path):
+    Every event is written through to ``<root>/stats.json`` as it happens,
+    so there is no flush step: a second cache object on the same root (in
+    practice, another process) sees the counts immediately.
+    """
+
+    def test_events_are_written_through(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.load("kind", k=1)  # miss
         cache.store("kind", "artifact", k=1)
         cache.load("kind", k=1)  # hit
-        merged = cache.flush_stats()
-        assert merged["hits"] == 1
-        assert merged["misses"] == 1
-        assert merged["stores"] == 1
-        assert merged["flushes"] == 1
-        # The session counters were folded in, not double-countable.
+        persisted = json.loads((tmp_path / "stats.json").read_text())
+        assert persisted == {"misses": 1, "stores": 1, "hits": 1}
+        # The session keeps counting alongside the lifetime file.
         assert cache.stats.as_dict() == {
-            "hits": 0, "misses": 0, "stores": 0, "corrupt": 0,
+            "hits": 1, "misses": 1, "stores": 1, "corrupt": 0,
         }
 
     def test_lifetime_stats_accumulate_across_cache_objects(self, tmp_path):
         first = ArtifactCache(tmp_path)
         first.store("kind", "a", k=1)
-        first.flush_stats()
         # A different process (here: a different object) on the same root
-        # folds its own counters into the shared lifetime file.
+        # sees the store at once and adds its own counts to the same file.
         second = ArtifactCache(tmp_path)
+        assert second.stats_snapshot()["lifetime"]["stores"] == 1
         assert second.load("kind", k=1) == "a"
-        second.flush_stats()
-        lifetime = ArtifactCache(tmp_path).stats_snapshot()["lifetime"]
-        assert lifetime["stores"] == 1
-        assert lifetime["hits"] == 1
-        assert lifetime["flushes"] == 2
+        lifetime = first.stats_snapshot()["lifetime"]
+        assert lifetime == {"hits": 1, "misses": 0, "stores": 1, "corrupt": 0}
+        assert first.stats_snapshot()["session"]["hits"] == 0
+        assert second.stats_snapshot()["session"]["hits"] == 1
 
-    def test_snapshot_merges_session_over_lifetime_without_flushing(self, tmp_path):
+    def test_corrupt_entry_counts_in_the_lifetime_file(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        cache.store("kind", "a", k=1)
-        cache.flush_stats()
-        cache.load("kind", k=1)  # unflushed session hit
-        snapshot = cache.stats_snapshot()
-        assert snapshot["session"]["hits"] == 1
-        assert snapshot["lifetime"]["hits"] == 1
-        assert snapshot["lifetime"]["stores"] == 1
-        persisted = json.loads((tmp_path / "stats.json").read_text())
-        assert persisted.get("hits", 0) == 0  # the session hit was not flushed
+        cache.store("kind", "a", k=1).write_bytes(b"garbage")
+        assert cache.load("kind", k=1) is None
+        lifetime = cache.stats_snapshot()["lifetime"]
+        assert lifetime == {"hits": 0, "misses": 1, "stores": 1, "corrupt": 1}
 
-    def test_flush_with_nothing_to_report_writes_nothing(self, tmp_path):
+    def test_no_events_write_nothing(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        assert cache.flush_stats() == {}
+        assert set(cache.stats_snapshot()["lifetime"].values()) == {0}
         assert not (tmp_path / "stats.json").exists()
 
     def test_corrupt_stats_file_reads_as_empty(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.store("kind", "a", k=1)
-        cache.flush_stats()
         (tmp_path / "stats.json").write_text("{not json")
-        assert all(value == 0 for value in cache.stats_snapshot()["lifetime"].values())
-        # And the next flush starts a fresh lifetime file.
+        assert set(cache.stats_snapshot()["lifetime"].values()) == {0}
+        # And the next event starts a fresh lifetime file.
         cache.load("kind", k=1)
-        assert cache.flush_stats()["hits"] == 1
+        assert json.loads((tmp_path / "stats.json").read_text()) == {"hits": 1}
+
+    def test_snapshot_of_a_nonexistent_root_degrades_gracefully(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "never-created")
+        snapshot = cache.stats_snapshot()
+        assert snapshot["session"] == {"hits": 0, "misses": 0, "stores": 0,
+                                       "corrupt": 0}
+        assert snapshot["lifetime"] == snapshot["session"]
 
 
 class TestPruneAndInventory:
@@ -375,97 +377,6 @@ class TestCompatibilityParity:
         assert again.rare_nets == first.rare_nets
         # The rebuilt analysis still has a working solver stack.
         assert again.set_is_satisfiable([0])
-
-
-# Module level so the fork-based process stress tests can reference it by name.
-def _flush_contender(cache_root: str, rounds: int) -> dict:
-    """One contender: miss once, flush, snapshot — ``rounds`` times over.
-
-    Every loop bumps exactly one ``misses`` count (distinct keys, so each
-    load is a true miss) and immediately folds it into the shared
-    ``stats.json``.  The interleaved :meth:`stats_snapshot` calls exercise
-    the read path against concurrent flushers from the sibling process.
-    """
-    import os
-
-    cache = ArtifactCache(cache_root)
-    for index in range(rounds):
-        cache.load("race", pid=os.getpid(), index=index)  # guaranteed miss
-        cache.flush_stats()
-        snapshot = cache.stats_snapshot()
-        # A snapshot taken mid-race may include the peer's in-flight work,
-        # but it can never go backwards past our own flushed counts.
-        assert snapshot["lifetime"]["misses"] >= index + 1
-    return cache.stats_snapshot()
-
-
-class TestConcurrentStatsFlush:
-    """Two processes flushing the same ``stats.json`` simultaneously.
-
-    The regression this guards: ``flush_stats`` used to reset the session
-    counters *outside* the advisory file lock, so a concurrent flusher (or a
-    ``stats_snapshot`` reader) could observe a half-flushed state and either
-    double-count a session or drop increments entirely.  With the detach
-    happening inside the lock, every single increment must survive.
-    """
-
-    ROUNDS = 25
-
-    def test_two_processes_flushing_simultaneously_lose_nothing(self, tmp_path):
-        import multiprocessing
-
-        cache_root = str(tmp_path / "cache")
-        context = multiprocessing.get_context("fork")
-        with context.Pool(processes=2) as pool:
-            pool.starmap(_flush_contender, [(cache_root, self.ROUNDS)] * 2)
-        lifetime = ArtifactCache(cache_root).stats_snapshot()["lifetime"]
-        assert lifetime["misses"] == 2 * self.ROUNDS  # not one increment lost
-        assert lifetime["flushes"] == 2 * self.ROUNDS
-        assert lifetime["hits"] == 0
-
-    def test_thread_snapshot_never_double_counts_a_flushed_session(self, tmp_path):
-        """One thread flushes in a loop while another keeps incrementing."""
-        import threading
-
-        cache = ArtifactCache(tmp_path / "cache")
-        cache.store("race", "artifact", k=1)
-        stop = threading.Event()
-        violations: list[dict] = []
-
-        def flusher():
-            while not stop.is_set():
-                cache.flush_stats()
-
-        def watcher():
-            while not stop.is_set():
-                snapshot = cache.stats_snapshot()
-                total = snapshot["lifetime"]["hits"]
-                if total > TOTAL_HITS:  # double-counted a flushed session
-                    violations.append(snapshot)
-
-        TOTAL_HITS = 200
-        threads = [threading.Thread(target=flusher), threading.Thread(target=watcher)]
-        for thread in threads:
-            thread.start()
-        try:
-            for _ in range(TOTAL_HITS):
-                assert cache.load("race", k=1) == "artifact"
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=10.0)
-        assert violations == []
-        cache.flush_stats()
-        lifetime = cache.stats_snapshot()["lifetime"]
-        assert lifetime["hits"] == TOTAL_HITS  # conserved through all flushes
-        assert lifetime["stores"] == 1
-
-    def test_snapshot_of_a_nonexistent_root_degrades_gracefully(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "never-created")
-        snapshot = cache.stats_snapshot()
-        assert snapshot["session"] == {"hits": 0, "misses": 0, "stores": 0,
-                                       "corrupt": 0}
-        assert all(value == 0 for value in snapshot["lifetime"].values())
 
 
 def _stress_fetch(cache_root: str, count_file: str, barrier=None) -> int:

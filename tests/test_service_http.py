@@ -291,7 +291,7 @@ class TestHTTPEndpoints:
         assert service.counters["jobs_enqueued"] == 1
 
         # Metrics reflect all of it: service counters, queue telemetry,
-        # cache lifetime stats (flushed by the worker), solver aggregates.
+        # cache lifetime stats (written through by the worker), solver aggregates.
         status, metrics = http_json(url + "/metrics")
         assert status == 200
         assert metrics["service"]["jobs_submitted"] == 3

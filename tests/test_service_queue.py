@@ -273,45 +273,26 @@ class TestWorkerLoop:
         assert INIT_CALLS == [("cfg",)]
 
 
-class TestEventLogRotation:
-    """events.log rotation: bounded size, lifetime counters conserved."""
-
-    def test_rotation_bounds_the_log_and_conserves_counts(self, tmp_path):
-        queue = DurableQueue(tmp_path / "q", events_max_bytes=512)
-        for index in range(60):
-            queue._log_event("reclaim", job_id=f"job{index:04d}", deliveries=2)
-        # The active segment rotated at least once and stays bounded
-        # (rotation triggers right after the append that crosses the cap).
-        assert (queue.root / "events.log.1").exists()
-        assert queue.events_totals_path.exists()
-        if queue.events_path.exists():  # absent right after a rotation
-            assert queue.events_path.stat().st_size <= 2 * queue.events_max_bytes
-        # Lifetime counters survive every rotation: totals + active segment.
-        assert queue._count_events()["reclaim"] == 60
-        assert queue.stats()["reclaims"] == 60
-
-    def test_rotation_preserves_mixed_event_kinds(self, tmp_path):
-        queue = DurableQueue(tmp_path / "q", events_max_bytes=256)
-        for index in range(20):
-            queue._log_event("reclaim", job_id=f"r{index}")
-            queue._log_event("corrupt_task", job_id=f"c{index}")
-        stats = queue.stats()
-        assert stats["reclaims"] == 20
-        assert stats["corrupt_tasks"] == 20
-
-    def test_rotated_segment_is_raw_history_not_counted_twice(self, tmp_path):
-        queue = DurableQueue(tmp_path / "q", events_max_bytes=128)
-        for index in range(10):
-            queue._log_event("reclaim", job_id=f"j{index}")
-        # events.log.1 keeps one raw segment for inspection; the totals file
-        # plus the live segment must already account for every event.
-        segment_lines = (queue.root / "events.log.1").read_text().splitlines()
-        assert segment_lines and all('"reclaim"' in line for line in segment_lines)
-        assert queue._count_events()["reclaim"] == 10
-
-    def test_events_max_bytes_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="events_max_bytes"):
-            DurableQueue(tmp_path / "q", events_max_bytes=0)
+class TestEventCounts:
+    def test_reclaims_and_corrupt_tasks_show_up_in_stats(self, tmp_path):
+        root = tmp_path / "q"
+        queue = DurableQueue(root, lease_seconds=1.0)
+        job_id = queue.put(TaskSpec(fn=square, args=(0,)))
+        # Stage 60 lease expiries on one job through the claim clock.
+        lease = queue.claim("w0", now=0.0)
+        for index in range(1, 61):
+            lease = queue.claim(f"w{index}", now=2.0 * index)
+            assert lease.job_id == job_id and lease.deliveries == index + 1
+        queue.ack(lease, 0)
+        for index in range(1, 21):
+            corrupt_id = queue.put(TaskSpec(fn=square, args=(index,)))
+            (queue.tasks_dir / f"{corrupt_id}.task").write_bytes(b"not a pickle")
+        assert queue.claim("w") is None  # every corrupt task fails permanently
+        for view in (queue, DurableQueue(root)):  # durable across reopen
+            stats = view.stats()
+            assert stats["reclaims"] == 60
+            assert stats["corrupt_tasks"] == 20
+            assert stats["done"] == 21
 
 
 class TestDurableRecovery:
