@@ -28,7 +28,7 @@ artifact cache, so the harness is shard-safe under ``--jobs N``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.circuits.library import benchmark_entry, load_benchmark
 from repro.circuits.netlist import Netlist
@@ -147,7 +147,10 @@ def _trojans(
     count: int,
     profile: ExperimentProfile,
 ) -> list[SequentialTrojan]:
-    """Multi-cycle Trojan population, shared through the artifact cache."""
+    """Multi-cycle Trojan population, one per (design, cycles) in the cache.
+
+    ``mode``/``count`` do not change the draw; the cells relabel it.
+    """
 
     def _sample() -> list[SequentialTrojan]:
         return sample_sequential_trojans(
@@ -163,17 +166,19 @@ def _trojans(
     cache = get_default_cache()
     if cache is None:
         return _sample()
-    return cache.fetch(
+    population = cache.fetch(
         "sequential_trojans",
         _sample,
         netlist=netlist_fingerprint(netlist),
         rare_nets=[(rare.net, rare.rare_value) for rare in rare_nets],
         num_trojans=profile.num_trojans,
         trigger_width=profile.trigger_width,
-        mode=mode,
-        count=count,
         seed=profile.seed + 1,
     )
+    return [
+        replace(trojan, trigger=replace(trojan.trigger, mode=mode, count=count))
+        for trojan in population
+    ]
 
 
 def run_cell(params: dict, profile: ExperimentProfile) -> SequentialCellResult | None:

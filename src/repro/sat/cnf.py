@@ -40,11 +40,6 @@ class CNF:
                 )
         self.clauses.append(clause)
 
-    def add_clauses(self, clauses: list[list[Literal]]) -> None:
-        """Append several clauses."""
-        for clause in clauses:
-            self.add_clause(clause)
-
     @property
     def num_clauses(self) -> int:
         """Number of clauses."""

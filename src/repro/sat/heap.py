@@ -8,10 +8,10 @@ unrolls — so :class:`ActivityHeap` keeps variables in a binary max-heap with
 an inverse position index, giving O(log n) for all three.
 
 Deletion is **lazy** in the MiniSat style: assigning a variable does not
-remove it from the heap; the solver simply discards assigned variables as it
-pops, and :meth:`push` re-inserts on backtrack (a no-op for variables still
-in the heap).  Activities live here, not in the solver, so a bump can restore
-the heap order in the same O(log n) sift.
+remove it from the heap; :meth:`pop_unassigned` discards assigned variables
+as it pops, and :meth:`push_many` re-inserts on backtrack (skipping variables
+still in the heap).  Activities live here, not in the solver, so a bump can
+restore the heap order in the same O(log n) sift.
 
 All comparisons are on activity alone; equal activities keep a deterministic
 (insertion/sift) order, which is what makes solver runs — and therefore
@@ -56,23 +56,14 @@ class ActivityHeap:
         Fresh variables start at activity 0.0, which is <= every existing
         activity, so appending them at the leaves preserves the heap order.
         """
-        while self.num_vars < num_vars:
-            variable = len(self._act)
-            self._act.append(0.0)
-            self._pos.append(len(self._heap))
-            self._heap.append(variable)
-
-    def push(self, variable: int) -> None:
-        """Insert ``variable`` if absent (no-op when already in the heap)."""
-        if self._pos[variable] >= 0:
-            return
-        position = len(self._heap)
-        self._heap.append(variable)
-        self._pos[variable] = position
-        self._sift_up(position)
+        fresh = range(len(self._act), num_vars + 1)
+        size = len(self._heap)
+        self._act.extend([0.0] * len(fresh))
+        self._pos.extend(range(size, size + len(fresh)))
+        self._heap.extend(fresh)
 
     def push_many(self, variables) -> None:
-        """Bulk :meth:`push`: re-insert every listed variable that is absent.
+        """Re-insert every listed variable that is absent from the heap.
 
         Negative entries are accepted and treated as literals (the sign is
         ignored), so the solver can hand a backtracked trail slice straight
@@ -99,19 +90,39 @@ class ActivityHeap:
             heap[position] = variable
             pos[variable] = position
 
-    def pop(self) -> int | None:
-        """Remove and return the maximum-activity variable (None when empty)."""
-        heap = self._heap
-        if not heap:
-            return None
-        top = heap[0]
-        self._pos[top] = -1
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            self._pos[last] = 0
-            self._sift_down(0)
-        return top
+    def pop_unassigned(self, assign: list[int]) -> int | None:
+        """Pop maximum-activity variables until one has ``assign[v] == -1``.
+
+        Popped assigned variables stay out of the heap (lazy deletion); None
+        when the heap runs empty.  The sift-down is inlined: this is the
+        decision hot path.
+        """
+        heap, pos, act = self._heap, self._pos, self._act
+        while heap:
+            top = heap[0]
+            pos[top] = -1
+            last = heap.pop()
+            size = len(heap)
+            if size:
+                activity = act[last]
+                position = 0
+                child_position = 1
+                while child_position < size:
+                    right = child_position + 1
+                    if right < size and act[heap[right]] > act[heap[child_position]]:
+                        child_position = right
+                    child = heap[child_position]
+                    if activity >= act[child]:
+                        break
+                    heap[position] = child
+                    pos[child] = position
+                    position = child_position
+                    child_position = 2 * position + 1
+                heap[position] = last
+                pos[last] = position
+            if assign[top] == -1:
+                return top
+        return None
 
     def bump(self, variable: int, increment: float) -> float:
         """Add ``increment`` to the activity; restore heap order; return it."""
@@ -141,27 +152,6 @@ class ActivityHeap:
             heap[position] = parent
             pos[parent] = position
             position = parent_position
-        heap[position] = variable
-        pos[variable] = position
-
-    def _sift_down(self, position: int) -> None:
-        heap, pos, act = self._heap, self._pos, self._act
-        size = len(heap)
-        variable = heap[position]
-        activity = act[variable]
-        while True:
-            child_position = 2 * position + 1
-            if child_position >= size:
-                break
-            right = child_position + 1
-            if right < size and act[heap[right]] > act[heap[child_position]]:
-                child_position = right
-            child = heap[child_position]
-            if activity >= act[child]:
-                break
-            heap[position] = child
-            pos[child] = position
-            position = child_position
         heap[position] = variable
         pos[variable] = position
 

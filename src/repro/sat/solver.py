@@ -173,9 +173,6 @@ class SolverResult:
 
     satisfiable: bool
     model: dict[int, bool] | None = None
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
     stats: SolverStats | None = None
 
     def value(self, variable: int) -> bool:
@@ -196,7 +193,7 @@ class Clause(list):
     __slots__ = ("learned", "lbd", "activity")
 
     def __init__(self, literals, learned: bool = False, lbd: int = 0) -> None:
-        super().__init__(literals)
+        list.__init__(self, literals)
         self.learned = learned
         self.lbd = lbd
         self.activity = 0.0
@@ -276,20 +273,33 @@ class CdclSolver:
         """Add a clause; may only be called at decision level 0."""
         if self._trail_limits:
             raise RuntimeError("clauses can only be added at decision level 0")
-        clause = sorted(set(literals), key=abs)
-        if any(-lit in clause for lit in clause):
-            return  # tautology
-        self._ensure_vars(max((abs(lit) for lit in clause), default=0))
-        clause = [lit for lit in clause if self._literal_value(lit) is not False]
-        if any(self._literal_value(lit) is True for lit in clause):
-            return
+        literals = sorted(set(literals), key=abs)
+        # Sorted by variable, so 0 can only come first and a tautology shows
+        # as two adjacent literals on the same variable.
+        if literals and literals[0] == 0:
+            raise ValueError("0 is not a valid DIMACS literal")
+        previous = 0
+        for literal in literals:
+            if literal == -previous:
+                return  # tautology
+            previous = literal
+        self._ensure_vars(abs(previous))
+        # At level 0 every assignment is permanent: drop false literals and
+        # skip the clause if one is already true.
+        assign = self._assign
+        clause = []
+        for literal in literals:
+            value = assign[literal if literal > 0 else -literal]
+            if value == _UNASSIGNED:
+                clause.append(literal)
+            elif (value == 1) == (literal > 0):
+                return
         if not clause:
             self._unsat = True
             return
         if len(clause) == 1:
-            if not self._enqueue(clause[0], reason=None):
-                self._unsat = True
-            elif self._propagate() is not None:
+            self._enqueue(clause[0], reason=None)  # unassigned: always succeeds
+            if self._propagate() is not None:
                 self._unsat = True
             return
         stored = Clause(clause)
@@ -331,23 +341,18 @@ class CdclSolver:
         """Snapshot of the cumulative solver counters (an independent copy)."""
         return replace(self._stats)
 
-    @property
-    def num_learned(self) -> int:
-        """Current learned-clause database size (after any forgetting)."""
-        return len(self._learned)
-
     def _ensure_vars(self, num_vars: int) -> None:
-        while self._num_vars < num_vars:
-            self._num_vars += 1
-            self._assign.append(_UNASSIGNED)
-            self._level.append(0)
-            self._reason.append(None)
-            self._phase.append(False)
-            self._watches.append([])
-            self._watches.append([])
-            self._binary.append([])
-            self._binary.append([])
-        self._heap.grow(self._num_vars)
+        extra = num_vars - self._num_vars
+        if extra <= 0:
+            return
+        self._num_vars = num_vars
+        self._assign.extend([_UNASSIGNED] * extra)
+        self._level.extend([0] * extra)
+        self._reason.extend([None] * extra)
+        self._phase.extend([False] * extra)
+        self._watches.extend([] for _ in range(2 * extra))
+        self._binary.extend([] for _ in range(2 * extra))
+        self._heap.grow(num_vars)
 
     # ------------------------------------------------------------------
     # Solving
@@ -364,6 +369,8 @@ class CdclSolver:
 
         config = self.config
         stats = self._stats
+        assign = self._assign
+        pop_unassigned = self._heap.pop_unassigned
         # Fetch-once profiling probes: None while telemetry is off, so the
         # loop below pays a single `is None` branch per iteration.
         propagate_probe = hot_path("sat.propagate", every=64)
@@ -409,16 +416,14 @@ class CdclSolver:
 
             if decide_probe is not None and decide_probe.sample():
                 probe_start = perf_counter()
-                variable = self._pick_branch_variable()
+                variable = pop_unassigned(assign)
                 decide_probe.observe(perf_counter() - probe_start)
             else:
-                variable = self._pick_branch_variable()
+                variable = pop_unassigned(assign)
             if variable is None:
                 if len(self._trail) > stats.max_trail:
                     stats.max_trail = len(self._trail)
-                model = {
-                    var: self._assign[var] == 1 for var in range(1, self._num_vars + 1)
-                }
+                model = dict(zip(range(1, self._num_vars + 1), map((1).__eq__, assign[1:])))
                 if config.verify_models:
                     self._verify_model(model)
                 result = self._result(True, model)
@@ -445,29 +450,23 @@ class CdclSolver:
     # ------------------------------------------------------------------
     def _enqueue_assumptions(self, assumptions: list[Literal]) -> str:
         """Ensure all assumptions are decided; returns 'done'/'enqueued'/'conflict'."""
+        assign = self._assign
         for literal in assumptions:
-            value = self._literal_value(literal)
-            if value is True:
-                continue
-            if value is False:
+            value = assign[literal if literal > 0 else -literal]
+            if value == _UNASSIGNED:
+                self._trail_limits.append(len(self._trail))
+                self._enqueue(literal, reason=None)
+                return "enqueued"
+            if (value == 1) != (literal > 0):
                 return "conflict"
-            self._trail_limits.append(len(self._trail))
-            self._enqueue(literal, reason=None)
-            return "enqueued"
         return "done"
 
-    def _literal_value(self, literal: Literal) -> bool | None:
-        assigned = self._assign[abs(literal)]
-        if assigned == _UNASSIGNED:
-            return None
-        value = assigned == 1
-        return value if literal > 0 else not value
-
     def _enqueue(self, literal: Literal, reason: Clause | None) -> bool:
-        value = self._literal_value(literal)
-        if value is not None:
-            return value
-        variable = abs(literal)
+        """Assign ``literal``; returns False iff it is already false."""
+        variable = literal if literal > 0 else -literal
+        value = self._assign[variable]
+        if value != _UNASSIGNED:
+            return (value == 1) == (literal > 0)
         self._assign[variable] = 1 if literal > 0 else 0
         self._level[variable] = len(self._trail_limits)
         self._reason[variable] = reason
@@ -497,86 +496,108 @@ class CdclSolver:
         current_level = len(self._trail_limits)
         head = self._queue_head
         start = head
-        while head < len(trail):
-            literal = trail[head]
-            head += 1
-            if literal > 0:
-                falsified = -literal
-                code = (literal << 1) | 1
-            else:
-                falsified = -literal
-                code = falsified << 1
-            for implied, clause in binary[code]:
-                variable = implied if implied > 0 else -implied
-                value = assign[variable]
-                if value == _UNASSIGNED:
-                    assign[variable] = 1 if implied > 0 else 0
-                    level[variable] = current_level
-                    reason[variable] = clause
-                    phase[variable] = implied > 0
+        try:
+            while head < len(trail):
+                literal = trail[head]
+                head += 1
+                if literal > 0:
+                    falsified = -literal
+                    code = (literal << 1) | 1
+                else:
+                    falsified = -literal
+                    code = falsified << 1
+                for implied, clause in binary[code]:
+                    if implied > 0:
+                        value = assign[implied]
+                        if value == 1:
+                            continue
+                        if value == 0:
+                            return clause
+                        assign[implied] = 1
+                        level[implied] = current_level
+                        reason[implied] = clause
+                        phase[implied] = True
+                    else:
+                        variable = -implied
+                        value = assign[variable]
+                        if value == 0:
+                            continue
+                        if value == 1:
+                            return clause
+                        assign[variable] = 0
+                        level[variable] = current_level
+                        reason[variable] = clause
+                        phase[variable] = False
                     trail.append(implied)
-                elif (value == 1) != (implied > 0):
-                    self._queue_head = head
-                    self._stats.propagations += head - start
-                    return clause
-            watch_list = watches[code]
-            keep = 0
-            position = 0
-            size = len(watch_list)
-            while position < size:
-                entry = watch_list[position]
-                position += 1
-                blocker = entry[1]
-                # Blocking literal already true: clause satisfied, keep as-is.
-                blocker_value = assign[blocker if blocker > 0 else -blocker]
-                if blocker_value != _UNASSIGNED and (blocker_value == 1) == (blocker > 0):
-                    watch_list[keep] = entry
-                    keep += 1
+                # Compacted in place to ``watch_list[:keep]``.  A moved watch goes to
+                # a non-falsified literal's list, so this list never grows mid-sweep.
+                watch_list = watches[code]
+                if not watch_list:
                     continue
-                clause = entry[0]
-                # Ensure the falsified literal sits at position 1.
-                if clause[0] == falsified:
-                    clause[0] = clause[1]
-                    clause[1] = falsified
-                first = clause[0]
-                first_variable = first if first > 0 else -first
-                first_value = assign[first_variable]
-                if first_value != _UNASSIGNED and (first_value == 1) == (first > 0):
-                    watch_list[keep] = (clause, first)
-                    keep += 1
-                    continue
-                moved = False
-                for alt_index in range(2, len(clause)):
-                    alternative = clause[alt_index]
-                    alt_value = assign[alternative if alternative > 0 else -alternative]
-                    if alt_value == _UNASSIGNED or (alt_value == 1) == (alternative > 0):
-                        clause[1] = alternative
-                        clause[alt_index] = falsified
+                keep = 0
+                moved = 0
+                for entry in watch_list:
+                    # Blocking literal already true: clause satisfied, keep as-is.
+                    blocker = entry[1]
+                    if blocker > 0:
+                        if assign[blocker] == 1:
+                            watch_list[keep] = entry
+                            keep += 1
+                            continue
+                    elif assign[-blocker] == 0:
+                        watch_list[keep] = entry
+                        keep += 1
+                        continue
+                    clause = entry[0]
+                    # Ensure the falsified literal sits at position 1.
+                    if clause[0] == falsified:
+                        clause[0] = clause[1]
+                        clause[1] = falsified
+                    first = clause[0]
+                    if first > 0:
+                        first_variable = first
+                        first_value = assign[first]
+                        first_true = first_value == 1
+                    else:
+                        first_variable = -first
+                        first_value = assign[first_variable]
+                        first_true = first_value == 0
+                    if first_true:
+                        watch_list[keep] = (clause, first)
+                        keep += 1
+                        continue
+                    for alt_index in range(2, len(clause)):
+                        alternative = clause[alt_index]
                         if alternative > 0:
-                            watches[alternative << 1].append((clause, first))
-                        else:
+                            if assign[alternative] != 0:
+                                clause[1] = alternative
+                                clause[alt_index] = falsified
+                                watches[alternative << 1].append((clause, first))
+                                break
+                        elif assign[-alternative] != 1:
+                            clause[1] = alternative
+                            clause[alt_index] = falsified
                             watches[(-alternative << 1) | 1].append((clause, first))
-                        moved = True
-                        break
-                if moved:
-                    continue
-                watch_list[keep] = (clause, first)
-                keep += 1
-                if first_value != _UNASSIGNED:
-                    # Conflict: slide the unvisited tail down and stop.
-                    watch_list[keep:] = watch_list[position:size]
-                    self._queue_head = head
-                    self._stats.propagations += head - start
-                    return clause
-                # Unit: ``first`` is unassigned — inline the enqueue.
-                assign[first_variable] = 1 if first > 0 else 0
-                level[first_variable] = current_level
-                reason[first_variable] = clause
-                phase[first_variable] = first > 0
-                trail.append(first)
-            del watch_list[keep:]
-        self._queue_head = head
-        self._stats.propagations += head - start
+                            break
+                    else:
+                        watch_list[keep] = (clause, first)
+                        keep += 1
+                        if first_value != _UNASSIGNED:
+                            # Conflict: slide the unvisited tail down and stop.
+                            watch_list[keep:] = watch_list[keep + moved:]
+                            return clause
+                        # Unit: ``first`` is unassigned — inline the enqueue.
+                        assign[first_variable] = 1 if first > 0 else 0
+                        level[first_variable] = current_level
+                        reason[first_variable] = clause
+                        phase[first_variable] = first > 0
+                        trail.append(first)
+                        continue
+                    moved += 1
+                del watch_list[keep:]
+        finally:
+            self._queue_head = head
+            self._stats.propagations += head - start
         return None
 
     def _watch(self, literal: Literal, clause: Clause, blocker: Literal) -> None:
@@ -587,12 +608,10 @@ class CdclSolver:
 
     def _watch_binary(self, clause: Clause) -> None:
         """Register a two-literal clause in both implication lists."""
-        first, second = clause[0], clause[1]
-        for falsified, implied in ((first, second), (second, first)):
-            if falsified > 0:
-                self._binary[falsified << 1].append((implied, clause))
-            else:
-                self._binary[(-falsified << 1) | 1].append((implied, clause))
+        first, second = clause
+        binary = self._binary
+        binary[first << 1 if first > 0 else (-first << 1) | 1].append((second, clause))
+        binary[second << 1 if second > 0 else (-second << 1) | 1].append((first, clause))
 
     def _unwatch(self, literal: Literal, clause: Clause) -> None:
         watch_list = (
@@ -613,11 +632,14 @@ class CdclSolver:
     def _analyze(self, conflict: Clause) -> tuple[list[Literal], int, int]:
         """First-UIP analysis: returns (learned clause, backjump level, LBD)."""
         current_level = len(self._trail_limits)
+        level = self._level
+        trail = self._trail
+        bump = self._heap.bump
         learned: list[Literal] = []
         seen: set[int] = set()
         counter = 0
         clause: Clause | None = conflict
-        trail_index = len(self._trail) - 1
+        trail_index = len(trail) - 1
         asserting_literal: Literal | None = None
 
         while True:
@@ -625,12 +647,17 @@ class CdclSolver:
             if clause.learned:
                 self._bump_clause(clause)
             for literal in clause:
-                variable = abs(literal)
-                if variable in seen or self._level[variable] == 0:
+                variable = literal if literal > 0 else -literal
+                if variable in seen:
+                    continue
+                variable_level = level[variable]
+                if variable_level == 0:
                     continue
                 seen.add(variable)
-                self._bump_activity(variable)
-                if self._level[variable] == current_level:
+                if bump(variable, self._var_inc) > _ACTIVITY_LIMIT:
+                    self._heap.rescale(_ACTIVITY_RESCALE)
+                    self._var_inc *= _ACTIVITY_RESCALE
+                if variable_level == current_level:
                     counter += 1
                 else:
                     learned.append(literal)
@@ -638,11 +665,11 @@ class CdclSolver:
             # stay marked in ``seen`` once visited so a later reason clause
             # cannot re-introduce (and re-count) an already-resolved variable.
             while True:
-                literal = self._trail[trail_index]
+                literal = trail[trail_index]
                 trail_index -= 1
-                if abs(literal) in seen and self._level[abs(literal)] == current_level:
+                variable = literal if literal > 0 else -literal
+                if variable in seen and level[variable] == current_level:
                     break
-            variable = abs(literal)
             counter -= 1
             if counter == 0:
                 asserting_literal = -literal
@@ -725,11 +752,6 @@ class CdclSolver:
                     "internal solver error: model does not satisfy a clause"
                 )
 
-    def _bump_activity(self, variable: int) -> None:
-        if self._heap.bump(variable, self._var_inc) > _ACTIVITY_LIMIT:
-            self._heap.rescale(_ACTIVITY_RESCALE)
-            self._var_inc *= _ACTIVITY_RESCALE
-
     def _bump_clause(self, clause: Clause) -> None:
         clause.activity += self._clause_inc
         if clause.activity > _CLAUSE_ACTIVITY_LIMIT:
@@ -740,9 +762,6 @@ class CdclSolver:
     # ------------------------------------------------------------------
     # Internals: decisions, backtracking
     # ------------------------------------------------------------------
-    def _decision_level(self) -> int:
-        return len(self._trail_limits)
-
     def _backtrack(self, level: int) -> None:
         if len(self._trail_limits) <= level:
             return
@@ -759,24 +778,8 @@ class CdclSolver:
         del self._trail_limits[level:]
         self._queue_head = min(self._queue_head, len(self._trail))
 
-    def _pick_branch_variable(self) -> int | None:
-        heap = self._heap
-        assign = self._assign
-        while True:
-            variable = heap.pop()
-            if variable is None or assign[variable] == _UNASSIGNED:
-                return variable
-
     def _result(self, satisfiable: bool, model: dict[int, bool] | None = None) -> SolverResult:
-        snapshot = self.stats()
-        return SolverResult(
-            satisfiable=satisfiable,
-            model=model,
-            conflicts=snapshot.conflicts,
-            decisions=snapshot.decisions,
-            propagations=snapshot.propagations,
-            stats=snapshot,
-        )
+        return SolverResult(satisfiable=satisfiable, model=model, stats=self.stats())
 
 
 def solve_cnf(

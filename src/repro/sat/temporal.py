@@ -179,6 +179,8 @@ class SequentialJustifier:
         self._conditions: dict[tuple, list[Literal]] = {}
         self._chains: dict[tuple, _TemporalChain] = {}
         self._preferred: dict[str, int] = {}
+        # (unroll depth, variable -> phase) built from ``_preferred``.
+        self._preferred_phases: tuple[int, dict[int, bool]] | None = None
 
     # ------------------------------------------------------------------
     # Structure
@@ -223,6 +225,7 @@ class SequentialJustifier:
         for net in preferred_values:
             self.expansion.variable(net, 0)  # raises KeyError on unknown nets
         self._preferred = {net: int(value) for net, value in preferred_values.items()}
+        self._preferred_phases = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -435,13 +438,17 @@ class SequentialJustifier:
         return bits
 
     def _apply_preferred(self) -> None:
+        """Re-apply the preferred phases; the map is built once per unroll depth."""
         if not self._preferred:
             return
-        phases: dict[int, bool] = {}
-        for net, value in self._preferred.items():
-            for frame in range(self.expansion.num_frames):
-                phases[self.expansion.variable(net, frame)] = bool(value)
-        self.expansion.set_phases(phases)
+        frames = self.expansion.num_frames
+        if self._preferred_phases is None or self._preferred_phases[0] != frames:
+            phases: dict[int, bool] = {}
+            for net, value in self._preferred.items():
+                for frame in range(frames):
+                    phases[self.expansion.variable(net, frame)] = bool(value)
+            self._preferred_phases = (frames, phases)
+        self.expansion.set_phases(self._preferred_phases[1])
 
 
 __all__ = [

@@ -193,12 +193,5 @@ class TimeFrameExpansion:
                 sequence[frame, column] = int(model.get(self.variable(net, frame), False))
         return sequence
 
-    def decode_net(self, model: dict[int, bool], net: str) -> list[int]:
-        """The per-cycle values the model assigns to one net."""
-        return [
-            int(model.get(self.variable(net, frame), False))
-            for frame in range(self.num_frames)
-        ]
-
 
 __all__ = ["TimeFrameExpansion"]

@@ -245,6 +245,36 @@ class TestRunner:
             outcome.result for outcome in serial.outcomes
         ]
 
+    def test_sequential_trojans_drawn_once_per_design_and_depth(self, tmp_path):
+        """One cached population per (design, cycles), relabelled per rule."""
+        from repro.experiments.sequential import _rare_nets, _trojans
+        from repro.runner.cache import ArtifactCache, set_default_cache
+        from repro.trojan.insertion import sample_sequential_trojans
+
+        run = ExperimentRunner(jobs=1, cache_dir=tmp_path / "cache").run(
+            "sequential_detect", profile=TINY
+        )
+        assert len(run.outcomes) == 8
+        cache = ArtifactCache(tmp_path / "cache")
+        assert len(cache.entries(["sequential_trojans"])) == 2
+
+        set_default_cache(cache)
+        netlist = load_benchmark("s13207_like", combinational_view=False)
+        for outcome in run.outcomes:
+            params = outcome.params
+            rare_nets = _rare_nets(netlist, params["cycles"], TINY)
+            cached = _trojans(netlist, rare_nets, params["mode"], params["count"], TINY)
+            direct = sample_sequential_trojans(
+                netlist,
+                rare_nets,
+                num_trojans=TINY.num_trojans,
+                trigger_width=TINY.trigger_width,
+                mode=params["mode"],
+                count=params["count"],
+                seed=TINY.seed + 1,
+            )
+            assert cached == direct
+
     def test_sequential_rejects_combinational_design(self):
         with pytest.raises(ValueError, match="combinational"):
             run_experiment(

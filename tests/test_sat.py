@@ -102,6 +102,17 @@ class TestCdclSolver:
         for clause in cnf.clauses:
             assert any(result.value(abs(lit)) == (lit > 0) for lit in clause)
 
+    @pytest.mark.parametrize("clause", [[0, 1], [0], [1, 0, -2]])
+    def test_add_clause_rejects_literal_zero(self, clause):
+        solver = CdclSolver()
+        with pytest.raises(ValueError, match="0 is not a valid"):
+            solver.add_clause(clause)
+        # Rejected before any side effect: no variable was reserved.
+        solver.add_clause([-1])
+        result = solver.solve()
+        assert result.satisfiable
+        assert result.model == {1: False}
+
     def test_assumptions_sat_and_unsat(self):
         cnf = CNF(num_vars=2, clauses=[[1, 2]])
         solver = CdclSolver(cnf)

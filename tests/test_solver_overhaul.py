@@ -174,24 +174,40 @@ class TestSolverStats:
         assert stats.learned_clauses > 0
 
 
+def _pop(heap: ActivityHeap) -> int | None:
+    """Pop with every variable unassigned (no lazy deletion)."""
+    return heap.pop_unassigned([-1] * (heap.num_vars + 1))
+
+
 class TestActivityHeap:
     def test_pop_order_is_by_activity(self):
         heap = ActivityHeap(5)
         for variable, bump in [(3, 5.0), (1, 3.0), (4, 4.0)]:
             heap.bump(variable, bump)
-        order = [heap.pop() for _ in range(3)]
+        order = [_pop(heap) for _ in range(3)]
         assert order == [3, 4, 1]
+
+    def test_pop_skips_assigned_variables(self):
+        heap = ActivityHeap(4)
+        for variable, bump in [(1, 4.0), (2, 3.0), (3, 2.0)]:
+            heap.bump(variable, bump)
+        assign = [-1, 1, 0, -1, -1]
+        assert heap.pop_unassigned(assign) == 3
+        assert 1 not in heap and 2 not in heap
+        heap.check_invariants()
+        assert heap.pop_unassigned(assign) == 4
+        assert heap.pop_unassigned(assign) is None
 
     def test_push_is_idempotent(self):
         heap = ActivityHeap(3)
-        heap.push(2)
+        heap.push_many([2])
         assert len(heap) == 3
-        heap.pop()
-        heap.pop()
-        heap.pop()
+        _pop(heap)
+        _pop(heap)
+        _pop(heap)
         assert len(heap) == 0
-        heap.push(2)
-        heap.push(2)
+        heap.push_many([2])
+        heap.push_many([2])
         assert len(heap) == 1
 
     def test_grow_preserves_invariants(self):
@@ -199,11 +215,13 @@ class TestActivityHeap:
         heap.bump(1, 7.0)
         heap.grow(6)
         heap.check_invariants()
-        assert heap.pop() == 1
+        heap.grow(3)
+        assert heap.num_vars == 6
+        assert _pop(heap) == 1
 
     def test_push_many_accepts_literals(self):
         heap = ActivityHeap(4)
-        while heap.pop() is not None:
+        while _pop(heap) is not None:
             pass
         heap.push_many([-3, 1, -1, 4])
         heap.check_invariants()
@@ -217,9 +235,9 @@ class TestActivityHeap:
         for _ in range(600):
             action = rng.integers(0, 4)
             if action == 0 and popped:
-                heap.push(popped.pop())
+                heap.push_many([popped.pop()])
             elif action == 1:
-                variable = heap.pop()
+                variable = _pop(heap)
                 if variable is not None:
                     popped.append(variable)
             elif action == 2:
@@ -235,7 +253,7 @@ class TestActivityHeap:
         heap.bump(3, 4.0)
         heap.rescale(1e-10)
         heap.check_invariants()
-        assert heap.pop() == 2
+        assert _pop(heap) == 2
         assert heap.activity(2) == pytest.approx(8e-10)
 
 
