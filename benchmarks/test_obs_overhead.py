@@ -4,8 +4,8 @@ The observability hooks sit on the hottest paths in the repository — the
 CDCL propagate/decide loop, the compiled simulation sweep, cache fetches —
 so their *disabled* cost matters as much as their enabled fidelity.  The
 design contract is that a disabled hook is one attribute load and one
-branch (``hot_path`` returns ``None``; ``counter_add`` returns before
-touching the registry).  This benchmark runs the solver-only workload with
+branch (``hot_path`` returns ``None``; ``observe`` returns before touching
+the registry; ``span`` yields a shared no-op).  This benchmark runs the solver-only workload with
 the obs package imported and telemetry off, asserts the no-op contract
 (nothing is recorded), and reports the throughput as
 ``disabled_telemetry_decisions_per_second`` so
@@ -44,10 +44,13 @@ def workload():
     return netlist, trojans
 
 
-def test_solver_throughput_with_telemetry_disabled(benchmark, workload):
+def test_solver_throughput_with_telemetry_disabled(benchmark, workload, tmp_path):
     netlist, trojans = workload
     obs.disable()
     obs.metrics.reset_registry()
+    before, after = tmp_path / "before", tmp_path / "after"
+    before.mkdir(), after.mkdir()
+    obs.trace.flush_spans(before)  # drain anything buffered earlier
 
     def solver_workload():
         justifier = SequentialJustifier(netlist, cycles=CYCLES)
@@ -61,10 +64,9 @@ def test_solver_throughput_with_telemetry_disabled(benchmark, workload):
     elapsed = max(time.perf_counter() - started, 1e-9)
 
     # The no-op contract: disabled telemetry records nothing at all.
-    snapshot = obs.metrics.registry().snapshot()
-    assert snapshot["counters"] == {}
-    assert snapshot["gauges"] == {}
-    assert snapshot["histograms"] == {}
+    assert obs.metrics.registry().snapshot()["histograms"] == {}
+    obs.trace.flush_spans(after)
+    assert obs.trace.load_spans(after) == []
 
     assert stats.decisions > 0
     assert stats.propagations > 0

@@ -24,7 +24,7 @@ Subcommands:
   worker against a queue directory: lease, run, heartbeat, ack.
 - ``deterrent trace <dir>`` — render an exported trace directory (written
   by ``run --trace`` / ``serve --trace``): the span tree with durations,
-  the merged cross-worker instrument set, and profile percentiles;
+  and the merged cross-worker timing percentiles;
   ``--chrome FILE`` additionally writes the Chrome ``trace_event`` view.
 
 Every run writes structured artifacts under ``--results-dir`` (default
@@ -717,16 +717,7 @@ def _command_trace(args: argparse.Namespace) -> int:
         print(f"\nwarning: {len(orphans)} span(s) reference a parent that was "
               "never exported (worker died before flushing?)")
 
-    snapshot = obs_metrics.merged_snapshot(trace_dir)
-    counters = snapshot.get("counters") or {}
-    gauges = snapshot.get("gauges") or {}
-    if counters or gauges:
-        print("\ninstruments (merged across workers):")
-        for name in sorted(counters):
-            print(f"  {name} = {counters[name]:g}")
-        for name in sorted(gauges):
-            print(f"  {name} = {gauges[name]:g} (max)")
-    profiles = obs_metrics.percentile_summary(snapshot)
+    profiles = obs_metrics.percentile_summary(obs_metrics.merged_snapshot(trace_dir))
     if profiles:
         rows = [
             [

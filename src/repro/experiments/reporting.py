@@ -128,24 +128,15 @@ def telemetry_summary(telemetry: dict | None) -> str | None:
     ``telemetry`` is the dict :func:`repro.obs.summary` put in the run
     record (``None`` when tracing was off).  Example output::
 
-        telemetry: 42 spans -> /tmp/trace, counters: runner_cells=4, ...
+        telemetry: 42 spans, 5 timed paths -> /tmp/trace
     """
     if not telemetry:
         return None
-    counters = telemetry.get("counters") or {}
-    shown = ", ".join(
-        f"{key}={value}" for key, value in sorted(counters.items())[:6]
-    )
-    extra = max(0, len(counters) - 6)
-    line = (
-        f"telemetry: {telemetry.get('spans', 0)} spans -> "
+    return (
+        f"telemetry: {telemetry.get('spans', 0)} spans, "
+        f"{len(telemetry.get('profiles') or {})} timed paths -> "
         f"{telemetry.get('trace_dir', '?')}"
     )
-    if shown:
-        line += f", counters: {shown}"
-        if extra:
-            line += f" (+{extra} more)"
-    return line
 
 
 __all__ = [

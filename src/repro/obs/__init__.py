@@ -4,9 +4,9 @@ Three cooperating pieces, one switch:
 
 - :mod:`repro.obs.trace` — span tracer with context propagation through
   worker initializers, queue-job headers, and HTTP ``traceparent`` headers;
-- :mod:`repro.obs.metrics` — process-local counters/gauges/histograms that
-  merge across workers like ``SolverStats.merge`` and export to Prometheus
-  text exposition;
+- :mod:`repro.obs.metrics` — process-local duration histograms that merge
+  across workers bucket by bucket and export to Prometheus text exposition
+  (counts stay with the objects that keep them);
 - :mod:`repro.obs.profile` — sampled timing hooks on the hot paths, feeding
   ``profile_*_seconds`` histograms in the same registry.
 
@@ -37,7 +37,7 @@ def flush() -> None:
 
 
 def summary() -> dict | None:
-    """Flush, then summarise this trace dir: span count, merged instruments.
+    """Flush, then summarise this trace dir: span count, merged timings.
 
     The ``telemetry`` block of run records — ``None`` while disabled, so
     untraced runs keep their record shape minus one null field.
@@ -50,8 +50,6 @@ def summary() -> dict | None:
     return {
         "trace_dir": directory,
         "spans": len(trace.load_spans(directory)),
-        "counters": merged["counters"],
-        "gauges": merged["gauges"],
         "profiles": metrics.percentile_summary(merged),
     }
 

@@ -1,19 +1,19 @@
-"""Process-local metrics registry: counters, gauges, duration histograms.
+"""Process-local registry of duration histograms.
 
-The registry follows the merge discipline of
-:meth:`repro.sat.solver.SolverStats.merge`: every worker accumulates into its
-own process-local registry, snapshots are plain JSON-able dicts, and merging
-is commutative and associative — counters and histogram buckets **sum**,
-gauges take the **max** (they record high-water marks such as the solver's
-deepest trail).  Workers flush their registry to ``metrics-<pid>.json`` in
+The registry keeps timings only.  Counts — cache hits, retries, solver work,
+queue events — are read where they are kept (the run record, the cache's
+``stats.json``, the service's ``/metrics``) and are never mirrored here.
+
+Every worker accumulates into its own process-local registry, snapshots are
+plain JSON-able dicts, and merging is commutative and associative: histogram
+buckets **sum**.  Workers flush their registry to ``metrics-<pid>.json`` in
 the trace directory (atomic replace, cumulative totals, so re-flushing after
 every task is idempotent under merge), and :func:`merged_snapshot` folds all
 per-pid files back into one view.
 
-Every mutation goes through module-level helpers (:func:`counter_add`,
-:func:`gauge_max`, :func:`observe`) that return immediately while telemetry
-is disabled — the hot-path cost of the instrumentation is one attribute load
-and one branch.
+Observations go through :func:`observe`, which returns immediately while
+telemetry is disabled — the hot-path cost is one attribute load and one
+branch.
 """
 
 from __future__ import annotations
@@ -29,9 +29,16 @@ from pathlib import Path
 from repro.obs import _runtime
 from repro.utils.fsio import atomic_write
 
-#: Histogram bucket upper bounds in seconds: 1 µs … ~134 s, powers of two.
-#: Fixed for every instrument so histograms merge bucket-by-bucket.
-BUCKET_BOUNDS: tuple[float, ...] = tuple(2.0**i * 1e-6 for i in range(28))
+#: Buckets per octave: a percentile read off the bucket bounds is at most
+#: ``2 ** (1 / 8)`` (about 9%) above the true value.
+BUCKETS_PER_OCTAVE = 8
+
+#: Histogram bucket upper bounds in seconds: 1 µs … 2^27 µs (~134 s), eight
+#: per octave.  Fixed for every histogram so histograms merge bucket-by-bucket.
+BUCKET_BOUNDS: tuple[float, ...] = tuple(
+    2.0 ** (i / BUCKETS_PER_OCTAVE) * 1e-6
+    for i in range(27 * BUCKETS_PER_OCTAVE + 1)
+)
 
 _PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -102,22 +109,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe registry of counters, gauges, and histograms."""
+    """Thread-safe registry of named duration histograms."""
 
     def __init__(self) -> None:
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
         self._lock = threading.Lock()
-
-    def counter_add(self, name: str, value: float = 1.0) -> None:
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0.0) + value
-
-    def gauge_max(self, name: str, value: float) -> None:
-        with self._lock:
-            if value > self.gauges.get(name, -math.inf):
-                self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
@@ -127,11 +123,9 @@ class MetricsRegistry:
             histogram.observe(value)
 
     def snapshot(self) -> dict:
-        """A JSON-able copy: ``{"counters": …, "gauges": …, "histograms": …}``."""
+        """A JSON-able copy: ``{"histograms": {name: Histogram.as_dict()}}``."""
         with self._lock:
             return {
-                "counters": dict(self.counters),
-                "gauges": dict(self.gauges),
                 "histograms": {
                     name: histogram.as_dict()
                     for name, histogram in self.histograms.items()
@@ -139,13 +133,8 @@ class MetricsRegistry:
             }
 
     def merge(self, snapshot: dict) -> None:
-        """Fold another registry's snapshot in (sum / max / bucket-sum)."""
+        """Fold another registry's snapshot in (bucket-wise sum)."""
         with self._lock:
-            for name, value in (snapshot.get("counters") or {}).items():
-                self.counters[name] = self.counters.get(name, 0.0) + value
-            for name, value in (snapshot.get("gauges") or {}).items():
-                if value > self.gauges.get(name, -math.inf):
-                    self.gauges[name] = value
             for name, payload in (snapshot.get("histograms") or {}).items():
                 histogram = self.histograms.get(name)
                 if histogram is None:
@@ -154,24 +143,14 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         with self._lock:
-            self.counters.clear()
-            self.gauges.clear()
             self.histograms.clear()
 
     def to_prometheus(self, prefix: str = "deterrent_") -> str:
-        """Render the registry in the Prometheus text exposition format."""
-        snapshot = self.snapshot()
+        """Render the histograms in the Prometheus text exposition format."""
+        histograms = self.snapshot()["histograms"]
         lines: list[str] = []
-        for name in sorted(snapshot["counters"]):
-            metric = prometheus_name(prefix + name)
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {_format_value(snapshot['counters'][name])}")
-        for name in sorted(snapshot["gauges"]):
-            metric = prometheus_name(prefix + name)
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {_format_value(snapshot['gauges'][name])}")
-        for name in sorted(snapshot["histograms"]):
-            payload = snapshot["histograms"][name]
+        for name in sorted(histograms):
+            payload = histograms[name]
             metric = prometheus_name(prefix + name)
             lines.append(f"# TYPE {metric} histogram")
             cumulative = 0
@@ -201,61 +180,11 @@ def registry() -> MetricsRegistry:
     return _REGISTRY
 
 
-def counter_add(name: str, value: float = 1.0) -> None:
-    """Increment a counter (no-op while telemetry is disabled)."""
-    if not _runtime.STATE.enabled:
-        return
-    _REGISTRY.counter_add(name, value)
-
-
-def gauge_max(name: str, value: float) -> None:
-    """Raise a high-water-mark gauge (no-op while telemetry is disabled)."""
-    if not _runtime.STATE.enabled:
-        return
-    _REGISTRY.gauge_max(name, value)
-
-
 def observe(name: str, value: float) -> None:
     """Record one histogram observation (no-op while telemetry is disabled)."""
     if not _runtime.STATE.enabled:
         return
     _REGISTRY.observe(name, value)
-
-
-def iter_solver_stats(value):
-    """Yield every ``solver_stats`` dict nested anywhere inside ``value``.
-
-    The shared walker behind per-cell absorption in the runner and the
-    service's aggregate ``/metrics`` solver totals — both fold the same
-    payload shape, so their views reconcile.
-    """
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if key == "solver_stats" and isinstance(item, dict):
-                yield item
-            else:
-                yield from iter_solver_stats(item)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from iter_solver_stats(item)
-
-
-def absorb_solver_stats(stats: dict) -> None:
-    """Fold one ``SolverStats.as_dict()`` payload into the registry.
-
-    Monotonic totals become ``solver_*`` counters; ``max_trail`` is a
-    high-water mark and becomes a gauge so cross-worker merge takes the max,
-    matching :meth:`SolverStats.merge` exactly.
-    """
-    if not _runtime.STATE.enabled or not isinstance(stats, dict):
-        return
-    for key, value in stats.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
-        if key == "max_trail":
-            _REGISTRY.gauge_max("solver_max_trail", value)
-        else:
-            _REGISTRY.counter_add(f"solver_{key}", value)
 
 
 def flush(trace_dir: str | None = None) -> None:
@@ -269,7 +198,7 @@ def flush(trace_dir: str | None = None) -> None:
     if directory is None:
         return
     snapshot = _REGISTRY.snapshot()
-    if not (snapshot["counters"] or snapshot["gauges"] or snapshot["histograms"]):
+    if not snapshot["histograms"]:
         return
     path = Path(directory) / f"metrics-{os.getpid()}.json"
     try:
@@ -281,8 +210,11 @@ def flush(trace_dir: str | None = None) -> None:
 def merged_snapshot(trace_dir: str | os.PathLike) -> dict:
     """Merge every ``metrics-*.json`` under ``trace_dir`` into one snapshot.
 
-    Callers that hold live in-memory counters should :func:`flush` first.
-    Corrupt or mid-write files are skipped — telemetry reads are best-effort.
+    Callers that hold live in-memory observations should :func:`flush`
+    first.  Corrupt or mid-write files are skipped — telemetry reads are
+    best-effort — and so is any file whose histograms use another bucket
+    layout (a trace directory reused across versions), whose counts would
+    otherwise land in the wrong buckets.
     """
     merged = MetricsRegistry()
     for path in sorted(Path(trace_dir).glob("metrics-*.json")):
@@ -290,9 +222,18 @@ def merged_snapshot(trace_dir: str | os.PathLike) -> dict:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             continue
-        if isinstance(payload, dict):
+        if isinstance(payload, dict) and _has_current_layout(payload):
             merged.merge(payload)
     return merged.snapshot()
+
+
+def _has_current_layout(snapshot: dict) -> bool:
+    """True when every histogram in ``snapshot`` has this module's buckets."""
+    return all(
+        isinstance(payload, dict)
+        and len(payload.get("buckets") or ()) == len(BUCKET_BOUNDS) + 1
+        for payload in (snapshot.get("histograms") or {}).values()
+    )
 
 
 def percentile_summary(snapshot: dict) -> dict[str, dict[str, float]]:
@@ -314,7 +255,7 @@ def payload_to_prometheus(payload: dict, prefix: str = "deterrent_") -> str:
     """Render a nested dict of numeric leaves as Prometheus gauges.
 
     Used by the service to expose its JSON ``/metrics`` payload (queue depth,
-    worker liveness, cache counters, solver totals) in text exposition format
+    worker liveness, cache counts, solver totals) in text exposition format
     without changing how the payload is assembled.
     """
     lines: list[str] = []
@@ -345,11 +286,7 @@ __all__ = [
     "BUCKET_BOUNDS",
     "Histogram",
     "MetricsRegistry",
-    "absorb_solver_stats",
-    "counter_add",
     "flush",
-    "gauge_max",
-    "iter_solver_stats",
     "merged_snapshot",
     "observe",
     "payload_to_prometheus",

@@ -270,12 +270,10 @@ class ArtifactCache:
     # Stats: session counters + cross-process lifetime counters
     # ------------------------------------------------------------------
     def _count(self, **deltas: int) -> None:
-        """Record cache events in the session, the registry and ``stats.json``."""
+        """Record cache events in the session counters and ``stats.json``."""
         with self._stats_lock:
             for key, value in deltas.items():
                 setattr(self.stats, key, getattr(self.stats, key) + value)
-        for key, value in deltas.items():
-            obs.metrics.counter_add(f"cache_{key}", value)
         self._lifetime.add(deltas)
 
     def stats_snapshot(self) -> dict[str, Any]:

@@ -143,16 +143,7 @@ def _execute_cell(
     if cache is not None and before is not None:
         after = cache.stats.as_dict()
         delta = {key: after[key] - before[key] for key in after}
-    if obs.enabled():
-        # Absorb the cell's solver work into the registry exactly once, at
-        # the same granularity the run record reports it (per-cell
-        # ``solver_stats`` dicts), so the merged instrument view reconciles
-        # with the record.  A corrupt-result retry re-runs the cell and
-        # therefore re-absorbs — the registry counts work *done*.
-        obs.metrics.counter_add("runner_cells", 1)
-        obs.metrics.observe("cell_seconds", elapsed)
-        for stats in obs.metrics.iter_solver_stats(_jsonable(result)):
-            obs.metrics.absorb_solver_stats(stats)
+    obs.metrics.observe("cell_seconds", elapsed)
     return result, elapsed, delta
 
 

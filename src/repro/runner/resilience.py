@@ -479,26 +479,7 @@ def run_tasks(
         if fault_plan is not None and not active.workers_are_processes:
             # Serial/thread rounds armed the plan in *this* process.
             faults.clear_fault_plan()
-    _absorb_outcome_metrics(outcome)
     return outcome
-
-
-def _absorb_outcome_metrics(outcome: ResilientOutcome) -> None:
-    """Fold one run's robustness counters into the metrics registry."""
-    if not obs.enabled():
-        return
-    counter_add = obs.metrics.counter_add
-    counter_add("resilience_runs", 1)
-    counter_add("resilience_rounds", outcome.rounds)
-    for name in ("retries", "timeouts", "crashes", "errors", "corrupt"):
-        value = getattr(outcome, name)
-        if value:
-            counter_add(f"resilience_{name}", value)
-    if outcome.degraded:
-        counter_add("resilience_degraded", 1)
-    for key, value in outcome.backend_counters.items():
-        if value:
-            counter_add(f"queue_{key}", value)
 
 
 def policy_for_spec(

@@ -578,9 +578,7 @@ class DurableQueue:
                 pass
 
     def _count_event(self, event: str) -> None:
-        """Add one ``event`` to the lifetime counts (and the obs registry)."""
-        if obs.enabled():
-            obs.metrics.counter_add(f"queue_event_{event}", 1)
+        """Add one ``event`` to the lifetime counts (``events_totals.json``)."""
         self._events.add({event: 1})
 
 
@@ -687,9 +685,6 @@ def _run_one(
     finally:
         # Flush *after* the span context closed, so the job's own span
         # record is part of this job's export (not the next one's).
-        obs.metrics.counter_add("queue_jobs_run", 1)
-        if lease.deliveries > 1:
-            obs.metrics.counter_add("queue_redeliveries", 1)
         obs.flush()
 
 

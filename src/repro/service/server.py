@@ -40,9 +40,9 @@ from pathlib import Path
 from typing import Any
 
 from repro import obs
-from repro.obs.metrics import iter_solver_stats as _iter_solver_stats
 from repro.obs.trace import TraceContext
 from repro.runner.cache import ArtifactCache, get_default_cache
+from repro.sat.solver import SolverStats
 from repro.service.jobs import (
     JOB_RESULT_KIND,
     JobValidationError,
@@ -83,7 +83,7 @@ class DeterrentService:
             "jobs_duplicate": 0,
             "jobs_retried": 0,
         }
-        self._solver_totals: dict[str, int] = {}
+        self._solver_totals = SolverStats()
         self._solver_folded: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -236,7 +236,7 @@ class DeterrentService:
     def metrics(self) -> tuple[int, dict[str, Any]]:
         with self._lock:
             counters = dict(self.counters)
-            solver = dict(self._solver_totals)
+            solver = self._solver_totals.as_dict()
         return 200, {
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "service": counters,
@@ -251,8 +251,7 @@ class DeterrentService:
 
         Every numeric leaf of the JSON payload becomes a gauge (nested keys
         join with ``_``); when this process traces, the local telemetry
-        registry's instruments are appended with their native counter /
-        gauge / histogram types.
+        registry's duration histograms are appended.
         """
         _, payload = self.metrics()
         lines = [obs.metrics.payload_to_prometheus(payload, prefix="deterrent_")]
@@ -265,21 +264,21 @@ class DeterrentService:
     def _fold_solver_stats(self, job_id: str, record: Any) -> None:
         """Accumulate a completed record's SolverStats into the aggregate.
 
-        Job records embed per-cell ``solver_stats`` dicts (see
-        ``sequential_detect``); summing every numeric field gives the
-        fleet-wide conflict/decision/propagation totals ``/metrics``
-        reports.  Idempotent per job id, so polling never double-counts.
+        Job records carry per-cell ``solver_stats`` dicts under
+        ``cells[*].result`` (see ``sequential_detect``); folding them through
+        :meth:`SolverStats.merge` gives the fleet-wide totals ``/metrics``
+        reports — sums, except ``max_trail``, which is a high-water mark.
+        Idempotent per job id, so polling never double-counts.
         """
         with self._lock:
             if job_id in self._solver_folded:
                 return
             self._solver_folded.add(job_id)
-            for stats in _iter_solver_stats(record):
-                for key, value in stats.items():
-                    if isinstance(value, (int, float)) and not isinstance(value, bool):
-                        self._solver_totals[key] = int(
-                            self._solver_totals.get(key, 0) + value
-                        )
+            for cell in record.get("cells") or ():
+                result = cell.get("result")
+                stats = result.get("solver_stats") if isinstance(result, dict) else None
+                if stats:
+                    self._solver_totals = self._solver_totals.merge(SolverStats(**stats))
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):

@@ -301,6 +301,28 @@ class TestHTTPEndpoints:
         assert metrics["solver"].get("conflicts", 0) > 0
 
 
+class TestSolverTotals:
+    """``/metrics.solver`` folds per-cell ``solver_stats`` like ``SolverStats.merge``."""
+
+    @staticmethod
+    def record(**stats) -> dict:
+        return {"cells": [{"result": {"solver_stats": stats}}, {"result": None}]}
+
+    def test_max_trail_is_a_high_water_mark_across_jobs(self, tmp_path):
+        service = DeterrentService(tmp_path / "queue", cache_dir=tmp_path / "cache")
+        service._fold_solver_stats("a", self.record(conflicts=2, max_trail=5))
+        service._fold_solver_stats("b", self.record(conflicts=3, max_trail=7))
+        _, metrics = service.metrics()
+        assert metrics["solver"]["conflicts"] == 5  # totals sum
+        assert metrics["solver"]["max_trail"] == 7  # not 12
+
+    def test_a_job_is_folded_once(self, tmp_path):
+        service = DeterrentService(tmp_path / "queue", cache_dir=tmp_path / "cache")
+        for _ in range(2):
+            service._fold_solver_stats("a", self.record(decisions=4))
+        assert service.metrics()[1]["solver"]["decisions"] == 4
+
+
 # ----------------------------------------------------------------------
 # Telemetry over HTTP: Prometheus exposition + traceparent propagation
 # ----------------------------------------------------------------------
@@ -352,11 +374,12 @@ class TestPrometheusExposition:
         self, service_url, traced_service
     ):
         url, _ = service_url
-        obs.metrics.counter_add("queue_jobs_run", 3)
+        obs.metrics.observe("cell_seconds", 0.25)
         status, text = fetch_text(url + "/metrics?format=prometheus")
         assert status == 200
-        assert "# TYPE deterrent_queue_jobs_run counter" in text
-        assert "deterrent_queue_jobs_run 3" in text
+        assert "# TYPE deterrent_queue_done gauge" in text  # JSON-derived
+        assert "# TYPE deterrent_cell_seconds histogram" in text
+        assert "deterrent_cell_seconds_count 1" in text
         assert "\n\n" not in text.strip()  # one well-formed exposition
 
 
