@@ -17,18 +17,10 @@ The package is organised into substrates plus the paper's core contribution:
 - :mod:`repro.baselines` — random, MERO, TARMAC, TGRL, and ATPG baselines.
 - :mod:`repro.experiments` — harnesses that regenerate every paper table and
   figure.
+
+Packages re-export nothing: import each name from the module that defines
+it, e.g. ``from repro.core.pipeline import DeterrentPipeline``.  Importing a
+module then loads only what it uses; ``repro.sat.solver`` loads no numpy.
 """
-
-from repro.circuits.netlist import Netlist
-from repro.core.config import DeterrentConfig
-from repro.core.pipeline import DeterrentPipeline, DeterrentResult
-
-__all__ = [
-    "Netlist",
-    "DeterrentConfig",
-    "DeterrentPipeline",
-    "DeterrentResult",
-    "__version__",
-]
 
 __version__ = "1.0.0"

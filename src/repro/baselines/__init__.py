@@ -15,20 +15,3 @@ uniformly:
 - :mod:`repro.baselines.tgrl` — TGRL [Pan & Mishra, ASP-DAC 2021]: RL over
   test-pattern bit flips rewarded by rareness and SCOAP testability.
 """
-
-from repro.baselines.random_patterns import random_pattern_set
-from repro.baselines.atpg import atpg_pattern_set
-from repro.baselines.mero import MeroConfig, mero_pattern_set
-from repro.baselines.tarmac import TarmacConfig, tarmac_pattern_set
-from repro.baselines.tgrl import TgrlConfig, tgrl_pattern_set
-
-__all__ = [
-    "random_pattern_set",
-    "atpg_pattern_set",
-    "MeroConfig",
-    "mero_pattern_set",
-    "TarmacConfig",
-    "tarmac_pattern_set",
-    "TgrlConfig",
-    "tgrl_pattern_set",
-]

@@ -4,18 +4,3 @@ This subpackage provides the netlist data model that every other part of the
 library operates on, plus construction helpers, file I/O, scan conversion and
 the benchmark suite used by the experiments.
 """
-
-from repro.circuits.gates import GateType, Gate, evaluate_gate
-from repro.circuits.netlist import Netlist
-from repro.circuits.builder import NetlistBuilder
-from repro.circuits.library import benchmark_suite, load_benchmark
-
-__all__ = [
-    "GateType",
-    "Gate",
-    "evaluate_gate",
-    "Netlist",
-    "NetlistBuilder",
-    "benchmark_suite",
-    "load_benchmark",
-]

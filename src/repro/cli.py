@@ -631,6 +631,7 @@ def _print_job_result(body: dict[str, Any]) -> None:
 
 
 def _command_queue_worker(args: argparse.Namespace) -> int:
+    from repro.service.jobs import import_harnesses
     from repro.service.queue import (
         DEFAULT_LEASE_SECONDS,
         DurableQueue,
@@ -638,6 +639,9 @@ def _command_queue_worker(args: argparse.Namespace) -> int:
         worker_loop,
     )
 
+    # Load the job stack before the first heartbeat: start-up, not the
+    # first job, pays for it.
+    import_harnesses()
     queue = DurableQueue(
         args.queue_dir,
         lease_seconds=(

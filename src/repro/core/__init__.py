@@ -16,30 +16,3 @@ pipeline on raw sequential netlists: temporal activatability pre-filter,
 greedy compatibility sets via joint unrolled justification, and SAT-guided
 multi-cycle test sequences.
 """
-
-from repro.core.config import DeterrentConfig
-from repro.core.compatibility import CompatibilityAnalysis
-from repro.core.environment import TriggerActivationEnv
-from repro.core.agent import DeterrentAgent
-from repro.core.patterns import PatternSet, SequenceSet, generate_patterns
-from repro.core.pipeline import DeterrentPipeline, DeterrentResult
-from repro.core.sequence_gen import (
-    SequentialCompatibility,
-    analyze_sequential_compatibility,
-    generate_sequences,
-)
-
-__all__ = [
-    "DeterrentConfig",
-    "CompatibilityAnalysis",
-    "TriggerActivationEnv",
-    "DeterrentAgent",
-    "PatternSet",
-    "SequenceSet",
-    "generate_patterns",
-    "DeterrentPipeline",
-    "DeterrentResult",
-    "SequentialCompatibility",
-    "analyze_sequential_compatibility",
-    "generate_sequences",
-]

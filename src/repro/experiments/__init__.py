@@ -22,13 +22,3 @@ Every harness implements the runner protocol (``cells`` / ``run_cell`` /
 and any worker-process count; the module-level ``run(...)`` functions remain
 as thin wrappers over the runner for programmatic use.
 """
-
-from repro.experiments.common import (
-    ExperimentProfile,
-    FULL,
-    QUICK,
-    TINY,
-    prepare_benchmark,
-)
-
-__all__ = ["ExperimentProfile", "QUICK", "FULL", "TINY", "prepare_benchmark"]

@@ -113,7 +113,8 @@ class Span:
     def set_attr(self, key: str, value) -> None:
         self.attrs[key] = value
 
-    def end(self, status: str = "ok") -> None:
+    def end(self, status: str = "ok", at: float | None = None) -> None:
+        """Record the span; ``at`` is the ``perf_counter()`` it ended at (default: now)."""
         if self._ended:
             return
         self._ended = True
@@ -123,7 +124,7 @@ class Span:
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "start": self.start_time,
-            "dur_s": time.perf_counter() - self._start_perf,
+            "dur_s": (time.perf_counter() if at is None else at) - self._start_perf,
             "status": status,
             "pid": os.getpid(),
             "attrs": self.attrs,
@@ -142,7 +143,7 @@ class _NoopSpan:
     def set_attr(self, key, value):
         pass
 
-    def end(self, status: str = "ok"):
+    def end(self, status: str = "ok", at: float | None = None):
         pass
 
 

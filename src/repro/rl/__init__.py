@@ -6,21 +6,3 @@ PPO implementation in pure numpy, including the two "boosted exploration"
 knobs the paper tunes in §3.4 (entropy-loss coefficient and the GAE smoothing
 parameter λ) and the state-dependent action masking of §3.3.
 """
-
-from repro.rl.nn import Mlp, Adam
-from repro.rl.policy import MaskedCategoricalPolicy
-from repro.rl.env import Environment, VectorizedEnvironment
-from repro.rl.buffer import RolloutBuffer
-from repro.rl.ppo import PpoConfig, PpoTrainer, TrainingSummary
-
-__all__ = [
-    "Mlp",
-    "Adam",
-    "MaskedCategoricalPolicy",
-    "Environment",
-    "VectorizedEnvironment",
-    "RolloutBuffer",
-    "PpoConfig",
-    "PpoTrainer",
-    "TrainingSummary",
-]

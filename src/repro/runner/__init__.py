@@ -21,64 +21,3 @@ per-harness scripts used to re-implement ad hoc:
 - :mod:`repro.runner.faults` — deterministic fault injection (scripted
   crash/hang/corrupt/error) for chaos-testing every recovery path above.
 """
-
-from repro.runner.backends import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-    backend_names,
-    register_backend,
-    resolve_backend,
-)
-from repro.runner.cache import (
-    ArtifactCache,
-    config_fingerprint,
-    get_default_cache,
-    netlist_fingerprint,
-    set_default_cache,
-)
-from repro.runner.execution import CellOutcome, ExperimentRun, ExperimentRunner, run_experiment
-from repro.runner.faults import CorruptResult, FaultPlan, FaultRule, SimulatedCrash
-from repro.runner.parallel import Shard, make_shards, resolve_jobs, sharded_map
-from repro.runner.registry import ExperimentSpec, all_experiments, get_experiment
-from repro.runner.resilience import (
-    ResilienceError,
-    ResiliencePolicy,
-    ResilientOutcome,
-    run_tasks,
-)
-
-__all__ = [
-    "ArtifactCache",
-    "config_fingerprint",
-    "get_default_cache",
-    "netlist_fingerprint",
-    "set_default_cache",
-    "ExecutionBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "ThreadPoolBackend",
-    "backend_names",
-    "register_backend",
-    "resolve_backend",
-    "CorruptResult",
-    "FaultPlan",
-    "FaultRule",
-    "SimulatedCrash",
-    "ResilienceError",
-    "ResiliencePolicy",
-    "ResilientOutcome",
-    "run_tasks",
-    "Shard",
-    "make_shards",
-    "resolve_jobs",
-    "sharded_map",
-    "ExperimentSpec",
-    "all_experiments",
-    "get_experiment",
-    "CellOutcome",
-    "ExperimentRun",
-    "ExperimentRunner",
-    "run_experiment",
-]

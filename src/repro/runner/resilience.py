@@ -362,6 +362,10 @@ def run_tasks(
                 still_pending: list[int] = []
                 round_bad = False
                 abandoned = False
+                # perf_counter() at which each future resolved: a task span
+                # ends there, not when the collect loop reaches it (on the
+                # serial backend every task resolves inside submit).
+                resolved_at: dict[int, float] = {}
                 try:
                     futures: list[tuple[int, Future | None, Any]] = []
                     for index in pending:
@@ -386,6 +390,12 @@ def run_tasks(
                         except BrokenExecutor:
                             # The pool died while we were still feeding it.
                             future = None
+                        else:
+                            future.add_done_callback(
+                                lambda _, index=index: resolved_at.setdefault(
+                                    index, time.perf_counter()
+                                )
+                            )
                         futures.append((index, future, task_span))
 
                     wait_timeout = policy.timeout if active.supports_timeout else None
@@ -417,9 +427,10 @@ def run_tasks(
                                 failure = f"validator error: {error!r}"
                             if not valid and failure is None:
                                 failure = "corrupt"
+                        ended = resolved_at.get(index)
                         if failure is None:
                             outcome.results[index] = value
-                            task_span.end()
+                            task_span.end(at=ended)
                             continue
                         kind = failure.split(":", 1)[0]
                         if kind == "timeout":
@@ -437,7 +448,7 @@ def run_tasks(
                             f"{active.name}: {failure}"
                         )
                         task_span.set_attr("failure", failure)
-                        task_span.end(status=kind)
+                        task_span.end(status=kind, at=ended)
                         still_pending.append(index)
                 finally:
                     _collect_backend_counters(executor, outcome)

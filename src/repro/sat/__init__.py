@@ -16,44 +16,3 @@ reduction) and observed through cumulative :class:`SolverStats` — every
 higher-level entry point (:class:`Justifier`, :class:`SequentialJustifier`,
 :class:`TimeFrameExpansion`) accepts a ``config`` and exposes ``stats()``.
 """
-
-from repro.sat.cnf import CNF, Literal
-from repro.sat.heap import ActivityHeap
-from repro.sat.solver import (
-    RESTART_POLICIES,
-    CdclSolver,
-    SolverConfig,
-    SolverResult,
-    SolverStats,
-    luby,
-    solve_cnf,
-)
-from repro.sat.encode import CircuitEncoder
-from repro.sat.justify import Justifier
-from repro.sat.unroll import TimeFrameExpansion
-from repro.sat.temporal import (
-    SequenceWitness,
-    SequentialJustifier,
-    replay_fire_cycles,
-    temporal_fire_cycles,
-)
-
-__all__ = [
-    "ActivityHeap",
-    "CNF",
-    "Literal",
-    "RESTART_POLICIES",
-    "CdclSolver",
-    "SolverConfig",
-    "SolverResult",
-    "SolverStats",
-    "luby",
-    "solve_cnf",
-    "CircuitEncoder",
-    "Justifier",
-    "TimeFrameExpansion",
-    "SequenceWitness",
-    "SequentialJustifier",
-    "replay_fire_cycles",
-    "temporal_fire_cycles",
-]

@@ -26,41 +26,3 @@ lives in :mod:`repro.runner`:
 Everything here is stdlib-only (``http.server``, ``pickle``, ``json``,
 ``subprocess``) — no new runtime dependencies.
 """
-
-from repro.service.jobs import (
-    JOB_RESULT_KIND,
-    JobRequest,
-    job_record_test_sets,
-    run_service_job,
-    validate_job,
-)
-from repro.service.queue import (
-    DurableQueue,
-    Lease,
-    LeaseLost,
-    QueueResult,
-    TaskSpec,
-    WorkerOptions,
-    worker_loop,
-)
-from repro.service.queue_backend import QueueBackend, RemoteTaskError
-from repro.service.server import DeterrentService, serve
-
-__all__ = [
-    "DurableQueue",
-    "Lease",
-    "LeaseLost",
-    "QueueResult",
-    "TaskSpec",
-    "WorkerOptions",
-    "worker_loop",
-    "QueueBackend",
-    "RemoteTaskError",
-    "JOB_RESULT_KIND",
-    "JobRequest",
-    "job_record_test_sets",
-    "run_service_job",
-    "validate_job",
-    "DeterrentService",
-    "serve",
-]

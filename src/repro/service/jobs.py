@@ -31,11 +31,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.circuits.bench_io import loads_bench
+from repro.circuits.bench_io import dumps_bench, loads_bench
 from repro.circuits.library import benchmark_suite, load_benchmark, register_netlist
 from repro.circuits.netlist import Netlist
+from repro.experiments.common import profile_by_name
 from repro.runner.cache import config_fingerprint, get_default_cache, netlist_fingerprint
-from repro.runner.registry import get_experiment
+from repro.runner.execution import _jsonable
+from repro.runner.registry import all_experiments, get_experiment
 
 #: Artifact-cache kind holding finished service job records.
 JOB_RESULT_KIND = "service_jobs"
@@ -97,8 +99,6 @@ def validate_job(payload: Mapping[str, Any]) -> JobRequest:
     profile = payload.get("profile", "tiny")
     if not isinstance(profile, str):
         raise JobValidationError("'profile' must be a profile name (tiny, quick, full)")
-    from repro.experiments.common import profile_by_name
-
     try:
         profile_obj = profile_by_name(profile)
     except KeyError as error:
@@ -183,8 +183,6 @@ def _content_digest(netlist: Netlist) -> str:
     the digest sorts the lines: net names carry the structure, making the
     sorted line set a canonical form.
     """
-    from repro.circuits.bench_io import dumps_bench
-
     body = "\n".join(
         sorted(
             line
@@ -222,6 +220,16 @@ def resolve_design(netlist: Netlist) -> str:
     return name
 
 
+def import_harnesses() -> None:
+    """Import every registered harness module, so no job pays for loading one.
+
+    Validating a job resolves its harness on the server, and running it
+    resolves it again on the worker; both processes call this at start-up.
+    """
+    for spec in all_experiments():
+        spec.resolve()
+
+
 def run_service_job(payload: dict[str, Any]) -> dict[str, Any]:
     """Execute one job (worker side); return — and cache — its record.
 
@@ -231,9 +239,6 @@ def run_service_job(payload: dict[str, Any]) -> dict[str, Any]:
     every grid cell serially in this worker, and stores the finished record
     in the default artifact cache under the job's content address.
     """
-    from repro.experiments.common import profile_by_name
-    from repro.runner.execution import _jsonable
-
     request = validate_job(payload)
     spec = get_experiment(request.experiment)
     module = spec.resolve()
@@ -331,6 +336,7 @@ __all__ = [
     "RESERVED_OPTIONS",
     "JobRequest",
     "JobValidationError",
+    "import_harnesses",
     "job_record_test_sets",
     "resolve_design",
     "run_service_job",

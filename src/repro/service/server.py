@@ -46,6 +46,7 @@ from repro.sat.solver import SolverStats
 from repro.service.jobs import (
     JOB_RESULT_KIND,
     JobValidationError,
+    import_harnesses,
     run_service_job,
     validate_job,
 )
@@ -428,6 +429,9 @@ def serve(
                 parent_pid=os.getpid(),
             )
         )
+    # While the workers start: the first submit must not pay for importing
+    # the harness it is validated against.
+    import_harnesses()
     bound_host, bound_port = server.server_address[:2]
     print(f"deterrent service listening on http://{bound_host}:{bound_port}")
     print(f"  queue: {service.queue.root}")

@@ -3,42 +3,3 @@
 The hot path is the compiled engine (:mod:`repro.simulation.compiled`);
 :class:`BitParallelSimulator` remains as a dict-API compatibility shim.
 """
-
-from repro.simulation.compiled import (
-    CompiledNetlist,
-    CompiledSequentialNetlist,
-    batched_conjunctions,
-    compile_netlist,
-    compile_sequential_netlist,
-    conjunction_words,
-)
-from repro.simulation.logic_sim import (
-    BitParallelSimulator,
-    simulate_pattern,
-    simulate_sequences,
-)
-from repro.simulation.probability import (
-    cop_probabilities,
-    estimate_sequential_signal_probabilities,
-    estimate_signal_probabilities,
-)
-from repro.simulation.rare_nets import RareNet, extract_rare_nets
-from repro.simulation.testability import scoap_testability
-
-__all__ = [
-    "BitParallelSimulator",
-    "CompiledNetlist",
-    "CompiledSequentialNetlist",
-    "compile_netlist",
-    "compile_sequential_netlist",
-    "batched_conjunctions",
-    "conjunction_words",
-    "simulate_pattern",
-    "simulate_sequences",
-    "estimate_signal_probabilities",
-    "estimate_sequential_signal_probabilities",
-    "cop_probabilities",
-    "RareNet",
-    "extract_rare_nets",
-    "scoap_testability",
-]

@@ -1,39 +1,1 @@
 """Hardware Trojan modelling, insertion, and trigger-coverage evaluation."""
-
-from repro.trojan.model import (
-    SequentialTrigger,
-    SequentialTrojan,
-    Trojan,
-    TriggerCondition,
-)
-from repro.trojan.insertion import (
-    insert_sequential_trojan,
-    insert_trojan,
-    sample_sequential_trojans,
-    sample_trojans,
-)
-from repro.trojan.evaluation import (
-    CoverageResult,
-    coverage_curve,
-    sequence_ground_truth_coverage,
-    sequence_trigger_coverage,
-    sequential_trigger_coverage,
-    trigger_coverage,
-)
-
-__all__ = [
-    "Trojan",
-    "TriggerCondition",
-    "SequentialTrigger",
-    "SequentialTrojan",
-    "sample_trojans",
-    "insert_trojan",
-    "sample_sequential_trojans",
-    "insert_sequential_trojan",
-    "CoverageResult",
-    "trigger_coverage",
-    "sequential_trigger_coverage",
-    "sequence_trigger_coverage",
-    "sequence_ground_truth_coverage",
-    "coverage_curve",
-]

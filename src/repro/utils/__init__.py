@@ -1,6 +1,1 @@
 """Shared utilities: deterministic RNG helpers, timing, and bit packing."""
-
-from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.timing import Stopwatch
-
-__all__ = ["make_rng", "spawn_rngs", "Stopwatch"]

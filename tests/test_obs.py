@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.obs.metrics import (
     prometheus_name,
 )
 from repro.obs.trace import TraceContext, build_tree, load_spans, orphan_spans
+from repro.runner.resilience import run_tasks
 
 
 @pytest.fixture
@@ -196,6 +198,18 @@ class TestSpans:
         assert event["ph"] == "X" and event["name"] == "outer"
         assert event["ts"] > 0 and event["dur"] >= 0
         assert json.dumps(payload)  # fully JSON-serialisable
+
+    def test_serial_task_spans_end_when_their_task_does(self, traced):
+        # The serial backend runs each task inside submit(): a task span that
+        # ended in the collect loop would stretch over every later task.
+        run_tasks(time.sleep, [(0.05,)] * 3, backend="serial", label="cell")
+        obs.trace.flush_spans()
+        spans = load_spans(traced)
+        cells = {s["span_id"]: s for s in spans if s["name"].startswith("cell[")}
+        workers = {s["parent_id"]: s for s in spans if s["name"] == "worker"}
+        assert len(cells) == 3 and set(workers) == set(cells)
+        for span_id, cell in cells.items():
+            assert cell["dur_s"] <= workers[span_id]["dur_s"] + 0.02, cell["name"]
 
 
 # ----------------------------------------------------------------------

@@ -377,16 +377,20 @@ class TestDifferentialFuzz:
 
 
 class TestPublicSurface:
-    def test_sat_package_exports(self):
-        import repro.sat as sat
+    def test_sat_module_exports(self):
+        from repro.sat import heap, justify, solver, temporal, unroll
 
-        for name in (
-            "ActivityHeap", "CdclSolver", "SolverConfig", "SolverStats",
-            "SolverResult", "Justifier", "SequentialJustifier",
-            "TimeFrameExpansion", "luby", "solve_cnf", "RESTART_POLICIES",
+        for module, names in (
+            (heap, ("ActivityHeap",)),
+            (solver, ("CdclSolver", "SolverConfig", "SolverStats", "SolverResult",
+                      "luby", "solve_cnf", "RESTART_POLICIES")),
+            (justify, ("Justifier",)),
+            (temporal, ("SequentialJustifier",)),
+            (unroll, ("TimeFrameExpansion",)),
         ):
-            assert name in sat.__all__
-            assert getattr(sat, name) is not None
+            for name in names:
+                assert name in module.__all__
+                assert getattr(module, name) is not None
 
     def test_justifier_accepts_config_and_reports_stats(self):
         from repro.circuits import generators
