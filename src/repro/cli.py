@@ -253,11 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="idle sleep between claim attempts",
     )
     worker_parser.add_argument(
-        "--no-heartbeat", action="store_true",
-        help="do not renew leases while running (jobs longer than the lease "
-             "will be stolen; chaos-testing aid)",
-    )
-    worker_parser.add_argument(
         "--heartbeat-interval", type=float, default=None, metavar="S",
         help="seconds between lease renewals (default: lease/3)",
     )
@@ -651,7 +646,6 @@ def _command_queue_worker(args: argparse.Namespace) -> int:
     options = WorkerOptions(
         worker_id=args.worker_id,
         poll_interval=args.poll_interval,
-        heartbeat=not args.no_heartbeat,
         heartbeat_interval=args.heartbeat_interval,
         max_task_seconds=args.max_task_seconds,
         max_idle_seconds=args.max_idle_seconds,

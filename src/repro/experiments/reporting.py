@@ -111,12 +111,6 @@ def resilience_summary(counters: dict | None) -> str:
             f"degraded to {counters.get('final_backend', 'serial')}"
             + (f" ({reason})" if reason else "")
         )
-    backend_counters = counters.get("backend_counters") or {}
-    if backend_counters:
-        rendered = ", ".join(
-            f"{key}={value}" for key, value in sorted(backend_counters.items())
-        )
-        parts.append(f"queue: {rendered}")
     if len(parts) == 1:
         parts.append("clean")
     return "execution: " + ", ".join(parts)

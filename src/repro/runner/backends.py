@@ -28,12 +28,9 @@ handling.  That robustness layer lives in :mod:`repro.runner.resilience`,
 which drives any backend through this interface — including rebuilding a
 broken pool and downgrading to :class:`SerialBackend` mid-run.
 
-Backends resolve by *registered name* (:func:`register_backend` /
-:func:`backend_names`), so out-of-tree implementations plug into
-``--backend`` without touching this module.  The durable-queue backend
-(:mod:`repro.service.queue_backend`, the detection-as-a-service remote
-half) registers lazily under ``"queue"`` — its factory imports the service
-package only when the name is actually requested.
+Backends resolve by name (:func:`backend_names` feeds the CLI's
+``--backend`` choices); :func:`resolve_backend` also accepts any object
+implementing :class:`ExecutionBackend`.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ class ExecutionBackend(Protocol):
 
     Attributes:
         name: stable identifier (``"serial"``, ``"process"``, ``"thread"``,
-            or a custom name for third-party backends).
+            or a custom backend's own name).
         workers_are_processes: True when workers live in dedicated
             processes — a scripted ``crash`` fault may really ``os._exit``,
             and an abandoned executor's workers can be terminated.
@@ -66,42 +63,8 @@ class ExecutionBackend(Protocol):
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
     ) -> Executor:
-        """A fresh executor; the caller owns its lifecycle.
-
-        The returned executor may additionally expose two *optional* hooks
-        the resilience layer probes for: ``cancel_pending()`` (withdraw
-        work that never started, called when a round is abandoned) and
-        ``backend_counters() -> dict[str, int]`` (self-reported robustness
-        counters — the queue executor reports worker ``respawns``, lease
-        ``reclaims``, and total job ``deliveries``; collected via
-        :func:`collect_executor_counters` before shutdown).
-        """
+        """A fresh executor; the caller owns its lifecycle."""
         ...
-
-
-def collect_executor_counters(executor: Executor) -> dict[str, int]:
-    """An executor's self-reported counters, or ``{}``.
-
-    Probes the optional ``backend_counters()`` hook (see
-    :meth:`ExecutionBackend.make_executor`).  Must be called *before* the
-    executor shuts down: the queue executor derives its counters from
-    event counts that live in a directory shutdown may delete.  Never raises —
-    counters are telemetry, not control flow.
-    """
-    collect = getattr(executor, "backend_counters", None)
-    if not callable(collect):
-        return {}
-    try:
-        counters = collect()
-    except Exception:  # noqa: BLE001 - telemetry must not fail the round
-        return {}
-    if not isinstance(counters, dict):
-        return {}
-    return {
-        str(key): int(value)
-        for key, value in counters.items()
-        if isinstance(value, (int, float)) and not isinstance(value, bool)
-    }
 
 
 class _SerialExecutor(Executor):
@@ -193,49 +156,24 @@ class ThreadPoolBackend:
         )
 
 
-def _queue_backend_factory() -> "ExecutionBackend":
-    """Lazy factory for the durable-queue backend (avoids an import cycle
-    and keeps the service package out of the CLI's import hot path)."""
-    from repro.service.queue_backend import QueueBackend
-
-    return QueueBackend()
-
-
-#: The registered-name table behind :func:`resolve_backend`.  Each entry is
-#: a zero-argument factory returning a fresh backend instance.
-_BACKENDS: dict[str, Callable[[], "ExecutionBackend"]] = {
+#: The name table behind :func:`resolve_backend`: each backend class
+#: builds a fresh instance.
+_BACKENDS: dict[str, Callable[[], ExecutionBackend]] = {
     "serial": SerialBackend,
     "process": ProcessPoolBackend,
     "thread": ThreadPoolBackend,
-    "queue": _queue_backend_factory,
 }
 
 
-def register_backend(
-    name: str, factory: Callable[[], "ExecutionBackend"], replace: bool = False
-) -> None:
-    """Register ``factory`` under ``name`` for :func:`resolve_backend`.
-
-    The factory takes no arguments and returns a fresh backend; it may
-    import lazily.  Re-registering an existing name requires
-    ``replace=True`` so typos cannot silently shadow a built-in.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    if name in _BACKENDS and not replace:
-        raise ValueError(f"backend {name!r} is already registered")
-    _BACKENDS[name] = factory
-
-
 def backend_names() -> tuple[str, ...]:
-    """Every resolvable backend name (built-ins plus registered extras)."""
+    """Every backend name :func:`resolve_backend` accepts."""
     return tuple(sorted(_BACKENDS))
 
 
 def resolve_backend(
-    backend: "ExecutionBackend | str | None", jobs: int | None = None
+    backend: ExecutionBackend | str | None, jobs: int | None = None
 ) -> ExecutionBackend:
-    """Normalise a backend request: instance, registered name, or None.
+    """Normalise a backend request: instance, name, or None.
 
     None picks the historical default from the job count: serial for
     ``jobs`` <= 1 (or unknown), the process pool otherwise.
@@ -260,7 +198,5 @@ __all__ = [
     "SerialBackend",
     "ThreadPoolBackend",
     "backend_names",
-    "collect_executor_counters",
-    "register_backend",
     "resolve_backend",
 ]

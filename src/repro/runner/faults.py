@@ -23,16 +23,6 @@ installing the plan); under the thread and serial backends — where exiting
 would kill the caller — it raises :class:`SimulatedCrash` instead, which the
 resilience layer classifies exactly like a dead worker.
 
-Queue workers (``only_backend="queue"``, see :mod:`repro.service`) are real
-processes, so their ``crash`` faults really ``os._exit`` mid-lease — and the
-recovery path is the durable queue's lease expiry, not a broken pool.  A
-reclaimed job re-runs the *same* submitted attempt in a fresh worker, so the
-worker loop installs the job's delivery count as an **attempt offset**
-(:func:`set_attempt_offset`): ``maybe_inject`` matches rules against
-``attempt + offset``, which makes "crash on attempt 1" fire exactly once and
-the redelivered job (effective attempt 2) recover — the same replay
-semantics a retry round has on the in-process backends.
-
 Nothing here runs unless a plan has been installed: production runs never
 pay for the hook.
 """
@@ -79,7 +69,7 @@ class FaultRule:
     numbers are 1-based and monotonically increasing across retries and
     backend downgrades, so ``attempts=1`` means "fail once, then recover".
     ``only_backend`` restricts the rule to one backend name (``"serial"``,
-    ``"process"``, ``"thread"``, ``"queue"``); None fires everywhere.
+    ``"process"``, ``"thread"``); None fires everywhere.
     """
 
     task_index: int
@@ -186,7 +176,6 @@ class FaultPlan:
 _ACTIVE_PLAN: FaultPlan | None = None
 _ACTIVE_BACKEND: str = ""
 _ALLOW_PROCESS_EXIT: bool = False
-_ATTEMPT_OFFSET: int = 0
 
 
 def install_fault_plan(
@@ -198,32 +187,10 @@ def install_fault_plan(
     dedicated worker process may die for a ``crash`` rule; in-process
     backends raise :class:`SimulatedCrash` instead.
     """
-    global _ACTIVE_PLAN, _ACTIVE_BACKEND, _ALLOW_PROCESS_EXIT, _ATTEMPT_OFFSET
+    global _ACTIVE_PLAN, _ACTIVE_BACKEND, _ALLOW_PROCESS_EXIT
     _ACTIVE_PLAN = plan
     _ACTIVE_BACKEND = backend_name
     _ALLOW_PROCESS_EXIT = workers_are_processes
-    _ATTEMPT_OFFSET = 0
-
-
-def set_attempt_offset(offset: int) -> None:
-    """Shift the attempt number rules match against (queue redeliveries).
-
-    The pooled backends bake the attempt number into each submitted call, so
-    a retry is a *new* submission and rules key on it directly.  The durable
-    queue instead *re-delivers the same submission* after a lease expires —
-    the worker loop calls this with ``deliveries - 1`` before running a job
-    so that rules observe ``submitted attempt + redeliveries`` and chaos
-    scenarios replay identically on both execution styles.
-    """
-    global _ATTEMPT_OFFSET
-    if offset < 0:
-        raise ValueError(f"attempt offset must be >= 0, got {offset}")
-    _ATTEMPT_OFFSET = offset
-
-
-def attempt_offset() -> int:
-    """The currently armed attempt offset (0 outside queue redeliveries)."""
-    return _ATTEMPT_OFFSET
 
 
 def clear_fault_plan() -> None:
@@ -247,7 +214,7 @@ def maybe_inject(task_index: int, attempt: int) -> CorruptResult | None:
     plan = _ACTIVE_PLAN
     if plan is None:
         return None
-    rule = plan.rule_for(task_index, attempt + _ATTEMPT_OFFSET, _ACTIVE_BACKEND)
+    rule = plan.rule_for(task_index, attempt, _ACTIVE_BACKEND)
     if rule is None:
         return None
     if rule.kind == "crash":
@@ -274,9 +241,7 @@ __all__ = [
     "FaultRule",
     "SimulatedCrash",
     "active_fault_plan",
-    "attempt_offset",
     "clear_fault_plan",
     "install_fault_plan",
     "maybe_inject",
-    "set_attempt_offset",
 ]

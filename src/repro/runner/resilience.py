@@ -49,12 +49,7 @@ from typing import Any
 
 from repro import obs
 from repro.runner import faults
-from repro.runner.backends import (
-    ExecutionBackend,
-    SerialBackend,
-    collect_executor_counters,
-    resolve_backend,
-)
+from repro.runner.backends import ExecutionBackend, SerialBackend, resolve_backend
 
 #: Multiplier decorrelating per-task jitter streams (Knuth's 32-bit prime).
 _JITTER_STRIDE = 2654435761
@@ -131,9 +126,6 @@ class ResilientOutcome:
     degraded_reason: str | None = None
     attempts: list[int] = field(default_factory=list)
     failures: dict[int, list[str]] = field(default_factory=dict)
-    #: Counters reported by the executor itself (the queue backend reports
-    #: worker respawns, lease reclaims, and total job deliveries here).
-    backend_counters: dict[str, int] = field(default_factory=dict)
 
     def counters(self) -> dict[str, Any]:
         """JSON-ready robustness counters for run records and reports."""
@@ -148,7 +140,6 @@ class ResilientOutcome:
             "corrupt": self.corrupt,
             "degraded": self.degraded,
             "degraded_reason": self.degraded_reason,
-            "backend_counters": dict(self.backend_counters),
         }
 
     @property
@@ -255,17 +246,6 @@ def _round_initializer(
     return chained, chained_args
 
 
-def _collect_backend_counters(executor: Executor, outcome: ResilientOutcome) -> None:
-    """Fold an executor's self-reported counters into the outcome.
-
-    Must run *before* :func:`_release_executor`: the queue executor may
-    delete its owned queue directory on shutdown, taking the event counts
-    the counters are derived from with it.
-    """
-    for key, value in collect_executor_counters(executor).items():
-        outcome.backend_counters[key] = outcome.backend_counters.get(key, 0) + value
-
-
 def _release_executor(
     executor: Executor, backend: ExecutionBackend, abandoned: bool
 ) -> None:
@@ -275,18 +255,8 @@ def _release_executor(
     would stall the run, and leaving it alive would leak a process past the
     interpreter's exit handlers.  ``Executor`` has no public kill switch,
     so this reaches for the pool's process table; the attribute access is
-    defensive because a custom backend may not have one.  An executor that
-    exposes ``cancel_pending()`` (the durable-queue executor) gets it
-    called first, so work that never started is withdrawn from the shared
-    queue instead of being run by a worker into a round nobody is watching.
+    defensive because a custom backend may not have one.
     """
-    if abandoned:
-        cancel_pending = getattr(executor, "cancel_pending", None)
-        if callable(cancel_pending):
-            try:
-                cancel_pending()
-            except Exception:  # noqa: BLE001 - cleanup must not mask the retry
-                pass
     if abandoned and backend.workers_are_processes:
         processes = getattr(executor, "_processes", None) or {}
         for process in list(processes.values()):
@@ -451,7 +421,6 @@ def run_tasks(
                         task_span.end(status=kind, at=ended)
                         still_pending.append(index)
                 finally:
-                    _collect_backend_counters(executor, outcome)
                     _release_executor(executor, active, abandoned)
 
                 consecutive_bad_rounds = consecutive_bad_rounds + 1 if round_bad else 0

@@ -1,4 +1,4 @@
-"""Detection as a service: durable queue, queue backend, and HTTP server.
+"""Detection as a service: durable queue, queue workers, and HTTP server.
 
 This package is the remote half of the execution story whose local half
 lives in :mod:`repro.runner`:
@@ -7,12 +7,9 @@ lives in :mod:`repro.runner`:
   lease/ack/nack files, lease expiry + heartbeats so a dead worker's jobs
   are reclaimed, and deterministic content-addressed job ids (the same
   SHA-256 addressing the :class:`~repro.runner.cache.ArtifactCache` uses).
-- :mod:`repro.service.queue_backend` — a
-  :class:`~repro.runner.backends.ExecutionBackend` whose executor enqueues
-  work into a durable queue and resolves futures as independent
-  work-stealing ``deterrent queue-worker`` processes lease, run, and ack
-  tasks.  Selectable as ``--backend queue``; composes unchanged with the
-  retry/timeout/degradation layer in :mod:`repro.runner.resilience`.
+  It also holds the worker side: ``worker_loop`` (the body of ``deterrent
+  queue-worker``) and ``spawn_worker``, which ``deterrent serve --workers``
+  uses to start local workers.
 - :mod:`repro.service.jobs` — the service job contract: validate a
   submitted ``.bench`` netlist + harness/options against the experiment
   registry, derive the content-addressed job id, and run the job in a

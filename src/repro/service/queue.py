@@ -11,7 +11,7 @@ any point leaves the queue in a state the next reader understands:
 - task file, no lease → queued (claimable);
 - task file + live lease → running (left alone);
 - task file + expired lease → the worker died or hung: any worker may
-  *reclaim* the job (delete the stale lease, claim again with an
+  *reclaim* the job (replace the stale lease with its own, with an
   incremented delivery count);
 - result file → done (the task and lease files are gone or ignorable).
 
@@ -19,14 +19,17 @@ Layout under the queue root::
 
     tasks/<job_id>.task      pickled header + TaskSpec (atomic write)
     leases/<job_id>.lease    JSON lease (atomic claim via O_CREAT|O_EXCL)
+    leases/<job_id>.<N>.reclaimed  who reclaimed delivery N (O_CREAT|O_EXCL)
     results/<job_id>.result  pickled QueueResult (atomic write)
+    results/<job_id>.corrupt an unreadable result, moved aside
     workers/<worker>.json    per-worker liveness heartbeat
-    events_totals.json       lifetime event counts (reclaim, corrupt_task)
+    events_totals.json       lifetime event counts (reclaim, corrupt_task,
+                             corrupt_result)
     events_totals.lock       flock guarding the counts' read-modify-write
     stop                     cooperative shutdown marker
 
-Queue events are counted, not logged: each reclaim or corrupt task adds one
-to its count in ``events_totals.json``, a
+Queue events are counted, not logged: each reclaim, corrupt task or corrupt
+result adds one to its count in ``events_totals.json``, a
 :class:`repro.utils.fsio.CounterFile` every process sharing the directory
 adds to without losing increments.  ``stats()`` reports those lifetime
 counts.  Event counts are telemetry, never control flow: a failed add is
@@ -36,17 +39,16 @@ Job ids are **deterministic content addresses**: the default id of a task
 spec is :func:`repro.runner.cache.config_fingerprint` over the spec's
 canonical description — the same SHA-256 addressing scheme the
 :class:`~repro.runner.cache.ArtifactCache` uses for artifacts — so
-re-enqueueing the same work is idempotent and the HTTP service can use one
-digest as both its job id and its cache address.  Callers that need
-distinct ids for repeated attempts (the queue execution backend) pass an
-explicit ``job_id``.
+re-enqueueing the same work is idempotent.  The HTTP service passes its own
+content address (:meth:`repro.service.jobs.JobRequest.job_id`) as an
+explicit ``job_id`` and uses that one digest as its cache address too.
 
-Delivery counting feeds fault injection: a job's lease records how many
-times it has been claimed, and :func:`worker_loop` installs that count as
-the attempt offset in :mod:`repro.runner.faults` — so a scripted
-"crash on attempt 1" rule fires once, kills one worker for real, and the
-reclaimed delivery (attempt 2) recovers, exactly like a retry round on the
-in-process backends.
+A reclaim is exclusive per delivery generation: before replacing an
+expired lease of delivery ``N``, a worker must create the ``<N>.reclaimed``
+marker, so of two workers that both saw the same stale lease exactly one
+takes the job.  An unreadable result file is moved aside and counted
+(``corrupt_results``), so the job runs again instead of reading as "still
+in flight" forever.
 """
 
 from __future__ import annotations
@@ -55,17 +57,18 @@ import hashlib
 import json
 import os
 import pickle
+import subprocess
 import sys
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro import obs
 from repro.runner.cache import config_fingerprint
-from repro.utils.fsio import CounterFile, atomic_write
+from repro.utils.fsio import CounterFile, atomic_write, move_aside
 
 #: Default lease duration: a worker that neither heartbeats nor acks within
 #: this window is presumed dead and its job becomes reclaimable.
@@ -84,34 +87,23 @@ class TaskSpec:
     """One picklable unit of queued work: a module-level function + arguments.
 
     ``fn`` must be importable by name in the worker process (the same
-    contract the process backend imposes).  ``initializer``/``initargs``
-    replay the submitting side's worker initialisation (per-worker solver
-    stacks, fault plans) once per worker process before the first task that
-    carries them runs.
+    contract the process backend imposes).
     """
 
     fn: Callable[..., Any]
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
-    initializer: Callable[..., None] | None = None
-    initargs: tuple = ()
     label: str = "task"
 
     def content_key(self) -> dict[str, Any]:
         """Canonical description of this spec for content-addressed job ids."""
-
-        def _name(obj: Any) -> str | None:
-            if obj is None:
-                return None
-            return f"{getattr(obj, '__module__', '?')}:{getattr(obj, '__qualname__', repr(obj))}"
-
+        fn = self.fn
         payload = pickle.dumps(
-            (self.args, tuple(sorted(self.kwargs.items())), self.initargs),
+            (self.args, tuple(sorted(self.kwargs.items()))),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         return {
-            "fn": _name(self.fn),
-            "initializer": _name(self.initializer),
+            "fn": f"{getattr(fn, '__module__', '?')}:{getattr(fn, '__qualname__', repr(fn))}",
             "payload": hashlib.sha256(payload).hexdigest(),
             "label": self.label,
         }
@@ -196,7 +188,7 @@ class DurableQueue:
         if job_id is None:
             job_id = spec.job_id()
         task_path = self.tasks_dir / f"{job_id}.task"
-        if task_path.exists() or self.result_path(job_id).exists():
+        if task_path.exists() or self.result(job_id) is not None:
             return job_id  # already queued, running, or done: idempotent
         header = {
             "job_id": job_id,
@@ -212,16 +204,6 @@ class DurableQueue:
         atomic_write(task_path, buffer)
         return job_id
 
-    def cancel(self, job_id: str) -> bool:
-        """Remove a queued (unleased, unfinished) job; True when removed."""
-        if self._live_lease(job_id) is not None:
-            return False
-        try:
-            (self.tasks_dir / f"{job_id}.task").unlink()
-        except OSError:
-            return False
-        return True
-
     # ------------------------------------------------------------------
     # Worker side: claim / heartbeat / ack / fail / release
     # ------------------------------------------------------------------
@@ -230,10 +212,10 @@ class DurableQueue:
 
         Work-stealing: every worker scans the shared task directory; an
         exclusive lease-file create decides races.  A job whose lease has
-        expired is *reclaimed* — the stale lease is deleted (exactly one
-        racer wins the unlink) and the job is claimed again with its
-        delivery count incremented, so fault rules and metrics can tell a
-        first delivery from a redelivery.
+        expired is *reclaimed*: the one racer that creates the stale
+        delivery's ``.reclaimed`` marker replaces the lease with its own,
+        with the delivery count incremented, so metrics can tell a first
+        delivery from a redelivery.
         """
         if now is None:
             now = time.time()
@@ -245,23 +227,16 @@ class DurableQueue:
                 continue  # acked concurrently
         for _, task_path in sorted(candidates, key=lambda pair: (pair[0], pair[1].name)):
             job_id = task_path.stem
-            if self.result_path(job_id).exists():
+            if self.result(job_id) is not None:
                 # Finished but not fully cleaned up (a crash between writing
                 # the result and removing the task): finish the cleanup.
                 self._cleanup_done(job_id)
                 continue
-            deliveries = 1
             lease_path = self.leases_dir / f"{job_id}.lease"
             stale = self._read_lease(lease_path)
-            if stale is not None:
-                if stale.get("expires_at", 0.0) > now:
-                    continue  # live lease: someone else is on it
-                try:
-                    lease_path.unlink()
-                except OSError:
-                    continue  # a peer won the reclaim race
-                deliveries = int(stale.get("deliveries", 1)) + 1
-                self._count_event("reclaim")
+            if stale is not None and stale.get("expires_at", 0.0) > now:
+                continue  # live lease: someone else is on it
+            deliveries = 1 if stale is None else int(stale.get("deliveries", 1)) + 1
             record = {
                 "job_id": job_id,
                 "worker": worker,
@@ -271,8 +246,17 @@ class DurableQueue:
                 "expires_at": now + self.lease_seconds,
                 "lease_seconds": self.lease_seconds,
             }
-            if not self._try_lease(lease_path, record):
-                continue  # lost the claim race
+            if stale is None:
+                if not self._create_exclusive(lease_path, record):
+                    continue  # lost the claim race
+            else:
+                marker = self.leases_dir / f"{job_id}.{deliveries - 1}.reclaimed"
+                if not self._create_exclusive(marker, record):
+                    continue  # a peer won the reclaim of this delivery
+                # Replace, never unlink-then-create: the lease file never
+                # goes missing, so no fresh claim can slip in between.
+                atomic_write(lease_path, json.dumps(record).encode())
+                self._count_event("reclaim")
             loaded = self._read_task(task_path)
             if loaded is None:
                 # Unreadable/corrupt task file: fail it permanently so it
@@ -335,8 +319,8 @@ class DurableQueue:
 
     def fail(self, lease: Lease, error: BaseException, elapsed: float = 0.0) -> None:
         """Complete ``lease`` with a failure result (the task is *not* retried
-        by the queue; retries belong to the submitting side's resilience
-        policy, which sees the failure through the result file)."""
+        by the queue; a retry is the submitter's call — the HTTP service
+        clears a failed result when the job is submitted again)."""
         self._store_result(
             QueueResult(
                 job_id=lease.job_id,
@@ -358,31 +342,9 @@ class DurableQueue:
     def release(self, lease: Lease) -> None:
         """Give up ``lease`` without finishing the job (it stays queued)."""
         if self._owns(lease):
-            try:
-                (self.leases_dir / f"{lease.job_id}.lease").unlink()
-            except OSError:
-                pass
-
-    def expire_leases_of(self, pids: Iterable[int]) -> int:
-        """Force-expire leases held by known-dead local processes.
-
-        The supervisor that spawned a worker knows its death immediately —
-        no need to wait out the lease clock.  The lease is rewritten with an
-        already-passed expiry rather than deleted, so the delivery count
-        survives into the reclaim path.
-        """
-        dead = set(int(pid) for pid in pids)
-        expired = 0
-        for lease_path in self.leases_dir.glob("*.lease"):
-            info = self._read_lease(lease_path)
-            if info is None or int(info.get("pid", -1)) not in dead:
-                continue
-            if info.get("expires_at", 0.0) <= 0.0:
-                continue  # already force-expired
-            info["expires_at"] = 0.0
-            atomic_write(lease_path, json.dumps(info).encode())
-            expired += 1
-        return expired
+            # The next claim restarts the delivery count, so the reclaim
+            # markers of this run of the job must go with the lease.
+            self._remove_lease_files(lease.job_id)
 
     # ------------------------------------------------------------------
     # Status and results
@@ -392,15 +354,26 @@ class DurableQueue:
         return self.results_dir / f"{job_id}.result"
 
     def result(self, job_id: str) -> QueueResult | None:
-        """The job's terminal result, or None while it is still in flight."""
+        """The job's terminal result, or None while it is still in flight.
+
+        Results are written atomically, so an unreadable one is corrupt, not
+        torn.  It is moved aside and counted, which lets ``put`` enqueue the
+        job again and ``claim`` run it; at worst a racing reader moves a
+        fresh result aside too, and the job runs once more.
+        """
+        path = self.result_path(job_id)
         try:
-            with self.result_path(job_id).open("rb") as handle:
+            with path.open("rb") as handle:
                 loaded = pickle.load(handle)
         except FileNotFoundError:
             return None
         except Exception:
-            return None  # partially visible only on non-atomic filesystems
-        return loaded if isinstance(loaded, QueueResult) else None
+            loaded = None
+        if isinstance(loaded, QueueResult):
+            return loaded
+        if move_aside(path, self.results_dir / f"{job_id}.corrupt"):
+            self._count_event("corrupt_result")  # else a peer moved and counted it
+        return None
 
     def status(self, job_id: str, now: float | None = None) -> str:
         """``queued`` | ``leased`` | ``done`` | ``failed`` | ``unknown``."""
@@ -447,6 +420,7 @@ class DurableQueue:
             "done": len(done_ids),
             "reclaims": events.get("reclaim", 0),
             "corrupt_tasks": events.get("corrupt_task", 0),
+            "corrupt_results": events.get("corrupt_result", 0),
             "workers_alive": sum(1 for info in workers.values() if info["alive"]),
             "workers_seen": len(workers),
             "stop_requested": self.stop_requested(),
@@ -488,12 +462,11 @@ class DurableQueue:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _try_lease(self, lease_path: Path, record: dict[str, Any]) -> bool:
-        """Atomically create the lease file; False when a peer won the race."""
+    def _create_exclusive(self, path: Path, record: dict[str, Any]) -> bool:
+        """Atomically create ``path`` (a lease or a reclaim marker) holding
+        ``record``; False when a peer created it first."""
         try:
-            descriptor = os.open(
-                lease_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-            )
+            descriptor = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
         except FileExistsError:
             return False
         with os.fdopen(descriptor, "w") as handle:
@@ -572,8 +545,15 @@ class DurableQueue:
         except OSError:
             pass
         if owner is None or self._owns(owner):
+            self._remove_lease_files(job_id)
+
+    def _remove_lease_files(self, job_id: str) -> None:
+        """Unlink ``job_id``'s lease and every reclaim marker it left."""
+        paths = [self.leases_dir / f"{job_id}.lease"]
+        paths += self.leases_dir.glob(f"{job_id}.*.reclaimed")
+        for path in paths:
             try:
-                (self.leases_dir / f"{job_id}.lease").unlink()
+                path.unlink()
             except OSError:
                 pass
 
@@ -589,15 +569,13 @@ class DurableQueue:
 class WorkerOptions:
     """Configuration of one work-stealing queue worker.
 
-    ``heartbeat`` may be disabled for chaos tests that need a hung task to
-    actually lose its lease; ``max_task_seconds`` is the production-shaped
-    equivalent — the heartbeat thread stops renewing past that budget, so a
-    wedged task is eventually stolen even though its worker is alive.
+    Past ``max_task_seconds`` the heartbeat thread stops renewing the job's
+    lease, so a wedged task is eventually stolen even though its worker is
+    alive.
     """
 
     worker_id: str | None = None
     poll_interval: float = 0.1
-    heartbeat: bool = True
     heartbeat_interval: float | None = None
     max_task_seconds: float | None = None
     max_idle_seconds: float | None = None
@@ -611,16 +589,13 @@ def worker_loop(queue: DurableQueue, options: WorkerOptions | None = None) -> in
 
     The loop exits when :meth:`DurableQueue.request_stop` has been called,
     after ``max_jobs`` completed jobs, or after ``max_idle_seconds`` without
-    claimable work.  Each job runs under the fault-injection attempt offset
-    ``deliveries - 1`` so scripted fault plans replay exactly across queue
-    redeliveries (see :mod:`repro.runner.faults`).
+    claimable work.
     """
     options = options or WorkerOptions()
     worker_id = options.worker_id or f"worker-{os.getpid()}"
     started = time.time()
     last_work = time.time()
     jobs_done = 0
-    ran_initializers: set[str] = set()
     if options.cache_dir is not None:
         _install_cache(options.cache_dir)
     while not queue.stop_requested():
@@ -638,7 +613,7 @@ def worker_loop(queue: DurableQueue, options: WorkerOptions | None = None) -> in
             continue
         last_work = time.time()
         _write_worker_heartbeat(queue, worker_id, started, jobs_done, lease.job_id)
-        _run_one(queue, lease, options, ran_initializers)
+        _run_one(queue, lease, options)
         jobs_done += 1
         last_work = time.time()
         if options.max_jobs is not None and jobs_done >= options.max_jobs:
@@ -647,12 +622,7 @@ def worker_loop(queue: DurableQueue, options: WorkerOptions | None = None) -> in
     return jobs_done
 
 
-def _run_one(
-    queue: DurableQueue,
-    lease: Lease,
-    options: WorkerOptions,
-    ran_initializers: set[str],
-) -> None:
+def _run_one(queue: DurableQueue, lease: Lease, options: WorkerOptions) -> None:
     """Execute one leased job inside its telemetry span (when traced).
 
     The job header's ``trace`` block both enables telemetry in a worker
@@ -667,7 +637,7 @@ def _run_one(
     if trace_dir and not obs.enabled():
         obs.install_worker(trace_dir)
     if not obs.enabled():
-        _run_leased_job(queue, lease, options, ran_initializers)
+        _run_leased_job(queue, lease, options)
         return
     parent = obs.TraceContext.from_dict(trace_info) if trace_info else None
     try:
@@ -681,66 +651,39 @@ def _run_one(
             },
             parent=parent,
         ):
-            _run_leased_job(queue, lease, options, ran_initializers)
+            _run_leased_job(queue, lease, options)
     finally:
         # Flush *after* the span context closed, so the job's own span
         # record is part of this job's export (not the next one's).
         obs.flush()
 
 
-def _run_leased_job(
-    queue: DurableQueue,
-    lease: Lease,
-    options: WorkerOptions,
-    ran_initializers: set[str],
-) -> None:
-    """Execute one leased job: init, heartbeat, run, ack/fail."""
-    from repro.runner import faults
-
+def _run_leased_job(queue: DurableQueue, lease: Lease, options: WorkerOptions) -> None:
+    """Execute one leased job: heartbeat, run, ack/fail."""
     spec = lease.spec
     cache_dir = options.cache_dir or lease.header.get("cache_dir")
     if cache_dir:
         _install_cache(cache_dir)
     started = time.perf_counter()
-    try:
-        if spec.initializer is not None:
-            key = hashlib.sha256(
-                pickle.dumps((spec.initializer, spec.initargs))
-            ).hexdigest()
-            if key not in ran_initializers:
-                spec.initializer(*spec.initargs)
-                ran_initializers.add(key)
-    except Exception as error:
-        queue.fail(lease, error, elapsed=time.perf_counter() - started)
-        return
-
     stop_beat = threading.Event()
-    lost = threading.Event()
-    beat_thread: threading.Thread | None = None
-    if options.heartbeat:
-        interval = options.heartbeat_interval or max(0.05, lease.lease_seconds / 3.0)
-        deadline = (
-            None
-            if options.max_task_seconds is None
-            else time.time() + options.max_task_seconds
-        )
+    interval = options.heartbeat_interval or max(0.05, lease.lease_seconds / 3.0)
+    deadline = (
+        None if options.max_task_seconds is None else time.time() + options.max_task_seconds
+    )
 
-        def _beat() -> None:
-            while not stop_beat.wait(interval):
-                if deadline is not None and time.time() > deadline:
-                    return  # stop renewing: let the lease expire and be stolen
-                try:
-                    queue.heartbeat(lease)
-                except LeaseLost:
-                    lost.set()
-                    return
-                except OSError:
-                    pass
+    def _beat() -> None:
+        while not stop_beat.wait(interval):
+            if deadline is not None and time.time() > deadline:
+                return  # stop renewing: let the lease expire and be stolen
+            try:
+                queue.heartbeat(lease)
+            except LeaseLost:
+                return
+            except OSError:
+                pass
 
-        beat_thread = threading.Thread(target=_beat, daemon=True)
-        beat_thread.start()
-
-    faults.set_attempt_offset(lease.deliveries - 1)
+    beat_thread = threading.Thread(target=_beat, daemon=True)
+    beat_thread.start()
     try:
         value = spec.fn(*spec.args, **spec.kwargs)
         failure: BaseException | None = None
@@ -748,17 +691,14 @@ def _run_leased_job(
         value = None
         failure = error
     finally:
-        faults.set_attempt_offset(0)
         stop_beat.set()
-        if beat_thread is not None:
-            beat_thread.join(timeout=2.0)
+        beat_thread.join(timeout=2.0)
     elapsed = time.perf_counter() - started
-    if lost.is_set():
-        # A peer reclaimed the job mid-run; it owns the outcome now.  Only
-        # record our result if nobody else has yet (results are
-        # deterministic, so a duplicate write is bit-identical anyway).
-        if queue.result(lease.job_id) is not None:
-            return
+    if queue.result(lease.job_id) is not None and not queue._owns(lease):
+        # A peer reclaimed the job mid-run and has finished it: its result
+        # stands.  (If the peer is still running, ours is written and the
+        # peer's deterministic result later replaces it.)
+        return
     if failure is not None:
         queue.fail(lease, failure, elapsed=elapsed)
     else:
@@ -796,6 +736,44 @@ def _write_worker_heartbeat(
         pass
 
 
+def spawn_worker(
+    queue_dir: str | Path,
+    *,
+    worker_id: str | None = None,
+    lease_seconds: float = DEFAULT_LEASE_SECONDS,
+    poll_interval: float = 0.05,
+    max_task_seconds: float | None = None,
+    parent_pid: int | None = None,
+    cache_dir: str | None = None,
+) -> subprocess.Popen:
+    """Start one ``deterrent queue-worker`` process on ``queue_dir``.
+
+    The child inherits this interpreter and the current ``sys.path`` (via
+    ``PYTHONPATH``), so it resolves the same package — installed or
+    src-layout checkout — as the caller.
+    """
+    command = [
+        sys.executable, "-m", "repro", "queue-worker",
+        "--queue-dir", str(queue_dir),
+        "--poll-interval", str(poll_interval),
+        "--lease-seconds", str(lease_seconds),
+    ]
+    if worker_id is not None:
+        command += ["--worker-id", worker_id]
+    if max_task_seconds is not None:
+        command += ["--max-task-seconds", str(max_task_seconds)]
+    if parent_pid is not None:
+        command += ["--parent-pid", str(parent_pid)]
+    if cache_dir is not None:
+        command += ["--cache-dir", str(cache_dir)]
+    env = dict(os.environ)
+    search_paths = [entry for entry in sys.path if entry]
+    if env.get("PYTHONPATH"):
+        search_paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(search_paths))
+    return subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
+
+
 __all__ = [
     "DEFAULT_LEASE_SECONDS",
     "WORKER_LIVENESS_SECONDS",
@@ -805,5 +783,6 @@ __all__ = [
     "QueueResult",
     "TaskSpec",
     "WorkerOptions",
+    "spawn_worker",
     "worker_loop",
 ]

@@ -15,9 +15,9 @@ One small threaded HTTP server in front of the shared queue + cache:
 - ``GET /jobs/<id>`` — status (``queued`` / ``leased`` / ``done`` /
   ``failed``) and, once finished, the full job record.
 - ``GET /healthz`` — liveness plus a one-line queue summary.
-- ``GET /metrics`` — queue depth and in-flight leases, reclaim and
-  corrupt-task counters, per-worker liveness, cache hit/miss/store
-  counters (session and lifetime), and aggregate CDCL
+- ``GET /metrics`` — queue depth and in-flight leases, reclaim,
+  corrupt-task and corrupt-result counters, per-worker liveness, cache
+  hit/miss/store counters (session and lifetime), and aggregate CDCL
   :class:`~repro.sat.solver.SolverStats` folded out of every completed job
   record this server has seen.
 
@@ -50,7 +50,12 @@ from repro.service.jobs import (
     run_service_job,
     validate_job,
 )
-from repro.service.queue import DEFAULT_LEASE_SECONDS, DurableQueue, TaskSpec
+from repro.service.queue import (
+    DEFAULT_LEASE_SECONDS,
+    DurableQueue,
+    TaskSpec,
+    spawn_worker,
+)
 
 #: Maximum accepted request body (a .bench netlist plus options; 16 MiB is
 #: orders of magnitude above every benchmark in the suite).
@@ -412,8 +417,6 @@ def serve(
     there; spawned workers inherit the directory through the environment,
     so their ``queue.job`` spans land in the same export.
     """
-    from repro.service.queue_backend import spawn_worker
-
     if trace_dir is not None:
         obs.configure(trace_dir)
     service = DeterrentService(queue_dir, cache_dir=cache_dir, lease_seconds=lease_seconds)

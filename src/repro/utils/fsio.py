@@ -12,6 +12,8 @@ through this module, so there is exactly one implementation of each of:
 - :class:`CounterFile` — a ``{name: int}`` JSON file that many processes
   add to concurrently without losing an increment (read-modify-write under
   :func:`file_lock`, finished by :func:`atomic_write`).
+- :func:`move_aside` — atomically rename a bad file out of a reader's way,
+  keeping it for inspection.
 
 Stdlib only.
 """
@@ -50,6 +52,19 @@ def atomic_write(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def move_aside(path: Path, target: Path) -> bool:
+    """Atomically move ``path`` to ``target``, replacing any earlier one.
+
+    False when ``path`` is already gone, e.g. a concurrent reader moved it
+    first.
+    """
+    try:
+        os.replace(path, target)
+    except OSError:
+        return False
+    return True
 
 
 @contextmanager
@@ -114,4 +129,4 @@ class CounterFile:
             pass
 
 
-__all__ = ["CounterFile", "atomic_write", "file_lock"]
+__all__ = ["CounterFile", "atomic_write", "file_lock", "move_aside"]

@@ -21,6 +21,7 @@ from repro.runner.backends import (
     ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
+    backend_names,
     resolve_backend,
 )
 from repro.runner.execution import ExperimentRunner
@@ -101,6 +102,13 @@ class TestBackends:
     def test_resolve_backend_rejects_unknown_name(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
             resolve_backend("bogus")
+
+    def test_queue_is_not_an_execution_backend(self):
+        """The durable queue serves ``deterrent serve`` only; ``--backend``
+        offers exactly the three pools."""
+        assert sorted(backend_names()) == ["process", "serial", "thread"]
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            resolve_backend("queue")
 
     def test_serial_executor_mirrors_initializer_failure_into_future(self):
         def bad_init():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +52,13 @@ class TestDocsMatchRegistry:
         text = (REPO_ROOT / "docs" / "experiments.md").read_text()
         for spec in all_experiments():
             assert f"`{spec.name}`" in text, f"{spec.name} missing from docs/experiments.md"
+
+    def test_every_documented_backend_exists(self):
+        from repro.runner.backends import backend_names
+
+        shown = set()
+        for path in _link_checker().doc_files(REPO_ROOT):
+            for match in re.finditer(r"--backend[ =]([\w|]+)", path.read_text()):
+                shown.update(match.group(1).split("|"))
+        assert shown, "no --backend example in README.md or docs/"
+        assert sorted(shown - set(backend_names())) == []

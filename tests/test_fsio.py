@@ -18,7 +18,7 @@ import repro
 from repro.runner.cache import ArtifactCache, get_default_cache, set_default_cache
 from repro.runner.execution import ExperimentRunner
 from repro.runner.registry import ExperimentSpec, GridCell
-from repro.utils.fsio import CounterFile, atomic_write, file_lock
+from repro.utils.fsio import CounterFile, atomic_write, file_lock, move_aside
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +50,15 @@ class TestAtomicWrite:
         with pytest.raises(OSError):
             atomic_write(target, b"data")
         assert [path.name for path in tmp_path.iterdir()] == ["occupied"]
+
+
+class TestMoveAside:
+    def test_moves_once_and_a_second_mover_gets_false(self, tmp_path):
+        bad, aside = tmp_path / "job.result", tmp_path / "job.corrupt"
+        bad.write_bytes(b"torn")
+        assert move_aside(bad, aside) is True
+        assert move_aside(bad, aside) is False  # a racing reader got there first
+        assert not bad.exists() and aside.read_bytes() == b"torn"
 
 
 class TestFileLock:

@@ -1,11 +1,11 @@
-"""Merge parity of the telemetry layer across all four execution backends.
+"""Merge parity of the telemetry layer across all three execution backends.
 
-The same tiny grid traced on the serial, thread, process, and queue backends
+The same tiny grid traced on the serial, thread, and process backends
 must produce (a) one connected span tree per run — every worker span linked
 back to the submitting run span — and (b) identical run records: the same
 per-cell results, ``solver_stats`` included.  Counts are read from the
 record, their one owner; the telemetry block carries spans and timings only.
-The grid is warmed once into a shared artifact cache so all four runs
+The grid is warmed once into a shared artifact cache so all three runs
 execute the same cached work and the comparison is bit-exact, not merely
 statistical.
 """
@@ -21,7 +21,7 @@ from repro.runner.execution import run_experiment
 
 pytestmark = pytest.mark.obs
 
-BACKENDS = ("serial", "thread", "process", "queue")
+BACKENDS = ("serial", "thread", "process")
 
 #: One 2-cell sequential_detect grid — the smallest grid where parallel
 #: backends actually schedule more than one task.
@@ -103,15 +103,6 @@ class TestSpanLinkage:
         names = [record["name"] for record in load_spans(trace_dir)]
         assert names.count("solver.sequence_gen") == 2
 
-    def test_queue_backend_adds_job_spans(self, traced_runs):
-        _, trace_dir = traced_runs["queue"]
-        spans = load_spans(trace_dir)
-        job_spans = [record for record in spans if record["name"] == "queue.job"]
-        assert len(job_spans) == 2
-        by_id = {record["span_id"]: record for record in spans}
-        for record in job_spans:
-            assert by_id[record["parent_id"]]["name"] == "tasks.cell"
-
 
 class TestRecordParity:
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -134,15 +125,18 @@ class TestRecordParity:
         assert telemetry["spans"] > 0
         assert telemetry["profiles"]["cell_seconds"]["count"] == 2
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_resilience_block_names_the_backend_and_nothing_else(
+        self, traced_runs, backend
+    ):
+        resilience = traced_runs[backend][0].record()["resilience"]
+        assert set(resilience) == {
+            "backend", "final_backend", "rounds", "retries", "timeouts",
+            "crashes", "errors", "corrupt", "degraded", "degraded_reason",
+        }
+        assert resilience["backend"] == resilience["final_backend"] == backend
+        assert not resilience["degraded"] and resilience["retries"] == 0
+
     def test_results_are_identical_across_backends(self, traced_runs):
         reports = {run.report_text for run, _ in traced_runs.values()}
         assert len(reports) == 1  # telemetry never perturbs the science
-
-
-class TestQueueBackendCounters:
-    def test_resilience_counters_report_deliveries(self, traced_runs):
-        run, _ = traced_runs["queue"]
-        backend_counters = run.resilience["backend_counters"]
-        assert backend_counters["deliveries"] >= 2
-        assert backend_counters["reclaims"] == 0
-        assert backend_counters["respawns"] == 0

@@ -317,6 +317,26 @@ class TestCli:
         assert cli_main(["report", "transfer", "--results-dir", str(tmp_path)]) == 0
         assert "coverage" in capsys.readouterr().out
 
+    def test_run_rejects_the_removed_queue_backend(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([
+                "run", "sequential", "--profile", "tiny", "--backend", "queue",
+                "--results-dir", str(tmp_path),
+            ])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'queue'" in err
+        for name in ("process", "serial", "thread"):
+            assert f"'{name}'" in err
+        assert not any(tmp_path.iterdir())  # rejected before anything ran
+
+    def test_queue_worker_rejects_the_removed_no_heartbeat_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["queue-worker", "--queue-dir", str(tmp_path), "--no-heartbeat"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-heartbeat" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_cache_subcommand(self, tmp_path, capsys):
         from repro.runner.cache import ArtifactCache, set_default_cache
 

@@ -3,13 +3,15 @@
 Everything here runs the queue *in process* (no spawned workers), so each
 atomic transition — claim race, lease expiry, crash between lease and ack,
 restart of the queue directory — can be staged deterministically.  The
-subprocess-worker and ``--backend queue`` paths live in
-``test_queue_backend.py``; the HTTP service in ``test_service_http.py``.
+same scenarios against spawned ``deterrent queue-worker`` processes live in
+``test_queue_workers.py``; the HTTP service in ``test_service_http.py``.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import threading
 import time
 
 import pytest
@@ -42,13 +44,6 @@ def build_row(design: str, seed: int) -> dict:
         "coverage": round((seed * 37 % 100) / 3.0, 6),
         "detected": [f"t{i}" for i in range(seed % 4)],
     }
-
-
-INIT_CALLS: list[tuple] = []
-
-
-def record_init(*args):
-    INIT_CALLS.append(args)
 
 
 @pytest.fixture
@@ -113,16 +108,6 @@ class TestQueueLifecycle:
         assert "boom 1" in result.error["message"]
         assert queue.claim("w2") is None  # the queue never re-runs failures
 
-    def test_cancel_removes_queued_but_not_leased_jobs(self, queue):
-        job_id = queue.put(TaskSpec(fn=square, args=(1,)))
-        other = queue.put(TaskSpec(fn=square, args=(2,)))
-        lease = queue.claim("w1")
-        leased_id, free_id = lease.job_id, other if lease.job_id == job_id else job_id
-        assert queue.cancel(free_id) is True
-        assert queue.status(free_id) == "unknown"
-        assert queue.cancel(leased_id) is False
-        assert queue.status(leased_id) == "leased"
-
     def test_claim_is_oldest_first(self, queue):
         first = queue.put(TaskSpec(fn=square, args=(1,)))
         time.sleep(0.02)
@@ -143,6 +128,24 @@ class TestQueueLifecycle:
         assert again.job_id == job_id
         # a release is not a reclaim: delivery count restarts from the lease
         assert again.deliveries == 1
+
+    def test_release_after_a_reclaim_lets_the_next_expiry_be_reclaimed(self, tmp_path):
+        """A released job restarts at delivery 1, so the reclaim marker of
+        its earlier delivery 1 must go with the lease: left behind, it would
+        make every later reclaim of that delivery lose to a ghost."""
+        queue = DurableQueue(tmp_path / "q", lease_seconds=1.0)
+        job_id = queue.put(TaskSpec(fn=square, args=(5,)))
+        queue.claim("dead", now=0.0)
+        reclaimed = queue.claim("B", now=10.0)
+        assert reclaimed.deliveries == 2
+        queue.release(reclaimed)
+        assert list(queue.leases_dir.iterdir()) == []
+
+        restarted = queue.claim("C", now=20.0)
+        assert (restarted.job_id, restarted.deliveries) == (job_id, 1)
+        again = queue.claim("D", now=30.0)  # C died too
+        assert again is not None and again.deliveries == 2
+        assert queue.stats(now=30.0)["reclaims"] == 2
 
 
 class TestLeasesAndHeartbeats:
@@ -174,15 +177,35 @@ class TestLeasesAndHeartbeats:
         assert lease.deliveries == 2
         assert queue.stats()["reclaims"] == 1
 
-    def test_force_expire_preserves_delivery_count(self, queue):
+    def test_each_expired_delivery_is_reclaimed_once(self, tmp_path):
+        queue = DurableQueue(tmp_path / "q", lease_seconds=1.0)
         job_id = queue.put(TaskSpec(fn=square, args=(3,)))
-        lease = queue.claim("w1")
-        assert queue.expire_leases_of([lease.pid]) == 1
-        # the lease file survives with expires_at=0, so the reclaim sees
-        # deliveries=1 and increments instead of restarting
-        reclaimed = queue.claim("w2")
-        assert reclaimed.job_id == job_id
-        assert reclaimed.deliveries == 2
+        queue.claim("A", now=0.0)
+        assert queue.claim("B", now=10.0).deliveries == 2
+        third = queue.claim("C", now=20.0)
+        assert (third.job_id, third.deliveries) == (job_id, 3)
+        assert queue.claim("D", now=20.5) is None  # C's lease is live
+        markers = sorted(path.name for path in queue.leases_dir.glob("*.reclaimed"))
+        assert markers == [f"{job_id}.1.reclaimed", f"{job_id}.2.reclaimed"]
+        assert queue.stats(now=20.5)["reclaims"] == 2
+        queue.ack(third, 9)
+        assert list(queue.leases_dir.iterdir()) == []
+
+    def test_late_finisher_leaves_the_reclaimers_lease_alone(self, tmp_path):
+        """The presumed-dead worker finishing after a reclaim writes its
+        (identical) result, but only the lease holder retires the lease."""
+        queue = DurableQueue(tmp_path / "q", lease_seconds=1.0)
+        job_id = queue.put(TaskSpec(fn=square, args=(4,)))
+        late = queue.claim("late", now=0.0)
+        holder = queue.claim("holder", now=10.0)
+        queue.ack(late, 16)
+        assert queue.result(job_id).worker == "late"
+        assert queue.lease_info(job_id)["worker"] == "holder"
+        assert (queue.leases_dir / f"{job_id}.1.reclaimed").exists()
+        queue.ack(holder, 16)
+        result = queue.result(job_id)
+        assert (result.worker, result.deliveries, result.value) == ("holder", 2, 16)
+        assert list(queue.leases_dir.iterdir()) == []
 
     def test_corrupt_task_file_fails_permanently(self, queue):
         job_id = queue.put(TaskSpec(fn=square, args=(1,)))
@@ -262,15 +285,54 @@ class TestWorkerLoop:
         result = queue.result(job_id)
         assert not result.ok and result.error["type"] == "ValueError"
 
-    def test_initializer_runs_once_per_worker(self, queue):
-        INIT_CALLS.clear()
-        for i in range(3):
-            queue.put(
-                TaskSpec(fn=square, args=(i,), label=f"t{i}",
-                         initializer=record_init, initargs=("cfg",))
-            )
-        worker_loop(queue, WorkerOptions(max_idle_seconds=0.0))
-        assert INIT_CALLS == [("cfg",)]
+    def test_failure_result_carries_the_message_and_traceback(self, queue):
+        job_id = queue.put(TaskSpec(fn=boom, args=(3,)))
+        worker_loop(queue, WorkerOptions(max_jobs=1))
+        error = queue.result(job_id).error
+        assert error["message"] == "boom 3"
+        assert "in boom" in error["traceback"]
+        assert error["traceback"].rstrip().endswith("ValueError: boom 3")
+
+    def test_max_idle_ends_a_loop_on_an_empty_queue(self, queue):
+        assert worker_loop(queue, WorkerOptions(worker_id="idle", max_idle_seconds=0.0)) == 0
+        assert queue.worker_liveness()["idle"]["jobs_done"] == 0
+
+    def test_loop_exits_once_its_supervisor_is_gone(self, queue):
+        """``parent_pid`` names the process that must still be the parent;
+        this process is not its own parent, so the loop leaves at once."""
+        job_id = queue.put(TaskSpec(fn=square, args=(2,)))
+        assert worker_loop(queue, WorkerOptions(parent_pid=os.getpid())) == 0
+        assert queue.status(job_id) == "queued"
+
+    def test_external_workers_drain_a_shared_queue(self, tmp_path):
+        """A worker started before any work, on its own view of the
+        directory, drains what a producer enqueues later."""
+        root = tmp_path / "shared"
+        producer = DurableQueue(root)
+        done = []
+        worker = threading.Thread(
+            target=lambda: done.append(
+                worker_loop(
+                    DurableQueue(root), WorkerOptions(worker_id="ext", poll_interval=0.02)
+                )
+            ),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            ids = [producer.put(TaskSpec(fn=square, args=(i,))) for i in range(6)]
+            deadline = time.monotonic() + 30.0
+            while not all(producer.result(job_id) for job_id in ids):
+                assert time.monotonic() < deadline, "the worker never drained the queue"
+                time.sleep(0.02)
+        finally:
+            producer.request_stop()
+            worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        reference = run_tasks(square, [(i,) for i in range(6)], backend="serial").results
+        assert [producer.result(job_id).value for job_id in ids] == reference
+        assert done == [6]
+        assert producer.worker_liveness()["ext"]["jobs_done"] == 6
 
 
 class TestEventCounts:
@@ -351,3 +413,68 @@ class TestDurableRecovery:
         reopened = DurableQueue(root)
         assert reopened.status(job_id) == "done"
         assert reopened.result(job_id).value == 81
+
+    def test_two_workers_racing_one_expired_lease_reclaim_it_once(self, tmp_path):
+        """Worker B reads the stale lease, then worker A reclaims the job
+        before B acts on what it read.  B must back off: replacing A's live
+        lease would hand one delivery to two workers."""
+        root = tmp_path / "q"
+        queue = DurableQueue(root, lease_seconds=1.0)
+        job_id = queue.put(TaskSpec(fn=square, args=(4,)))
+        queue.claim("dead", now=0.0)  # expires at t=1.0 and is never renewed
+
+        worker_a = DurableQueue(root, lease_seconds=1.0)
+        worker_b = DurableQueue(root, lease_seconds=1.0)
+        read_lease = worker_b._read_lease
+        a_leases = []
+
+        def read_then_let_a_reclaim(path):
+            stale = read_lease(path)
+            if not a_leases:
+                a_leases.append(worker_a.claim("A", now=10.0))
+            return stale
+
+        worker_b._read_lease = read_then_let_a_reclaim
+        b_lease = worker_b.claim("B", now=10.0)
+
+        assert b_lease is None
+        assert a_leases[0].job_id == job_id and a_leases[0].deliveries == 2
+        holder = queue.lease_info(job_id)
+        assert holder["worker"] == "A" and holder["deliveries"] == 2
+        assert queue.stats(now=10.0)["reclaims"] == 1
+        # Acking retires the lease and the reclaim marker with it.
+        worker_a.ack(a_leases[0], 16)
+        assert list(queue.leases_dir.iterdir()) == []
+
+    def test_unreadable_result_is_moved_aside_and_the_job_reruns(self, tmp_path):
+        """A corrupt result file must not read as "in flight" forever while
+        ``put`` and ``claim`` treat it as done: it is set aside, counted,
+        and a resubmit runs the job again."""
+        root = tmp_path / "q"
+        queue = DurableQueue(root)
+        spec = TaskSpec(fn=square, args=(8,))
+        job_id = queue.put(spec)
+        assert worker_loop(queue, WorkerOptions(max_idle_seconds=0.0)) == 1
+        queue.result_path(job_id).write_bytes(b"\x80 not a pickle")
+
+        assert queue.put(spec) == job_id  # the resubmit
+        assert queue.status(job_id) == "queued"
+        fresh = DurableQueue(root)
+        assert worker_loop(fresh, WorkerOptions(max_idle_seconds=0.0)) == 1
+        result = fresh.result(job_id)
+        assert result.ok and result.value == 64
+        assert fresh.stats()["corrupt_results"] == 1
+        aside = fresh.results_dir / f"{job_id}.corrupt"
+        assert aside.read_bytes() == b"\x80 not a pickle"
+
+    def test_corrupt_result_is_counted_once_across_readers(self, tmp_path):
+        root = tmp_path / "q"
+        queue = DurableQueue(root)
+        job_id = queue.put(TaskSpec(fn=square, args=(2,)))
+        queue.ack(queue.claim("w"), 4)
+        queue.result_path(job_id).write_bytes(b"torn")
+        readers = [queue, DurableQueue(root), DurableQueue(root)]
+        assert [reader.result(job_id) for reader in readers] == [None, None, None]
+        assert [reader.status(job_id) for reader in readers] == ["unknown"] * 3
+        assert queue.stats()["corrupt_results"] == 1
+        assert queue.stats()["done"] == 0
