@@ -12,7 +12,10 @@ SAT model.  These tests pin that search on three small workloads:
   rare nets of c6288_like, plus five biased witnesses: the verdict list,
   the witness digest and the solver stats;
 - seeded random 3-SAT under a small ``restart_base``/``reduce_base``, so
-  that Luby restarts and clause deletion run, with ``verify_models=True``.
+  that Luby restarts and clause deletion run, with ``verify_models=True``;
+- the same random 3-SAT queries at ``var_decay=clause_decay=0.5``, where
+  the bump increments double per conflict, so both activity rescales
+  (variable past ``1e100``, learned clause past ``1e20``) fire repeatedly.
 
 A speed-up of the solver must leave every constant here unchanged.  If one
 of them has to be re-recorded, the change altered the search, not just its
@@ -128,6 +131,21 @@ RANDOM_RUNS = {
     ),
 }
 
+#: Seed 0 at ``var_decay=clause_decay=0.5``: the variable rescale fired 7
+#: times and the clause rescale 39 times when these were recorded.
+RESCALE_RUN = (
+    "7424e5590e8810c29f6dba7648a0c9f8d0c83fcc7f61590feb0f561d572be9f7",
+    dict(
+        conflicts=2632,
+        decisions=4863,
+        propagations=67538,
+        restarts=218,
+        learned_clauses=2632,
+        deleted_clauses=2276,
+        max_trail=110,
+    ),
+)
+
 
 def test_sequence_generation_search_path():
     netlist = load_benchmark("s13207_like", combinational_view=False)
@@ -174,10 +192,10 @@ def _random_3sat(seed: int, num_vars: int = 110) -> CNF:
     return cnf
 
 
-@pytest.mark.parametrize("seed", sorted(RANDOM_RUNS))
-def test_random_3sat_search_path(seed):
+def _random_3sat_run(seed: int, **decays) -> tuple[str, dict]:
+    """Four assumption queries on one solver: (answers digest, final stats)."""
     config = SolverConfig(
-        restart_base=4, reduce_base=40, reduce_growth=10, verify_models=True
+        restart_base=4, reduce_base=40, reduce_growth=10, verify_models=True, **decays
     )
     solver = CdclSolver(_random_3sat(seed), config=config)
     answers = []
@@ -187,6 +205,13 @@ def test_random_3sat_search_path(seed):
         if result.satisfiable:
             model = "".join("1" if result.model[v] else "0" for v in sorted(result.model))
         answers.append([result.satisfiable, model])
-    expected_answers, expected_stats = RANDOM_RUNS[seed]
-    assert _digest(answers) == expected_answers
-    assert solver.stats().as_dict() == expected_stats
+    return _digest(answers), solver.stats().as_dict()
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_RUNS))
+def test_random_3sat_search_path(seed):
+    assert _random_3sat_run(seed) == RANDOM_RUNS[seed]
+
+
+def test_activity_rescale_search_path():
+    assert _random_3sat_run(0, var_decay=0.5, clause_decay=0.5) == RESCALE_RUN
