@@ -10,8 +10,9 @@ an inverse position index, giving O(log n) for all three.
 Deletion is **lazy** in the MiniSat style: assigning a variable does not
 remove it from the heap; :meth:`pop_unassigned` discards assigned variables
 as it pops, and :meth:`push_many` re-inserts on backtrack (skipping variables
-still in the heap).  Activities live here, not in the solver, so a bump can
-restore the heap order in the same O(log n) sift.
+still in the heap).  Both take the solver's literal codes (``2v`` for ``v``,
+``2v + 1`` for ``-v``).  Activities live here, not in the solver, so a bump
+can restore the heap order in the same O(log n) sift.
 
 All comparisons are on activity alone; equal activities keep a deterministic
 (insertion/sift) order, which is what makes solver runs — and therefore
@@ -62,18 +63,15 @@ class ActivityHeap:
         self._pos.extend(range(size, size + len(fresh)))
         self._heap.extend(fresh)
 
-    def push_many(self, variables) -> None:
-        """Re-insert every listed variable that is absent from the heap.
+    def push_many(self, codes) -> None:
+        """Re-insert the variable of each literal code that is absent.
 
-        Negative entries are accepted and treated as literals (the sign is
-        ignored), so the solver can hand a backtracked trail slice straight
-        over without building an intermediate variable list.  One inlined
-        sift-up per insertion — this is the backtracking hot path.
+        Takes a backtracked trail slice as is.  One inlined sift-up per
+        insertion — this is the backtracking hot path.
         """
         heap, pos, act = self._heap, self._pos, self._act
-        for variable in variables:
-            if variable < 0:
-                variable = -variable
+        for code in codes:
+            variable = code >> 1
             if pos[variable] >= 0:
                 continue
             position = len(heap)
@@ -90,12 +88,12 @@ class ActivityHeap:
             heap[position] = variable
             pos[variable] = position
 
-    def pop_unassigned(self, assign: list[int]) -> int | None:
-        """Pop maximum-activity variables until one has ``assign[v] == -1``.
+    def pop_unassigned(self, value: list[int]) -> int | None:
+        """Pop maximum-activity variables until one has ``value[2v] == -1``.
 
-        Popped assigned variables stay out of the heap (lazy deletion); None
-        when the heap runs empty.  The sift-down is inlined: this is the
-        decision hot path.
+        ``value`` is indexed by literal code.  Popped assigned variables stay
+        out of the heap (lazy deletion); None when the heap runs empty.  The
+        sift-down is inlined: this is the decision hot path.
         """
         heap, pos, act = self._heap, self._pos, self._act
         while heap:
@@ -120,30 +118,24 @@ class ActivityHeap:
                     child_position = 2 * position + 1
                 heap[position] = last
                 pos[last] = position
-            if assign[top] == -1:
+            if value[top << 1] == -1:
                 return top
         return None
 
+    def clear(self) -> None:
+        """Empty the heap in O(n) and keep every activity.  With every
+        variable assigned, this is the state that draining it leaves."""
+        pos = self._pos
+        for variable in self._heap:
+            pos[variable] = -1
+        self._heap.clear()
+
     def bump(self, variable: int, increment: float) -> float:
         """Add ``increment`` to the activity; restore heap order; return it."""
-        activity = self._act[variable] + increment
-        self._act[variable] = activity
-        position = self._pos[variable]
-        if position > 0:
-            self._sift_up(position)
-        return activity
-
-    def rescale(self, factor: float) -> None:
-        """Multiply every activity by ``factor`` (order-preserving)."""
-        self._act = [activity * factor for activity in self._act]
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _sift_up(self, position: int) -> None:
         heap, pos, act = self._heap, self._pos, self._act
-        variable = heap[position]
-        activity = act[variable]
+        activity = act[variable] + increment
+        act[variable] = activity
+        position = pos[variable]
         while position > 0:
             parent_position = (position - 1) >> 1
             parent = heap[parent_position]
@@ -152,8 +144,16 @@ class ActivityHeap:
             heap[position] = parent
             pos[parent] = position
             position = parent_position
-        heap[position] = variable
-        pos[variable] = position
+        if position >= 0:
+            heap[position] = variable
+            pos[variable] = position
+        return activity
+
+    def rescale(self, factor: float) -> None:
+        """Multiply every activity by ``factor`` in place (order-preserving)."""
+        act = self._act
+        for variable in range(len(act)):
+            act[variable] *= factor
 
     def check_invariants(self) -> None:
         """Raise AssertionError unless heap order and position index agree.

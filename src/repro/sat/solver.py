@@ -212,8 +212,6 @@ def luby(index: int) -> int:
     return 1 << height
 
 
-_UNASSIGNED = -1
-
 #: Rescale threshold/factor for EVSIDS activities (MiniSat's constants).
 _ACTIVITY_LIMIT = 1e100
 _ACTIVITY_RESCALE = 1e-100
@@ -222,7 +220,12 @@ _CLAUSE_ACTIVITY_RESCALE = 1e-20
 
 
 class CdclSolver:
-    """Incremental CDCL solver over a :class:`~repro.sat.cnf.CNF` formula."""
+    """Incremental CDCL solver over a :class:`~repro.sat.cnf.CNF` formula.
+
+    Public methods speak DIMACS literals.  Internally a literal is a *code*,
+    ``2v`` for ``v`` and ``2v + 1`` for ``-v`` (negation is ``code ^ 1``),
+    and one value table indexed by code holds 1, 0 or -1 (unassigned).
+    """
 
     def __init__(
         self,
@@ -235,20 +238,21 @@ class CdclSolver:
         self._num_vars = 0
         self._learned: list[Clause] = []
         self._problem: list[Clause] = []
-        # Watch lists are flat arrays indexed by literal code
-        # ``(var << 1) | sign`` holding ``(clause, blocking literal)`` pairs.
-        # Binary clauses live in their own per-literal implication lists
-        # (``falsified literal -> (implied literal, clause)``): their watches
-        # never move, so propagation skips the whole replacement-search dance
-        # — on Tseitin circuit encodings most clauses are binary.
-        self._watches: list[list[tuple[Clause, Literal]]] = [[], []]
-        self._binary: list[list[tuple[Literal, Clause]]] = [[], []]
-        self._assign: list[int] = [_UNASSIGNED]  # index 0 unused
+        # Watch lists, indexed by code, hold ``(clause, blocking code)`` pairs.
+        # Binary clauses live in their own implication lists (``falsified code
+        # -> (implied code, clause)``): their watches never move, so propagation
+        # skips the replacement search — most Tseitin clauses are binary.
+        self._watches: list[list[tuple[Clause, int]]] = [[], []]
+        self._binary: list[list[tuple[int, Clause]]] = [[], []]
+        self._value: list[int] = [-1, -1]  # codes 0 and 1 (variable 0) unused
+        # Per-variable tables, index 0 unused.  ``_phase`` is the sign bit of
+        # the preferred decision code.
         self._level: list[int] = [0]
         self._reason: list[Clause | None] = [None]
-        self._phase: list[bool] = [False]
+        self._phase: list[int] = [1]
+        self._seen = bytearray(1)
         self._heap = ActivityHeap()
-        self._trail: list[Literal] = []
+        self._trail: list[int] = []
         self._trail_limits: list[int] = []
         self._queue_head = 0
         self._var_inc = 1.0
@@ -286,13 +290,14 @@ class CdclSolver:
         self._ensure_vars(abs(previous))
         # At level 0 every assignment is permanent: drop false literals and
         # skip the clause if one is already true.
-        assign = self._assign
+        value = self._value
         clause = []
         for literal in literals:
-            value = assign[literal if literal > 0 else -literal]
-            if value == _UNASSIGNED:
-                clause.append(literal)
-            elif (value == 1) == (literal > 0):
+            code = literal << 1 if literal > 0 else (-literal << 1) | 1
+            state = value[code]
+            if state == -1:
+                clause.append(code)
+            elif state == 1:
                 return
         if not clause:
             self._unsat = True
@@ -304,11 +309,7 @@ class CdclSolver:
             return
         stored = Clause(clause)
         self._problem.append(stored)
-        if len(stored) == 2:
-            self._watch_binary(stored)
-        else:
-            self._watch(stored[0], stored, stored[1])
-            self._watch(stored[1], stored, stored[0])
+        self._watch_clause(stored)
 
     def reserve_vars(self, num_vars: int) -> None:
         """Grow the variable space to at least ``num_vars`` (idempotent).
@@ -335,7 +336,7 @@ class CdclSolver:
         for variable, value in phases.items():
             if not 1 <= variable <= self._num_vars:
                 raise ValueError(f"unknown variable {variable}")
-            self._phase[variable] = bool(value)
+            self._phase[variable] = 0 if value else 1
 
     def stats(self) -> SolverStats:
         """Snapshot of the cumulative solver counters (an independent copy)."""
@@ -346,10 +347,11 @@ class CdclSolver:
         if extra <= 0:
             return
         self._num_vars = num_vars
-        self._assign.extend([_UNASSIGNED] * extra)
+        self._value.extend([-1] * (2 * extra))
         self._level.extend([0] * extra)
         self._reason.extend([None] * extra)
-        self._phase.extend([False] * extra)
+        self._phase.extend([1] * extra)
+        self._seen.extend(bytes(extra))
         self._watches.extend([] for _ in range(2 * extra))
         self._binary.extend([] for _ in range(2 * extra))
         self._heap.grow(num_vars)
@@ -358,8 +360,19 @@ class CdclSolver:
     # Solving
     # ------------------------------------------------------------------
     def solve(self, assumptions: list[Literal] | None = None) -> SolverResult:
-        """Solve the formula under optional assumption literals."""
-        assumptions = list(assumptions or [])
+        """Solve the formula under optional assumption literals.
+
+        An assumption of 0 or of an unknown variable raises ValueError
+        before any solver state changes.
+        """
+        codes = []
+        for literal in assumptions or ():
+            if not 1 <= abs(literal) <= self._num_vars:
+                raise ValueError(
+                    f"assumption literal {literal} is not a DIMACS literal over "
+                    f"variables 1..{self._num_vars}"
+                )
+            codes.append(literal << 1 if literal > 0 else (-literal << 1) | 1)
         if self._unsat:
             return self._result(False)
         self._backtrack(0)
@@ -369,8 +382,10 @@ class CdclSolver:
 
         config = self.config
         stats = self._stats
-        assign = self._assign
-        pop_unassigned = self._heap.pop_unassigned
+        value = self._value
+        trail = self._trail
+        num_vars = self._num_vars
+        heap = self._heap
         # Fetch-once profiling probes: None while telemetry is off, so the
         # loop below pays a single `is None` branch per iteration.
         propagate_probe = hot_path("sat.propagate", every=64)
@@ -391,8 +406,7 @@ class CdclSolver:
                 if not self._trail_limits:
                     self._unsat = True
                     return self._result(False)
-                learned, backjump, lbd = self._analyze(conflict)
-                if not self._handle_learned(learned, backjump, lbd):
+                if not self._handle_learned(*self._analyze(conflict)):
                     self._backtrack(0)
                     return self._result(False)
                 self._var_inc *= 1.0 / config.var_decay
@@ -406,35 +420,46 @@ class CdclSolver:
                         self._reduce_db()
                 continue
 
-            # Re-establish assumptions after any backtracking.
-            status = self._enqueue_assumptions(assumptions)
-            if status == "conflict":
+            # Re-establish assumptions after any backtracking: the first one
+            # not yet true is decided next, or proves the query UNSAT.
+            state = 1
+            for code in codes:
+                state = value[code]
+                if state != 1:
+                    break
+            if state == 0:
                 self._backtrack(0)
                 return self._result(False)
-            if status == "enqueued":
+            if state == -1:
+                self._trail_limits.append(len(trail))
+                self._enqueue(code, reason=None)
                 continue
 
-            if decide_probe is not None and decide_probe.sample():
+            if len(trail) == num_vars:
+                # Every variable is assigned, so popping would only drain the
+                # heap entry by entry; clearing it leaves the same state.
+                heap.clear()
+                variable = None
+            elif decide_probe is not None and decide_probe.sample():
                 probe_start = perf_counter()
-                variable = pop_unassigned(assign)
+                variable = heap.pop_unassigned(value)
                 decide_probe.observe(perf_counter() - probe_start)
             else:
-                variable = pop_unassigned(assign)
+                variable = heap.pop_unassigned(value)
             if variable is None:
-                if len(self._trail) > stats.max_trail:
-                    stats.max_trail = len(self._trail)
-                model = dict(zip(range(1, self._num_vars + 1), map((1).__eq__, assign[1:])))
+                if len(trail) > stats.max_trail:
+                    stats.max_trail = len(trail)
+                model = dict(zip(range(1, num_vars + 1), map((1).__eq__, value[2::2])))
                 if config.verify_models:
                     self._verify_model(model)
                 result = self._result(True, model)
                 self._backtrack(0)
                 return result
             stats.decisions += 1
-            if len(self._trail) > stats.max_trail:
-                stats.max_trail = len(self._trail)
-            self._trail_limits.append(len(self._trail))
-            literal = variable if self._phase[variable] else -variable
-            self._enqueue(literal, reason=None)
+            if len(trail) > stats.max_trail:
+                stats.max_trail = len(trail)
+            self._trail_limits.append(len(trail))
+            self._enqueue((variable << 1) | self._phase[variable], reason=None)
 
     def _next_restart_limit(self) -> int:
         """Conflicts allowed before the next restart, per the active policy."""
@@ -448,30 +473,19 @@ class CdclSolver:
     # ------------------------------------------------------------------
     # Internals: assignment and propagation
     # ------------------------------------------------------------------
-    def _enqueue_assumptions(self, assumptions: list[Literal]) -> str:
-        """Ensure all assumptions are decided; returns 'done'/'enqueued'/'conflict'."""
-        assign = self._assign
-        for literal in assumptions:
-            value = assign[literal if literal > 0 else -literal]
-            if value == _UNASSIGNED:
-                self._trail_limits.append(len(self._trail))
-                self._enqueue(literal, reason=None)
-                return "enqueued"
-            if (value == 1) != (literal > 0):
-                return "conflict"
-        return "done"
-
-    def _enqueue(self, literal: Literal, reason: Clause | None) -> bool:
-        """Assign ``literal``; returns False iff it is already false."""
-        variable = literal if literal > 0 else -literal
-        value = self._assign[variable]
-        if value != _UNASSIGNED:
-            return (value == 1) == (literal > 0)
-        self._assign[variable] = 1 if literal > 0 else 0
+    def _enqueue(self, code: int, reason: Clause | None) -> bool:
+        """Assign the literal ``code``; returns False iff it is already false."""
+        value = self._value
+        state = value[code]
+        if state != -1:
+            return state == 1
+        value[code] = 1
+        value[code ^ 1] = 0
+        variable = code >> 1
         self._level[variable] = len(self._trail_limits)
         self._reason[variable] = reason
-        self._phase[variable] = literal > 0
-        self._trail.append(literal)
+        self._phase[variable] = code & 1
+        self._trail.append(code)
         return True
 
     def _propagate(self) -> Clause | None:
@@ -486,7 +500,7 @@ class CdclSolver:
         known to be unassigned at that point.
         """
         trail = self._trail
-        assign = self._assign
+        value = self._value
         level = self._level
         reason = self._reason
         phase = self._phase
@@ -498,99 +512,68 @@ class CdclSolver:
         start = head
         try:
             while head < len(trail):
-                literal = trail[head]
+                falsified = trail[head] ^ 1
                 head += 1
-                if literal > 0:
-                    falsified = -literal
-                    code = (literal << 1) | 1
-                else:
-                    falsified = -literal
-                    code = falsified << 1
-                for implied, clause in binary[code]:
-                    if implied > 0:
-                        value = assign[implied]
-                        if value == 1:
-                            continue
-                        if value == 0:
-                            return clause
-                        assign[implied] = 1
-                        level[implied] = current_level
-                        reason[implied] = clause
-                        phase[implied] = True
-                    else:
-                        variable = -implied
-                        value = assign[variable]
-                        if value == 0:
-                            continue
-                        if value == 1:
-                            return clause
-                        assign[variable] = 0
-                        level[variable] = current_level
-                        reason[variable] = clause
-                        phase[variable] = False
+                for implied, clause in binary[falsified]:
+                    state = value[implied]
+                    if state == 1:
+                        continue
+                    if state == 0:
+                        return clause
+                    value[implied] = 1
+                    value[implied ^ 1] = 0
+                    variable = implied >> 1
+                    level[variable] = current_level
+                    reason[variable] = clause
+                    phase[variable] = implied & 1
                     trail.append(implied)
                 # Compacted in place to ``watch_list[:keep]``.  A moved watch goes to
                 # a non-falsified literal's list, so this list never grows mid-sweep.
-                watch_list = watches[code]
+                watch_list = watches[falsified]
                 if not watch_list:
                     continue
                 keep = 0
                 moved = 0
                 for entry in watch_list:
                     # Blocking literal already true: clause satisfied, keep as-is.
-                    blocker = entry[1]
-                    if blocker > 0:
-                        if assign[blocker] == 1:
-                            watch_list[keep] = entry
-                            keep += 1
-                            continue
-                    elif assign[-blocker] == 0:
+                    if value[entry[1]] == 1:
                         watch_list[keep] = entry
                         keep += 1
                         continue
                     clause = entry[0]
                     # Ensure the falsified literal sits at position 1.
-                    if clause[0] == falsified:
-                        clause[0] = clause[1]
-                        clause[1] = falsified
                     first = clause[0]
-                    if first > 0:
-                        first_variable = first
-                        first_value = assign[first]
-                        first_true = first_value == 1
-                    else:
-                        first_variable = -first
-                        first_value = assign[first_variable]
-                        first_true = first_value == 0
-                    if first_true:
+                    if first == falsified:
+                        first = clause[1]
+                        clause[0] = first
+                        clause[1] = falsified
+                    state = value[first]
+                    if state == 1:
                         watch_list[keep] = (clause, first)
                         keep += 1
                         continue
-                    for alt_index in range(2, len(clause)):
-                        alternative = clause[alt_index]
-                        if alternative > 0:
-                            if assign[alternative] != 0:
-                                clause[1] = alternative
-                                clause[alt_index] = falsified
-                                watches[alternative << 1].append((clause, first))
-                                break
-                        elif assign[-alternative] != 1:
+                    # Watch the first non-false literal past the two watches.
+                    # No clause repeats a literal, so ``index`` finds its slot.
+                    for alternative in clause[2:]:
+                        if value[alternative] != 0:
+                            clause[clause.index(alternative, 2)] = falsified
                             clause[1] = alternative
-                            clause[alt_index] = falsified
-                            watches[(-alternative << 1) | 1].append((clause, first))
+                            watches[alternative].append((clause, first))
                             break
                     else:
                         watch_list[keep] = (clause, first)
                         keep += 1
-                        if first_value != _UNASSIGNED:
+                        if state == 0:
                             # Conflict: slide the unvisited tail down and stop.
                             watch_list[keep:] = watch_list[keep + moved:]
                             return clause
                         # Unit: ``first`` is unassigned — inline the enqueue.
-                        assign[first_variable] = 1 if first > 0 else 0
-                        level[first_variable] = current_level
-                        reason[first_variable] = clause
-                        phase[first_variable] = first > 0
+                        value[first] = 1
+                        value[first ^ 1] = 0
+                        variable = first >> 1
+                        level[variable] = current_level
+                        reason[variable] = clause
+                        phase[variable] = first & 1
                         trail.append(first)
                         continue
                     moved += 1
@@ -600,25 +583,18 @@ class CdclSolver:
             self._stats.propagations += head - start
         return None
 
-    def _watch(self, literal: Literal, clause: Clause, blocker: Literal) -> None:
-        if literal > 0:
-            self._watches[literal << 1].append((clause, blocker))
+    def _watch_clause(self, clause: Clause) -> None:
+        """Watch the first two literals (binary clauses: implication lists)."""
+        first, second = clause[0], clause[1]
+        if len(clause) == 2:
+            self._binary[first].append((second, clause))
+            self._binary[second].append((first, clause))
         else:
-            self._watches[(-literal << 1) | 1].append((clause, blocker))
+            self._watches[first].append((clause, second))
+            self._watches[second].append((clause, first))
 
-    def _watch_binary(self, clause: Clause) -> None:
-        """Register a two-literal clause in both implication lists."""
-        first, second = clause
-        binary = self._binary
-        binary[first << 1 if first > 0 else (-first << 1) | 1].append((second, clause))
-        binary[second << 1 if second > 0 else (-second << 1) | 1].append((first, clause))
-
-    def _unwatch(self, literal: Literal, clause: Clause) -> None:
-        watch_list = (
-            self._watches[literal << 1]
-            if literal > 0
-            else self._watches[(-literal << 1) | 1]
-        )
+    def _unwatch(self, code: int, clause: Clause) -> None:
+        watch_list = self._watches[code]
         for index, (watched, _) in enumerate(watch_list):
             if watched is clause:
                 watch_list[index] = watch_list[-1]
@@ -629,80 +605,106 @@ class CdclSolver:
     # ------------------------------------------------------------------
     # Internals: conflict analysis
     # ------------------------------------------------------------------
-    def _analyze(self, conflict: Clause) -> tuple[list[Literal], int, int]:
-        """First-UIP analysis: returns (learned clause, backjump level, LBD)."""
+    def _analyze(self, conflict: Clause) -> tuple[list[int], int, int]:
+        """First-UIP analysis: returns (learned clause, backjump level, LBD).
+
+        The asserting literal comes first, then the first literal of the
+        backjump level.  EVSIDS bumps are inlined (heap sift-up included).
+        """
         current_level = len(self._trail_limits)
         level = self._level
+        reason = self._reason
         trail = self._trail
-        bump = self._heap.bump
-        learned: list[Literal] = []
-        seen: set[int] = set()
+        seen = self._seen
+        heap = self._heap
+        order, pos, act = heap._heap, heap._pos, heap._act
+        var_inc = self._var_inc
+        learned: list[int] = []
         counter = 0
         clause: Clause | None = conflict
         trail_index = len(trail) - 1
-        asserting_literal: Literal | None = None
 
         while True:
             assert clause is not None
             if clause.learned:
-                self._bump_clause(clause)
-            for literal in clause:
-                variable = literal if literal > 0 else -literal
-                if variable in seen:
+                clause.activity += self._clause_inc
+                if clause.activity > _CLAUSE_ACTIVITY_LIMIT:
+                    for stored in self._learned:
+                        stored.activity *= _CLAUSE_ACTIVITY_RESCALE
+                    self._clause_inc *= _CLAUSE_ACTIVITY_RESCALE
+            for code in clause:
+                variable = code >> 1
+                if seen[variable]:
                     continue
                 variable_level = level[variable]
                 if variable_level == 0:
                     continue
-                seen.add(variable)
-                if bump(variable, self._var_inc) > _ACTIVITY_LIMIT:
-                    self._heap.rescale(_ACTIVITY_RESCALE)
-                    self._var_inc *= _ACTIVITY_RESCALE
+                seen[variable] = 1
+                activity = act[variable] + var_inc
+                act[variable] = activity
+                position = pos[variable]
+                while position > 0:
+                    parent_position = (position - 1) >> 1
+                    parent = order[parent_position]
+                    if act[parent] >= activity:
+                        break
+                    order[position] = parent
+                    pos[parent] = position
+                    position = parent_position
+                if position >= 0:
+                    order[position] = variable
+                    pos[variable] = position
+                if activity > _ACTIVITY_LIMIT:
+                    heap.rescale(_ACTIVITY_RESCALE)
+                    var_inc *= _ACTIVITY_RESCALE
                 if variable_level == current_level:
                     counter += 1
                 else:
-                    learned.append(literal)
+                    learned.append(code)
             # Find the next marked literal on the trail to resolve.  Variables
             # stay marked in ``seen`` once visited so a later reason clause
             # cannot re-introduce (and re-count) an already-resolved variable.
             while True:
-                literal = trail[trail_index]
+                code = trail[trail_index]
                 trail_index -= 1
-                variable = literal if literal > 0 else -literal
-                if variable in seen and level[variable] == current_level:
+                variable = code >> 1
+                if seen[variable] and level[variable] == current_level:
                     break
             counter -= 1
             if counter == 0:
-                asserting_literal = -literal
                 break
-            clause = self._reason[variable]
+            clause = reason[variable]
 
-        learned.insert(0, asserting_literal)
+        self._var_inc = var_inc
+        # Every marked variable is in the learned clause or on the trail
+        # from the first UIP up.
+        for marked in learned:
+            seen[marked >> 1] = 0
+        for marked in trail[trail_index + 1:]:
+            seen[marked >> 1] = 0
+        learned.insert(0, code ^ 1)
         if len(learned) == 1:
-            backjump = 0
-        else:
-            backjump = max(self._level[abs(lit)] for lit in learned[1:])
-        lbd = len({self._level[abs(lit)] for lit in learned})
-        return learned, backjump, lbd
+            return learned, 0, 1
+        levels = [level[code >> 1] for code in learned]
+        backjump = max(levels[1:])
+        deepest = levels.index(backjump, 1)
+        learned[1], learned[deepest] = learned[deepest], learned[1]
+        return learned, backjump, len(set(levels))
 
-    def _handle_learned(self, learned: list[Literal], backjump: int, lbd: int) -> bool:
-        """Backjump, install the learned clause, and assert its first literal."""
+    def _handle_learned(self, learned: list[int], backjump: int, lbd: int) -> bool:
+        """Backjump, install the learned clause, and assert its first literal.
+
+        The second watch is a literal of the backjump level, so un-assigning
+        it later re-triggers a visit of this clause.
+        """
         self._backtrack(backjump)
         self._stats.learned_clauses += 1
         if len(learned) == 1:
             return self._enqueue(learned[0], reason=None)
-        # Keep the two-watched-literal invariant: the second watcher must be a
-        # literal assigned at the backjump level so that un-assigning it later
-        # re-triggers a visit of this clause.
-        deepest = max(range(1, len(learned)), key=lambda i: self._level[abs(learned[i])])
-        learned[1], learned[deepest] = learned[deepest], learned[1]
         stored = Clause(learned, learned=True, lbd=lbd)
         stored.activity = self._clause_inc
         self._learned.append(stored)
-        if len(stored) == 2:
-            self._watch_binary(stored)
-        else:
-            self._watch(stored[0], stored, stored[1])
-            self._watch(stored[1], stored, stored[0])
+        self._watch_clause(stored)
         return self._enqueue(stored[0], reason=stored)
 
     def _reduce_db(self) -> int:
@@ -747,17 +749,10 @@ class CdclSolver:
     def _verify_model(self, model: dict[int, bool]) -> None:
         """Sanity check: every problem clause must be satisfied by the model."""
         for clause in self._problem:
-            if not any(model[abs(lit)] == (lit > 0) for lit in clause):
+            if not any(model[code >> 1] == (not code & 1) for code in clause):
                 raise RuntimeError(
                     "internal solver error: model does not satisfy a clause"
                 )
-
-    def _bump_clause(self, clause: Clause) -> None:
-        clause.activity += self._clause_inc
-        if clause.activity > _CLAUSE_ACTIVITY_LIMIT:
-            for learned in self._learned:
-                learned.activity *= _CLAUSE_ACTIVITY_RESCALE
-            self._clause_inc *= _CLAUSE_ACTIVITY_RESCALE
 
     # ------------------------------------------------------------------
     # Internals: decisions, backtracking
@@ -766,13 +761,13 @@ class CdclSolver:
         if len(self._trail_limits) <= level:
             return
         limit = self._trail_limits[level]
-        assign = self._assign
+        value = self._value
         reason = self._reason
         tail = self._trail[limit:]
-        for literal in tail:
-            variable = literal if literal > 0 else -literal
-            assign[variable] = _UNASSIGNED
-            reason[variable] = None
+        for code in tail:
+            value[code] = -1
+            value[code ^ 1] = -1
+            reason[code >> 1] = None
         self._heap.push_many(tail)
         del self._trail[limit:]
         del self._trail_limits[level:]

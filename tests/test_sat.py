@@ -122,6 +122,16 @@ class TestCdclSolver:
         # The base formula must stay satisfiable after an UNSAT-under-assumptions call.
         assert solver.solve().satisfiable
 
+    @pytest.mark.parametrize("assumptions", [[0], [5], [1, -3]])
+    def test_unknown_assumption_literal_rejected(self, assumptions):
+        solver = CdclSolver(CNF(num_vars=2, clauses=[[1, 2]]))
+        bad = assumptions[-1]
+        with pytest.raises(ValueError, match=f"assumption literal {bad} "):
+            solver.solve(assumptions)
+        # Rejected before the search started: no counter moved.
+        assert solver.stats().as_dict() == CdclSolver().stats().as_dict()
+        assert solver.solve([-1]).model == {1: False, 2: True}
+
     def test_conflicting_assumption_with_unit_clause(self):
         cnf = CNF(num_vars=2, clauses=[[1], [1, 2]])
         solver = CdclSolver(cnf)

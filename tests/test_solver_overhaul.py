@@ -176,7 +176,12 @@ class TestSolverStats:
 
 def _pop(heap: ActivityHeap) -> int | None:
     """Pop with every variable unassigned (no lazy deletion)."""
-    return heap.pop_unassigned([-1] * (heap.num_vars + 1))
+    return heap.pop_unassigned([-1] * (2 * heap.num_vars + 2))
+
+
+def _code(literal: int) -> int:
+    """The solver's literal code: 2v for v, 2v + 1 for -v."""
+    return literal << 1 if literal > 0 else (-literal << 1) | 1
 
 
 class TestActivityHeap:
@@ -191,23 +196,24 @@ class TestActivityHeap:
         heap = ActivityHeap(4)
         for variable, bump in [(1, 4.0), (2, 3.0), (3, 2.0)]:
             heap.bump(variable, bump)
-        assign = [-1, 1, 0, -1, -1]
-        assert heap.pop_unassigned(assign) == 3
+        # Indexed by literal code: 1 is true, 2 is false, 3 and 4 unassigned.
+        value = [-1, -1, 1, 0, 0, 1, -1, -1, -1, -1]
+        assert heap.pop_unassigned(value) == 3
         assert 1 not in heap and 2 not in heap
         heap.check_invariants()
-        assert heap.pop_unassigned(assign) == 4
-        assert heap.pop_unassigned(assign) is None
+        assert heap.pop_unassigned(value) == 4
+        assert heap.pop_unassigned(value) is None
 
     def test_push_is_idempotent(self):
         heap = ActivityHeap(3)
-        heap.push_many([2])
+        heap.push_many([_code(2)])
         assert len(heap) == 3
         _pop(heap)
         _pop(heap)
         _pop(heap)
         assert len(heap) == 0
-        heap.push_many([2])
-        heap.push_many([2])
+        heap.push_many([_code(2)])
+        heap.push_many([_code(-2)])
         assert len(heap) == 1
 
     def test_grow_preserves_invariants(self):
@@ -219,11 +225,11 @@ class TestActivityHeap:
         assert heap.num_vars == 6
         assert _pop(heap) == 1
 
-    def test_push_many_accepts_literals(self):
+    def test_push_many_accepts_literal_codes(self):
         heap = ActivityHeap(4)
         while _pop(heap) is not None:
             pass
-        heap.push_many([-3, 1, -1, 4])
+        heap.push_many([_code(-3), _code(1), _code(-1), _code(4)])
         heap.check_invariants()
         assert len(heap) == 3
         assert 3 in heap and 1 in heap and 4 in heap and 2 not in heap
@@ -235,7 +241,7 @@ class TestActivityHeap:
         for _ in range(600):
             action = rng.integers(0, 4)
             if action == 0 and popped:
-                heap.push_many([popped.pop()])
+                heap.push_many([_code(popped.pop())])
             elif action == 1:
                 variable = _pop(heap)
                 if variable is not None:
@@ -243,7 +249,7 @@ class TestActivityHeap:
             elif action == 2:
                 heap.bump(int(rng.integers(1, heap.num_vars + 1)), float(rng.random()))
             else:
-                heap.push_many([int(v) for v in rng.integers(1, heap.num_vars + 1, 3)])
+                heap.push_many([_code(int(v)) for v in rng.integers(1, heap.num_vars + 1, 3)])
                 popped = [v for v in popped if v not in heap]
             heap.check_invariants()
 
@@ -255,6 +261,28 @@ class TestActivityHeap:
         heap.check_invariants()
         assert _pop(heap) == 2
         assert heap.activity(2) == pytest.approx(8e-10)
+
+    def test_clear_matches_draining_an_all_assigned_table(self):
+        rng = np.random.default_rng(5)
+        drained, cleared = ActivityHeap(9), ActivityHeap(9)
+        for _ in range(30):
+            variable, bump = int(rng.integers(1, 10)), float(rng.random())
+            drained.bump(variable, bump)
+            cleared.bump(variable, bump)
+        for _ in range(3):
+            _pop(drained)
+            _pop(cleared)
+        # Every variable assigned, alternating polarities.
+        value = [-1, -1] + [1, 0, 0, 1] * 4 + [1, 0]
+        activities = [drained.activity(v) for v in range(10)]
+        assert drained.pop_unassigned(value) is None
+        cleared.clear()
+        for heap in (drained, cleared):
+            assert len(heap) == 0
+            assert heap._heap == []
+            assert heap._pos == [-1] * 10
+            assert [heap.activity(v) for v in range(10)] == activities
+            heap.check_invariants()
 
 
 class TestClauseForgetting:
