@@ -225,7 +225,7 @@ class TestActivityHeap:
         assert heap.num_vars == 6
         assert _pop(heap) == 1
 
-    def test_push_many_accepts_literal_codes(self):
+    def test_push_many_accepts_literals(self):
         heap = ActivityHeap(4)
         while _pop(heap) is not None:
             pass
