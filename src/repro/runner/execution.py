@@ -36,6 +36,7 @@ from repro.runner.faults import FaultPlan
 from repro.runner.parallel import extend_sys_path, resolve_jobs
 from repro.runner.registry import ExperimentSpec, GridCell, get_experiment
 from repro.runner.resilience import ResiliencePolicy, policy_for_spec, run_tasks
+from repro.sat import native
 
 
 @dataclass
@@ -73,6 +74,9 @@ class ExperimentRun:
             "profile": self.profile,
             "jobs": self.jobs,
             "backend": self.backend,
+            # Which CDCL inner loop this machine runs: the C kernel or the
+            # Python methods it mirrors (the search is the same on both).
+            "solver_kernel": "python" if native.kernel() is None else "native",
             "options": _jsonable(self.options),
             "elapsed_seconds": round(self.elapsed, 3),
             "cache_stats": self.cache_stats,

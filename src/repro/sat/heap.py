@@ -12,7 +12,9 @@ remove it from the heap; :meth:`pop_unassigned` discards assigned variables
 as it pops, and :meth:`push_many` re-inserts on backtrack (skipping variables
 still in the heap).  Both take the solver's literal codes (``2v`` for ``v``,
 ``2v + 1`` for ``-v``).  Activities live here, not in the solver, so a bump
-can restore the heap order in the same O(log n) sift.
+can restore the heap order in the same O(log n) sift.  The solver's C
+kernel (``_kernel.c``) mirrors both on these same lists: ``pop_unassigned``
+directly, ``push_many`` inside its ``backtrack``.
 
 All comparisons are on activity alone; equal activities keep a deterministic
 (insertion/sift) order, which is what makes solver runs — and therefore

@@ -18,7 +18,14 @@ performance stack on top:
 - **clause-database reduction**: learned clauses are periodically forgotten
   worst-half-first by (LBD, activity), pinning reason clauses, binary
   clauses, and low-LBD "glue" clauses,
-- incremental solving under assumptions.
+- incremental solving under assumptions,
+- a **native inner loop**: propagation, backtracking and the decision pop
+  run in C (``_kernel.c``, built and loaded by :mod:`repro.sat.native`)
+  where a compiler is available.  The C functions mirror
+  :meth:`CdclSolver._propagate`, :meth:`CdclSolver._backtrack` and
+  :meth:`ActivityHeap.pop_unassigned` step for step, on the same lists, so
+  the search is the same on both paths; the Python methods are the
+  reference and the fallback.
 
 Incremental assumptions matter for this reproduction: pairwise compatibility
 of ``r`` rare nets requires ``O(r^2)`` satisfiability queries on the *same*
@@ -38,6 +45,7 @@ from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 
 from repro.obs.profile import hot_path
+from repro.sat import native
 from repro.sat.cnf import CNF, Literal
 from repro.sat.heap import ActivityHeap
 
@@ -332,10 +340,14 @@ class CdclSolver:
         query; :class:`repro.sat.justify.Justifier` does this for rare-net
         values so that SAT witnesses opportunistically activate additional
         rare nets beyond the ones explicitly constrained.
+
+        Every variable is checked before any phase changes, so an unknown
+        one raises ValueError and leaves all phases as they were.
         """
-        for variable, value in phases.items():
+        for variable in phases:
             if not 1 <= variable <= self._num_vars:
                 raise ValueError(f"unknown variable {variable}")
+        for variable, value in phases.items():
             self._phase[variable] = 0 if value else 1
 
     def stats(self) -> SolverStats:
@@ -375,8 +387,16 @@ class CdclSolver:
             codes.append(literal << 1 if literal > 0 else (-literal << 1) | 1)
         if self._unsat:
             return self._result(False)
-        self._backtrack(0)
-        if self._propagate() is not None:
+        # The C kernel where it builds, else the Python methods it mirrors.
+        kernel = native.kernel()
+        if kernel is None:
+            propagate, backtrack = CdclSolver._propagate, CdclSolver._backtrack
+            pop_unassigned = ActivityHeap.pop_unassigned
+        else:
+            propagate, backtrack = kernel.propagate, kernel.backtrack
+            pop_unassigned = kernel.pop_unassigned
+        backtrack(self, 0)
+        if propagate(self) is not None:
             self._unsat = True
             return self._result(False)
 
@@ -396,18 +416,20 @@ class CdclSolver:
         while True:
             if propagate_probe is not None and propagate_probe.sample():
                 probe_start = perf_counter()
-                conflict = self._propagate()
+                conflict = propagate(self)
                 propagate_probe.observe(perf_counter() - probe_start)
             else:
-                conflict = self._propagate()
+                conflict = propagate(self)
             if conflict is not None:
                 stats.conflicts += 1
                 conflicts_since_restart += 1
                 if not self._trail_limits:
                     self._unsat = True
                     return self._result(False)
-                if not self._handle_learned(*self._analyze(conflict)):
-                    self._backtrack(0)
+                learned, backjump, lbd = self._analyze(conflict)
+                backtrack(self, backjump)
+                if not self._handle_learned(learned, lbd):
+                    backtrack(self, 0)
                     return self._result(False)
                 self._var_inc *= 1.0 / config.var_decay
                 self._clause_inc *= 1.0 / config.clause_decay
@@ -415,7 +437,7 @@ class CdclSolver:
                     stats.restarts += 1
                     conflicts_since_restart = 0
                     restart_limit = self._next_restart_limit()
-                    self._backtrack(0)
+                    backtrack(self, 0)
                     if len(self._learned) >= self._reduce_limit:
                         self._reduce_db()
                 continue
@@ -428,7 +450,7 @@ class CdclSolver:
                 if state != 1:
                     break
             if state == 0:
-                self._backtrack(0)
+                backtrack(self, 0)
                 return self._result(False)
             if state == -1:
                 self._trail_limits.append(len(trail))
@@ -442,10 +464,10 @@ class CdclSolver:
                 variable = None
             elif decide_probe is not None and decide_probe.sample():
                 probe_start = perf_counter()
-                variable = heap.pop_unassigned(value)
+                variable = pop_unassigned(heap, value)
                 decide_probe.observe(perf_counter() - probe_start)
             else:
-                variable = heap.pop_unassigned(value)
+                variable = pop_unassigned(heap, value)
             if variable is None:
                 if len(trail) > stats.max_trail:
                     stats.max_trail = len(trail)
@@ -453,7 +475,7 @@ class CdclSolver:
                 if config.verify_models:
                     self._verify_model(model)
                 result = self._result(True, model)
-                self._backtrack(0)
+                backtrack(self, 0)
                 return result
             stats.decisions += 1
             if len(trail) > stats.max_trail:
@@ -497,7 +519,8 @@ class CdclSolver:
         — is a single list lookup with no clause access, and an in-place
         two-pointer sweep compacts each watch list without allocating a
         replacement.  Unit enqueues are inlined: the watched literal is
-        known to be unassigned at that point.
+        known to be unassigned at that point.  ``_kernel.propagate`` is the
+        C mirror of this method.
         """
         trail = self._trail
         value = self._value
@@ -691,13 +714,13 @@ class CdclSolver:
         learned[1], learned[deepest] = learned[deepest], learned[1]
         return learned, backjump, len(set(levels))
 
-    def _handle_learned(self, learned: list[int], backjump: int, lbd: int) -> bool:
-        """Backjump, install the learned clause, and assert its first literal.
+    def _handle_learned(self, learned: list[int], lbd: int) -> bool:
+        """Install the learned clause and assert its first literal.
 
-        The second watch is a literal of the backjump level, so un-assigning
-        it later re-triggers a visit of this clause.
+        Called once the solver has backjumped.  The second watch is a literal
+        of the backjump level, so un-assigning it later re-triggers a visit
+        of this clause.
         """
-        self._backtrack(backjump)
         self._stats.learned_clauses += 1
         if len(learned) == 1:
             return self._enqueue(learned[0], reason=None)
@@ -758,6 +781,7 @@ class CdclSolver:
     # Internals: decisions, backtracking
     # ------------------------------------------------------------------
     def _backtrack(self, level: int) -> None:
+        """Undo every assignment above ``level`` (C mirror: ``_kernel.backtrack``)."""
         if len(self._trail_limits) <= level:
             return
         limit = self._trail_limits[level]

@@ -59,3 +59,21 @@ def tiny_config():
         seed=0,
         ppo=PpoConfig(num_steps=32, minibatch_size=32, hidden_sizes=(16, 16), num_epochs=2),
     )
+
+
+@pytest.fixture(params=["native", "reference"])
+def solver_kernel(request, monkeypatch):
+    """Run the test on the solver's C kernel and on its Python reference path.
+
+    Gives the kernel module, or None on the reference path, which is forced
+    by making the loader report that no kernel could be built.
+    """
+    from repro.sat import native
+
+    if request.param == "reference":
+        monkeypatch.setattr(native, "kernel", lambda: None)
+        return None
+    kernel = native.kernel()
+    if kernel is None:
+        pytest.skip("the C kernel cannot be built on this host (no C compiler or Python headers)")
+    return kernel

@@ -165,6 +165,13 @@ class TestCdclSolver:
         with pytest.raises(ValueError):
             solver.set_phases({5: True})
 
+    def test_set_phases_rejects_unknown_variables_before_changing_any(self):
+        solver = CdclSolver(CNF(num_vars=3))
+        with pytest.raises(ValueError, match="unknown variable 99"):
+            solver.set_phases({1: True, 99: False})
+        # Variable 1 keeps its default negative phase: the free search sets it false.
+        assert solver.solve().model == {1: False, 2: False, 3: False}
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_random_3sat_matches_brute_force(self, data):

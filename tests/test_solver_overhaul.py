@@ -8,6 +8,7 @@ oracle on both the SAT/UNSAT verdict and model validity.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,95 +175,129 @@ class TestSolverStats:
         assert stats.learned_clauses > 0
 
 
-def _pop(heap: ActivityHeap) -> int | None:
-    """Pop with every variable unassigned (no lazy deletion)."""
-    return heap.pop_unassigned([-1] * (2 * heap.num_vars + 2))
-
-
 def _code(literal: int) -> int:
     """The solver's literal code: 2v for v, 2v + 1 for -v."""
     return literal << 1 if literal > 0 else (-literal << 1) | 1
 
 
+class HeapOps:
+    """``pop_unassigned``/``push_many`` of one solver path, as free functions.
+
+    The C kernel re-inserts variables inside ``backtrack``, so its
+    ``push_many`` undoes a one-level trail holding exactly the given codes.
+    """
+
+    def __init__(self, kernel) -> None:
+        self.kernel = kernel
+
+    def pop_unassigned(self, heap: ActivityHeap, value: list[int]) -> int | None:
+        if self.kernel is None:
+            return heap.pop_unassigned(value)
+        return self.kernel.pop_unassigned(heap, value)
+
+    def push_many(self, heap: ActivityHeap, codes: list[int]) -> None:
+        if self.kernel is None:
+            heap.push_many(codes)
+            return
+        num_vars = heap.num_vars
+        solver = SimpleNamespace(
+            _trail=list(codes), _trail_limits=[0], _queue_head=0, _heap=heap,
+            _value=[-1] * (2 * num_vars + 2), _level=[0] * (num_vars + 1),
+            _reason=[None] * (num_vars + 1), _phase=[1] * (num_vars + 1),
+            _watches=[[]] * (2 * num_vars + 2), _binary=[[]] * (2 * num_vars + 2),
+        )
+        self.kernel.backtrack(solver, 0)
+        assert solver._trail == [] and solver._trail_limits == []
+
+    def pop(self, heap: ActivityHeap) -> int | None:
+        """Pop with every variable unassigned (no lazy deletion)."""
+        return self.pop_unassigned(heap, [-1] * (2 * heap.num_vars + 2))
+
+
+@pytest.fixture
+def ops(solver_kernel) -> HeapOps:
+    return HeapOps(solver_kernel)
+
+
 class TestActivityHeap:
-    def test_pop_order_is_by_activity(self):
+    def test_pop_order_is_by_activity(self, ops):
         heap = ActivityHeap(5)
         for variable, bump in [(3, 5.0), (1, 3.0), (4, 4.0)]:
             heap.bump(variable, bump)
-        order = [_pop(heap) for _ in range(3)]
+        order = [ops.pop(heap) for _ in range(3)]
         assert order == [3, 4, 1]
 
-    def test_pop_skips_assigned_variables(self):
+    def test_pop_skips_assigned_variables(self, ops):
         heap = ActivityHeap(4)
         for variable, bump in [(1, 4.0), (2, 3.0), (3, 2.0)]:
             heap.bump(variable, bump)
         # Indexed by literal code: 1 is true, 2 is false, 3 and 4 unassigned.
         value = [-1, -1, 1, 0, 0, 1, -1, -1, -1, -1]
-        assert heap.pop_unassigned(value) == 3
+        assert ops.pop_unassigned(heap, value) == 3
         assert 1 not in heap and 2 not in heap
         heap.check_invariants()
-        assert heap.pop_unassigned(value) == 4
-        assert heap.pop_unassigned(value) is None
+        assert ops.pop_unassigned(heap, value) == 4
+        assert ops.pop_unassigned(heap, value) is None
 
-    def test_push_is_idempotent(self):
+    def test_push_is_idempotent(self, ops):
         heap = ActivityHeap(3)
-        heap.push_many([_code(2)])
+        ops.push_many(heap, [_code(2)])
         assert len(heap) == 3
-        _pop(heap)
-        _pop(heap)
-        _pop(heap)
+        ops.pop(heap)
+        ops.pop(heap)
+        ops.pop(heap)
         assert len(heap) == 0
-        heap.push_many([_code(2)])
-        heap.push_many([_code(-2)])
+        ops.push_many(heap, [_code(2)])
+        ops.push_many(heap, [_code(-2)])
         assert len(heap) == 1
 
-    def test_grow_preserves_invariants(self):
+    def test_grow_preserves_invariants(self, ops):
         heap = ActivityHeap(2)
         heap.bump(1, 7.0)
         heap.grow(6)
         heap.check_invariants()
         heap.grow(3)
         assert heap.num_vars == 6
-        assert _pop(heap) == 1
+        assert ops.pop(heap) == 1
 
-    def test_push_many_accepts_literals(self):
+    def test_push_many_accepts_literals(self, ops):
         heap = ActivityHeap(4)
-        while _pop(heap) is not None:
+        while ops.pop(heap) is not None:
             pass
-        heap.push_many([_code(-3), _code(1), _code(-1), _code(4)])
+        ops.push_many(heap, [_code(-3), _code(1), _code(-1), _code(4)])
         heap.check_invariants()
         assert len(heap) == 3
         assert 3 in heap and 1 in heap and 4 in heap and 2 not in heap
 
-    def test_invariants_under_random_operations(self):
+    def test_invariants_under_random_operations(self, ops):
         rng = np.random.default_rng(7)
         heap = ActivityHeap(12)
         popped: list[int] = []
         for _ in range(600):
             action = rng.integers(0, 4)
             if action == 0 and popped:
-                heap.push_many([_code(popped.pop())])
+                ops.push_many(heap, [_code(popped.pop())])
             elif action == 1:
-                variable = _pop(heap)
+                variable = ops.pop(heap)
                 if variable is not None:
                     popped.append(variable)
             elif action == 2:
                 heap.bump(int(rng.integers(1, heap.num_vars + 1)), float(rng.random()))
             else:
-                heap.push_many([_code(int(v)) for v in rng.integers(1, heap.num_vars + 1, 3)])
+                ops.push_many(heap, [_code(int(v)) for v in rng.integers(1, heap.num_vars + 1, 3)])
                 popped = [v for v in popped if v not in heap]
             heap.check_invariants()
 
-    def test_rescale_preserves_order(self):
+    def test_rescale_preserves_order(self, ops):
         heap = ActivityHeap(4)
         heap.bump(2, 8.0)
         heap.bump(3, 4.0)
         heap.rescale(1e-10)
         heap.check_invariants()
-        assert _pop(heap) == 2
+        assert ops.pop(heap) == 2
         assert heap.activity(2) == pytest.approx(8e-10)
 
-    def test_clear_matches_draining_an_all_assigned_table(self):
+    def test_clear_matches_draining_an_all_assigned_table(self, ops):
         rng = np.random.default_rng(5)
         drained, cleared = ActivityHeap(9), ActivityHeap(9)
         for _ in range(30):
@@ -270,12 +305,12 @@ class TestActivityHeap:
             drained.bump(variable, bump)
             cleared.bump(variable, bump)
         for _ in range(3):
-            _pop(drained)
-            _pop(cleared)
+            ops.pop(drained)
+            ops.pop(cleared)
         # Every variable assigned, alternating polarities.
         value = [-1, -1] + [1, 0, 0, 1] * 4 + [1, 0]
         activities = [drained.activity(v) for v in range(10)]
-        assert drained.pop_unassigned(value) is None
+        assert ops.pop_unassigned(drained, value) is None
         cleared.clear()
         for heap in (drained, cleared):
             assert len(heap) == 0

@@ -17,6 +17,9 @@ SAT model.  These tests pin that search on three small workloads:
   the bump increments double per conflict, so both activity rescales
   (variable past ``1e100``, learned clause past ``1e20``) fire repeatedly.
 
+Every test runs twice, through the solver's C kernel and through the
+Python methods it mirrors, against the same constants.
+
 A speed-up of the solver must leave every constant here unchanged.  If one
 of them has to be re-recorded, the change altered the search, not just its
 cost: that is a behaviour change, and the benchmark goldens
@@ -38,6 +41,8 @@ from repro.sat.cnf import CNF
 from repro.sat.justify import Justifier
 from repro.sat.solver import CdclSolver, SolverConfig
 from repro.simulation.rare_nets import extract_rare_nets
+
+pytestmark = pytest.mark.usefixtures("solver_kernel")
 
 
 def _digest(*parts) -> str:
