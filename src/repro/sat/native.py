@@ -25,7 +25,14 @@ from types import ModuleType
 from repro.utils.fsio import atomic_write, file_lock
 
 SOURCE = Path(__file__).with_name("_kernel.c")
-FLAGS = ("-O2", "-shared", "-fPIC")
+# The ``--param`` pair lowers GCC's garbage-collection thresholds, whose
+# defaults grow with host RAM and let the compiler hold every intermediate
+# form until it exits: the cold build's peak memory (which counts against the
+# first process that solves) drops from about 55 to 46 MiB, and the machine
+# code is byte-identical.  Clang ignores ``--param`` with a warning.
+FLAGS = (
+    "-O2", "-shared", "-fPIC", "--param", "ggc-min-heapsize=8192", "--param", "ggc-min-expand=10"
+)
 
 
 @cache

@@ -19,13 +19,15 @@ performance stack on top:
   worst-half-first by (LBD, activity), pinning reason clauses, binary
   clauses, and low-LBD "glue" clauses,
 - incremental solving under assumptions,
-- a **native inner loop**: propagation, backtracking and the decision pop
-  run in C (``_kernel.c``, built and loaded by :mod:`repro.sat.native`)
-  where a compiler is available.  The C functions mirror
-  :meth:`CdclSolver._propagate`, :meth:`CdclSolver._backtrack` and
-  :meth:`ActivityHeap.pop_unassigned` step for step, on the same lists, so
-  the search is the same on both paths; the Python methods are the
-  reference and the fallback.
+- a **native inner loop**: propagation, backtracking, the decision pop,
+  conflict analysis, clause ingestion and watch removal run in C
+  (``_kernel.c``, built and loaded by :mod:`repro.sat.native`) where a
+  compiler is available.  The C functions mirror
+  :meth:`CdclSolver._propagate`, :meth:`CdclSolver._backtrack`,
+  :meth:`ActivityHeap.pop_unassigned`, :meth:`CdclSolver._analyze`,
+  :meth:`CdclSolver._add_clause` and :meth:`CdclSolver._unwatch` step for
+  step, on the same lists, so the search is the same on both paths; the
+  Python methods are the reference and the fallback.
 
 Incremental assumptions matter for this reproduction: pairwise compatibility
 of ``r`` rare nets requires ``O(r^2)`` satisfiability queries on the *same*
@@ -41,6 +43,7 @@ Configuration is a frozen :class:`SolverConfig`; cumulative counters are a
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 
@@ -282,10 +285,22 @@ class CdclSolver:
             self.add_clause(clause)
 
     def add_clause(self, literals: list[Literal]) -> None:
-        """Add a clause; may only be called at decision level 0."""
+        """Add a clause; may only be called at decision level 0.
+
+        Literals are any integers (``operator.index``); a literal that is not
+        one raises TypeError before any solver state changes.
+        """
+        kernel = native.kernel()
+        if kernel is None:
+            self._add_clause(literals)
+        else:
+            kernel.add_clause(self, literals)
+
+    def _add_clause(self, literals: list[Literal]) -> None:
+        """:meth:`add_clause` in Python (C mirror: ``_kernel.add_clause``)."""
         if self._trail_limits:
             raise RuntimeError("clauses can only be added at decision level 0")
-        literals = sorted(set(literals), key=abs)
+        literals = sorted({operator.index(literal) for literal in literals}, key=abs)
         # Sorted by variable, so 0 can only come first and a tautology shows
         # as two adjacent literals on the same variable.
         if literals and literals[0] == 0:
@@ -327,6 +342,7 @@ class CdclSolver:
         variables — must reserve them before using them in assumptions or
         :meth:`set_phases`; :meth:`add_clause` grows the space implicitly.
         """
+        num_vars = operator.index(num_vars)
         if num_vars < 0:
             raise ValueError(f"num_vars must be >= 0, got {num_vars}")
         self._ensure_vars(num_vars)
@@ -358,7 +374,6 @@ class CdclSolver:
         extra = num_vars - self._num_vars
         if extra <= 0:
             return
-        self._num_vars = num_vars
         self._value.extend([-1] * (2 * extra))
         self._level.extend([0] * extra)
         self._reason.extend([None] * extra)
@@ -367,6 +382,7 @@ class CdclSolver:
         self._watches.extend([] for _ in range(2 * extra))
         self._binary.extend([] for _ in range(2 * extra))
         self._heap.grow(num_vars)
+        self._num_vars = num_vars  # last, so a failed growth leaves the count as it was
 
     # ------------------------------------------------------------------
     # Solving
@@ -374,11 +390,13 @@ class CdclSolver:
     def solve(self, assumptions: list[Literal] | None = None) -> SolverResult:
         """Solve the formula under optional assumption literals.
 
-        An assumption of 0 or of an unknown variable raises ValueError
-        before any solver state changes.
+        An assumption of 0 or of an unknown variable raises ValueError, and
+        one that is not an integer (``operator.index``) TypeError, before any
+        solver state changes.
         """
         codes = []
         for literal in assumptions or ():
+            literal = operator.index(literal)
             if not 1 <= abs(literal) <= self._num_vars:
                 raise ValueError(
                     f"assumption literal {literal} is not a DIMACS literal over "
@@ -391,10 +409,10 @@ class CdclSolver:
         kernel = native.kernel()
         if kernel is None:
             propagate, backtrack = CdclSolver._propagate, CdclSolver._backtrack
-            pop_unassigned = ActivityHeap.pop_unassigned
+            pop_unassigned, analyze = ActivityHeap.pop_unassigned, CdclSolver._analyze
         else:
             propagate, backtrack = kernel.propagate, kernel.backtrack
-            pop_unassigned = kernel.pop_unassigned
+            pop_unassigned, analyze = kernel.pop_unassigned, kernel.analyze
         backtrack(self, 0)
         if propagate(self) is not None:
             self._unsat = True
@@ -426,7 +444,7 @@ class CdclSolver:
                 if not self._trail_limits:
                     self._unsat = True
                     return self._result(False)
-                learned, backjump, lbd = self._analyze(conflict)
+                learned, backjump, lbd = analyze(self, conflict)
                 backtrack(self, backjump)
                 if not self._handle_learned(learned, lbd):
                     backtrack(self, 0)
@@ -617,6 +635,8 @@ class CdclSolver:
             self._watches[second].append((clause, first))
 
     def _unwatch(self, code: int, clause: Clause) -> None:
+        """Swap-remove ``clause`` from the watch list of ``code`` (C mirror:
+        ``_kernel.unwatch``)."""
         watch_list = self._watches[code]
         for index, (watched, _) in enumerate(watch_list):
             if watched is clause:
@@ -633,6 +653,7 @@ class CdclSolver:
 
         The asserting literal comes first, then the first literal of the
         backjump level.  EVSIDS bumps are inlined (heap sift-up included).
+        ``_kernel.analyze`` is the C mirror of this method.
         """
         current_level = len(self._trail_limits)
         level = self._level
@@ -761,9 +782,11 @@ class CdclSolver:
             return 0
         forgettable.sort(key=lambda clause: (-clause.lbd, clause.activity))
         doomed = {id(clause) for clause in forgettable[:victims]}
+        kernel = native.kernel()
+        unwatch = CdclSolver._unwatch if kernel is None else kernel.unwatch
         for clause in forgettable[:victims]:
-            self._unwatch(clause[0], clause)
-            self._unwatch(clause[1], clause)
+            unwatch(self, clause[0], clause)
+            unwatch(self, clause[1], clause)
         self._learned = [clause for clause in self._learned if id(clause) not in doomed]
         self._stats.deleted_clauses += victims
         self._reduce_limit += config.reduce_growth

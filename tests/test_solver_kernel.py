@@ -2,11 +2,12 @@
 
 Two solvers run the same incremental session in lockstep, one through the
 kernel and one through the reference path (the loader made to report no
-kernel).  After every ``solve`` the answers, the counters and the solver's
-whole internal state must be equal: the trail, every watch and implication
-list in order, the clause literal orders and the heap.  Small
-``restart_base``/``reduce_base`` values make restarts and clause deletion
-run inside the sessions.
+kernel), each adding its clauses and solving on its own path.  After every
+``add_clause`` and every ``solve`` the answers, the counters and the
+solver's whole internal state must be equal: the trail, every watch and
+implication list in order, the clause literal orders, the analysis marks
+and the heap.  Small ``restart_base``/``reduce_base`` values make restarts
+and clause deletion run inside the sessions.
 
 The loader is checked on its own: two processes building into one cold
 directory load the same kernel and leave no temp files, and every failure
@@ -22,14 +23,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
 from repro.runner.execution import ExperimentRunner
 from repro.runner.registry import ExperimentSpec, GridCell
 from repro.sat import native
-from repro.sat.solver import CdclSolver, SolverConfig
+from repro.sat.solver import CdclSolver, Clause, SolverConfig
 
 KERNEL = native.kernel()
 needs_kernel = pytest.mark.skipif(
@@ -40,10 +41,10 @@ needs_kernel = pytest.mark.skipif(
 PACKAGE_PARENT = Path(repro.__file__).resolve().parents[1]
 
 
-def _solve_reference(solver: CdclSolver, assumptions: list[int]):
+def _on_reference_path(method, argument):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(native, "kernel", lambda: None)
-        return solver.solve(assumptions)
+        return method(argument)
 
 
 def _state(solver: CdclSolver) -> dict:
@@ -68,47 +69,68 @@ def _state(solver: CdclSolver) -> dict:
         "learned": [clause(stored) for stored in solver._learned],
         "heap": (list(heap._heap), list(heap._pos), list(heap._act)),
         "incs": (solver._var_inc, solver._clause_inc, solver._reduce_limit),
+        "seen": bytes(solver._seen),
+        "num_vars": solver._num_vars,
         "unsat": solver._unsat,
     }
 
 
 def _run_lockstep(num_vars: int, clauses, steps, config: SolverConfig):
-    """Run one session on both paths; assert equal state after each solve.
+    """Run one session on both paths; assert equal state after each step.
 
     Returns the final counters.
     """
     native_solver = CdclSolver(config=config)
     reference = CdclSolver(config=config)
-    for solver in (native_solver, reference):
-        solver.reserve_vars(num_vars)
-        for literals in clauses:
-            solver.add_clause(literals)
-    for kind, payload in steps:
+    native_solver.reserve_vars(num_vars)
+    reference.reserve_vars(num_vars)
+    for kind, payload in [*(("add", literals) for literals in clauses), *steps]:
         if kind == "add":
+            _on_reference_path(reference.add_clause, payload)
             native_solver.add_clause(payload)
-            reference.add_clause(payload)
-            continue
-        expected = _solve_reference(reference, payload)
-        got = native_solver.solve(payload)
-        assert (got.satisfiable, got.model, got.stats) == (
-            expected.satisfiable,
-            expected.model,
-            expected.stats,
-        )
+        else:
+            expected = _on_reference_path(reference.solve, payload)
+            got = native_solver.solve(payload)
+            assert (got.satisfiable, got.model, got.stats) == (
+                expected.satisfiable,
+                expected.model,
+                expected.stats,
+            )
         assert _state(native_solver) == _state(reference)
     return native_solver.stats()
 
 
-literal = st.integers(1, 14).flatmap(lambda v: st.sampled_from([v, -v]))
-clause_strategy = st.lists(literal, min_size=1, max_size=4)
+def _literals(top: int):
+    return st.integers(1, top).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+# Sessions reserve 14 variables; clauses may name two more, which grows the
+# tables inside add_clause.  Units fix literals at level 0, so later clauses
+# meet satisfied and false literals there; the clauses over variables 1-3
+# repeat literals and are often tautologies or empty.  The explicit example
+# below also reaches a unit that propagates into a conflict.
+clause_strategy = st.one_of(
+    st.lists(_literals(16), min_size=1, max_size=1),
+    st.lists(_literals(16), min_size=2, max_size=4),
+    st.lists(_literals(3), min_size=1, max_size=5),
+)
 step = st.one_of(
     st.tuples(st.just("add"), clause_strategy),
-    st.tuples(st.just("solve"), st.lists(literal, max_size=3)),
+    st.tuples(st.just("solve"), st.lists(_literals(14), max_size=3)),
 )
 
 
 @needs_kernel
 @settings(max_examples=120, deadline=None)
+@example(
+    clauses=[
+        [1, 2], [-1, 2, 2], [-5], [5, 6, 7], [-5, 8], [3, -3, 4], [4, 4, 9], [16, 10], [-2],
+    ],
+    steps=[("add", [1, 3]), ("solve", [])],
+    restart_base=1,
+    reduce_base=1,
+    glue_lbd=0,
+)
 @given(
     clauses=st.lists(clause_strategy, min_size=10, max_size=70),
     steps=st.lists(step, min_size=1, max_size=8),
@@ -159,10 +181,125 @@ def test_a_broken_solver_state_raises_instead_of_crashing():
     solver._level.append(0)
     with pytest.raises(ValueError, match="disagree"):
         KERNEL.backtrack(solver, 0)
+    with pytest.raises(ValueError, match="disagree"):
+        KERNEL.analyze(solver, solver._problem[0])
+    with pytest.raises(ValueError, match="disagree"):
+        KERNEL.add_clause(solver, [4, 5])
     with pytest.raises(AttributeError):
         KERNEL.propagate(object())
     with pytest.raises(TypeError):
         KERNEL.backtrack(solver)
+    with pytest.raises(TypeError):
+        KERNEL.analyze(solver)
+
+
+def _two_decisions() -> CdclSolver:
+    """Variables 1 and 2 decided true at level 1; variable 3 unassigned."""
+    solver = CdclSolver()
+    solver.add_clause([1, 2, 3])
+    solver._trail_limits.append(0)
+    solver._enqueue(2, reason=None)
+    solver._enqueue(4, reason=None)
+    return solver
+
+
+@needs_kernel
+def test_a_broken_analysis_state_raises_instead_of_crashing():
+    # A literal past the value table.
+    with pytest.raises(IndexError):
+        KERNEL.analyze(_two_decisions(), Clause([3, 2 * 99]))
+    # A current-level variable that is not the UIP and has no reason clause.
+    with pytest.raises(TypeError, match="reason"):
+        KERNEL.analyze(_two_decisions(), Clause([3, 5]))
+    # A current-level variable that is not on the trail.
+    solver = _two_decisions()
+    solver._level[3] = 1
+    with pytest.raises(RuntimeError, match="ran off the trail"):
+        KERNEL.analyze(solver, Clause([7]))
+    # A conflict that is not a clause.
+    with pytest.raises(TypeError):
+        KERNEL.analyze(_two_decisions(), None)
+    with pytest.raises(AttributeError):
+        KERNEL.analyze(_two_decisions(), [3, 5])  # a list without learned-clause fields
+
+
+@needs_kernel
+def test_a_broken_clause_database_raises_instead_of_crashing():
+    solver = CdclSolver()
+    solver.add_clause([1, 2, 3])
+    solver._num_vars = 9  # the tables still hold three variables
+    with pytest.raises(IndexError):
+        KERNEL.add_clause(solver, [8, 9])
+    with pytest.raises(TypeError):
+        KERNEL.add_clause(solver, 5)
+    stored = solver._problem[0]
+    with pytest.raises(RuntimeError, match="missing from watch list"):
+        KERNEL.unwatch(solver, stored[2], stored)
+    with pytest.raises(IndexError):
+        KERNEL.unwatch(solver, 2 * 99, stored)
+    solver._watches[stored[0]].insert(0, stored)  # an entry that is not a pair
+    with pytest.raises(TypeError, match="pairs"):
+        KERNEL.unwatch(solver, stored[0], stored)
+    del solver._watches[stored[0]][0]
+    KERNEL.unwatch(solver, stored[0], stored)
+    assert solver._watches[stored[0]] == []
+
+
+def test_add_clause_branches_on_both_paths(solver_kernel):
+    solver = CdclSolver()
+    solver.add_clause([1, -1, 2])  # a tautology is dropped
+    solver.add_clause([2, 3, 2, 3])  # repeats are merged
+    assert [list(clause) for clause in solver._problem] == [[4, 6]]
+    assert solver._binary[4] == [(6, solver._problem[0])]
+    solver.add_clause([-4])  # a unit is assigned at level 0
+    assert solver._trail == [9] and solver._queue_head == 1
+    solver.add_clause([4, 5, 3])  # the false literal -4 is dropped
+    assert list(solver._problem[-1]) == [6, 10]
+    solver.add_clause([-4, 6])  # satisfied at level 0: not stored
+    assert len(solver._problem) == 2
+    with pytest.raises(ValueError, match="0 is not"):
+        solver.add_clause([0, 1])
+    solver._trail_limits.append(len(solver._trail))
+    with pytest.raises(RuntimeError, match="level 0"):
+        solver.add_clause([1, 2])
+    solver._trail_limits.clear()
+    assert not solver._unsat
+    solver.add_clause([-3])  # propagates 2 through [2, 3] and 5 through [3, 5]
+    assert solver._trail == [9, 7, 4, 10] and not solver._unsat
+    solver.add_clause([-5, -2])  # both literals false: the empty clause
+    assert solver._unsat
+    other = CdclSolver()
+    other.add_clause([1, 2])
+    other.add_clause([-1, 2])
+    other.add_clause([-2])  # the unit propagates into a conflict
+    assert other._unsat and not other.solve().satisfiable
+
+
+def test_numpy_integer_literals_work_on_both_paths(solver_kernel):
+    solver = CdclSolver()
+    solver.add_clause([np.int64(1), np.int64(2), np.int64(3)])
+    solver.add_clause(np.array([-1, 2]))
+    result = solver.solve([np.int64(-2)])
+    assert result.model == {1: False, 2: False, 3: True}
+    assert {type(code) for clause in solver._problem for code in clause} == {int}
+    solver.reserve_vars(np.int32(5))
+    assert solver._num_vars == 5 and type(solver._num_vars) is int
+
+
+def test_a_non_integer_literal_raises_and_changes_nothing(solver_kernel):
+    solver = CdclSolver()
+    with pytest.raises(TypeError):
+        solver.add_clause([1.5])
+    with pytest.raises(TypeError):
+        solver.add_clause([1, 2.0])
+    with pytest.raises(TypeError):
+        solver.reserve_vars(2.5)
+    assert solver._num_vars == 0 and solver._problem == []
+    solver.add_clause([1, -2])
+    with pytest.raises(TypeError):
+        solver.solve([1.5])
+    assert solver._num_vars == 2
+    assert solver.solve([2]).model == {1: True, 2: True}
 
 
 # A one-cell harness for the run-record test (the runner resolves hooks by module).
