@@ -10,8 +10,11 @@ def test_table1_reward_modes(benchmark, bench_profile):
     print("\n" + table1.report(results))
     per_step = results["per_step"]
     end_of_episode = results["end_of_episode"]
-    # Paper shape: end-of-episode rewards train faster (steps/minute) while the
-    # per-step agent finds at-least-as-large compatible sets.
-    assert end_of_episode.steps_per_minute > per_step.steps_per_minute
+    # Paper shape: end-of-episode rewards train faster while the per-step
+    # agent finds at-least-as-large compatible sets.  "Faster" is asserted on
+    # the work it stands for, compatibility checks of the reward, not on the
+    # wall clock: steps per minute stay in the printed report, but their
+    # margin is too thin to assert on a shared machine.
+    assert end_of_episode.reward_checks < per_step.reward_checks
     assert per_step.max_compatible >= 1
     assert end_of_episode.max_compatible >= 1

@@ -124,8 +124,8 @@ class SequentialCompatibility:
         without touching the solver (see :func:`greedy_compatible_sets`).
         """
         indices = sorted(indices)
-        model = self.justifier.satisfying_model(self.trigger(indices), self.cycles)
-        if model is None:
+        result = self.justifier.satisfying_model(self.trigger(indices), self.cycles)
+        if result is None:
             return None
         # Per-(rare net, cycle) truth of each rare value in the model.
         expansion = self.justifier.expansion
@@ -134,8 +134,7 @@ class SequentialCompatibility:
         for row, rare in enumerate(self.rare_nets):
             want = bool(rare.rare_value)
             for frame in range(frames):
-                value = model.get(expansion.variable(rare.net, frame), False)
-                profile[row, frame] = value == want
+                profile[row, frame] = result.value(expansion.variable(rare.net, frame)) == want
         # Greedy deterministic extension: add index j while the conjunction
         # of per-cycle bits still fires under (mode, count).
         mined = set(indices)

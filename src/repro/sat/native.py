@@ -3,7 +3,8 @@
 :func:`kernel` compiles the kernel once with the system C compiler and the
 Python headers, and keeps the shared object in ``__pycache__/`` next to the
 source.  Its file name carries a digest of the source and the compiler
-flags, so a changed source builds a new file, as a ``.pyc`` is rebuilt.
+flags, so a changed source builds a new file, as a ``.pyc`` is rebuilt, and
+the new build removes the older ones.
 Concurrent first builds (``--jobs 2``, two service workers) take turns
 under :func:`~repro.utils.fsio.file_lock`, and :func:`~repro.utils.fsio
 .atomic_write` publishes the result, so no process loads a torn file.
@@ -16,6 +17,7 @@ runs its Python methods, which the kernel mirrors step for step.
 from __future__ import annotations
 
 import hashlib
+from contextlib import suppress
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
@@ -52,6 +54,7 @@ def load(source: Path, build_dir: Path) -> ModuleType | None:
             with file_lock(target):
                 if not target.exists():
                     atomic_write(target, _compile(source))
+                    _remove_older_builds(target)
         loader = ExtensionFileLoader("repro.sat._kernel", str(target))
         spec = spec_from_file_location("repro.sat._kernel", target, loader=loader)
         module = module_from_spec(spec)
@@ -59,6 +62,16 @@ def load(source: Path, build_dir: Path) -> ModuleType | None:
         return module
     except (OSError, ImportError):
         return None
+
+
+def _remove_older_builds(target: Path) -> None:
+    """Delete this interpreter's other builds beside ``target`` (a loaded one stays mapped)."""
+    keep = (target, target.with_suffix(".lock"))
+    for tail in (EXTENSION_SUFFIXES[0], Path(EXTENSION_SUFFIXES[0]).with_suffix(".lock").name):
+        for old in target.parent.glob(f"_kernel.*{tail}"):
+            if old not in keep:
+                with suppress(OSError):
+                    old.unlink()
 
 
 def _compile(source: Path) -> bytes:

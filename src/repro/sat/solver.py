@@ -44,7 +44,8 @@ Configuration is a frozen :class:`SolverConfig`; cumulative counters are a
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from time import perf_counter
 
 from repro.obs.profile import hot_path
@@ -178,36 +179,56 @@ class SolverStats:
         )
 
 
-@dataclass
 class SolverResult:
-    """Outcome of a SAT query."""
+    """Outcome of a SAT query.
 
-    satisfiable: bool
-    model: dict[int, bool] | None = None
-    stats: SolverStats | None = None
+    A SAT answer of :class:`CdclSolver` keeps its variables' values (variable
+    ``v`` at index ``v - 1``, 1 for true) and builds :attr:`model` only when
+    it is first read; :meth:`value` reads the values directly.
+    """
+
+    __slots__ = ("satisfiable", "stats", "_model", "_values")
+
+    def __init__(
+        self, satisfiable: bool, model: dict[int, bool] | None = None,
+        stats: SolverStats | None = None, *, values: list[int] | None = None,
+    ) -> None:
+        self.satisfiable, self._model, self.stats, self._values = satisfiable, model, stats, values
+
+    @property
+    def model(self) -> dict[int, bool] | None:
+        """``{variable: value}``, or None for an UNSAT answer."""
+        if self._model is None and self._values is not None:
+            self._model = dict(enumerate(map((1).__eq__, self._values), 1))
+        return self._model
 
     def value(self, variable: int) -> bool:
         """Value of ``variable`` in the model (SAT results only)."""
-        if self.model is None:
+        values = self._values
+        if values is not None:
+            return 0 < variable <= len(values) and values[variable - 1] == 1
+        if self._model is None:
             raise ValueError("no model available: formula was unsatisfiable")
-        return self.model.get(variable, False)
+        return self._model.get(variable, False)
 
 
 class Clause(list):
-    """A clause: a literal list with learned-clause metadata riding along.
+    """A problem clause: a literal list whose learned-clause fields are class defaults.
 
     Subclassing ``list`` keeps literal access as fast as the raw lists the
     propagation loop indexes (``clause[0]``/``clause[1]`` are the watched
-    literals) while giving the clause database a place for LBD and activity.
+    literals), and building one runs no Python code.
     """
 
-    __slots__ = ("learned", "lbd", "activity")
+    __slots__ = ()
+    learned, lbd, activity = False, 0, 0.0
 
-    def __init__(self, literals, learned: bool = False, lbd: int = 0) -> None:
-        list.__init__(self, literals)
-        self.learned = learned
-        self.lbd = lbd
-        self.activity = 0.0
+
+class LearnedClause(Clause):
+    """A learned clause, with the LBD and activity that clause-database reduction ranks."""
+
+    __slots__ = ("lbd", "activity")
+    learned = True
 
 
 def luby(index: int) -> int:
@@ -281,8 +302,7 @@ class CdclSolver:
     def add_cnf(self, cnf: CNF) -> None:
         """Load all clauses of ``cnf`` into the solver."""
         self._ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses:
-            self.add_clause(clause)
+        self.add_clauses(cnf.clauses)
 
     def add_clause(self, literals: list[Literal]) -> None:
         """Add a clause; may only be called at decision level 0.
@@ -290,11 +310,14 @@ class CdclSolver:
         Literals are any integers (``operator.index``); a literal that is not
         one raises TypeError before any solver state changes.
         """
+        self.add_clauses((literals,))
+
+    def add_clauses(self, clauses) -> None:
+        """Add clauses in order, each as by :meth:`add_clause`."""
         kernel = native.kernel()
-        if kernel is None:
-            self._add_clause(literals)
-        else:
-            kernel.add_clause(self, literals)
+        add = self._add_clause if kernel is None else partial(kernel.add_clause, self)
+        for literals in clauses:
+            add(literals)
 
     def _add_clause(self, literals: list[Literal]) -> None:
         """:meth:`add_clause` in Python (C mirror: ``_kernel.add_clause``)."""
@@ -368,7 +391,7 @@ class CdclSolver:
 
     def stats(self) -> SolverStats:
         """Snapshot of the cumulative solver counters (an independent copy)."""
-        return replace(self._stats)
+        return SolverStats(**vars(self._stats))
 
     def _ensure_vars(self, num_vars: int) -> None:
         extra = num_vars - self._num_vars
@@ -489,10 +512,10 @@ class CdclSolver:
             if variable is None:
                 if len(trail) > stats.max_trail:
                     stats.max_trail = len(trail)
-                model = dict(zip(range(1, num_vars + 1), map((1).__eq__, value[2::2])))
+                values = value[2::2]
                 if config.verify_models:
-                    self._verify_model(model)
-                result = self._result(True, model)
+                    self._verify_model(values)
+                result = SolverResult(True, stats=self.stats(), values=values)
                 backtrack(self, 0)
                 return result
             stats.decisions += 1
@@ -745,7 +768,8 @@ class CdclSolver:
         self._stats.learned_clauses += 1
         if len(learned) == 1:
             return self._enqueue(learned[0], reason=None)
-        stored = Clause(learned, learned=True, lbd=lbd)
+        stored = LearnedClause(learned)
+        stored.lbd = lbd
         stored.activity = self._clause_inc
         self._learned.append(stored)
         self._watch_clause(stored)
@@ -792,10 +816,10 @@ class CdclSolver:
         self._reduce_limit += config.reduce_growth
         return victims
 
-    def _verify_model(self, model: dict[int, bool]) -> None:
-        """Sanity check: every problem clause must be satisfied by the model."""
+    def _verify_model(self, values: list[int]) -> None:
+        """Sanity check: every problem clause must be satisfied by the model (``value[2::2]``)."""
         for clause in self._problem:
-            if not any(model[code >> 1] == (not code & 1) for code in clause):
+            if not any(values[(code >> 1) - 1] == 1 - (code & 1) for code in clause):
                 raise RuntimeError(
                     "internal solver error: model does not satisfy a clause"
                 )
@@ -820,8 +844,8 @@ class CdclSolver:
         del self._trail_limits[level:]
         self._queue_head = min(self._queue_head, len(self._trail))
 
-    def _result(self, satisfiable: bool, model: dict[int, bool] | None = None) -> SolverResult:
-        return SolverResult(satisfiable=satisfiable, model=model, stats=self.stats())
+    def _result(self, satisfiable: bool) -> SolverResult:
+        return SolverResult(satisfiable, stats=self.stats())
 
 
 def solve_cnf(

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.circuits.netlist import Netlist
 from repro.sat.cnf import Literal
-from repro.sat.solver import SolverConfig, SolverStats
+from repro.sat.solver import SolverConfig, SolverResult, SolverStats
 from repro.sat.unroll import TimeFrameExpansion
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the sat layer cycle-free
@@ -181,6 +181,9 @@ class SequentialJustifier:
         self._preferred: dict[str, int] = {}
         # (unroll depth, variable -> phase) built from ``_preferred``.
         self._preferred_phases: tuple[int, dict[int, bool]] | None = None
+        # ``_fired_by``'s block: the last auxiliary variable numbered, its clauses.
+        self._next_var = 0
+        self._clauses: list[list[Literal]] = []
 
     # ------------------------------------------------------------------
     # Structure
@@ -239,8 +242,8 @@ class SequentialJustifier:
 
     def satisfying_model(
         self, trigger: SequentialTrigger, cycles: int | None = None
-    ) -> dict[int, bool] | None:
-        """Raw SAT model of one firing query, or None if it cannot fire.
+    ) -> SolverResult | None:
+        """The SAT result of one firing query, or None if it cannot fire.
 
         Unlike :meth:`witness` this neither decodes nor replays the model —
         it is the cheap building block for callers that mine a model for
@@ -255,7 +258,7 @@ class SequentialJustifier:
             return None
         self._apply_preferred()
         result = self.expansion.solve([fired])
-        return result.model if result.satisfiable else None
+        return result if result.satisfiable else None
 
     def witness(
         self,
@@ -277,9 +280,8 @@ class SequentialJustifier:
         result = self.expansion.solve([fired])
         if not result.satisfiable:
             return None
-        assert result.model is not None
-        sequence = self.expansion.decode_inputs(result.model)[:horizon]
-        bits = self._model_condition_bits(trigger.condition, result.model, horizon)
+        sequence = self.expansion.decode_inputs(result)[:horizon]
+        bits = self._model_condition_bits(trigger.condition, result, horizon)
         fires = temporal_fire_cycles(trigger.mode, trigger.count, bits)
         if not fires:  # pragma: no cover - encoding guarantees at least one
             raise RuntimeError(
@@ -314,6 +316,11 @@ class SequentialJustifier:
     def _condition_key(self, condition: TriggerCondition) -> tuple:
         return tuple(sorted(condition.requirements))
 
+    def _new_variable(self) -> int:
+        """Number one auxiliary variable of the block :meth:`_fired_by` is building."""
+        self._next_var += 1
+        return self._next_var
+
     def _condition_literals(self, condition: TriggerCondition, frames: int) -> list[Literal]:
         """Per-frame indicator literals of the condition (cached, lazily grown)."""
         key = self._condition_key(condition)
@@ -325,18 +332,22 @@ class SequentialJustifier:
             if len(members) == 1:
                 literals.append(members[0])
                 continue
-            indicator = expansion.new_variable()
-            for member in members:
-                expansion.add_clause([-indicator, member])
-            expansion.add_clause([indicator] + [-member for member in members])
+            indicator = self._new_variable()
+            self._clauses += [[-indicator, member] for member in members]
+            self._clauses.append([indicator] + [-member for member in members])
             literals.append(indicator)
         return literals
 
     def _fired_by(self, trigger: SequentialTrigger, frames: int) -> Literal | None:
-        """Literal asserting "trigger fired at some cycle < frames" (None if impossible)."""
+        """Literal asserting "trigger fired at some cycle < frames" (None if impossible).
+
+        New auxiliary variables and their clauses reach the solver as one block.
+        """
         if frames < trigger.count:
             return None
         self.expansion.extend_to(frames)
+        self._next_var = self.expansion.num_vars
+        self._clauses = []
         cond = self._condition_literals(trigger.condition, frames)
         key = (self._condition_key(trigger.condition), trigger.mode, trigger.count)
         chain = self._chains.get(key)
@@ -350,23 +361,23 @@ class SequentialJustifier:
         )
         while len(chain.fired) < frames:
             build(chain, cond, trigger.count, len(chain.fired))
+        if self._clauses:
+            self.expansion.add_auxiliary(self._next_var, self._clauses)
         return chain.fired[frames - 1]
 
     def _build_consecutive_frame(
         self, chain: _TemporalChain, cond: list[Literal], count: int, frame: int
     ) -> None:
         """Extend the shift chain by one frame: s[i][t] <-> cond[t] AND s[i-1][t-1]."""
-        expansion = self.expansion
         chain.levels[0].append(cond[frame])
         for depth in range(1, count):
             if frame < depth:
                 chain.levels[depth].append(None)
                 continue
             previous = chain.levels[depth - 1][frame - 1]
-            streak = expansion.new_variable()
-            expansion.add_clause([-streak, cond[frame]])
-            expansion.add_clause([-streak, previous])
-            expansion.add_clause([streak, -cond[frame], -previous])
+            streak = self._new_variable()
+            self._clauses += ([-streak, cond[frame]], [-streak, previous],
+                              [streak, -cond[frame], -previous])
             chain.levels[depth].append(streak)
         self._append_fired(chain, chain.levels[count - 1][frame])
 
@@ -374,7 +385,6 @@ class SequentialJustifier:
         self, chain: _TemporalChain, cond: list[Literal], count: int, frame: int
     ) -> None:
         """Extend the cardinality ladder: c[i][t] <-> c[i][t-1] OR (cond[t] AND c[i-1][t-1])."""
-        expansion = self.expansion
         for depth in range(count):
             if frame < depth:  # fewer than depth+1 cycles elapsed: impossible
                 chain.levels[depth].append(None)
@@ -385,24 +395,20 @@ class SequentialJustifier:
                 if carried is None:
                     chain.levels[0].append(cond[frame])
                     continue
-                reached = expansion.new_variable()
-                expansion.add_clause([-carried, reached])
-                expansion.add_clause([-cond[frame], reached])
-                expansion.add_clause([-reached, carried, cond[frame]])
+                reached = self._new_variable()
+                self._clauses += ([-carried, reached], [-cond[frame], reached],
+                                  [-reached, carried, cond[frame]])
                 chain.levels[0].append(reached)
                 continue
             # depth >= 1: ``below`` is defined whenever this cell is reachable.
             assert below is not None
-            reached = expansion.new_variable()
+            reached = self._new_variable()
             if carried is None:  # first reachable cell: c = cond AND below
-                expansion.add_clause([-reached, cond[frame]])
-                expansion.add_clause([-reached, below])
-                expansion.add_clause([reached, -cond[frame], -below])
+                self._clauses += ([-reached, cond[frame]], [-reached, below],
+                                  [reached, -cond[frame], -below])
             else:
-                expansion.add_clause([-carried, reached])
-                expansion.add_clause([-cond[frame], -below, reached])
-                expansion.add_clause([-reached, carried, cond[frame]])
-                expansion.add_clause([-reached, carried, below])
+                self._clauses += ([-carried, reached], [-cond[frame], -below, reached],
+                                  [-reached, carried, cond[frame]], [-reached, carried, below])
             chain.levels[depth].append(reached)
         # The top ladder row is already monotone in t ("count reached by t").
         chain.fired.append(chain.levels[count - 1][frame])
@@ -416,23 +422,21 @@ class SequentialJustifier:
         if previous is None:
             chain.fired.append(fire)
             return
-        fired = self.expansion.new_variable()
-        self.expansion.add_clause([-previous, fired])
-        self.expansion.add_clause([-fire, fired])
-        self.expansion.add_clause([-fired, previous, fire])
+        fired = self._new_variable()
+        self._clauses += ([-previous, fired], [-fire, fired], [-fired, previous, fire])
         chain.fired.append(fired)
 
     # ------------------------------------------------------------------
     # Decoding internals
     # ------------------------------------------------------------------
     def _model_condition_bits(
-        self, condition: TriggerCondition, model: dict[int, bool], frames: int
+        self, condition: TriggerCondition, result: SolverResult, frames: int
     ) -> np.ndarray:
-        """Per-frame condition truth read off the circuit variables of a model."""
+        """Per-frame condition truth read off the circuit variables of a SAT result."""
         bits = np.ones(frames, dtype=bool)
         for net, value in condition.requirements:
             for frame in range(frames):
-                assigned = model.get(self.expansion.variable(net, frame), False)
+                assigned = result.value(self.expansion.variable(net, frame))
                 if assigned != bool(value):
                     bits[frame] = False
         return bits

@@ -28,9 +28,10 @@ Depth extension is **incremental**: :meth:`extend_to` appends frames to the
 same :class:`~repro.sat.solver.CdclSolver`, keeping learned clauses, instead
 of re-encoding from scratch — the sequential analogue of the incremental
 assumption-based querying the pairwise compatibility phase relies on.
-Temporal layers on top (:mod:`repro.sat.temporal`) allocate auxiliary
-variables through :meth:`new_variable`, which shares one allocator with the
-frame blocks so extension and auxiliary allocation can interleave freely.
+Temporal layers on top (:mod:`repro.sat.temporal`) number auxiliary
+variables from :attr:`num_vars` and hand them over, with their clauses, to
+:meth:`add_auxiliary`; frame blocks and auxiliaries share one numbering, so
+extension and auxiliary encoding can interleave freely.
 """
 
 from __future__ import annotations
@@ -138,30 +139,28 @@ class TimeFrameExpansion:
             self._next_var += self._frame_size
             self._solver.reserve_vars(self._next_var)
             self._frame_base.append(base)
-            for clause in self._template.clauses:
-                self._solver.add_clause(
-                    [lit + base if lit > 0 else lit - base for lit in clause]
-                )
+            clauses = [[lit + base if lit > 0 else lit - base for lit in clause]
+                       for clause in self._template.clauses]
             if frame == 0:
-                for net, value in self._initial_state.items():
-                    self._solver.add_clause([self.literal(net, value, 0)])
+                clauses += ([self.literal(net, v, 0)] for net, v in self._initial_state.items())
             else:
                 for q, d in zip(self.interface.state, self.interface.next_state):
                     q_var = self.variable(q, frame)
                     d_var = self.variable(d, frame - 1)
-                    self._solver.add_clause([-q_var, d_var])
-                    self._solver.add_clause([q_var, -d_var])
+                    clauses += ([-q_var, d_var], [q_var, -d_var])
+            self._solver.add_clauses(clauses)
         return self
 
-    def new_variable(self) -> int:
-        """Allocate one fresh auxiliary variable (shared with frame blocks)."""
-        self._next_var += 1
-        self._solver.reserve_vars(self._next_var)
+    @property
+    def num_vars(self) -> int:
+        """Variables in use: every frame block and auxiliary variable so far."""
         return self._next_var
 
-    def add_clause(self, literals: list[Literal]) -> None:
-        """Add a clause over frame and/or auxiliary variables."""
-        self._solver.add_clause(literals)
+    def add_auxiliary(self, num_vars: int, clauses: list[list[Literal]]) -> None:
+        """Take variables up to ``num_vars`` as auxiliaries: one growth, then ``clauses``."""
+        self._next_var = max(self._next_var, num_vars)
+        self._solver.reserve_vars(self._next_var)
+        self._solver.add_clauses(clauses)
 
     def set_phases(self, phases: dict[int, bool]) -> None:
         """Set preferred decision phases (see :meth:`CdclSolver.set_phases`)."""
@@ -179,8 +178,8 @@ class TimeFrameExpansion:
         """Cumulative solver statistics across every query so far."""
         return self._solver.stats()
 
-    def decode_inputs(self, model: dict[int, bool]) -> np.ndarray:
-        """Per-cycle primary-input values of a model.
+    def decode_inputs(self, result: SolverResult) -> np.ndarray:
+        """Per-cycle primary-input values of a SAT result's model.
 
         Returns a ``(num_frames, num_inputs)`` uint8 array whose row ``t`` is
         the stimulus the model applies at clock cycle ``t`` — directly usable
@@ -190,7 +189,7 @@ class TimeFrameExpansion:
         sequence = np.zeros((self.num_frames, len(inputs)), dtype=np.uint8)
         for frame in range(self.num_frames):
             for column, net in enumerate(inputs):
-                sequence[frame, column] = int(model.get(self.variable(net, frame), False))
+                sequence[frame, column] = result.value(self.variable(net, frame))
         return sequence
 
 

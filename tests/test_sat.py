@@ -1,6 +1,8 @@
 """Tests for the CNF container, the CDCL solver, Tseitin encoding, and justification."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from repro.circuits import generators
 from repro.sat.cnf import CNF
 from repro.sat.encode import CircuitEncoder
 from repro.sat.justify import Justifier
-from repro.sat.solver import CdclSolver, solve_cnf
+from repro.sat.solver import CdclSolver, Clause, SolverConfig, SolverResult, solve_cnf
 from repro.simulation.logic_sim import BitParallelSimulator, simulate_pattern
 
 
@@ -64,6 +66,77 @@ class TestCnf:
         clone = cnf.copy()
         clone.add_clause([-1])
         assert cnf.num_clauses == 1
+
+
+def _result_session(config: SolverConfig | None = None) -> tuple[CdclSolver, list]:
+    """One solver on a seeded random 3-SAT formula, queried under fixed assumptions."""
+    rng = np.random.default_rng(11)
+    solver = CdclSolver(config=config)
+    solver.reserve_vars(14)
+    for _ in range(50):
+        variables = rng.choice(14, size=3, replace=False) + 1
+        solver.add_clause([int(v) if rng.random() < 0.5 else -int(v) for v in variables])
+    solver.add_clause([1, 2])
+    queries = ([], [1], [-1, -2], [3, -4], [-5, 6, 7], [-1, 2, -3])
+    return solver, [solver.solve(assumptions) for assumptions in queries]
+
+
+#: sha256 of the ``model`` of every answer of ``_result_session``, recorded
+#: when models were still built as dicts inside ``solve``.
+RESULT_MODELS_DIGEST = "7f3c4b67d65fa62f7362343e55af5031a0a79be10077367bad62fa9c784b54f9"
+
+
+@pytest.mark.usefixtures("solver_kernel")
+class TestSolverResult:
+    def test_models_are_the_dicts_solve_used_to_build(self):
+        _, results = _result_session()
+        models = [result.model for result in results]
+        assert None in models and any(models)
+        for model in filter(None, models):
+            assert list(model) == list(range(1, 15))
+            assert all(type(value) is bool for value in model.values())
+        encoded = json.dumps([model and sorted(model.items()) for model in models])
+        assert hashlib.sha256(encoded.encode()).hexdigest() == RESULT_MODELS_DIGEST
+
+    def test_value_agrees_with_the_model(self):
+        _, results = _result_session()
+        for result in filter(lambda result: result.satisfiable, results):
+            values = [result.value(variable) for variable in range(-1, 17)]
+            assert values == [result.model.get(variable, False) for variable in range(-1, 17)]
+
+    def test_value_of_an_unsat_answer_raises(self):
+        _, results = _result_session()
+        unsat = [result for result in results if not result.satisfiable]
+        assert unsat
+        for result in unsat:
+            assert result.model is None
+            with pytest.raises(ValueError, match="unsatisfiable"):
+                result.value(1)
+
+    def test_stats_stay_as_they_were_after_later_queries(self):
+        solver, results = _result_session()
+        before = [result.stats.as_dict() for result in results]
+        solver.solve([-3, -6])
+        solver.solve([8])
+        assert [result.stats.as_dict() for result in results] == before
+        assert results[-1].stats is not solver.stats()
+        assert before[-1]["propagations"] < solver.stats().propagations
+
+    def test_a_constructed_result_keeps_its_model(self):
+        result = SolverResult(True, {1: True, 3: False})
+        assert result.model == {1: True, 3: False} and result.stats is None
+        assert [result.value(variable) for variable in (1, 2, 3)] == [True, False, False]
+        assert SolverResult(False).model is None
+
+    def test_verify_models_catches_a_corrupted_model(self):
+        solver, results = _result_session(SolverConfig(verify_models=True))
+        model = results[0].model
+        # A problem clause the search never watches, false under the model
+        # the same search finds again.
+        codes = [2 * variable + int(model[variable]) for variable in (1, 2, 3)]
+        solver._problem.append(Clause(codes))
+        with pytest.raises(RuntimeError, match="model does not satisfy"):
+            solver.solve()
 
 
 class TestCdclSolver:

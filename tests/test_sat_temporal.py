@@ -15,6 +15,9 @@ Differential coverage for the unrolled transition relation:
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -161,7 +164,7 @@ class TestTimeFrameExpansion:
         expansion = TimeFrameExpansion(netlist, num_frames=4)
         result = expansion.solve([expansion.literal("mix", 1, 3)])
         assert result.satisfiable
-        sequence = expansion.decode_inputs(result.model)
+        sequence = expansion.decode_inputs(result)
         assert sequence.shape == (4, 2)
         from repro.sat.temporal import condition_bits
 
@@ -341,3 +344,63 @@ class TestSequentialJustifier:
             )
             coverage = sequence_trigger_coverage(controller, [trojan], workload)
             assert coverage.detected == [True]
+
+
+#: Triggers encoded by the encoding pin below: every rule at k = 1..3 on a
+#: one-net condition and on two multi-net conditions (indicator variables).
+ENCODED_TRIGGERS = [
+    SequentialTrigger(condition=TriggerCondition(requirements), mode=mode, count=count)
+    for requirements in ((("mix", 1),), (("a", 1), ("b", 0)), (("obs", 0), ("q", 1)))
+    for mode in ("consecutive", "cumulative")
+    for count in (1, 2, 3)
+]
+ENCODING_DIGEST = "5f98a40029af779239447392f4c341239f28e9baa0909c9debd2f87e11e4721f"
+
+
+def _encoding_digest(justifier: SequentialJustifier) -> str:
+    """sha256 over the solver's variable count, clauses, binary implications and units."""
+    solver = justifier.expansion._solver
+    state = [
+        solver._num_vars,
+        [list(clause) for clause in solver._problem],
+        [[implied for implied, _ in entries] for entries in solver._binary],
+        solver._trail,
+    ]
+    return hashlib.sha256(json.dumps(state).encode()).hexdigest()
+
+
+@pytest.mark.usefixtures("solver_kernel")
+class TestEncodingPins:
+    def test_encoding_is_pinned(self):
+        """Variable numbers, clause order and level-0 units of a fixed encoding.
+
+        Horizon 4 and then 8 covers incremental ``extend_to`` between chain
+        extensions.  The constant was recorded before encodings were batched,
+        so batching changed neither numbering nor clause order.
+        """
+        justifier = SequentialJustifier(toy_netlist(), cycles=1)
+        for horizon in (4, 8):
+            for trigger in ENCODED_TRIGGERS:
+                justifier._fired_by(trigger, horizon)
+        assert _encoding_digest(justifier) == ENCODING_DIGEST
+
+    def test_a_new_chain_grows_the_solver_once(self, monkeypatch):
+        """One growth per new frame, then one for every auxiliary variable of the chain."""
+        justifier = SequentialJustifier(toy_netlist(), cycles=2)
+        solver = justifier.expansion._solver
+        growths = []
+        ensure_vars = solver._ensure_vars
+
+        def counting(num_vars):
+            if num_vars > solver._num_vars:
+                growths.append(num_vars)
+            ensure_vars(num_vars)
+
+        monkeypatch.setattr(solver, "_ensure_vars", counting)
+        trigger = SequentialTrigger(
+            condition=TriggerCondition((("a", 1), ("b", 0))), mode="cumulative", count=3
+        )
+        assert justifier._fired_by(trigger, 5) is not None
+        frame_size = justifier.expansion._frame_size
+        assert growths[:3] == [3 * frame_size, 4 * frame_size, 5 * frame_size]
+        assert len(growths) == 4 and growths[3] == solver._num_vars > 5 * frame_size

@@ -394,10 +394,30 @@ def test_a_changed_source_builds_under_a_new_name(tmp_path, monkeypatch):
     monkeypatch.setattr(native, "_compile", fake_compile)
     # A corrupt build fails to load: the loader answers None, not an error.
     assert native.load(source, tmp_path / "build") is None
+    first = {path.name for path in (tmp_path / "build").iterdir()}
     source.write_text("/* two */")
     assert native.load(source, tmp_path / "build") is None
     assert built == ["/* one */", "/* two */"]
-    assert len(list((tmp_path / "build").glob("_kernel.*.so"))) == 2
+    second = {path.name for path in (tmp_path / "build").iterdir()}
+    assert len(first) == len(second) == 2 and not first & second
+
+
+@needs_kernel
+def test_a_new_build_removes_the_older_builds_and_their_locks(tmp_path):
+    """Two real sources built in turn into one directory leave only the second build."""
+    build_dir = tmp_path / "build"
+    old_source = tmp_path / "old" / "_kernel.c"
+    old_source.parent.mkdir()
+    old_source.write_bytes(native.SOURCE.read_bytes() + b"/* an older source */\n")
+    assert native.load(old_source, build_dir) is not None
+    foreign = build_dir / "_kernel.0123456789abcdef.other-interpreter.so"
+    foreign.write_bytes(b"")
+    module = native.load(native.SOURCE, build_dir)
+    assert module is not None and module.pop_unassigned is not None
+    target = Path(module.__file__)
+    assert sorted(path.name for path in build_dir.iterdir()) == sorted(
+        [target.name, target.with_suffix(".lock").name, foreign.name]
+    )
 
 
 def test_no_compiler_falls_back_to_none(tmp_path, monkeypatch):
