@@ -40,10 +40,7 @@ def main(design: str = "c2670_like") -> None:
         context.netlist, len(pattern_sets["TGRL"]), seed=0
     )
     print("Running ATPG proxy...")
-    pattern_sets["ATPG"] = atpg_pattern_set(
-        context.netlist, context.compatibility.rare_nets,
-        justifier=context.compatibility.justifier,
-    )
+    pattern_sets["ATPG"] = atpg_pattern_set(context.netlist, context.compatibility.rare_nets)
     print("Running MERO...")
     pattern_sets["MERO"] = mero_pattern_set(
         context.netlist, context.compatibility.rare_nets,

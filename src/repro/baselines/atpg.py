@@ -24,7 +24,6 @@ from repro.simulation.rare_nets import RareNet
 def atpg_pattern_set(
     netlist: Netlist,
     rare_nets: list[RareNet],
-    justifier: Justifier | None = None,
     compact: bool = True,
 ) -> PatternSet:
     """One justification pattern per rare net, with optional compaction.
@@ -33,8 +32,12 @@ def atpg_pattern_set(
     one rare net that no previously kept pattern activates — mimicking the
     test-compaction step of an industrial ATPG flow and keeping the pattern
     count in the same ballpark as TestMAX's (tens to low hundreds).
+
+    The witnesses come from a fresh solver, so the pattern set depends only
+    on the netlist and the rare nets, not on queries another caller asked
+    earlier.
     """
-    justifier = justifier or Justifier(netlist)
+    justifier = Justifier(netlist)
     assignments: list[dict[str, int]] = []
     targeted: list[str] = []
     for rare in rare_nets:

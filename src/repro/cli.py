@@ -253,10 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="idle sleep between claim attempts",
     )
     worker_parser.add_argument(
-        "--heartbeat-interval", type=float, default=None, metavar="S",
-        help="seconds between lease renewals (default: lease/3)",
-    )
-    worker_parser.add_argument(
         "--max-task-seconds", type=float, default=None, metavar="S",
         help="stop renewing a job's lease after S seconds so a wedged task "
              "is eventually reclaimed by a peer",
@@ -646,7 +642,6 @@ def _command_queue_worker(args: argparse.Namespace) -> int:
     options = WorkerOptions(
         worker_id=args.worker_id,
         poll_interval=args.poll_interval,
-        heartbeat_interval=args.heartbeat_interval,
         max_task_seconds=args.max_task_seconds,
         max_idle_seconds=args.max_idle_seconds,
         max_jobs=args.max_jobs,

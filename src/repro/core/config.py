@@ -79,7 +79,7 @@ class DeterrentConfig:
         return replace(self, **changes)
 
 
-#: Configuration profile used by the fast test-suite / pytest-benchmark runs.
+#: Small configuration for quick runs and unit tests.
 QUICK_PROFILE = DeterrentConfig(
     num_probability_patterns=1024,
     episode_length=20,

@@ -50,7 +50,7 @@ class ExperimentProfile:
         return config.with_overrides(**overrides) if overrides else config
 
 
-#: Fast profile used by pytest-benchmark and CI; minutes across all harnesses.
+#: Fast default profile of the harness CLIs; minutes across all harnesses.
 QUICK = ExperimentProfile(
     name="quick",
     num_trojans=40,

@@ -82,10 +82,7 @@ def _technique_outcomes(
         budget = len(pattern_sets.get("TGRL", [])) or profile.tgrl_training_steps
         pattern_sets["Random"] = random_pattern_set(context.netlist, budget, seed=profile.seed)
     if "ATPG" in techniques:
-        pattern_sets["ATPG"] = atpg_pattern_set(
-            context.netlist, context.compatibility.rare_nets,
-            justifier=context.compatibility.justifier,
-        )
+        pattern_sets["ATPG"] = atpg_pattern_set(context.netlist, context.compatibility.rare_nets)
     if "TARMAC" in techniques:
         pattern_sets["TARMAC"] = tarmac_pattern_set(
             context.compatibility,

@@ -205,7 +205,7 @@ class DurableQueue:
         return job_id
 
     # ------------------------------------------------------------------
-    # Worker side: claim / heartbeat / ack / fail / release
+    # Worker side: claim / heartbeat / ack / fail
     # ------------------------------------------------------------------
     def claim(self, worker: str, now: float | None = None) -> Lease | None:
         """Lease the oldest claimable job, or None when nothing is available.
@@ -338,13 +338,6 @@ class DurableQueue:
             )
         )
         self._cleanup_done(lease.job_id, owner=lease)
-
-    def release(self, lease: Lease) -> None:
-        """Give up ``lease`` without finishing the job (it stays queued)."""
-        if self._owns(lease):
-            # The next claim restarts the delivery count, so the reclaim
-            # markers of this run of the job must go with the lease.
-            self._remove_lease_files(lease.job_id)
 
     # ------------------------------------------------------------------
     # Status and results
@@ -576,7 +569,6 @@ class WorkerOptions:
 
     worker_id: str | None = None
     poll_interval: float = 0.1
-    heartbeat_interval: float | None = None
     max_task_seconds: float | None = None
     max_idle_seconds: float | None = None
     max_jobs: int | None = None
@@ -666,7 +658,7 @@ def _run_leased_job(queue: DurableQueue, lease: Lease, options: WorkerOptions) -
         _install_cache(cache_dir)
     started = time.perf_counter()
     stop_beat = threading.Event()
-    interval = options.heartbeat_interval or max(0.05, lease.lease_seconds / 3.0)
+    interval = max(0.05, lease.lease_seconds / 3.0)
     deadline = (
         None if options.max_task_seconds is None else time.time() + options.max_task_seconds
     )

@@ -9,6 +9,7 @@ from repro.baselines.random_patterns import random_pattern_set
 from repro.baselines.tarmac import TarmacConfig, sample_maximal_clique, tarmac_pattern_set
 from repro.baselines.tgrl import TgrlConfig, TgrlEnv, tgrl_pattern_set
 from repro.rl.ppo import PpoConfig
+from repro.sat.justify import Justifier
 from repro.simulation.logic_sim import BitParallelSimulator, simulate_pattern
 from repro.trojan.evaluation import trigger_coverage
 from repro.trojan.insertion import sample_trojans
@@ -35,9 +36,7 @@ class TestRandomPatterns:
 class TestAtpgProxy:
     def test_every_rare_net_individually_activated(self, small_multiplier, multiplier_compatibility):
         rare = multiplier_compatibility.rare_nets
-        pattern_set = atpg_pattern_set(small_multiplier, rare,
-                                       justifier=multiplier_compatibility.justifier,
-                                       compact=False)
+        pattern_set = atpg_pattern_set(small_multiplier, rare, compact=False)
         simulator = BitParallelSimulator(small_multiplier)
         values = simulator.run_patterns(pattern_set.patterns)
         for item in rare:
@@ -46,12 +45,23 @@ class TestAtpgProxy:
 
     def test_compaction_reduces_or_preserves_length(self, small_multiplier, multiplier_compatibility):
         rare = multiplier_compatibility.rare_nets
-        full = atpg_pattern_set(small_multiplier, rare,
-                                justifier=multiplier_compatibility.justifier, compact=False)
-        compact = atpg_pattern_set(small_multiplier, rare,
-                                   justifier=multiplier_compatibility.justifier, compact=True)
+        full = atpg_pattern_set(small_multiplier, rare, compact=False)
+        compact = atpg_pattern_set(small_multiplier, rare, compact=True)
         assert len(compact) <= len(full)
         assert len(compact) >= 1
+
+    def test_patterns_do_not_depend_on_earlier_solver_queries(
+        self, small_multiplier, multiplier_compatibility
+    ):
+        """Each call builds its own solver: a shared one's learned clauses
+        once changed the witnesses, so a warm cache gave another ATPG row."""
+        rare = multiplier_compatibility.rare_nets
+        first = atpg_pattern_set(small_multiplier, rare)
+        other = Justifier(small_multiplier)
+        for item in rare[::-1]:
+            other.witness({item.net: item.rare_value})
+        second = atpg_pattern_set(small_multiplier, rare)
+        assert np.array_equal(first.patterns, second.patterns)
 
 
 class TestMero:

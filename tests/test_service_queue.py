@@ -36,6 +36,11 @@ def boom(x):
     raise ValueError(f"boom {x}")
 
 
+def nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
 def build_row(design: str, seed: int) -> dict:
     """A deterministic, structured 'detection result' payload."""
     return {
@@ -118,34 +123,6 @@ class TestQueueLifecycle:
         job_id = queue.put(TaskSpec(fn=square, args=(5,)))
         assert queue.claim("w1").job_id == job_id
         assert queue.claim("w2") is None  # exclusive lease-create decides
-
-    def test_release_requeues_unfinished_work(self, queue):
-        job_id = queue.put(TaskSpec(fn=square, args=(5,)))
-        lease = queue.claim("w1")
-        queue.release(lease)
-        assert queue.status(job_id) == "queued"
-        again = queue.claim("w2")
-        assert again.job_id == job_id
-        # a release is not a reclaim: delivery count restarts from the lease
-        assert again.deliveries == 1
-
-    def test_release_after_a_reclaim_lets_the_next_expiry_be_reclaimed(self, tmp_path):
-        """A released job restarts at delivery 1, so the reclaim marker of
-        its earlier delivery 1 must go with the lease: left behind, it would
-        make every later reclaim of that delivery lose to a ghost."""
-        queue = DurableQueue(tmp_path / "q", lease_seconds=1.0)
-        job_id = queue.put(TaskSpec(fn=square, args=(5,)))
-        queue.claim("dead", now=0.0)
-        reclaimed = queue.claim("B", now=10.0)
-        assert reclaimed.deliveries == 2
-        queue.release(reclaimed)
-        assert list(queue.leases_dir.iterdir()) == []
-
-        restarted = queue.claim("C", now=20.0)
-        assert (restarted.job_id, restarted.deliveries) == (job_id, 1)
-        again = queue.claim("D", now=30.0)  # C died too
-        assert again is not None and again.deliveries == 2
-        assert queue.stats(now=30.0)["reclaims"] == 2
 
 
 class TestLeasesAndHeartbeats:
@@ -292,6 +269,27 @@ class TestWorkerLoop:
         assert error["message"] == "boom 3"
         assert "in boom" in error["traceback"]
         assert error["traceback"].rstrip().endswith("ValueError: boom 3")
+
+    def test_heartbeats_keep_a_job_that_outlives_its_lease(self, tmp_path):
+        """The worker renews every ``lease_seconds / 3``, so a peer finds
+        the lease live long after its first expiry and never reclaims it."""
+        queue = DurableQueue(tmp_path / "q", lease_seconds=1.0)
+        job_id = queue.put(TaskSpec(fn=nap, args=(2.0,)))
+        worker = threading.Thread(
+            target=worker_loop, args=(queue, WorkerOptions(worker_id="w", max_jobs=1))
+        )
+        worker.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while queue.status(job_id) == "queued" and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(1.5)
+            assert queue.claim("peer") is None
+        finally:
+            worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert queue.result(job_id).value == 2.0
+        assert queue.stats()["reclaims"] == 0
 
     def test_max_idle_ends_a_loop_on_an_empty_queue(self, queue):
         assert worker_loop(queue, WorkerOptions(worker_id="idle", max_idle_seconds=0.0)) == 0
