@@ -10,13 +10,15 @@ sweep.
 Run with:  python examples/trigger_width_study.py
 """
 
-from repro.experiments import figure5
-from repro.experiments.common import QUICK
+from repro.runner.execution import run_experiment
 
 
 def main() -> None:
-    points = figure5.run(design="c6288_like", widths=(2, 4, 6, 8, 10), profile=QUICK)
-    print(figure5.report(points))
+    run = run_experiment(
+        "figure5", profile="quick", options={"design": "c6288_like", "widths": (2, 4, 6, 8, 10)}
+    )
+    print(run.report_text)
+    points = run.collected
     if points:
         last = points[-1]
         print(

@@ -52,9 +52,6 @@ class TgrlEnv(Environment):
         episode_length: int,
         seed: RngLike = None,
     ) -> None:
-        if not isinstance(simulator, CompiledNetlist):
-            # Accept the legacy BitParallelSimulator shim for compatibility.
-            simulator = compile_netlist(simulator.netlist)
         self._simulator = simulator
         self._requirements = [(rare.net, rare.rare_value) for rare in rare_nets]
         self._weights = weights

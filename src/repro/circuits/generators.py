@@ -15,8 +15,6 @@ Every generator is deterministic for a given seed and returns a validated
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.circuits import blocks
 from repro.circuits.builder import NetlistBuilder
 from repro.circuits.gates import GateType

@@ -15,7 +15,7 @@ makes for the ISCAS-89 and MIPS benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.circuits.gates import Gate, GateType
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.core.agent import DeterrentAgent
 from repro.core.patterns import generate_patterns
-from repro.experiments.common import ExperimentProfile, QUICK, prepare_benchmark
+from repro.experiments.common import ExperimentProfile, prepare_benchmark
 from repro.experiments.reporting import format_table
 from repro.runner.registry import GridCell
 from repro.trojan.evaluation import trigger_coverage
@@ -94,28 +94,8 @@ def collect(results: list[list[AblationPoint]]) -> list[AblationPoint]:
     return [point for cell_points in results for point in cell_points]
 
 
-def run(design: str = "c6288_like", profile: ExperimentProfile = QUICK) -> list[AblationPoint]:
-    """Run the ablation grid on one design."""
-    from repro.runner.execution import run_experiment
-
-    return run_experiment("ablations", profile=profile, options={"design": design}).collected
-
-
 def report(points: list[AblationPoint]) -> str:
     """Format the ablation grid."""
     headers = ["Configuration", "Max #compat", "Test length", "Coverage (%)"]
     rows = [[p.label, p.max_compatible, p.test_length, p.coverage_percent] for p in points]
     return format_table(headers, rows)
-
-
-def main(profile_name: str = "quick") -> None:
-    """Command-line entry point: ``python -m repro.experiments.ablations``."""
-    from repro.experiments.common import profile_by_name
-
-    print(report(run(profile=profile_by_name(profile_name))))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1] if len(sys.argv) > 1 else "quick")

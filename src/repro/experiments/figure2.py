@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.agent import DeterrentAgent
-from repro.experiments.common import ExperimentProfile, QUICK, prepare_benchmark
+from repro.experiments.common import ExperimentProfile, prepare_benchmark
 from repro.experiments.reporting import format_table
 from repro.runner.registry import GridCell
 
@@ -73,15 +73,6 @@ def collect(results: list[ComboResult]) -> list[ComboResult]:
     return results
 
 
-def run(
-    design: str = "mips16_like", profile: ExperimentProfile = QUICK
-) -> list[ComboResult]:
-    """Run all four combinations through the experiment runner."""
-    from repro.runner.execution import run_experiment
-
-    return run_experiment("figure2", profile=profile, options={"design": design}).collected
-
-
 def report(results: list[ComboResult]) -> str:
     """Format the four combinations next to the paper's Figure 2 values."""
     headers = ["Combination", "Eps/min", "Max #compat", "Paper eps/min", "Paper max"]
@@ -95,16 +86,3 @@ def report(results: list[ComboResult]) -> str:
             paper["episodes_per_min"], paper["max_compatible"],
         ])
     return format_table(headers, rows)
-
-
-def main(profile_name: str = "quick") -> None:
-    """Command-line entry point: ``python -m repro.experiments.figure2``."""
-    from repro.experiments.common import profile_by_name
-
-    print(report(run(profile=profile_by_name(profile_name))))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1] if len(sys.argv) > 1 else "quick")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.agent import DeterrentAgent
-from repro.experiments.common import ExperimentProfile, QUICK, prepare_benchmark
+from repro.experiments.common import ExperimentProfile, prepare_benchmark
 from repro.experiments.reporting import format_table
 from repro.runner.registry import GridCell
 
@@ -70,15 +70,6 @@ def collect(results: list[ExplorationResult]) -> dict[str, ExplorationResult]:
     return {result.label: result for result in results}
 
 
-def run(
-    design: str = "c2670_like", profile: ExperimentProfile = QUICK
-) -> dict[str, ExplorationResult]:
-    """Train a default-exploration and a boosted-exploration agent."""
-    from repro.runner.execution import run_experiment
-
-    return run_experiment("figure3", profile=profile, options={"design": design}).collected
-
-
 def report(results: dict[str, ExplorationResult]) -> str:
     """Summarise both loss trajectories (the paper plots the full curves)."""
     headers = ["Exploration", "Updates", "Mean |loss| (late)", "#distinct sets", "Max #compat"]
@@ -89,16 +80,3 @@ def report(results: dict[str, ExplorationResult]) -> str:
             result.num_distinct_sets, result.max_compatible,
         ])
     return format_table(headers, rows)
-
-
-def main(profile_name: str = "quick") -> None:
-    """Command-line entry point: ``python -m repro.experiments.figure3``."""
-    from repro.experiments.common import profile_by_name
-
-    print(report(run(profile=profile_by_name(profile_name))))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1] if len(sys.argv) > 1 else "quick")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.baselines.tgrl import TgrlConfig, tgrl_pattern_set
 from repro.core.agent import DeterrentAgent
 from repro.core.patterns import generate_patterns
-from repro.experiments.common import ExperimentProfile, QUICK, as_tuple, prepare_benchmark
+from repro.experiments.common import ExperimentProfile, as_tuple, prepare_benchmark
 from repro.experiments.reporting import format_table
 from repro.runner.registry import GridCell
 from repro.trojan.evaluation import trigger_coverage
@@ -124,34 +124,8 @@ def collect(results: list[TechniqueSweep]) -> list[WidthPoint]:
     ]
 
 
-def run(
-    design: str = "c6288_like",
-    widths: tuple[int, ...] = DEFAULT_WIDTHS,
-    profile: ExperimentProfile = QUICK,
-) -> list[WidthPoint]:
-    """Evaluate DETERRENT and TGRL pattern sets against each trigger width."""
-    from repro.runner.execution import run_experiment
-
-    return run_experiment(
-        "figure5", profile=profile, options={"design": design, "widths": widths}
-    ).collected
-
-
 def report(points: list[WidthPoint]) -> str:
     """Format the width sweep (the paper plots these as two curves)."""
     headers = ["Trigger width", "#HTs", "DETERRENT cov (%)", "TGRL cov (%)"]
     rows = [[p.width, p.num_trojans, p.deterrent_coverage, p.tgrl_coverage] for p in points]
     return format_table(headers, rows)
-
-
-def main(profile_name: str = "quick") -> None:
-    """Command-line entry point: ``python -m repro.experiments.figure5``."""
-    from repro.experiments.common import profile_by_name
-
-    print(report(run(profile=profile_by_name(profile_name))))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1] if len(sys.argv) > 1 else "quick")

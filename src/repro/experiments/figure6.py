@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.baselines.tgrl import TgrlConfig, tgrl_pattern_set
 from repro.core.agent import DeterrentAgent
 from repro.core.patterns import generate_patterns
-from repro.experiments.common import ExperimentProfile, QUICK, as_tuple, prepare_benchmark
+from repro.experiments.common import ExperimentProfile, as_tuple, prepare_benchmark
 from repro.experiments.reporting import format_table
 from repro.runner.registry import GridCell
 from repro.trojan.evaluation import coverage_curve
@@ -110,17 +110,6 @@ def collect(results: list[CurveCell]) -> list[CurveResult]:
     ]
 
 
-def run(
-    designs: tuple[str, ...] = DEFAULT_DESIGNS, profile: ExperimentProfile = QUICK
-) -> list[CurveResult]:
-    """Compute cumulative coverage curves for DETERRENT and TGRL."""
-    from repro.runner.execution import run_experiment
-
-    return run_experiment(
-        "figure6", profile=profile, options={"designs": tuple(designs)}
-    ).collected
-
-
 def report(results: list[CurveResult]) -> str:
     """Summarise the curves: final coverage and patterns needed for 90% of it."""
     headers = [
@@ -138,16 +127,3 @@ def report(results: list[CurveResult]) -> str:
             reached = next((n for n, c in curve if c >= target), None)
             rows.append([result.design, technique, curve[-1][0], final, reached])
     return format_table(headers, rows)
-
-
-def main(profile_name: str = "quick") -> None:
-    """Command-line entry point: ``python -m repro.experiments.figure6``."""
-    from repro.experiments.common import profile_by_name
-
-    print(report(run(profile=profile_by_name(profile_name))))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1] if len(sys.argv) > 1 else "quick")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.core.agent import DeterrentAgent
 from repro.core.patterns import generate_patterns
-from repro.experiments.common import ExperimentProfile, QUICK, as_tuple, prepare_benchmark
+from repro.experiments.common import ExperimentProfile, as_tuple, prepare_benchmark
 from repro.experiments.reporting import format_table
 from repro.runner.registry import GridCell
 from repro.trojan.evaluation import trigger_coverage
@@ -78,35 +78,8 @@ def collect(results: list[ThresholdPoint | None]) -> list[ThresholdPoint]:
     return [point for point in results if point is not None]
 
 
-def run(
-    design: str = "c6288_like",
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-    profile: ExperimentProfile = QUICK,
-) -> list[ThresholdPoint]:
-    """Run DETERRENT at each rareness threshold."""
-    from repro.runner.execution import run_experiment
-
-    return run_experiment(
-        "figure7", profile=profile,
-        options={"design": design, "thresholds": tuple(thresholds)},
-    ).collected
-
-
 def report(points: list[ThresholdPoint]) -> str:
     """Format the threshold sweep (the paper plots nets and coverage together)."""
     headers = ["Threshold", "#rare nets", "Test length", "DETERRENT cov (%)"]
     rows = [[p.threshold, p.num_rare_nets, p.test_length, p.coverage_percent] for p in points]
     return format_table(headers, rows)
-
-
-def main(profile_name: str = "quick") -> None:
-    """Command-line entry point: ``python -m repro.experiments.figure7``."""
-    from repro.experiments.common import profile_by_name
-
-    print(report(run(profile=profile_by_name(profile_name))))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1] if len(sys.argv) > 1 else "quick")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import DeterrentPipeline
-from repro.experiments.common import ExperimentProfile, QUICK, as_tuple, prepare_benchmark
+from repro.experiments.common import ExperimentProfile, as_tuple, prepare_benchmark
 from repro.experiments.reporting import format_table
 from repro.runner.registry import GridCell
 from repro.trojan.evaluation import trigger_coverage
@@ -79,25 +79,3 @@ def report(results: list[PipelineSummary]) -> str:
         for summary in results
     ]
     return format_table(headers, rows)
-
-
-def run(
-    design: str = "c6288_like", profile: ExperimentProfile = QUICK
-) -> list[PipelineSummary]:
-    """Run the end-to-end pipeline experiment through the runner."""
-    from repro.runner.execution import run_experiment
-
-    return run_experiment("pipeline", profile=profile, options={"design": design}).collected
-
-
-def main(profile_name: str = "quick") -> None:
-    """Command-line entry point: ``python -m repro.experiments.pipeline_run``."""
-    from repro.experiments.common import profile_by_name
-
-    print(report(run(profile=profile_by_name(profile_name))))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1] if len(sys.argv) > 1 else "quick")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from repro.circuits.library import benchmark_entry, load_benchmark
 from repro.circuits.netlist import Netlist
 from repro.core.patterns import SequenceSet
-from repro.experiments.common import ExperimentProfile, QUICK, as_tuple
+from repro.experiments.common import ExperimentProfile, as_tuple
 from repro.experiments.reporting import format_table
 from repro.runner.cache import get_default_cache, netlist_fingerprint
 from repro.runner.registry import GridCell
@@ -257,38 +257,3 @@ def report(results: list[SequentialCellResult]) -> str:
         "columns is the temporal depth a combinational test flow cannot see."
     )
     return f"{table}\n\n{note}"
-
-
-def run(
-    designs: tuple[str, ...] = DEFAULT_DESIGNS,
-    cycles: tuple[int, ...] = DEFAULT_CYCLES,
-    modes: tuple[str, ...] = DEFAULT_MODES,
-    counts: tuple[int, ...] = DEFAULT_COUNTS,
-    profile: ExperimentProfile = QUICK,
-) -> list[SequentialCellResult]:
-    """Run the sequential workload grid through the experiment runner."""
-    from repro.runner.execution import run_experiment
-
-    return run_experiment(
-        "sequential",
-        profile=profile,
-        options={
-            "designs": tuple(designs),
-            "cycles": tuple(cycles),
-            "modes": tuple(modes),
-            "counts": tuple(counts),
-        },
-    ).collected
-
-
-def main(profile_name: str = "quick") -> None:
-    """Command-line entry point: ``python -m repro.experiments.sequential``."""
-    from repro.experiments.common import profile_by_name
-
-    print(report(run(profile=profile_by_name(profile_name))))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1] if len(sys.argv) > 1 else "quick")

@@ -36,17 +36,10 @@ from repro.circuits.library import load_benchmark
 from repro.circuits.netlist import Netlist
 from repro.core.patterns import SequenceSet
 from repro.core.sequence_gen import generate_sequences
-from repro.experiments.common import ExperimentProfile, QUICK
+from repro.experiments.common import ExperimentProfile
 from repro.experiments.reporting import format_table
-from repro.experiments.sequential import (
-    DEFAULT_CYCLES,
-    DEFAULT_DESIGNS,
-    DEFAULT_MODES,
-    DEFAULT_COUNTS,
-    _rare_nets,
-    _trojans,
-    cells as _sequential_cells,
-)
+from repro.experiments.sequential import _rare_nets, _trojans
+from repro.experiments.sequential import cells as _sequential_cells
 from repro.runner.cache import get_default_cache, netlist_fingerprint
 from repro.sat.solver import SolverConfig
 from repro.simulation.rare_nets import RareNet
@@ -260,42 +253,3 @@ def _aggregate_solver_stats(
         snapshot = SolverStats(**result.solver_stats)
         merged = snapshot if merged is None else merged.merge(snapshot)
     return merged.as_dict() if merged is not None else None
-
-
-def run(
-    designs: tuple[str, ...] = DEFAULT_DESIGNS,
-    cycles: tuple[int, ...] = DEFAULT_CYCLES,
-    modes: tuple[str, ...] = DEFAULT_MODES,
-    counts: tuple[int, ...] = DEFAULT_COUNTS,
-    profile: ExperimentProfile = QUICK,
-    solver: dict | None = None,
-) -> list[SequentialDetectCellResult]:
-    """Run the SAT-guided detection grid through the experiment runner."""
-    from repro.runner.execution import run_experiment
-
-    options: dict = {
-        "designs": tuple(designs),
-        "cycles": tuple(cycles),
-        "modes": tuple(modes),
-        "counts": tuple(counts),
-    }
-    if solver is not None:
-        options["solver"] = dict(solver)
-    return run_experiment(
-        "sequential_detect",
-        profile=profile,
-        options=options,
-    ).collected
-
-
-def main(profile_name: str = "quick") -> None:
-    """Command-line entry point: ``python -m repro.experiments.sequential_detect``."""
-    from repro.experiments.common import profile_by_name
-
-    print(report(run(profile=profile_by_name(profile_name))))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1] if len(sys.argv) > 1 else "quick")

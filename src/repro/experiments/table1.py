@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.agent import DeterrentAgent
-from repro.experiments.common import ExperimentProfile, QUICK, prepare_benchmark
+from repro.experiments.common import ExperimentProfile, prepare_benchmark
 from repro.experiments.reporting import format_table
 from repro.runner.registry import GridCell
 
@@ -67,16 +67,6 @@ def collect(results: list[RewardModeResult]) -> dict[str, RewardModeResult]:
     return {result.reward_mode: result for result in results}
 
 
-def run(
-    design: str = "mips16_like",
-    profile: ExperimentProfile = QUICK,
-) -> dict[str, RewardModeResult]:
-    """Train one agent per reward mode and collect Table 1's metrics."""
-    from repro.runner.execution import run_experiment
-
-    return run_experiment("table1", profile=profile, options={"design": design}).collected
-
-
 def report(results: dict[str, RewardModeResult]) -> str:
     """Format the measured Table 1 next to the paper's values."""
     headers = ["Method", "Max #compat", "Steps/min", "Eps/min",
@@ -103,17 +93,3 @@ def report(results: dict[str, RewardModeResult]) -> str:
             "-5.6%", "86.91x", "87.5x",
         ])
     return format_table(headers, rows)
-
-
-def main(profile_name: str = "quick") -> None:
-    """Command-line entry point: ``python -m repro.experiments.table1``."""
-    from repro.experiments.common import profile_by_name
-
-    results = run(profile=profile_by_name(profile_name))
-    print(report(results))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1] if len(sys.argv) > 1 else "quick")

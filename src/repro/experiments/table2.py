@@ -202,22 +202,8 @@ def collect(results: list[DesignGroupCell]) -> list[Table2Row]:
     return rows
 
 
-def run(
-    designs: tuple[str, ...] | None = None,
-    profile: ExperimentProfile = QUICK,
-    techniques: tuple[str, ...] = ALL_TECHNIQUES,
-) -> list[Table2Row]:
-    """Run the Table 2 comparison over the requested designs."""
-    from repro.runner.execution import run_experiment
-
-    options = {"techniques": tuple(techniques)}
-    if designs is not None:
-        options["designs"] = tuple(designs)
-    return run_experiment("table2", profile=profile, options=options).collected
-
-
 def report(rows: list[Table2Row]) -> str:
-    """Format measured rows next to the paper's Table 2 values."""
+    """Measured rows next to the paper's Table 2, then the reduction vs TARMAC/TGRL."""
     headers = ["Design", "#rare", "Technique", "Test len", "Cov (%)",
                "Paper len", "Paper cov (%)"]
     table_rows: list[list[object]] = []
@@ -231,7 +217,11 @@ def report(rows: list[Table2Row]) -> str:
                 outcome.test_length, outcome.coverage_percent,
                 paper_len, paper_cov,
             ])
-    return format_table(headers, table_rows)
+    return (
+        format_table(headers, table_rows)
+        + "\n\nAverage test-length reduction of DETERRENT vs TARMAC/TGRL: "
+        f"{reduction_vs_baselines(rows):.1f}x (paper: 169x)"
+    )
 
 
 def reduction_vs_baselines(rows: list[Table2Row]) -> float:
@@ -252,20 +242,3 @@ def reduction_vs_baselines(rows: list[Table2Row]) -> float:
     if not ratios:
         return 0.0
     return sum(ratios) / len(ratios)
-
-
-def main(profile_name: str = "quick") -> None:
-    """Command-line entry point: ``python -m repro.experiments.table2 [quick|full]``."""
-    from repro.experiments.common import profile_by_name
-
-    profile = profile_by_name(profile_name)
-    rows = run(profile=profile)
-    print(report(rows))
-    print(f"\nAverage test-length reduction of DETERRENT vs TARMAC/TGRL: "
-          f"{reduction_vs_baselines(rows):.1f}x (paper: 169x)")
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1] if len(sys.argv) > 1 else "quick")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.core.agent import DeterrentAgent
 from repro.core.patterns import generate_patterns
-from repro.experiments.common import ExperimentProfile, QUICK, prepare_benchmark
+from repro.experiments.common import ExperimentProfile, prepare_benchmark
 from repro.runner.registry import GridCell
 from repro.trojan.evaluation import trigger_coverage
 
@@ -58,26 +58,6 @@ def collect(results: list[TransferResult]) -> TransferResult:
     return results[0]
 
 
-def run(
-    design: str = "c6288_like",
-    train_threshold: float = 0.14,
-    eval_threshold: float = 0.10,
-    profile: ExperimentProfile = QUICK,
-) -> TransferResult:
-    """Train at ``train_threshold``; evaluate on Trojans from ``eval_threshold``."""
-    from repro.runner.execution import run_experiment
-
-    return run_experiment(
-        "transfer",
-        profile=profile,
-        options={
-            "design": design,
-            "train_threshold": train_threshold,
-            "eval_threshold": eval_threshold,
-        },
-    ).collected
-
-
 def _run_transfer(
     design: str,
     train_threshold: float,
@@ -118,16 +98,3 @@ def report(result: TransferResult) -> str:
         f"coverage {result.coverage_percent:.1f}% with {result.test_length} patterns "
         f"(paper: 99%)"
     )
-
-
-def main(profile_name: str = "quick") -> None:
-    """Command-line entry point: ``python -m repro.experiments.transfer``."""
-    from repro.experiments.common import profile_by_name
-
-    print(report(run(profile=profile_by_name(profile_name))))
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(sys.argv[1] if len(sys.argv) > 1 else "quick")

@@ -1,6 +1,6 @@
 """The experiment runner: executes registry grid cells on a pluggable backend.
 
-``ExperimentRunner.run("figure5")`` asks the experiment's module for its grid
+``run_experiment("figure5")`` asks the experiment's module for its grid
 cells, executes each cell on an :class:`~repro.runner.backends
 .ExecutionBackend` — in-process (``backend="serial"``, the ``jobs=1``
 default, sharing the in-memory benchmark-context cache), across worker
@@ -15,9 +15,10 @@ and after repeated backend failures the run downgrades to the serial
 backend and finishes anyway — the retry/downgrade counters land in the run
 record.
 
-This replaces the per-harness orchestration loops: a harness only declares
-*what* its cells are and how to run one; scheduling, parallelism, caching,
-robustness, and result persistence live here.
+:func:`run_experiment` is the one way to run a harness (``deterrent run``
+calls it): a harness only declares *what* its cells are and how to run one;
+scheduling, parallelism, caching, robustness, and result persistence live
+here.
 """
 
 from __future__ import annotations
@@ -122,9 +123,7 @@ def _init_cell_worker(search_paths: list[str], cache_dir: str | None) -> None:
     """Replay the parent's import path and cache configuration in a worker."""
     extend_sys_path(search_paths)
     if cache_dir is not None:
-        from repro.runner.cache import set_default_cache as _set
-
-        _set(cache_dir)
+        set_default_cache(cache_dir)
 
 
 def _execute_cell(
@@ -151,178 +150,6 @@ def _execute_cell(
     return result, elapsed, delta
 
 
-class ExperimentRunner:
-    """Executes registered experiments over a pluggable execution backend.
-
-    Args:
-        jobs: workers for grid cells (1 = in-process serial;
-            <= 0 = one per CPU).
-        cache_dir: artifact-cache directory installed as the process-wide
-            default for this run and for every worker (None keeps the
-            ambient default, e.g. from ``DETERRENT_CACHE_DIR``).
-        results_dir: when set, the runner streams one JSON line per completed
-            cell to ``<results_dir>/<experiment>-<profile>.jsonl`` and writes
-            the full run record to ``<experiment>-<profile>.json``.
-        backend: execution backend — a name (``"serial"``, ``"process"``,
-            ``"thread"``) or an :class:`ExecutionBackend` instance.  None
-            keeps the historical default: serial for ``jobs=1``, the
-            process pool otherwise.
-        resilience: retry/timeout policy for cell execution; per-spec
-            ``cell_timeout``/``cell_max_attempts`` overrides are folded in
-            at run time.  None uses :class:`ResiliencePolicy` defaults.
-        fault_plan: scripted faults for chaos testing (see
-            :mod:`repro.runner.faults`); None in production.
-        trace_dir: when set, enables the telemetry layer
-            (:mod:`repro.obs`) for this process and every worker, exporting
-            spans and merged metrics under the directory; the run record
-            gains a ``telemetry`` block.  None keeps the ambient state
-            (e.g. from ``DETERRENT_TRACE_DIR``).
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache_dir: str | Path | None = None,
-        results_dir: str | Path | None = None,
-        backend: ExecutionBackend | str | None = None,
-        resilience: ResiliencePolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        trace_dir: str | Path | None = None,
-    ) -> None:
-        self.jobs = 1 if jobs == 1 else resolve_jobs(jobs)
-        self.backend = resolve_backend(backend, jobs=self.jobs)
-        self.resilience = resilience
-        self.fault_plan = fault_plan
-        self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.results_dir = Path(results_dir) if results_dir is not None else None
-        if self.cache_dir is not None:
-            set_default_cache(self.cache_dir)
-        if trace_dir is not None:
-            obs.configure(trace_dir)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        experiment: str | ExperimentSpec,
-        profile="quick",
-        options: dict[str, Any] | None = None,
-    ) -> ExperimentRun:
-        """Execute every grid cell of ``experiment`` and collect the results."""
-        from repro.experiments.common import profile_by_name
-
-        spec = experiment if isinstance(experiment, ExperimentSpec) else get_experiment(experiment)
-        if isinstance(profile, str):
-            profile = profile_by_name(profile)
-        options = dict(options or {})
-        module = spec.resolve()
-        allowed = getattr(module, "OPTIONS", None)
-        if allowed is not None:
-            unknown = sorted(set(options) - set(allowed))
-            if unknown:
-                raise ValueError(
-                    f"unknown option(s) for {spec.name!r}: {', '.join(unknown)}; "
-                    f"supported: {', '.join(sorted(allowed))}"
-                )
-        cells = spec.build_cells(profile, options)
-        if not cells:
-            raise ValueError(f"experiment {spec.name!r} produced no grid cells")
-
-        stream_path = None
-        if self.results_dir is not None:
-            stream_path = self.results_dir / f"{spec.name}-{profile.name}.jsonl"
-            stream_path.unlink(missing_ok=True)
-
-        started = time.perf_counter()
-        outcomes: list[CellOutcome] = []
-        cache_stats: dict[str, int] | None = None
-
-        def _absorb(cell: GridCell, payload: tuple[Any, float, dict[str, int] | None]) -> None:
-            nonlocal cache_stats
-            result, elapsed, stats_delta = payload
-            if stats_delta is not None:
-                if cache_stats is None:
-                    cache_stats = dict.fromkeys(stats_delta, 0)
-                for key, value in stats_delta.items():
-                    cache_stats[key] += value
-            outcomes.append(self._record_cell(spec, profile, cell, result, elapsed, stream_path))
-
-        policy = policy_for_spec(self.resilience, spec.cell_timeout, spec.cell_max_attempts)
-        with obs.trace.span(
-            f"run.{spec.name}",
-            attrs={
-                "profile": profile.name, "backend": self.backend.name,
-                "jobs": self.jobs, "cells": len(cells),
-            },
-        ):
-            execution = run_tasks(
-                _execute_cell,
-                [(spec.module, cell, profile) for cell in cells],
-                backend=self.backend,
-                policy=policy,
-                initializer=_init_cell_worker,
-                initargs=(list(sys.path), self.cache_dir),
-                max_workers=min(self.jobs, len(cells)),
-                fault_plan=self.fault_plan,
-                label="cell",
-            )
-            for cell, payload in zip(cells, execution.results):
-                _absorb(cell, payload)
-
-            collected = module.collect([outcome.result for outcome in outcomes])
-            report_text = module.report(collected)
-        elapsed = time.perf_counter() - started
-
-        run = ExperimentRun(
-            experiment=spec.name,
-            profile=profile.name,
-            jobs=self.jobs,
-            options=options,
-            outcomes=outcomes,
-            collected=collected,
-            report_text=report_text,
-            elapsed=elapsed,
-            cache_stats=cache_stats,
-            backend=self.backend.name,
-            resilience=execution.counters(),
-            telemetry=obs.summary(),
-        )
-        if self.results_dir is not None:
-            from repro.experiments.reporting import save_json
-
-            run.results_path = save_json(
-                run.record(), self.results_dir / f"{spec.name}-{profile.name}.json"
-            )
-        return run
-
-    # ------------------------------------------------------------------
-    def _record_cell(
-        self,
-        spec: ExperimentSpec,
-        profile,
-        cell: GridCell,
-        result: Any,
-        elapsed: float,
-        stream_path: Path | None,
-    ) -> CellOutcome:
-        outcome = CellOutcome(name=cell.name, params=dict(cell.params), result=result,
-                              elapsed=elapsed)
-        if stream_path is not None:
-            from repro.experiments.reporting import append_jsonl
-
-            append_jsonl(
-                {
-                    "experiment": spec.name,
-                    "profile": profile.name,
-                    "cell": outcome.name,
-                    "params": _jsonable(outcome.params),
-                    "elapsed_seconds": round(outcome.elapsed, 3),
-                    "result": _jsonable(outcome.result),
-                },
-                stream_path,
-            )
-        return outcome
-
-
 def run_experiment(
     experiment: str | ExperimentSpec,
     profile="quick",
@@ -335,17 +162,142 @@ def run_experiment(
     fault_plan: FaultPlan | None = None,
     trace_dir: str | Path | None = None,
 ) -> ExperimentRun:
-    """One-shot convenience wrapper around :class:`ExperimentRunner`."""
-    runner = ExperimentRunner(
+    """Execute every grid cell of ``experiment`` and collect the results.
+
+    Args:
+        experiment: a registered experiment name or an :class:`ExperimentSpec`.
+        profile: an :class:`~repro.experiments.common.ExperimentProfile` or
+            its name (``"tiny"``, ``"quick"``, ``"full"``).
+        jobs: workers for grid cells (1 = in-process serial;
+            <= 0 = one per CPU).
+        options: harness options, checked against the module's ``OPTIONS``.
+        cache_dir: artifact-cache directory that is the default cache of this
+            process for the duration of the call, and of every worker; the
+            previous default is restored when the call returns or raises.
+            None keeps the ambient default (e.g. from ``DETERRENT_CACHE_DIR``).
+        results_dir: when set, streams one JSON line per completed cell to
+            ``<results_dir>/<experiment>-<profile>.jsonl`` and writes the full
+            run record to ``<experiment>-<profile>.json``.
+        backend: execution backend — a name (``"serial"``, ``"process"``,
+            ``"thread"``) or an :class:`ExecutionBackend` instance.  None
+            means serial for ``jobs=1`` and the process pool otherwise.
+        resilience: retry/timeout policy for cell execution; per-spec
+            ``cell_timeout``/``cell_max_attempts`` overrides are folded in.
+            None uses :class:`ResiliencePolicy` defaults.
+        fault_plan: scripted faults for chaos testing (see
+            :mod:`repro.runner.faults`); None in production.
+        trace_dir: when set, enables the telemetry layer (:mod:`repro.obs`)
+            for this process and every worker, exporting spans and merged
+            metrics under the directory; the run record gains a
+            ``telemetry`` block.  None keeps the ambient state (e.g. from
+            ``DETERRENT_TRACE_DIR``).
+    """
+    from repro.experiments.common import profile_by_name
+    from repro.experiments.reporting import append_jsonl, save_json
+
+    jobs = 1 if jobs == 1 else resolve_jobs(jobs)
+    backend = resolve_backend(backend, jobs=jobs)
+    if trace_dir is not None:
+        obs.configure(trace_dir)
+    spec = experiment if isinstance(experiment, ExperimentSpec) else get_experiment(experiment)
+    if isinstance(profile, str):
+        profile = profile_by_name(profile)
+    options = dict(options or {})
+    module = spec.resolve()
+    allowed = getattr(module, "OPTIONS", None)
+    if allowed is not None:
+        unknown = sorted(set(options) - set(allowed))
+        if unknown:
+            raise ValueError(
+                f"unknown option(s) for {spec.name!r}: {', '.join(unknown)}; "
+                f"supported: {', '.join(sorted(allowed))}"
+            )
+    cells = spec.build_cells(profile, options)
+    if not cells:
+        raise ValueError(f"experiment {spec.name!r} produced no grid cells")
+
+    stream_path = None
+    if results_dir is not None:
+        results_dir = Path(results_dir)
+        stream_path = results_dir / f"{spec.name}-{profile.name}.jsonl"
+        stream_path.unlink(missing_ok=True)
+    if cache_dir is not None:
+        cache_dir = str(cache_dir)
+        previous_cache = get_default_cache()
+        set_default_cache(cache_dir)
+
+    started = time.perf_counter()
+    outcomes: list[CellOutcome] = []
+    cache_stats: dict[str, int] | None = None
+    policy = policy_for_spec(resilience, spec.cell_timeout, spec.cell_max_attempts)
+    try:
+        with obs.trace.span(
+            f"run.{spec.name}",
+            attrs={
+                "profile": profile.name, "backend": backend.name,
+                "jobs": jobs, "cells": len(cells),
+            },
+        ):
+            execution = run_tasks(
+                _execute_cell,
+                [(spec.module, cell, profile) for cell in cells],
+                backend=backend,
+                policy=policy,
+                initializer=_init_cell_worker,
+                initargs=(list(sys.path), cache_dir),
+                max_workers=min(jobs, len(cells)),
+                fault_plan=fault_plan,
+                label="cell",
+            )
+            for cell, (result, elapsed, stats_delta) in zip(cells, execution.results):
+                if stats_delta is not None:
+                    if cache_stats is None:
+                        cache_stats = dict.fromkeys(stats_delta, 0)
+                    for key, value in stats_delta.items():
+                        cache_stats[key] += value
+                outcome = CellOutcome(
+                    name=cell.name, params=dict(cell.params), result=result, elapsed=elapsed
+                )
+                outcomes.append(outcome)
+                if stream_path is not None:
+                    append_jsonl(
+                        {
+                            "experiment": spec.name,
+                            "profile": profile.name,
+                            "cell": outcome.name,
+                            "params": _jsonable(outcome.params),
+                            "elapsed_seconds": round(outcome.elapsed, 3),
+                            "result": _jsonable(outcome.result),
+                        },
+                        stream_path,
+                    )
+
+            collected = module.collect([outcome.result for outcome in outcomes])
+            report_text = module.report(collected)
+    finally:
+        if cache_dir is not None:
+            set_default_cache(previous_cache)
+    elapsed = time.perf_counter() - started
+
+    run = ExperimentRun(
+        experiment=spec.name,
+        profile=profile.name,
         jobs=jobs,
-        cache_dir=cache_dir,
-        results_dir=results_dir,
-        backend=backend,
-        resilience=resilience,
-        fault_plan=fault_plan,
-        trace_dir=trace_dir,
+        options=options,
+        outcomes=outcomes,
+        collected=collected,
+        report_text=report_text,
+        elapsed=elapsed,
+        cache_stats=cache_stats,
+        backend=backend.name,
+        resilience=execution.counters(),
+        telemetry=obs.summary(),
     )
-    return runner.run(experiment, profile=profile, options=options)
+    if results_dir is not None:
+        run.results_path = save_json(
+            run.record(), results_dir / f"{spec.name}-{profile.name}.json"
+        )
+    return run
 
 
-__all__ = ["CellOutcome", "ExperimentRun", "ExperimentRunner", "run_experiment"]
+__all__ = ["CellOutcome", "ExperimentRun", "run_experiment"]

@@ -48,11 +48,7 @@ from repro.simulation.compiled import (
     conjunction_words,
     unpack_matrix,
 )
-from repro.simulation.logic_sim import (
-    BitParallelSimulator,
-    pack_patterns,
-    simulate_sequences,
-)
+from repro.simulation.logic_sim import pack_patterns, simulate_sequences
 from repro.trojan.insertion import insert_sequential_trojan, insert_trojan
 from repro.trojan.model import SequentialTrojan, Trojan
 
@@ -128,6 +124,15 @@ def trigger_coverage(
     )
 
 
+def _output_bits(
+    netlist: Netlist, outputs: tuple[str, ...], patterns: np.ndarray
+) -> np.ndarray:
+    """0/1 responses ``[output, pattern]`` of ``netlist`` on ``patterns``."""
+    compiled = compile_netlist(netlist)
+    matrix, num_patterns = compiled.run_patterns(patterns)
+    return unpack_matrix(matrix[[compiled.index_of(net) for net in outputs]], num_patterns)
+
+
 def sequential_trigger_coverage(
     netlist: Netlist, trojans: list[Trojan], pattern_set: PatternSet
 ) -> CoverageResult:
@@ -144,23 +149,16 @@ def sequential_trigger_coverage(
         raise ValueError(
             "pattern set source ordering does not match the netlist's controllable nets"
         )
-    detected: list[bool] = []
-    golden_outputs: dict[str, np.ndarray] | None = None
+    detected = [False] * len(trojans)
     if len(pattern_set) and trojans:
-        golden = BitParallelSimulator(netlist).run_patterns(pattern_set.patterns)
-        golden_outputs = {net: golden[net] for net in netlist.outputs}
-    for trojan in trojans:
-        if golden_outputs is None:
-            detected.append(False)
-            continue
-        infected = insert_trojan(netlist, trojan)
-        values = BitParallelSimulator(infected).run_patterns(pattern_set.patterns)
-        detected.append(
-            any(
-                not np.array_equal(values[net], golden_outputs[net])
-                for net in netlist.outputs
+        patterns, outputs = pattern_set.patterns, netlist.outputs
+        golden = _output_bits(netlist, outputs, patterns)
+        detected = [
+            not np.array_equal(
+                _output_bits(insert_trojan(netlist, trojan), outputs, patterns), golden
             )
-        )
+            for trojan in trojans
+        ]
     return CoverageResult(
         technique=pattern_set.technique,
         num_trojans=len(trojans),

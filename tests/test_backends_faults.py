@@ -24,9 +24,8 @@ from repro.runner.backends import (
     backend_names,
     resolve_backend,
 )
-from repro.runner.execution import ExperimentRunner
+from repro.runner.execution import run_experiment
 from repro.runner.faults import (
-    CRASH_EXIT_CODE,
     CorruptResult,
     FaultPlan,
     FaultRule,
@@ -392,16 +391,19 @@ class TestRunnerUnderFaults:
         mid-run: the recovered run record is bit-identical to the serial
         reference and carries the retry counters."""
         cache = str(tmp_path / "cache")
-        serial = ExperimentRunner(jobs=1, cache_dir=cache).run(
-            "sequential_detect", profile="tiny", options=OPTS
+        serial = run_experiment(
+            "sequential_detect", profile="tiny", jobs=1, options=OPTS, cache_dir=cache
         )
-        faulted = ExperimentRunner(
+        faulted = run_experiment(
+            "sequential_detect",
+            profile="tiny",
             jobs=4,
+            options=OPTS,
             cache_dir=cache,
             backend="process",
             resilience=FAST,
             fault_plan=FaultPlan.crashing(0, 2),
-        ).run("sequential_detect", profile="tiny", options=OPTS)
+        )
 
         assert run_record_cells(faulted) == run_record_cells(serial)
         record = faulted.record()
@@ -415,13 +417,15 @@ class TestRunnerUnderFaults:
         # transfer/tiny has a single grid cell (index 0); crashing it on
         # every process-backend attempt forces the downgrade path.
         plan = FaultPlan.crashing(0, attempts=99, only_backend="process")
-        run = ExperimentRunner(
+        run = run_experiment(
+            "transfer",
+            profile="tiny",
             jobs=2,
             cache_dir=str(tmp_path / "cache"),
             backend="process",
             resilience=ResiliencePolicy(max_attempts=2, backoff_base=0.01),
             fault_plan=plan,
-        ).run("transfer", profile="tiny")
+        )
         record = run.record()
         assert record["resilience"]["degraded"] is True
         assert record["resilience"]["final_backend"] == "serial"
@@ -429,11 +433,9 @@ class TestRunnerUnderFaults:
 
     def test_thread_backend_runner_matches_serial(self, tmp_path):
         cache = str(tmp_path / "cache")
-        serial = ExperimentRunner(jobs=1, cache_dir=cache).run(
-            "transfer", profile="tiny"
-        )
-        threaded = ExperimentRunner(jobs=2, cache_dir=cache, backend="thread").run(
-            "transfer", profile="tiny"
+        serial = run_experiment("transfer", profile="tiny", jobs=1, cache_dir=cache)
+        threaded = run_experiment(
+            "transfer", profile="tiny", jobs=2, cache_dir=cache, backend="thread"
         )
         assert run_record_cells(threaded) == run_record_cells(serial)
         assert threaded.record()["backend"] == "thread"

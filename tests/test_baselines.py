@@ -10,6 +10,7 @@ from repro.baselines.tarmac import TarmacConfig, sample_maximal_clique, tarmac_p
 from repro.baselines.tgrl import TgrlConfig, TgrlEnv, tgrl_pattern_set
 from repro.rl.ppo import PpoConfig
 from repro.sat.justify import Justifier
+from repro.simulation.compiled import compile_netlist
 from repro.simulation.logic_sim import BitParallelSimulator, simulate_pattern
 from repro.trojan.evaluation import trigger_coverage
 from repro.trojan.insertion import sample_trojans
@@ -131,7 +132,7 @@ class TestTgrl:
         )
 
     def test_environment_flips_exactly_one_bit(self, small_multiplier, multiplier_compatibility):
-        simulator = BitParallelSimulator(small_multiplier)
+        simulator = compile_netlist(small_multiplier)
         weights = np.ones(len(multiplier_compatibility.rare_nets))
         env = TgrlEnv(simulator, multiplier_compatibility.rare_nets, weights, 8, seed=0)
         before = env.reset().copy()
@@ -139,7 +140,7 @@ class TestTgrl:
         assert abs(result.observation - before).sum() == 1
 
     def test_reward_counts_weighted_rare_activations(self, small_multiplier, multiplier_compatibility):
-        simulator = BitParallelSimulator(small_multiplier)
+        simulator = compile_netlist(small_multiplier)
         rare = multiplier_compatibility.rare_nets
         weights = np.ones(len(rare))
         env = TgrlEnv(simulator, rare, weights, 8, seed=0)

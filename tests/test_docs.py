@@ -62,3 +62,16 @@ class TestDocsMatchRegistry:
                 shown.update(match.group(1).split("|"))
         assert shown, "no --backend example in README.md or docs/"
         assert sorted(shown - set(backend_names())) == []
+
+    def test_no_doc_names_a_removed_entry_point(self):
+        # Harnesses run only through ``deterrent run`` / ``run_experiment``;
+        # the per-module ``python -m repro.experiments.<name>`` mains are gone.
+        paths = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+        paths += sorted(p for p in (REPO_ROOT / ".claude" / "skills").rglob("*") if p.is_file())
+        stale = [
+            f"{path.relative_to(REPO_ROOT)}:{number}"
+            for path in paths
+            for number, line in enumerate(path.read_text().splitlines(), start=1)
+            if "python -m repro.experiments." in line
+        ]
+        assert stale == []

@@ -5,6 +5,7 @@ import pytest
 
 from repro.experiments import common
 from repro.experiments.reporting import append_jsonl, format_table, load_jsonl, save_json
+from repro.runner.execution import run_experiment
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.timing import Stopwatch
 
@@ -149,7 +150,9 @@ class TestHarnesses:
     def test_table1_reward_mode_comparison(self):
         from repro.experiments import table1
 
-        results = table1.run(design="c6288_like", profile=TINY)
+        results = run_experiment(
+            "table1", profile=TINY, options={"design": "c6288_like"}
+        ).collected
         assert set(results) == {"per_step", "end_of_episode"}
         for outcome in results.values():
             assert outcome.max_compatible >= 1
@@ -159,15 +162,17 @@ class TestHarnesses:
     def test_figure3_exploration_comparison(self):
         from repro.experiments import figure3
 
-        results = figure3.run(design="c6288_like", profile=TINY)
+        results = run_experiment(
+            "figure3", profile=TINY, options={"design": "c6288_like"}
+        ).collected
         assert set(results) == {"default", "boosted"}
         assert results["boosted"].loss_history
         assert "boosted" in figure3.report(results)
 
     def test_figure6_curves(self, tiny_context):
-        from repro.experiments import figure6
-
-        curves = figure6.run(designs=("c6288_like",), profile=TINY)
+        curves = run_experiment(
+            "figure6", profile=TINY, options={"designs": ("c6288_like",)}
+        ).collected
         assert len(curves) == 1
         result = curves[0]
         assert result.deterrent_curve
@@ -176,17 +181,20 @@ class TestHarnesses:
         assert result.patterns_to_reach(0.0) == 1
 
     def test_figure7_threshold_sweep(self):
-        from repro.experiments import figure7
-
-        points = figure7.run(design="c6288_like", thresholds=(0.12, 0.15), profile=TINY)
+        points = run_experiment(
+            "figure7", profile=TINY,
+            options={"design": "c6288_like", "thresholds": (0.12, 0.15)},
+        ).collected
         assert len(points) == 2
         assert points[0].num_rare_nets <= points[1].num_rare_nets
 
     def test_transfer_experiment(self):
         from repro.experiments import transfer
 
-        result = transfer.run(design="c6288_like", train_threshold=0.15,
-                              eval_threshold=0.12, profile=TINY)
+        result = run_experiment(
+            "transfer", profile=TINY,
+            options={"design": "c6288_like", "train_threshold": 0.15, "eval_threshold": 0.12},
+        ).collected
         assert result.train_rare_nets >= result.eval_rare_nets
         assert 0.0 <= result.coverage_percent <= 100.0
         assert "coverage" in transfer.report(result)

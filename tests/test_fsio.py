@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.runner.cache import ArtifactCache, get_default_cache, set_default_cache
-from repro.runner.execution import ExperimentRunner
+from repro.runner.execution import run_experiment
 from repro.runner.registry import ExperimentSpec, GridCell
 from repro.utils.fsio import CounterFile, atomic_write, file_lock, move_aside
 
@@ -171,8 +171,7 @@ class TestUnwritableStats:
 
     def test_a_run_completes_with_exact_cache_stats(self, tmp_path):
         spec = ExperimentSpec(name="fsio_toy", module=__name__, title="toy")
-        runner = ExperimentRunner(jobs=1, cache_dir=self._bad_root(tmp_path))
-        run = runner.run(spec, profile="tiny")
+        run = run_experiment(spec, profile="tiny", jobs=1, cache_dir=self._bad_root(tmp_path))
         assert run.collected == [10, 20]
         assert run.cache_stats == {"hits": 0, "misses": 4, "stores": 2, "corrupt": 0}
 

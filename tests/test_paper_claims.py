@@ -16,7 +16,7 @@ Two kinds of check live here, and neither reads a clock:
   refactor, a deletion, a speed-up) must leave all twelve unchanged.
 
 Timings and rates are measured by ``perfbench/``, not here.  Run
-``python -m repro.experiments.<name> full`` for results closer to paper scale.
+``deterrent run <name> --profile full`` for results closer to paper scale.
 """
 
 from __future__ import annotations
@@ -31,18 +31,7 @@ from repro.circuits.library import load_benchmark
 from repro.core.compatibility import compute_compatibility
 from repro.core.patterns import SequenceSet
 from repro.core.sequence_gen import generate_sequences
-from repro.experiments import (
-    ablations,
-    common,
-    figure2,
-    figure3,
-    figure5,
-    figure6,
-    figure7,
-    table1,
-    table2,
-    transfer,
-)
+from repro.experiments import common, table2
 from repro.experiments.common import ExperimentProfile
 from repro.runner import cache as cache_module
 from repro.runner.execution import run_experiment
@@ -76,8 +65,7 @@ def isolated_experiments():
     The compatibility solver a context holds keeps its learned clauses, so
     its witnesses depend on every query it answered before.  Contexts that
     other test modules built (or an ambient ``DETERRENT_CACHE_DIR``) must not
-    reach these results.  Restoring the default cache on exit also undoes
-    the ``cache_dir`` that ``run_experiment`` installs process-wide.
+    reach these results.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(common, "_CONTEXT_CACHE", {})
@@ -90,7 +78,7 @@ def isolated_experiments():
 # The paper's claims, at BENCH scale
 # ----------------------------------------------------------------------
 def test_table1_end_of_episode_rewards_do_less_work():
-    results = table1.run(design="mips16_like", profile=BENCH)
+    results = run_experiment("table1", profile=BENCH, options={"design": "mips16_like"}).collected
     per_step = results["per_step"]
     end_of_episode = results["end_of_episode"]
     # End-of-episode rewards train faster while the per-step agent finds
@@ -103,7 +91,9 @@ def test_table1_end_of_episode_rewards_do_less_work():
 
 @pytest.fixture(scope="module")
 def table2_rows():
-    rows = table2.run(designs=table2.QUICK_DESIGNS, profile=BENCH)
+    rows = run_experiment(
+        "table2", profile=BENCH, options={"designs": table2.QUICK_DESIGNS}
+    ).collected
     assert [row.design for row in rows] == list(table2.QUICK_DESIGNS)
     return {row.design: row for row in rows}
 
@@ -127,7 +117,7 @@ def test_table2_deterrent_needs_fewer_patterns_than_tarmac_and_tgrl(table2_rows)
 def test_figure2_masking_never_shrinks_compatible_sets():
     # Figure 2's other claim, that end-of-episode agents train faster, is
     # Table 1's reward_checks claim above.
-    results = figure2.run(design="mips16_like", profile=BENCH)
+    results = run_experiment("figure2", profile=BENCH, options={"design": "mips16_like"}).collected
     by_combo = {(result.reward_mode, result.masking): result for result in results}
     assert (
         by_combo[("per_step", True)].max_compatible
@@ -136,7 +126,7 @@ def test_figure2_masking_never_shrinks_compatible_sets():
 
 
 def test_figure3_boosted_exploration_keeps_set_diversity():
-    results = figure3.run(design="c2670_like", profile=BENCH)
+    results = run_experiment("figure3", profile=BENCH, options={"design": "c2670_like"}).collected
     default = results["default"]
     boosted = results["boosted"]
     assert default.loss_history and boosted.loss_history
@@ -147,7 +137,9 @@ def test_figure3_boosted_exploration_keeps_set_diversity():
 
 
 def test_figure5_deterrent_holds_coverage_on_wide_triggers():
-    points = figure5.run(design="c6288_like", widths=(2, 4, 6, 8), profile=BENCH)
+    points = run_experiment(
+        "figure5", profile=BENCH, options={"design": "c6288_like", "widths": (2, 4, 6, 8)}
+    ).collected
     assert points
     # TGRL's per-pattern chance of hitting every trigger net collapses as the
     # trigger widens; DETERRENT's coverage stays at or above it.
@@ -156,7 +148,9 @@ def test_figure5_deterrent_holds_coverage_on_wide_triggers():
 
 
 def test_figure6_deterrent_reaches_final_coverage_with_fewer_patterns():
-    curves = figure6.run(designs=("c2670_like", "c6288_like"), profile=BENCH)
+    curves = run_experiment(
+        "figure6", profile=BENCH, options={"designs": ("c2670_like", "c6288_like")}
+    ).collected
     for result in curves:
         assert result.deterrent_curve
         deterrent_final = result.deterrent_curve[-1]
@@ -165,7 +159,10 @@ def test_figure6_deterrent_reaches_final_coverage_with_fewer_patterns():
 
 
 def test_figure7_coverage_survives_a_larger_rareness_threshold():
-    points = figure7.run(design="c6288_like", thresholds=(0.10, 0.12, 0.14), profile=BENCH)
+    points = run_experiment(
+        "figure7", profile=BENCH,
+        options={"design": "c6288_like", "thresholds": (0.10, 0.12, 0.14)},
+    ).collected
     assert len(points) >= 2
     # The rare-net population grows with the threshold while coverage stays
     # broadly steady (the paper reports a <=2% drop; at reduced scale a wider
@@ -175,9 +172,10 @@ def test_figure7_coverage_survives_a_larger_rareness_threshold():
 
 
 def test_transfer_agent_covers_the_smaller_population():
-    result = transfer.run(
-        design="c6288_like", train_threshold=0.14, eval_threshold=0.10, profile=BENCH
-    )
+    result = run_experiment(
+        "transfer", profile=BENCH,
+        options={"design": "c6288_like", "train_threshold": 0.14, "eval_threshold": 0.10},
+    ).collected
     # An agent trained on the larger rare-net population still covers Trojans
     # drawn from the smaller one (99% in the paper).
     assert result.train_rare_nets >= result.eval_rare_nets
@@ -185,7 +183,7 @@ def test_transfer_agent_covers_the_smaller_population():
 
 
 def test_ablations_coverage_grows_with_k():
-    points = ablations.run(design="c6288_like", profile=BENCH)
+    points = run_experiment("ablations", profile=BENCH, options={"design": "c6288_like"}).collected
     assert len(points) >= 5
     labels = {point.label for point in points}
     assert "reward |s|^2 (paper)" in labels

@@ -11,8 +11,10 @@ from repro.circuits.library import load_benchmark
 from repro.cli import main as cli_main
 from repro.core.compatibility import is_activatable, pair_is_compatible
 from repro.experiments import common
-from repro.runner.execution import ExperimentRunner, run_experiment
+from repro.runner.cache import CACHE_DIR_ENV, get_default_cache, set_default_cache
+from repro.runner.execution import run_experiment
 from repro.runner.parallel import make_shards, resolve_jobs, sharded_map
+from repro.runner.resilience import ResilienceError, ResiliencePolicy
 from repro.sat.justify import Justifier
 from repro.runner.registry import (
     ExperimentSpec,
@@ -29,8 +31,6 @@ TINY = common.TINY
 @pytest.fixture(autouse=True)
 def _reset_default_cache():
     """Keep the process-wide default cache from leaking between tests."""
-    from repro.runner.cache import set_default_cache
-
     yield
     set_default_cache(None)
 
@@ -200,9 +200,10 @@ class TestRunner:
         # Forked workers inherit the in-memory context cache; clear it so the
         # disk-cache assertions below observe real worker activity.
         common.clear_context_cache()
-        runner = ExperimentRunner(jobs=2, cache_dir=tmp_path / "cache",
-                                  results_dir=tmp_path / "results")
-        run = runner.run("figure3", profile=TINY, options={"design": "c6288_like"})
+        run = run_experiment(
+            "figure3", profile=TINY, jobs=2, options={"design": "c6288_like"},
+            cache_dir=tmp_path / "cache", results_dir=tmp_path / "results",
+        )
         assert [outcome.name for outcome in run.outcomes] == ["default", "boosted"]
         assert set(run.collected) == {"default", "boosted"}
         assert run.jobs == 2
@@ -217,8 +218,8 @@ class TestRunner:
         """The sequential harness: jobs=1 == jobs=2, second run fully cached."""
         options = {"designs": "s13207_like", "cycles": 3, "counts": 2}
         common.clear_context_cache()
-        serial = ExperimentRunner(jobs=1, cache_dir=tmp_path / "cache").run(
-            "sequential", profile=TINY, options=options
+        serial = run_experiment(
+            "sequential", profile=TINY, jobs=1, options=options, cache_dir=tmp_path / "cache"
         )
         assert [outcome.name for outcome in serial.outcomes] == [
             "s13207_like-c3-consecutive-k2",
@@ -228,15 +229,15 @@ class TestRunner:
         assert serial.cache_stats["stores"] > 0
 
         # A rerun on the same cache computes nothing.
-        rerun = ExperimentRunner(jobs=1, cache_dir=tmp_path / "cache").run(
-            "sequential", profile=TINY, options=options
+        rerun = run_experiment(
+            "sequential", profile=TINY, jobs=1, options=options, cache_dir=tmp_path / "cache"
         )
         assert rerun.cache_stats["misses"] == 0
         assert rerun.cache_stats["stores"] == 0
 
         # Worker processes produce bit-identical cell results in grid order.
-        sharded = ExperimentRunner(jobs=2, cache_dir=tmp_path / "cache").run(
-            "sequential", profile=TINY, options=options
+        sharded = run_experiment(
+            "sequential", profile=TINY, jobs=2, options=options, cache_dir=tmp_path / "cache"
         )
         assert [outcome.name for outcome in sharded.outcomes] == [
             outcome.name for outcome in serial.outcomes
@@ -248,11 +249,11 @@ class TestRunner:
     def test_sequential_trojans_drawn_once_per_design_and_depth(self, tmp_path):
         """One cached population per (design, cycles), relabelled per rule."""
         from repro.experiments.sequential import _rare_nets, _trojans
-        from repro.runner.cache import ArtifactCache, set_default_cache
+        from repro.runner.cache import ArtifactCache
         from repro.trojan.insertion import sample_sequential_trojans
 
-        run = ExperimentRunner(jobs=1, cache_dir=tmp_path / "cache").run(
-            "sequential_detect", profile=TINY
+        run = run_experiment(
+            "sequential_detect", profile=TINY, jobs=1, cache_dir=tmp_path / "cache"
         )
         assert len(run.outcomes) == 8
         cache = ArtifactCache(tmp_path / "cache")
@@ -281,15 +282,72 @@ class TestRunner:
                 "sequential", profile=TINY, options={"designs": "c2670_like"}
             )
 
-    def test_run_wrappers_return_native_types(self):
-        results = __import__("repro.experiments.figure2", fromlist=["run"]).run(
-            design="c6288_like", profile=TINY
-        )
+    def test_collected_results_are_native_types(self):
+        results = run_experiment(
+            "figure2", profile=TINY, options={"design": "c6288_like"}
+        ).collected
         assert len(results) == 4
         assert {(r.reward_mode, r.masking) for r in results} == {
             ("per_step", False), ("per_step", True),
             ("end_of_episode", False), ("end_of_episode", True),
         }
+
+
+# A toy harness (this module is its ``module``): two cells that go through the
+# default cache, and a ``fail`` option that makes them raise.
+def cells(profile, options):
+    return [GridCell(name=f"x={x}", params={"x": x, "fail": options.get("fail", False)})
+            for x in (1, 2)]
+
+
+def run_cell(params, profile):
+    if params["fail"]:
+        raise RuntimeError("toy cell failed")
+    cache = get_default_cache()
+    if cache is None:
+        return params["x"] * 10
+    return cache.fetch("toy", lambda: params["x"] * 10, x=params["x"])
+
+
+def collect(results):
+    return results
+
+
+def report(collected):
+    return f"toy: {collected}"
+
+
+class TestCacheDirScope:
+    """``run_experiment(cache_dir=...)`` uses that cache for the call only."""
+
+    SPEC = ExperimentSpec(name="runner_toy", module=__name__, title="toy")
+
+    @pytest.fixture(autouse=True)
+    def _no_ambient_cache(self, monkeypatch):
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        set_default_cache(None)
+
+    def test_default_cache_is_the_same_after_a_run(self, tmp_path):
+        ambient = set_default_cache(tmp_path / "ambient")
+        run = run_experiment(self.SPEC, profile=TINY, cache_dir=tmp_path / "run")
+        assert run.collected == [10, 20]
+        assert run.cache_stats["stores"] == 2  # the cells used the run's cache
+        assert get_default_cache() is ambient
+        assert ambient.stats.as_dict()["stores"] == 0
+
+    def test_a_later_run_without_cache_dir_has_no_cache(self, tmp_path):
+        run_experiment(self.SPEC, profile=TINY, cache_dir=tmp_path / "run")
+        later = run_experiment(self.SPEC, profile=TINY)
+        assert later.collected == [10, 20]
+        assert later.cache_stats is None
+
+    def test_default_cache_is_restored_when_a_cell_raises(self, tmp_path):
+        with pytest.raises(ResilienceError):
+            run_experiment(
+                self.SPEC, profile=TINY, options={"fail": True},
+                cache_dir=tmp_path / "run", resilience=ResiliencePolicy(max_attempts=1),
+            )
+        assert get_default_cache() is None
 
 
 class TestCli:
@@ -338,7 +396,7 @@ class TestCli:
         assert not any(tmp_path.iterdir())
 
     def test_cache_subcommand(self, tmp_path, capsys):
-        from repro.runner.cache import ArtifactCache, set_default_cache
+        from repro.runner.cache import ArtifactCache
 
         # No cache configured anywhere -> usage hint, exit 1.
         set_default_cache(None)

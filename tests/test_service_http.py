@@ -5,7 +5,7 @@ The heavyweight end-to-end checks run one *tiny* 1-cell
 crucial acceptance property is exercised directly: a job submitted over
 HTTP and executed by a queue worker produces a record whose report and
 cell results are bit-identical to a local serial
-:class:`~repro.runner.execution.ExperimentRunner` run of the same design
+:func:`~repro.runner.execution.run_experiment` run of the same design
 — and resubmitting it is answered from the artifact cache without
 touching the queue.
 """
@@ -23,7 +23,7 @@ from repro import obs
 from repro.circuits.bench_io import dumps_bench, loads_bench
 from repro.circuits.library import load_benchmark
 from repro.runner.cache import set_default_cache
-from repro.runner.execution import ExperimentRunner
+from repro.runner.execution import run_experiment
 from repro.service.jobs import (
     JobValidationError,
     resolve_design,
@@ -239,10 +239,12 @@ class TestHTTPEndpoints:
         # Local serial reference on its OWN fresh cache (a shared cache
         # would serve the second run's cells from disk and change the
         # "fresh cells only" solver-stats footer in the report).
-        local = ExperimentRunner(jobs=1, cache_dir=tmp_path / "local-cache").run(
+        local = run_experiment(
             "sequential_detect",
             profile="tiny",
+            jobs=1,
             options={"designs": ["s13207_like"], **SEQ_OPTIONS},
+            cache_dir=tmp_path / "local-cache",
         )
 
         # Submit the same circuit as an anonymous .bench over HTTP.

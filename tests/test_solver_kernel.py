@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.runner.execution import ExperimentRunner
+from repro.runner.execution import run_experiment
 from repro.runner.registry import ExperimentSpec, GridCell
 from repro.sat import native
 from repro.sat.solver import CdclSolver, Clause, SolverConfig
@@ -323,7 +323,7 @@ def report(collected):
 
 def test_the_run_record_names_the_solver_path_and_the_report_does_not(solver_kernel):
     spec = ExperimentSpec(name="kernel_toy", module=__name__, title="toy")
-    run = ExperimentRunner(jobs=1).run(spec, profile="tiny")
+    run = run_experiment(spec, profile="tiny", jobs=1)
     record = run.record()
     assert record["cells"][0]["result"] == {"1": True, "2": True}
     assert record["solver_kernel"] == ("python" if solver_kernel is None else "native")
