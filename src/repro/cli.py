@@ -24,7 +24,7 @@ Subcommands:
   worker against a queue directory: lease, run, heartbeat, ack.
 - ``deterrent trace <dir>`` — render an exported trace directory (written
   by ``run --trace`` / ``serve --trace``): the span tree with durations,
-  and the merged cross-worker timing percentiles;
+  and exact duration percentiles per span name across every worker;
   ``--chrome FILE`` additionally writes the Chrome ``trace_event`` view.
 
 Every run writes structured artifacts under ``--results-dir`` (default
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--trace", default=None, metavar="DIR",
-        help="enable telemetry: export spans and metrics to DIR (inspect "
+        help="enable telemetry: export spans to DIR (inspect "
              "with 'deterrent trace DIR')",
     )
 
@@ -286,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 when the directory has no spans or the tree has "
-             "orphaned parent links (CI validation)",
+        help="exit 1 when the directory has no spans, the tree has orphaned "
+             "parent links, or a span ends after its same-process parent "
+             "(CI validation)",
     )
     return parser
 
@@ -667,7 +668,6 @@ def _format_duration(seconds: object) -> str:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
-    from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
 
     trace_dir = Path(args.trace_dir)
@@ -680,6 +680,7 @@ def _command_trace(args: argparse.Namespace) -> int:
         return 1 if args.check else 0
     roots, children = obs_trace.build_tree(spans)
     orphans = obs_trace.orphan_spans(spans)
+    late = obs_trace.late_children(spans)
 
     interesting = ("cell", "task", "attempt", "backend", "label", "experiment",
                    "profile", "job_id", "worker", "sequences", "failure")
@@ -709,22 +710,24 @@ def _command_trace(args: argparse.Namespace) -> int:
     if orphans:
         print(f"\nwarning: {len(orphans)} span(s) reference a parent that was "
               "never exported (worker died before flushing?)")
+    if late:
+        names = ", ".join(sorted({record.get("name", "?") for record in late}))
+        print(f"\nwarning: {len(late)} span(s) end after their parent in the "
+              f"same process: {names}")
 
-    profiles = obs_metrics.percentile_summary(obs_metrics.merged_snapshot(trace_dir))
-    if profiles:
-        rows = [
-            [
-                name,
-                int(summary["count"]),
-                _format_duration(summary["p50"]),
-                _format_duration(summary["p90"]),
-                _format_duration(summary["p99"]),
-                _format_duration(summary["total"]),
-            ]
-            for name, summary in sorted(profiles.items())
+    rows = [
+        [
+            name,
+            summary["count"],
+            _format_duration(summary["p50"]),
+            _format_duration(summary["p90"]),
+            _format_duration(summary["p99"]),
+            _format_duration(summary["total"]),
         ]
-        print("\nprofiles:")
-        print(format_table(["Path", "Samples", "p50", "p90", "p99", "Total"], rows))
+        for name, summary in sorted(obs_trace.span_profiles(spans).items())
+    ]
+    print("\nprofiles:")
+    print(format_table(["Path", "Samples", "p50", "p90", "p99", "Total"], rows))
 
     if args.chrome:
         chrome_path = Path(args.chrome)
@@ -732,7 +735,7 @@ def _command_trace(args: argparse.Namespace) -> int:
         chrome_path.write_text(json.dumps(obs_trace.chrome_trace(spans)))
         print(f"\nchrome trace written to {chrome_path} (open in ui.perfetto.dev)")
 
-    if args.check and orphans:
+    if args.check and (orphans or late):
         return 1
     return 0
 

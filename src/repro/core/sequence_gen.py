@@ -390,7 +390,9 @@ def generate_sequences(
     emitted metadata carries the serial stack's cumulative
     :class:`~repro.sat.solver.SolverStats` under ``"solver_stats"``
     (worker-side stats are not aggregated).  Under active telemetry the
-    whole pipeline runs inside a ``solver.sequence_gen`` span.
+    whole pipeline runs inside a ``solver.sequence_gen`` span, with one
+    child span per phase: ``sequence_gen.activatability``,
+    ``sequence_gen.greedy_sets`` and ``sequence_gen.witness``.
     """
     with obs.trace.span(
         "solver.sequence_gen",
@@ -419,11 +421,12 @@ def _generate_sequences(
     solver_config: SolverConfig | None,
 ) -> SequenceSet:
     inputs = netlist.inputs
-    compatibility = analyze_sequential_compatibility(
-        netlist, rare_nets, cycles, mode, count,
-        justifier=justifier, max_rare_nets=max_rare_nets,
-        solver_config=solver_config,
-    )
+    with obs.trace.span("sequence_gen.activatability"):
+        compatibility = analyze_sequential_compatibility(
+            netlist, rare_nets, cycles, mode, count,
+            justifier=justifier, max_rare_nets=max_rare_nets,
+            solver_config=solver_config,
+        )
     metadata = {
         "cycles": cycles,
         "mode": mode,
@@ -444,24 +447,26 @@ def _generate_sequences(
         rare.net: rare.rare_value for rare in compatibility.rare_nets
     }
     compatibility.justifier.set_preferred_values(preferred)
-    sets = greedy_compatible_sets(compatibility, num_sequences, seed=seed)
+    with obs.trace.span("sequence_gen.greedy_sets"):
+        sets = greedy_compatible_sets(compatibility, num_sequences, seed=seed)
     ordered_sets = [compatibility.ordered_requirements(indices) for indices in sets]
-    results = sharded_map(
-        netlist,
-        partial(
-            make_sequence_justifier,
-            cycles=cycles,
-            # A caller-supplied justifier may not unroll from reset.
-            initial_state=compatibility.justifier.initial_state,
-            config=compatibility.justifier.config,
-            preferred_values=preferred,
-        ),
-        partial(sequence_witness_with_repair, mode=mode, count=count, cycles=cycles),
-        ordered_sets,
-        n_jobs,
-        justifier=compatibility.justifier,
-        label="sequence-shard",
-    )
+    with obs.trace.span("sequence_gen.witness"):
+        results = sharded_map(
+            netlist,
+            partial(
+                make_sequence_justifier,
+                cycles=cycles,
+                # A caller-supplied justifier may not unroll from reset.
+                initial_state=compatibility.justifier.initial_state,
+                config=compatibility.justifier.config,
+                preferred_values=preferred,
+            ),
+            partial(sequence_witness_with_repair, mode=mode, count=count, cycles=cycles),
+            ordered_sets,
+            n_jobs,
+            justifier=compatibility.justifier,
+            label="sequence-shard",
+        )
     sequences: list[np.ndarray] = []
     for ordered, (sequence, fire_cycle, realized) in zip(ordered_sets, results):
         if sequence is None:

@@ -122,13 +122,13 @@ def telemetry_summary(telemetry: dict | None) -> str | None:
     ``telemetry`` is the dict :func:`repro.obs.summary` put in the run
     record (``None`` when tracing was off).  Example output::
 
-        telemetry: 42 spans, 5 timed paths -> /tmp/trace
+        telemetry: 42 spans, 12 span names -> /tmp/trace
     """
     if not telemetry:
         return None
     return (
         f"telemetry: {telemetry.get('spans', 0)} spans, "
-        f"{len(telemetry.get('profiles') or {})} timed paths -> "
+        f"{len(telemetry.get('profiles') or {})} span names -> "
         f"{telemetry.get('trace_dir', '?')}"
     )
 

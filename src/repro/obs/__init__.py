@@ -1,14 +1,10 @@
 """Unified telemetry for the DETERRENT reproduction (stdlib only).
 
-Three cooperating pieces, one switch:
-
-- :mod:`repro.obs.trace` — span tracer with context propagation through
-  worker initializers, queue-job headers, and HTTP ``traceparent`` headers;
-- :mod:`repro.obs.metrics` — process-local duration histograms that merge
-  across workers bucket by bucket and export to Prometheus text exposition
-  (counts stay with the objects that keep them);
-- :mod:`repro.obs.profile` — sampled timing hooks on the hot paths, feeding
-  ``profile_*_seconds`` histograms in the same registry.
+One mechanism, one switch: :mod:`repro.obs.trace` records spans, with
+context propagation through worker initializers, queue-job headers, and
+HTTP ``traceparent`` headers.  Every timing a user sees — the span tree,
+the per-name percentiles of ``deterrent trace``, the ``telemetry`` block of
+a run record — is read back from the exported span files.
 
 Everything is disabled (and near-free) until :func:`configure` points the
 process at a trace directory — `deterrent run --trace <dir>` or the
@@ -17,27 +13,24 @@ process at a trace directory — `deterrent run --trace <dir>` or the
 
 from __future__ import annotations
 
-from repro.obs import metrics, profile, trace
+from repro.obs import trace
 from repro.obs._runtime import (
-    ENV_PROFILE,
     ENV_TRACE_DIR,
     configure,
     disable,
     enabled,
-    profiling_enabled,
     trace_dir,
 )
 from repro.obs.trace import TraceContext, current_context, install_remote_parent
 
 
 def flush() -> None:
-    """Flush this process's buffered spans and metrics to the trace dir."""
+    """Flush this process's buffered spans to the trace dir."""
     trace.flush_spans()
-    metrics.flush()
 
 
 def summary() -> dict | None:
-    """Flush, then summarise this trace dir: span count, merged timings.
+    """Flush, then summarise this trace dir: span count, per-name timings.
 
     The ``telemetry`` block of run records — ``None`` while disabled, so
     untraced runs keep their record shape minus one null field.
@@ -46,18 +39,16 @@ def summary() -> dict | None:
         return None
     flush()
     directory = trace_dir()
-    merged = metrics.merged_snapshot(directory)
+    spans = trace.load_spans(directory)
     return {
         "trace_dir": directory,
-        "spans": len(trace.load_spans(directory)),
-        "profiles": metrics.percentile_summary(merged),
+        "spans": len(spans),
+        "profiles": trace.span_profiles(spans),
     }
 
 
 def install_worker(
-    trace_directory: str | None,
-    parent_context: dict | None = None,
-    label: str | None = None,
+    trace_directory: str | None, parent_context: dict | None = None
 ) -> None:
     """Enable telemetry inside a worker (chained worker initializers).
 
@@ -65,7 +56,7 @@ def install_worker(
     and with ``None`` arguments (telemetry disabled on the submitting side).
     """
     if trace_directory:
-        configure(trace_directory, label=label, export_env=False)
+        configure(trace_directory, export_env=False)
     if parent_context:
         install_remote_parent(TraceContext.from_dict(parent_context))
 
@@ -79,7 +70,6 @@ def worker_install_args() -> tuple[str | None, dict | None]:
 
 
 __all__ = [
-    "ENV_PROFILE",
     "ENV_TRACE_DIR",
     "TraceContext",
     "configure",
@@ -89,9 +79,6 @@ __all__ = [
     "flush",
     "install_remote_parent",
     "install_worker",
-    "metrics",
-    "profile",
-    "profiling_enabled",
     "summary",
     "trace",
     "trace_dir",

@@ -1,8 +1,8 @@
 """Shared on/off state for the telemetry layer.
 
 One switch controls everything: :func:`configure` points the process at a
-trace directory and enables span export, the metrics registry, and (by
-default) the profiling hooks.  Everything stays a cheap no-op until then.
+trace directory and enables span export.  Everything stays a cheap no-op
+until then.
 
 The trace directory is also exported through the ``DETERRENT_TRACE_DIR``
 environment variable so *spawned* worker processes (process pools under the
@@ -19,54 +19,35 @@ import os
 import threading
 
 ENV_TRACE_DIR = "DETERRENT_TRACE_DIR"
-ENV_PROFILE = "DETERRENT_PROFILE"
 
 
 class _State:
     """Process-global telemetry switchboard (one instance per process)."""
 
-    __slots__ = ("enabled", "trace_dir", "profile_enabled", "label", "lock")
+    __slots__ = ("enabled", "trace_dir", "lock")
 
     def __init__(self) -> None:
         self.enabled = False
         self.trace_dir: str | None = None
-        self.profile_enabled = False
-        self.label: str | None = None
         self.lock = threading.Lock()
 
 
 STATE = _State()
 
 
-def configure(
-    trace_dir: str | os.PathLike,
-    *,
-    profile: bool | None = None,
-    label: str | None = None,
-    export_env: bool = True,
-) -> None:
-    """Enable telemetry, exporting spans and metrics under ``trace_dir``.
+def configure(trace_dir: str | os.PathLike, *, export_env: bool = True) -> None:
+    """Enable telemetry, exporting spans under ``trace_dir``.
 
-    ``profile=None`` defers to ``DETERRENT_PROFILE`` (default on: the hooks
-    are sampled and only fire while telemetry is enabled at all).  With
-    ``export_env`` the directory is published to child processes via the
-    environment.
+    With ``export_env`` the directory is published to child processes via
+    the environment.
     """
     resolved = os.fspath(trace_dir)
     os.makedirs(resolved, exist_ok=True)
     with STATE.lock:
         STATE.trace_dir = resolved
         STATE.enabled = True
-        if profile is None:
-            STATE.profile_enabled = os.environ.get(ENV_PROFILE, "1") != "0"
-        else:
-            STATE.profile_enabled = bool(profile)
-        if label is not None:
-            STATE.label = label
     if export_env:
         os.environ[ENV_TRACE_DIR] = resolved
-        if profile is not None:
-            os.environ[ENV_PROFILE] = "1" if profile else "0"
 
 
 def disable() -> None:
@@ -74,17 +55,11 @@ def disable() -> None:
     with STATE.lock:
         STATE.enabled = False
         STATE.trace_dir = None
-        STATE.profile_enabled = False
-        STATE.label = None
     os.environ.pop(ENV_TRACE_DIR, None)
 
 
 def enabled() -> bool:
     return STATE.enabled
-
-
-def profiling_enabled() -> bool:
-    return STATE.enabled and STATE.profile_enabled
 
 
 def trace_dir() -> str | None:

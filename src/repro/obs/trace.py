@@ -21,7 +21,8 @@ pair:
   :func:`repro.service.server.http_json` and honoured by ``POST /jobs``.
 
 Finished spans append to ``spans-<pid>.jsonl`` in the trace directory;
-:func:`load_spans` folds every per-pid file back into one tree and
+:func:`load_spans` folds every per-pid file back into one tree,
+:func:`span_profiles` gives exact duration percentiles per span name, and
 :func:`chrome_trace` renders the Chrome ``trace_event`` JSON view
 (load it at ``chrome://tracing`` or https://ui.perfetto.dev).
 """
@@ -29,7 +30,9 @@ Finished spans append to ``spans-<pid>.jsonl`` in the trace directory;
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import threading
 import time
 from contextlib import contextmanager
@@ -45,6 +48,10 @@ _BUFFER: list[str] = []
 _BUFFER_PID = os.getpid()
 _BUFFER_LOCK = threading.Lock()
 _REMOTE_PARENT: "TraceContext | None" = None
+_TASK_INDEX = re.compile(r"\[\d+\]$")
+
+#: Slack for :func:`late_children`: a child may end this long after its parent.
+_LATE_CHILD_TOLERANCE_S = 1e-3
 
 
 def _new_trace_id() -> str:
@@ -308,6 +315,45 @@ def orphan_spans(spans: list[dict]) -> list[dict]:
     ]
 
 
+def late_children(spans: list[dict]) -> list[dict]:
+    """Spans that end after their parent does, in the parent's process.
+
+    Only same-pid pairs are compared: a cross-process child (``queue.job``
+    under ``service.submit``) rightly outlives the request that enqueued it.
+    """
+    by_id = {record["span_id"]: record for record in spans}
+    late = []
+    for record in spans:
+        parent = by_id.get(record.get("parent_id"))
+        if parent is None or parent.get("pid") != record.get("pid"):
+            continue
+        child_end = record.get("start", 0.0) + record.get("dur_s", 0.0)
+        parent_end = parent.get("start", 0.0) + parent.get("dur_s", 0.0)
+        if child_end > parent_end + _LATE_CHILD_TOLERANCE_S:
+            late.append(record)
+    return late
+
+
+def span_profiles(spans: list[dict]) -> dict[str, dict[str, float]]:
+    """Per span name: ``count``, ``total`` and exact nearest-rank p50/p90/p99.
+
+    Task spans (``cell[3]``) fold into one row per label (``cell[*]``).
+    """
+    durations: dict[str, list[float]] = {}
+    for record in spans:
+        name = _TASK_INDEX.sub("[*]", str(record.get("name", "?")))
+        durations.setdefault(name, []).append(float(record.get("dur_s", 0.0)))
+    profiles = {}
+    for name, values in durations.items():
+        values.sort()
+        profile = {"count": len(values), "total": sum(values)}
+        for q in (50, 90, 99):
+            # Nearest rank: the ceil(n * q / 100)-th smallest duration.
+            profile[f"p{q}"] = values[max(1, math.ceil(len(values) * q / 100)) - 1]
+        profiles[name] = profile
+    return profiles
+
+
 def chrome_trace(spans: list[dict]) -> dict:
     """Render spans as Chrome ``trace_event`` complete events (phase "X")."""
     events = []
@@ -340,8 +386,10 @@ __all__ = [
     "current_context",
     "flush_spans",
     "install_remote_parent",
+    "late_children",
     "load_spans",
     "orphan_spans",
     "span",
+    "span_profiles",
     "start_span",
 ]

@@ -251,7 +251,7 @@ class ArtifactCache:
         one computes and the rest load its result instead of duplicating the
         work (the offline phase is the most expensive artifact in the store).
         """
-        with obs.profile.timed("cache.fetch"):
+        with obs.trace.span("cache.fetch"):
             artifact = self.load(kind, **key_parts)
         if artifact is not None:
             return artifact
@@ -261,7 +261,7 @@ class ArtifactCache:
             # Double-checked: a peer holding the lock may have stored it.
             artifact = self.load(kind, **key_parts)
             if artifact is None:
-                with obs.profile.timed("cache.build"):
+                with obs.trace.span("cache.build"):
                     artifact = builder()
                 self.store(kind, artifact, **key_parts)
         return artifact

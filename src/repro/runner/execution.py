@@ -24,6 +24,7 @@ here.
 from __future__ import annotations
 
 import importlib
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, is_dataclass
@@ -146,8 +147,20 @@ def _execute_cell(
     if cache is not None and before is not None:
         after = cache.stats.as_dict()
         delta = {key: after[key] - before[key] for key in after}
-    obs.metrics.observe("cell_seconds", elapsed)
     return result, elapsed, delta
+
+
+def _restore_trace(directory: str | None, env_dir: str | None) -> None:
+    """Put telemetry back as it was before a ``run_experiment(trace_dir=...)``."""
+    obs.flush()
+    if directory is None:
+        obs.disable()
+    else:
+        obs.configure(directory, export_env=False)
+    if env_dir is None:
+        os.environ.pop(obs.ENV_TRACE_DIR, None)
+    else:
+        os.environ[obs.ENV_TRACE_DIR] = env_dir
 
 
 def run_experiment(
@@ -187,18 +200,17 @@ def run_experiment(
         fault_plan: scripted faults for chaos testing (see
             :mod:`repro.runner.faults`); None in production.
         trace_dir: when set, enables the telemetry layer (:mod:`repro.obs`)
-            for this process and every worker, exporting spans and merged
-            metrics under the directory; the run record gains a
-            ``telemetry`` block.  None keeps the ambient state (e.g. from
-            ``DETERRENT_TRACE_DIR``).
+            for the duration of the call, in this process and every worker,
+            exporting spans under the directory; the run record gains a
+            ``telemetry`` block.  The previous telemetry state is restored
+            when the call returns or raises.  None keeps the ambient state
+            (e.g. from ``DETERRENT_TRACE_DIR``).
     """
     from repro.experiments.common import profile_by_name
     from repro.experiments.reporting import append_jsonl, save_json
 
     jobs = 1 if jobs == 1 else resolve_jobs(jobs)
     backend = resolve_backend(backend, jobs=jobs)
-    if trace_dir is not None:
-        obs.configure(trace_dir)
     spec = experiment if isinstance(experiment, ExperimentSpec) else get_experiment(experiment)
     if isinstance(profile, str):
         profile = profile_by_name(profile)
@@ -225,6 +237,10 @@ def run_experiment(
         cache_dir = str(cache_dir)
         previous_cache = get_default_cache()
         set_default_cache(cache_dir)
+    if trace_dir is not None:
+        previous_trace = obs.trace_dir(), os.environ.get(obs.ENV_TRACE_DIR)
+        obs.flush()  # spans buffered so far belong to the previous directory
+        obs.configure(trace_dir)
 
     started = time.perf_counter()
     outcomes: list[CellOutcome] = []
@@ -274,10 +290,13 @@ def run_experiment(
 
             collected = module.collect([outcome.result for outcome in outcomes])
             report_text = module.report(collected)
+        elapsed = time.perf_counter() - started
+        telemetry = obs.summary()
     finally:
         if cache_dir is not None:
             set_default_cache(previous_cache)
-    elapsed = time.perf_counter() - started
+        if trace_dir is not None:
+            _restore_trace(*previous_trace)
 
     run = ExperimentRun(
         experiment=spec.name,
@@ -291,7 +310,7 @@ def run_experiment(
         cache_stats=cache_stats,
         backend=backend.name,
         resilience=execution.counters(),
-        telemetry=obs.summary(),
+        telemetry=telemetry,
     )
     if results_dir is not None:
         run.results_path = save_json(

@@ -176,7 +176,7 @@ def call_with_faults(
     ``trace_ctx`` is the submitting side's per-task span context
     (:meth:`repro.obs.TraceContext.as_dict`); when telemetry is enabled the
     attempt runs inside a ``worker`` span parented on it, and the worker's
-    spans/metrics are flushed after each attempt so even a later crash
+    spans are flushed after each attempt so even a later crash
     loses at most the attempt in flight.
     """
     injected = faults.maybe_inject(task_index, attempt)
@@ -216,10 +216,9 @@ def _init_with_obs(
     inner_args: tuple,
     trace_dir: str | None,
     parent_ctx: dict | None,
-    label: str | None,
 ) -> None:
     """Chained worker initializer: telemetry first, then the caller's own."""
-    obs.install_worker(trace_dir, parent_ctx, label=label)
+    obs.install_worker(trace_dir, parent_ctx)
     if inner is not None:
         inner(*inner_args)
 
@@ -229,14 +228,13 @@ def _round_initializer(
     initargs: tuple,
     fault_plan: faults.FaultPlan | None,
     backend: ExecutionBackend,
-    label: str,
 ) -> tuple[Callable[..., None] | None, tuple]:
     """The (initializer, initargs) for one round: telemetry, then faults."""
     chained, chained_args = initializer, tuple(initargs)
     if obs.enabled():
         trace_dir, parent_ctx = obs.worker_install_args()
         chained, chained_args = _init_with_obs, (
-            chained, chained_args, trace_dir, parent_ctx, label,
+            chained, chained_args, trace_dir, parent_ctx,
         )
     if fault_plan is not None:
         chained, chained_args = _init_with_faults, (
@@ -325,7 +323,7 @@ def run_tasks(
                         time.sleep(delay)
 
                 round_init, round_initargs = _round_initializer(
-                    initializer, initargs, fault_plan, active, label
+                    initializer, initargs, fault_plan, active
                 )
                 workers = max(1, min(max_workers or len(pending), len(pending)))
                 executor = active.make_executor(workers, round_init, round_initargs)

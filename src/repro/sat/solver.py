@@ -46,9 +46,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from time import perf_counter
 
-from repro.obs.profile import hot_path
 from repro.sat import native
 from repro.sat.cnf import CNF, Literal
 from repro.sat.heap import ActivityHeap
@@ -447,20 +445,11 @@ class CdclSolver:
         trail = self._trail
         num_vars = self._num_vars
         heap = self._heap
-        # Fetch-once profiling probes: None while telemetry is off, so the
-        # loop below pays a single `is None` branch per iteration.
-        propagate_probe = hot_path("sat.propagate", every=64)
-        decide_probe = hot_path("sat.decide", every=16)
         self._restarts_scheduled = 0  # each query restarts the schedule
         restart_limit = self._next_restart_limit()
         conflicts_since_restart = 0
         while True:
-            if propagate_probe is not None and propagate_probe.sample():
-                probe_start = perf_counter()
-                conflict = propagate(self)
-                propagate_probe.observe(perf_counter() - probe_start)
-            else:
-                conflict = propagate(self)
+            conflict = propagate(self)
             if conflict is not None:
                 stats.conflicts += 1
                 conflicts_since_restart += 1
@@ -503,10 +492,6 @@ class CdclSolver:
                 # heap entry by entry; clearing it leaves the same state.
                 heap.clear()
                 variable = None
-            elif decide_probe is not None and decide_probe.sample():
-                probe_start = perf_counter()
-                variable = pop_unassigned(heap, value)
-                decide_probe.observe(perf_counter() - probe_start)
             else:
                 variable = pop_unassigned(heap, value)
             if variable is None:

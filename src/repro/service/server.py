@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 import urllib.error
@@ -60,6 +61,40 @@ from repro.service.queue import (
 #: Maximum accepted request body (a .bench netlist plus options; 16 MiB is
 #: orders of magnitude above every benchmark in the suite).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+_PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def prometheus_name(name: str) -> str:
+    """``name`` with every character Prometheus forbids replaced by ``_``."""
+    return _PROM_NAME.sub("_", name)
+
+
+def payload_to_prometheus(payload: dict, prefix: str = "deterrent_") -> str:
+    """Render a nested dict of numeric leaves as Prometheus gauges.
+
+    Exposes the service's JSON ``/metrics`` payload (queue depth, worker
+    liveness, cache counts, solver totals) in text exposition format
+    without changing how the payload is assembled.
+    """
+    lines: list[str] = []
+
+    def walk(node: dict, path: str) -> None:
+        for key in sorted(node):
+            value = node[key]
+            name = f"{path}_{key}" if path else str(key)
+            if isinstance(value, dict):
+                walk(value, name)
+            elif isinstance(value, bool):
+                continue
+            elif isinstance(value, (int, float)):
+                metric = prometheus_name(prefix + name)
+                value = float(value)
+                lines.append(f"# TYPE {metric} gauge")
+                lines.append(f"{metric} {int(value) if value.is_integer() else value!r}")
+
+    walk(payload, "")
+    return "\n".join(lines) + "\n"
 
 
 class DeterrentService:
@@ -256,16 +291,10 @@ class DeterrentService:
         """``GET /metrics?format=prometheus``: text exposition of the same data.
 
         Every numeric leaf of the JSON payload becomes a gauge (nested keys
-        join with ``_``); when this process traces, the local telemetry
-        registry's duration histograms are appended.
+        join with ``_``).
         """
         _, payload = self.metrics()
-        lines = [obs.metrics.payload_to_prometheus(payload, prefix="deterrent_")]
-        if obs.enabled():
-            registry_text = obs.metrics.registry().to_prometheus()
-            if registry_text:
-                lines.append(registry_text)
-        return 200, "\n".join(part.rstrip("\n") for part in lines if part.strip()) + "\n"
+        return 200, payload_to_prometheus(payload)
 
     def _fold_solver_stats(self, job_id: str, record: Any) -> None:
         """Accumulate a completed record's SolverStats into the aggregate.
@@ -496,5 +525,7 @@ __all__ = [
     "DeterrentService",
     "http_json",
     "make_server",
+    "payload_to_prometheus",
+    "prometheus_name",
     "serve",
 ]

@@ -56,11 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.circuits.gates import Gate, GateType
 from repro.circuits.netlist import Netlist
-from repro.obs.profile import hot_path, timed
 from repro.utils.rng import RngLike, make_rng
-from time import perf_counter
 
 _WORD_BITS = 64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -166,12 +165,6 @@ class CompiledNetlist:
                 f"got {packed_inputs.shape}"
             )
         num_words = packed_inputs.shape[1]
-        # Fetched per call (every=1): one combinational sweep is orders of
-        # magnitude heavier than the probe, so sampling is unnecessary here.
-        step_probe = hot_path("sim.step", every=1)
-        timing = step_probe is not None and step_probe.sample()
-        if timing:
-            probe_start = perf_counter()
         values = np.empty((self.num_nets + 2, num_words), dtype=np.uint64)
         values[: self.num_sources] = packed_inputs
         values[self._const0_id] = 0
@@ -182,8 +175,6 @@ class CompiledNetlist:
             if group.invert_mask is not None:
                 out ^= group.invert_mask
             values[group.outputs] = out
-        if timing:
-            step_probe.observe(perf_counter() - probe_start)
         return values[: self.num_nets]
 
     def run_patterns(self, patterns: np.ndarray) -> tuple[np.ndarray, int]:
@@ -402,7 +393,7 @@ class CompiledSequentialNetlist:
                 )
         values = np.empty((cycles, self.num_nets, num_words), dtype=np.uint64)
         sources = np.empty((self.num_inputs + self.num_state_bits, num_words), dtype=np.uint64)
-        with timed("sim.sequence"):
+        with obs.trace.span("sim.sequence"):
             for cycle in range(cycles):
                 sources[: self.num_inputs] = packed_inputs[cycle]
                 sources[self.num_inputs:] = state

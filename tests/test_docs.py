@@ -66,12 +66,23 @@ class TestDocsMatchRegistry:
     def test_no_doc_names_a_removed_entry_point(self):
         # Harnesses run only through ``deterrent run`` / ``run_experiment``;
         # the per-module ``python -m repro.experiments.<name>`` mains are gone.
+        # Spans are the only timing mechanism: the histogram registry, its
+        # per-pid files and the sampled profiling hooks are gone too.
+        removed = (
+            "python -m repro.experiments.",
+            "DETERRENT_PROFILE",
+            "metrics-<pid>.json",
+            "repro.obs.profile",
+            "repro.obs.metrics",
+            "hot_path",
+        )
         paths = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
         paths += sorted(p for p in (REPO_ROOT / ".claude" / "skills").rglob("*") if p.is_file())
         stale = [
-            f"{path.relative_to(REPO_ROOT)}:{number}"
+            f"{path.relative_to(REPO_ROOT)}:{number}: {name}"
             for path in paths
             for number, line in enumerate(path.read_text().splitlines(), start=1)
-            if "python -m repro.experiments." in line
+            for name in removed
+            if name in line
         ]
         assert stale == []

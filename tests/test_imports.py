@@ -48,6 +48,15 @@ def test_light_entry_points_skip_the_heavy_stack(module):
     assert heavy == []
 
 
+def test_the_solver_loads_without_telemetry():
+    # The CDCL loop has no timing probes; solver work is timed by the spans
+    # of its callers.
+    assert not any(
+        name == "repro.obs" or name.startswith("repro.obs.")
+        for name in loaded_after_import("repro.sat.solver")
+    )
+
+
 @pytest.mark.parametrize(
     "path", sorted((REPO_ROOT / "examples").glob("*.py")), ids=lambda path: path.name
 )

@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry layer: tracing, metrics, profiling, CLI view.
+"""Unit tests for the telemetry layer: tracing, span timings, CLI view.
 
 Everything here is single-process and fast.  Cross-backend merge parity and
 the end-to-end span trees live in ``test_obs_integration.py``.
@@ -7,26 +7,21 @@ the end-to-end span trees live in ``test_obs_integration.py``.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 
 import pytest
 
 from repro import cli, obs
-from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import (
-    BUCKET_BOUNDS,
-    Histogram,
-    MetricsRegistry,
-    merged_snapshot,
-    payload_to_prometheus,
-    percentile_summary,
-    prometheus_name,
+from repro.obs.trace import (
+    TraceContext,
+    build_tree,
+    late_children,
+    load_spans,
+    orphan_spans,
+    span_profiles,
 )
-from repro.obs.trace import TraceContext, build_tree, load_spans, orphan_spans
 from repro.runner.resilience import run_tasks
 
 
@@ -40,7 +35,6 @@ def traced(tmp_path):
     finally:
         obs.trace.flush_spans()  # drain the buffer so it can't leak onward
         obs.disable()
-        obs.metrics.reset_registry()
         obs.trace.install_remote_parent(None)
 
 
@@ -48,7 +42,6 @@ def traced(tmp_path):
 def _clean_slate():
     yield
     obs.disable()
-    obs.metrics.reset_registry()
     obs.trace.install_remote_parent(None)
 
 
@@ -74,16 +67,17 @@ class TestRuntime:
         obs.disable()
         assert obs.ENV_TRACE_DIR not in os.environ
 
-    def test_profile_flag_controls_profiling_only(self, tmp_path):
-        obs.configure(tmp_path / "t", profile=False, export_env=False)
-        assert obs.enabled() and not obs.profiling_enabled()
-        assert obs_profile.hot_path("x") is None
-        obs.configure(tmp_path / "t", profile=True, export_env=False)
-        assert obs.profiling_enabled()
-
     def test_install_worker_accepts_disabled_submitter(self):
         obs.install_worker(None, None)  # telemetry off on the submitting side
         assert not obs.enabled()
+
+    def test_install_worker_enables_without_exporting_the_directory(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(obs.ENV_TRACE_DIR, raising=False)
+        obs.install_worker(str(tmp_path / "t"))
+        assert obs.enabled() and obs.trace_dir() == str(tmp_path / "t")
+        assert obs.ENV_TRACE_DIR not in os.environ
 
     def test_worker_install_args_ship_dir_and_context(self, traced):
         with obs.trace.span("parent") as parent:
@@ -213,183 +207,58 @@ class TestSpans:
 
 
 # ----------------------------------------------------------------------
-# Metrics: histograms, registry merge, export
+# Timings read back from spans
 # ----------------------------------------------------------------------
-class TestHistogram:
-    def test_observe_tracks_count_sum_min_max(self):
-        histogram = Histogram()
-        for value in (0.001, 0.004, 0.1):
-            histogram.observe(value)
-        assert histogram.count == 3
-        assert histogram.total == pytest.approx(0.105)
-        assert histogram.min == pytest.approx(0.001)
-        assert histogram.max == pytest.approx(0.1)
-        assert sum(histogram.buckets) == 3
-
-    def test_percentile_is_a_bucket_upper_bound(self):
-        histogram = Histogram()
-        for _ in range(99):
-            histogram.observe(1e-5)
-        histogram.observe(1.0)
-        assert histogram.percentile(50) >= 1e-5
-        assert histogram.percentile(50) < 1e-3  # nowhere near the outlier
-        assert histogram.percentile(100) == pytest.approx(1.0)
-        assert Histogram().percentile(99) == 0.0
-
-    def test_percentile_is_within_an_eighth_of_an_octave_of_the_truth(self):
-        # One bound per octave read this p50 as 0.524 s against a true 0.300 s.
-        samples = [0.0006 + index * (0.6 - 0.0006) / 999 for index in range(1000)]
-        histogram = Histogram()
-        for value in samples:
-            histogram.observe(value)
-        for q in (10, 50, 90, 99):
-            true = samples[math.ceil(len(samples) * q / 100) - 1]
-            ratio = histogram.percentile(q) / true
-            assert 1.0 <= ratio <= 2 ** (1 / 8) * (1 + 1e-12), (q, ratio)
-
-    def test_merge_matches_observing_everything_in_one(self):
-        left, right, reference = Histogram(), Histogram(), Histogram()
-        for index, value in enumerate((1e-6, 5e-4, 0.02, 3.0)):
-            (left if index % 2 else right).observe(value)
-            reference.observe(value)
-        left.merge_dict(right.as_dict())
-        merged, expected = left.as_dict(), reference.as_dict()
-        assert merged["total"] == pytest.approx(expected["total"])
-        merged.pop("total"), expected.pop("total")  # float addition order
-        assert merged == expected
-
-    def test_dict_roundtrip(self):
-        histogram = Histogram()
-        histogram.observe(0.5)
-        assert Histogram.from_dict(histogram.as_dict()).as_dict() == histogram.as_dict()
+def span_record(name, span_id, parent_id=None, start=100.0, dur_s=1.0, pid=1):
+    """One exported span line, written by hand."""
+    return {
+        "name": name, "trace_id": "a" * 32, "span_id": span_id,
+        "parent_id": parent_id, "start": start, "dur_s": dur_s,
+        "status": "ok", "pid": pid, "attrs": {},
+    }
 
 
-class TestRegistry:
-    def test_registry_holds_histograms_only(self):
-        registry = MetricsRegistry()
-        registry.observe("lat", 0.01)
-        assert set(registry.snapshot()) == {"histograms"}
-        assert not hasattr(registry, "counter_add")
-        assert not hasattr(obs_metrics, "counter_add")
+class TestSpanProfiles:
+    def test_percentiles_are_exact_nearest_rank(self):
+        # 1..100 ms: nearest rank k = ceil(n * q / 100) picks the k-th value.
+        spans = [
+            span_record("solve", f"{index:016x}", dur_s=index / 1000)
+            for index in range(100, 0, -1)
+        ]
+        profile = span_profiles(spans)["solve"]
+        assert profile["count"] == 100
+        assert profile["total"] == pytest.approx(5.05)
+        assert (profile["p50"], profile["p90"], profile["p99"]) == (0.05, 0.09, 0.099)
+        (single,) = span_profiles([span_record("one", "1" * 16, dur_s=0.25)]).values()
+        assert single == {"count": 1, "total": 0.25, "p50": 0.25, "p90": 0.25, "p99": 0.25}
 
-    def test_merge_is_commutative(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.observe("h", 0.1)
-        second.observe("h", 0.002)
-        second.observe("g", 3.0)
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        forward.merge(first.snapshot())
-        forward.merge(second.snapshot())
-        backward.merge(second.snapshot())
-        backward.merge(first.snapshot())
-        assert forward.snapshot() == backward.snapshot()
+    def test_task_indices_fold_into_one_row_per_label(self):
+        spans = [span_record(f"cell[{index}]", f"{index:016x}") for index in range(8)]
+        spans.append(span_record("tasks[x]", "f" * 16))
+        profiles = span_profiles(spans)
+        assert set(profiles) == {"cell[*]", "tasks[x]"}
+        assert profiles["cell[*]"]["count"] == 8
 
-    def test_module_helpers_are_noops_while_disabled(self):
-        obs_metrics.observe("ghost", 1.0)
-        assert obs_metrics.registry().snapshot() == {"histograms": {}}
-
-    def test_module_helpers_record_while_enabled(self, traced):
-        obs_metrics.observe("lat", 0.25)
-        snapshot = obs_metrics.registry().snapshot()
-        assert snapshot["histograms"]["lat"]["count"] == 1
-
-    def test_flush_and_merged_snapshot_fold_per_pid_files(self, traced):
-        obs_metrics.observe("lat", 0.25)
-        obs_metrics.flush()
-        # A "second worker" flushed its own cumulative totals under its pid.
-        peer = MetricsRegistry()
-        peer.observe("lat", 0.5)
-        peer.observe("depth", 9.0)
-        (traced / "metrics-99999.json").write_text(json.dumps(peer.snapshot()))
-        (traced / "metrics-corrupt.json").write_text("{not json")  # skipped
-        merged = merged_snapshot(traced)["histograms"]
-        assert merged["lat"]["count"] == 2
-        assert merged["lat"]["max"] == 0.5
-        assert merged["depth"]["count"] == 1
-
-    def test_flush_is_cumulative_and_idempotent_under_merge(self, traced):
-        obs_metrics.observe("lat", 0.25)
-        obs_metrics.flush()
-        obs_metrics.flush()  # same totals rewritten, not doubled
-        assert merged_snapshot(traced)["histograms"]["lat"]["count"] == 1
-
-    def test_merged_snapshot_skips_files_with_another_bucket_layout(self, traced):
-        obs_metrics.observe("lat", 0.25)
-        obs_metrics.flush()
-        # A file another version wrote with a different bucket layout.
-        buckets = [0] * len(BUCKET_BOUNDS)
-        buckets[-1] = 5
-        stale = {"count": 5, "total": 1.25, "min": 0.25, "max": 0.25, "buckets": buckets}
-        (traced / "metrics-99999.json").write_text(
-            json.dumps({"histograms": {"lat": stale}})
-        )
-        merged = merged_snapshot(traced)["histograms"]
-        assert merged["lat"]["count"] == 1
-
-    def test_prometheus_exposition_renders_histograms(self):
-        registry = MetricsRegistry()
-        registry.observe("cache.build", 0.5)
-        text = registry.to_prometheus()
-        assert "# TYPE deterrent_cache_build histogram" in text  # dots sanitised
-        assert 'deterrent_cache_build_bucket{le="+Inf"} 1' in text
-        assert "deterrent_cache_build_sum 0.5" in text
-        assert "deterrent_cache_build_count 1" in text
-        assert text.endswith("\n")
-
-    def test_prometheus_histogram_buckets_are_cumulative(self):
-        registry = MetricsRegistry()
-        registry.observe("lat", BUCKET_BOUNDS[0] / 2)
-        registry.observe("lat", BUCKET_BOUNDS[0] / 2)
-        lines = registry.to_prometheus().splitlines()
-        first_bucket = next(line for line in lines if "_bucket" in line)
-        assert first_bucket.endswith(" 2")
-
-    def test_payload_to_prometheus_flattens_numeric_leaves(self):
-        text = payload_to_prometheus(
-            {"queue": {"done": 3, "stopped": True}, "service": {"jobs": 1.5}}
-        )
-        assert "deterrent_queue_done 3" in text
-        assert "deterrent_service_jobs 1.5" in text
-        assert "stopped" not in text  # booleans are not metrics
-
-    def test_prometheus_name_sanitises_forbidden_characters(self):
-        assert prometheus_name("a.b-c/d") == "a_b_c_d"
-
-    def test_percentile_summary_shape(self):
-        registry = MetricsRegistry()
-        for _ in range(10):
-            registry.observe("lat", 0.001)
-        summary = percentile_summary(registry.snapshot())
-        assert set(summary["lat"]) == {"count", "total", "p50", "p90", "p99"}
-        assert summary["lat"]["count"] == 10
+    def test_no_spans_no_rows(self):
+        assert span_profiles([]) == {}
 
 
-# ----------------------------------------------------------------------
-# Profiling hooks
-# ----------------------------------------------------------------------
-class TestProfileHooks:
-    def test_hot_path_is_none_while_disabled(self):
-        assert obs_profile.hot_path("sat.propagate") is None
+class TestLateChildren:
+    def test_child_ending_after_its_same_process_parent_is_late(self):
+        parent = span_record("cell[0]", "1" * 16, start=100.0, dur_s=0.5)
+        child = span_record("worker", "2" * 16, "1" * 16, start=100.1, dur_s=0.5)
+        assert late_children([parent, child]) == [child]
 
-    def test_hot_path_samples_every_nth_call(self, traced):
-        probe = obs_profile.hot_path("loop", every=4)
-        fired = [probe.sample() for _ in range(8)]
-        assert fired == [False, False, False, True] * 2
-        probe.observe(0.001)
-        snapshot = obs_metrics.registry().snapshot()
-        assert snapshot["histograms"]["profile_loop_seconds"]["count"] == 1
+    def test_a_child_of_an_unexported_parent_is_an_orphan_not_late(self):
+        child = span_record("worker", "2" * 16, "1" * 16, start=100.0, dur_s=9.0)
+        assert late_children([child]) == []
+        assert orphan_spans([child]) == [child]
 
-    def test_timed_records_one_observation_per_call(self, traced):
-        for _ in range(3):
-            with obs_profile.timed("cache.fetch"):
-                pass
-        snapshot = obs_metrics.registry().snapshot()
-        assert snapshot["histograms"]["profile_cache_fetch_seconds"]["count"] == 3
-
-    def test_timed_is_a_noop_while_disabled(self):
-        with obs_profile.timed("cache.fetch"):
-            pass
-        assert obs_metrics.registry().snapshot()["histograms"] == {}
+    def test_cross_process_children_and_the_tolerance_pass(self):
+        parent = span_record("service.submit", "1" * 16, start=100.0, dur_s=0.01)
+        job = span_record("queue.job", "2" * 16, "1" * 16, start=100.005, dur_s=5.0, pid=2)
+        tail = span_record("flush", "3" * 16, "1" * 16, start=100.0, dur_s=0.0105)
+        assert late_children([parent, job, tail]) == []
 
 
 # ----------------------------------------------------------------------
@@ -399,33 +268,42 @@ class TestSummary:
     def test_summary_is_none_while_disabled(self):
         assert obs.summary() is None
 
-    def test_summary_flushes_and_reports_spans_and_instruments(self, traced):
+    def test_summary_flushes_and_reports_spans_and_their_timings(self, traced):
         with obs.trace.span("root"):
-            with obs_profile.timed("step"):
+            with obs.trace.span("step"):
                 pass
         summary = obs.summary()
         assert set(summary) == {"trace_dir", "spans", "profiles"}
         assert summary["trace_dir"] == str(traced)
-        assert summary["spans"] == 1
-        assert summary["profiles"]["profile_step_seconds"]["count"] == 1
+        assert summary["spans"] == 2
+        assert set(summary["profiles"]) == {"root", "step"}
+        assert summary["profiles"]["step"]["count"] == 1
+        assert summary["profiles"]["step"]["total"] <= summary["profiles"]["root"]["total"]
+
+    def test_flush_writes_span_files_only(self, traced):
+        with obs.trace.span("root"):
+            pass
+        obs.flush()
+        assert [path.name for path in traced.iterdir()] == [f"spans-{os.getpid()}.jsonl"]
 
 
 class TestTraceCommand:
     def _export_tree(self):
         with obs.trace.span("cli.run", attrs={"experiment": "seq"}):
-            with obs.trace.span("cell[0]", attrs={"cell": "c0"}):
-                pass
-        with obs_profile.timed("solve"):
-            pass
+            for index in range(2):
+                with obs.trace.span(f"cell[{index}]", attrs={"cell": f"c{index}"}):
+                    pass
         obs.flush()
 
-    def test_renders_tree_instruments_and_profiles(self, traced, capsys):
+    def test_renders_tree_and_per_name_profiles(self, traced, capsys):
         self._export_tree()
         assert cli.main(["trace", str(traced)]) == 0
         out = capsys.readouterr().out
-        assert "2 spans, 1 trace(s), 1 root(s)" in out
-        assert "cli.run" in out and "cell[0]" in out
-        assert "profile_solve_seconds" in out
+        assert "3 spans, 1 trace(s), 1 root(s)" in out
+        assert "cli.run" in out and "cell[0]" in out and "cell[1]" in out
+        rows = out.split("profiles:")[1].splitlines()
+        assert any(row.split()[:2] == ["cell[*]", "2"] for row in rows), out
+        assert any(row.split()[:2] == ["cli.run", "1"] for row in rows), out
 
     def test_check_passes_on_a_connected_tree(self, traced, capsys):
         self._export_tree()
@@ -446,6 +324,21 @@ class TestTraceCommand:
         assert cli.main(["trace", str(traced), "--check"]) == 1
         assert "never exported" in capsys.readouterr().out
 
+    def test_check_fails_on_a_child_that_outlives_its_parent(self, tmp_path, capsys):
+        # A serial task span that ended in the collect loop, after the run.
+        spans = [
+            span_record("run.toy", "1" * 16, start=100.0, dur_s=1.0),
+            span_record("cell[0]", "2" * 16, "1" * 16, start=100.1, dur_s=1.2),
+        ]
+        (tmp_path / "spans-1.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in spans)
+        )
+        assert cli.main(["trace", str(tmp_path)]) == 0  # informational by default
+        assert cli.main(["trace", str(tmp_path), "--check"]) == 1
+        assert "end after their parent in the same process: cell[0]" in (
+            capsys.readouterr().out
+        )
+
     def test_missing_directory_is_an_error(self, tmp_path, capsys):
         assert cli.main(["trace", str(tmp_path / "nope")]) == 2
 
@@ -454,4 +347,4 @@ class TestTraceCommand:
         chrome_path = tmp_path / "out" / "trace.json"
         assert cli.main(["trace", str(traced), "--chrome", str(chrome_path)]) == 0
         payload = json.loads(chrome_path.read_text())
-        assert len(payload["traceEvents"]) == 2
+        assert len(payload["traceEvents"]) == 3

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import obs
-from repro.obs.trace import build_tree, load_spans, orphan_spans
+from repro import cli, obs
+from repro.obs.trace import build_tree, load_spans, orphan_spans, span_profiles
 from repro.runner.cache import set_default_cache
 from repro.runner.execution import run_experiment
 
@@ -34,9 +34,8 @@ OPTIONS = {
 
 
 def _run_traced(backend: str, trace_dir, cache_dir):
-    """One traced run on ``backend`` with a clean process-local registry."""
+    """One traced run on ``backend`` from a clean telemetry state."""
     obs.disable()
-    obs.metrics.reset_registry()
     obs.trace.install_remote_parent(None)
     run = run_experiment(
         "sequential_detect",
@@ -62,7 +61,6 @@ def traced_runs(tmp_path_factory):
             runs[backend] = (_run_traced(backend, trace_dir, cache_dir), trace_dir)
     finally:
         obs.disable()
-        obs.metrics.reset_registry()
         obs.trace.install_remote_parent(None)
         set_default_cache(None)
     return runs
@@ -102,6 +100,20 @@ class TestSpanLinkage:
         _, trace_dir = traced_runs["serial"]
         names = [record["name"] for record in load_spans(trace_dir)]
         assert names.count("solver.sequence_gen") == 2
+        for phase in ("activatability", "greedy_sets", "witness"):
+            assert names.count(f"sequence_gen.{phase}") == 2, phase
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_trace_check_passes_and_only_span_files_are_written(
+        self, traced_runs, backend, capsys
+    ):
+        _, trace_dir = traced_runs[backend]
+        assert cli.main(["trace", str(trace_dir), "--check"]) == 0
+        assert "warning" not in capsys.readouterr().out
+        files = [path.name for path in trace_dir.iterdir()]
+        assert files and all(
+            name.startswith("spans-") and name.endswith(".jsonl") for name in files
+        ), files
 
 
 class TestRecordParity:
@@ -123,7 +135,15 @@ class TestRecordParity:
         assert set(telemetry) == {"trace_dir", "spans", "profiles"}
         assert telemetry["trace_dir"] == str(trace_dir)
         assert telemetry["spans"] > 0
-        assert telemetry["profiles"]["cell_seconds"]["count"] == 2
+        assert telemetry["profiles"]["cell"]["count"] == 2
+        assert telemetry["profiles"]["cell[*]"]["count"] == 2
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_record_timings_are_what_deterrent_trace_reads(self, traced_runs, backend):
+        # One source of truth: the record's rows are the exported spans' rows.
+        run, trace_dir = traced_runs[backend]
+        assert run.telemetry["profiles"] == span_profiles(load_spans(trace_dir))
+        assert run.telemetry["spans"] == len(load_spans(trace_dir))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_resilience_block_names_the_backend_and_nothing_else(

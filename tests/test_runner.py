@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import obs
 from repro.circuits.library import load_benchmark
 from repro.cli import main as cli_main
 from repro.core.compatibility import is_activatable, pair_is_compatible
 from repro.experiments import common
+from repro.obs.trace import build_tree, load_spans
 from repro.runner.cache import CACHE_DIR_ENV, get_default_cache, set_default_cache
 from repro.runner.execution import run_experiment
 from repro.runner.parallel import make_shards, resolve_jobs, sharded_map
@@ -350,12 +353,93 @@ class TestCacheDirScope:
         assert get_default_cache() is None
 
 
+class TestTraceDirScope:
+    """``run_experiment(trace_dir=...)`` traces for the call only."""
+
+    SPEC = TestCacheDirScope.SPEC
+
+    @pytest.fixture(autouse=True)
+    def _untraced(self, monkeypatch):
+        monkeypatch.delenv(obs.ENV_TRACE_DIR, raising=False)
+        obs.disable()
+        yield
+        obs.disable()
+        obs.trace.install_remote_parent(None)
+
+    @staticmethod
+    def state():
+        return obs.enabled(), obs.trace_dir(), os.environ.get(obs.ENV_TRACE_DIR)
+
+    def test_telemetry_state_is_the_same_after_a_run(self, tmp_path):
+        before = self.state()
+        run = run_experiment(self.SPEC, profile=TINY, trace_dir=tmp_path / "trace")
+        assert self.state() == before == (False, None, None)
+        assert run.telemetry["trace_dir"] == str(tmp_path / "trace")
+        # An ambient trace directory comes back as it was, too.
+        obs.configure(tmp_path / "ambient")
+        ambient = self.state()
+        run_experiment(self.SPEC, profile=TINY, trace_dir=tmp_path / "trace")
+        assert self.state() == ambient
+
+    def test_spans_opened_before_the_run_stay_in_the_ambient_directory(self, tmp_path):
+        obs.configure(tmp_path / "ambient", export_env=False)
+        with obs.trace.span("before"):
+            pass
+        run_experiment(self.SPEC, profile=TINY, trace_dir=tmp_path / "trace")
+        obs.flush()
+        ambient = {record["name"] for record in load_spans(tmp_path / "ambient")}
+        traced = {record["name"] for record in load_spans(tmp_path / "trace")}
+        assert ambient == {"before"}
+        assert "before" not in traced and "run.runner_toy" in traced
+
+    def test_a_later_run_without_trace_dir_has_no_telemetry(self, tmp_path):
+        run_experiment(self.SPEC, profile=TINY, trace_dir=tmp_path / "trace")
+        later = run_experiment(self.SPEC, profile=TINY)
+        assert later.collected == [10, 20]
+        assert later.telemetry is None
+
+    def test_telemetry_state_is_restored_when_a_cell_raises(self, tmp_path):
+        before = self.state()
+        with pytest.raises(ResilienceError):
+            run_experiment(
+                self.SPEC, profile=TINY, options={"fail": True},
+                trace_dir=tmp_path / "trace", resilience=ResiliencePolicy(max_attempts=1),
+            )
+        assert self.state() == before
+        assert run_experiment(self.SPEC, profile=TINY).telemetry is None
+        # The failed run's spans reached its own directory.
+        names = {record["name"] for record in load_spans(tmp_path / "trace")}
+        assert "run.runner_toy" in names
+
+
 class TestCli:
     def test_list(self, capsys):
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
         for name in ("figure2", "table2", "pipeline"):
             assert name in out
+
+    def test_traced_run_keeps_the_cli_trace_and_its_root_span(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv(obs.ENV_TRACE_DIR, raising=False)
+        trace_dir = tmp_path / "trace"
+        try:
+            code = cli_main([
+                "run", "transfer", "--profile", "tiny", "--jobs", "1",
+                "--results-dir", str(tmp_path), "--cache-dir", str(tmp_path / "cache"),
+                "--set", "design=c6288_like", "--trace", str(trace_dir),
+            ])
+            assert code == 0
+            # ``--trace`` configured telemetry before the run, so it stays on.
+            assert obs.trace_dir() == str(trace_dir)
+        finally:
+            obs.disable()
+        assert "telemetry: " in capsys.readouterr().out
+        roots, children = build_tree(load_spans(trace_dir))
+        assert [root["name"] for root in roots] == ["cli.run"]
+        assert [child["name"] for child in children[roots[0]["span_id"]]] == ["run.transfer"]
+        assert cli_main(["trace", str(trace_dir), "--check"]) == 0
 
     def test_run_and_report_roundtrip(self, tmp_path, capsys):
         code = cli_main([

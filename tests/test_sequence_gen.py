@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.circuits.library import load_benchmark
 from repro.core.compatibility import compute_compatibility, is_activatable
 from repro.core.patterns import SequenceSet, generate_patterns
@@ -22,6 +23,7 @@ from repro.core.sequence_gen import (
     make_sequence_justifier,
     sequence_witness_with_repair,
 )
+from repro.obs.trace import build_tree, load_spans
 from repro.runner.parallel import make_shards, sharded_map
 from repro.sat.justify import Justifier
 from repro.sat.temporal import replay_fire_cycles
@@ -151,6 +153,29 @@ class TestGenerateSequences:
         )
         assert np.array_equal(first.sequences, second.sequences)
         assert first.metadata["sets"] == second.metadata["sets"]
+
+    def test_traced_generation_spans_its_three_phases(
+        self, controller, state_rare, tmp_path
+    ):
+        obs.configure(tmp_path, export_env=False)
+        try:
+            generate_sequences(
+                controller, state_rare, CYCLES, mode="consecutive", count=2,
+                num_sequences=4, seed=9,
+            )
+            obs.flush()
+        finally:
+            obs.disable()
+        spans = load_spans(tmp_path)
+        (parent,) = [record for record in spans if record["name"] == "solver.sequence_gen"]
+        _, children = build_tree(spans)
+        phases = children[parent["span_id"]]
+        assert [record["name"] for record in phases] == [
+            "sequence_gen.activatability",
+            "sequence_gen.greedy_sets",
+            "sequence_gen.witness",
+        ]
+        assert sum(record["dur_s"] for record in phases) <= parent["dur_s"]
 
     def test_empty_when_nothing_is_reachable(self):
         from repro.circuits.gates import GateType

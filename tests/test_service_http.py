@@ -30,7 +30,13 @@ from repro.service.jobs import (
     validate_job,
 )
 from repro.service.queue import WorkerOptions, worker_loop
-from repro.service.server import DeterrentService, http_json, make_server
+from repro.service.server import (
+    DeterrentService,
+    http_json,
+    make_server,
+    payload_to_prometheus,
+    prometheus_name,
+)
 
 pytestmark = pytest.mark.service
 
@@ -345,7 +351,6 @@ def traced_service(tmp_path):
     finally:
         obs.trace.flush_spans()
         obs.disable()
-        obs.metrics.reset_registry()
         obs.trace.install_remote_parent(None)
 
 
@@ -372,17 +377,27 @@ class TestPrometheusExposition:
         assert status == 200
         assert isinstance(body, dict) and "queue" in body
 
-    def test_registry_instruments_ride_along_when_traced(
-        self, service_url, traced_service
-    ):
+    def test_traced_exposition_is_the_same_gauges(self, service_url, traced_service):
         url, _ = service_url
-        obs.metrics.observe("cell_seconds", 0.25)
+        with obs.trace.span("cell"):
+            pass
         status, text = fetch_text(url + "/metrics?format=prometheus")
         assert status == 200
         assert "# TYPE deterrent_queue_done gauge" in text  # JSON-derived
-        assert "# TYPE deterrent_cell_seconds histogram" in text
-        assert "deterrent_cell_seconds_count 1" in text
+        types = {line.split()[-1] for line in text.splitlines() if line.startswith("# TYPE")}
+        assert types == {"gauge"}  # timings live in spans, not in /metrics
         assert "\n\n" not in text.strip()  # one well-formed exposition
+
+    def test_payload_to_prometheus_flattens_numeric_leaves(self):
+        text = payload_to_prometheus(
+            {"queue": {"done": 3, "stopped": True}, "service": {"jobs": 1.5}}
+        )
+        assert "deterrent_queue_done 3" in text
+        assert "deterrent_service_jobs 1.5" in text
+        assert "stopped" not in text  # booleans are not metrics
+
+    def test_prometheus_name_sanitises_forbidden_characters(self):
+        assert prometheus_name("a.b-c/d") == "a_b_c_d"
 
 
 class TestTraceparentPropagation:
