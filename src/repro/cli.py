@@ -4,7 +4,7 @@ Subcommands:
 
 - ``deterrent list`` — show every registered experiment.
 - ``deterrent run <experiment> [--profile tiny|quick|full] [--jobs N]
-  [--backend serial|process|thread] [--cell-timeout S] [--max-attempts N]
+  [--backend serial|process] [--cell-timeout S] [--max-attempts N]
   [--cache-dir DIR] [--results-dir DIR] [--set key=value ...]`` — execute an
   experiment through the runner and print its paper-vs-measured report.
 - ``deterrent report [<experiment>] [--results-dir DIR]`` — list saved runs,
@@ -47,7 +47,7 @@ from repro.experiments.reporting import (
     results_dir,
     telemetry_summary,
 )
-from repro.runner.backends import backend_names
+from repro.runner.backends import BACKENDS
 
 
 def _parse_option(text: str) -> tuple[str, Any]:
@@ -84,13 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="workers for grid cells (1 = serial, 0 = all CPUs)",
     )
     run_parser.add_argument(
-        "--backend", default=None, choices=backend_names(),
+        "--backend", default=None, choices=BACKENDS,
         help="execution backend (default: serial for --jobs 1, process otherwise)",
     )
     run_parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-attempt wall-clock limit for one grid cell on pooled "
-             "backends (default: the experiment's own, else unlimited)",
+        help="per-attempt wall-clock limit for one grid cell on the process "
+             "backend (default: the experiment's own, else unlimited)",
     )
     run_parser.add_argument(
         "--max-attempts", type=int, default=None, metavar="N",

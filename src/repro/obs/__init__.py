@@ -52,8 +52,8 @@ def install_worker(
 ) -> None:
     """Enable telemetry inside a worker (chained worker initializers).
 
-    Safe to call repeatedly (thread pools run initializers once per thread)
-    and with ``None`` arguments (telemetry disabled on the submitting side).
+    Safe to call with ``None`` arguments (telemetry disabled on the
+    submitting side).
     """
     if trace_directory:
         configure(trace_directory, export_env=False)

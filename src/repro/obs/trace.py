@@ -3,15 +3,15 @@
 A span records a named, timed unit of work: 128-bit trace id shared by the
 whole tree, 64-bit span id, parent span id, attributes, a wall-clock start
 for display, and a monotonic duration.  The ambient span stack is
-thread-local, so thread-pool workers and the caller's own thread never
-interleave their trees.
+thread-local, so the service's handler threads and the caller's own thread
+never interleave their trees.
 
 Context travels three ways, all carrying the same ``(trace_id, span_id)``
 pair:
 
 - **initializer chain** — :func:`install_remote_parent` is called from the
-  worker initializer that :mod:`repro.runner.resilience` chains in front of
-  the user's, making the submitting side's span the default parent of
+  process-pool worker initializer that :mod:`repro.runner.resilience`
+  chains in front of the user's, making the submitting side's span the default parent of
   everything the worker does;
 - **per-task argument** — ``call_with_faults`` ships each task's own parent
   context (:meth:`TraceContext.as_dict`) so every attempt becomes a child of

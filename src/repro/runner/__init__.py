@@ -11,10 +11,10 @@ per-harness scripts used to re-implement ad hoc:
   fingerprint + configuration fingerprint.
 - :mod:`repro.runner.registry` — declarative specs for every experiment
   harness (name, module, grid cells).
-- :mod:`repro.runner.execution` — the runner that executes grid cells on a
-  pluggable backend and streams structured JSON results.
-- :mod:`repro.runner.backends` — the execution-backend seam: serial,
-  process-pool, and thread-pool implementations of one executor protocol.
+- :mod:`repro.runner.execution` — the runner that executes grid cells on an
+  execution backend and streams structured JSON results.
+- :mod:`repro.runner.backends` — the two execution backends by name:
+  ``serial`` (inline) and ``process`` (a process pool).
 - :mod:`repro.runner.resilience` — retries with deterministic backoff,
   per-attempt timeouts, crash resubmission, and graceful degradation to the
   serial backend.

@@ -182,8 +182,8 @@ class ArtifactCache:
     def __post_init__(self) -> None:
         self.root = Path(self.root)
         self._lifetime = CounterFile(self.root / "stats.json")
-        # Session counters are bumped from worker threads (the thread backend
-        # shares one cache object); the lock keeps each increment whole.
+        # Session counters are bumped from the service's HTTP handler threads
+        # (one shared cache object); the lock keeps each increment whole.
         self._stats_lock = threading.Lock()
 
     def __getstate__(self) -> dict[str, Any]:

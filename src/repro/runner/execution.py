@@ -1,13 +1,12 @@
-"""The experiment runner: executes registry grid cells on a pluggable backend.
+"""The experiment runner: executes registry grid cells on an execution backend.
 
 ``run_experiment("figure5")`` asks the experiment's module for its grid
-cells, executes each cell on an :class:`~repro.runner.backends
-.ExecutionBackend` — in-process (``backend="serial"``, the ``jobs=1``
-default, sharing the in-memory benchmark-context cache), across worker
-processes (``backend="process"``, the ``jobs>1`` default), or worker threads
-(``backend="thread"``) — streams one structured JSON record per completed
-cell through :mod:`repro.experiments.reporting`, and hands the ordered cell
-results to the module's ``collect``/``report`` hooks.
+cells, executes each cell in-process (``backend="serial"``, the ``jobs=1``
+default, sharing the in-memory benchmark-context cache) or across worker
+processes (``backend="process"``, the ``jobs>1`` default), streams one
+structured JSON record per completed cell through
+:mod:`repro.experiments.reporting`, and hands the ordered cell results to
+the module's ``collect``/``report`` hooks.
 
 Execution is fault tolerant (:mod:`repro.runner.resilience`): crashed or
 hung workers are detected, their cells retried with deterministic backoff,
@@ -32,7 +31,7 @@ from pathlib import Path
 from typing import Any
 
 from repro import obs
-from repro.runner.backends import ExecutionBackend, resolve_backend
+from repro.runner.backends import resolve_backend
 from repro.runner.cache import get_default_cache, set_default_cache
 from repro.runner.faults import FaultPlan
 from repro.runner.parallel import extend_sys_path, resolve_jobs
@@ -170,7 +169,7 @@ def run_experiment(
     options: dict[str, Any] | None = None,
     cache_dir: str | Path | None = None,
     results_dir: str | Path | None = None,
-    backend: ExecutionBackend | str | None = None,
+    backend: str | None = None,
     resilience: ResiliencePolicy | None = None,
     fault_plan: FaultPlan | None = None,
     trace_dir: str | Path | None = None,
@@ -191,8 +190,7 @@ def run_experiment(
         results_dir: when set, streams one JSON line per completed cell to
             ``<results_dir>/<experiment>-<profile>.jsonl`` and writes the full
             run record to ``<experiment>-<profile>.json``.
-        backend: execution backend — a name (``"serial"``, ``"process"``,
-            ``"thread"``) or an :class:`ExecutionBackend` instance.  None
+        backend: execution backend, ``"serial"`` or ``"process"``.  None
             means serial for ``jobs=1`` and the process pool otherwise.
         resilience: retry/timeout policy for cell execution; per-spec
             ``cell_timeout``/``cell_max_attempts`` overrides are folded in.
@@ -250,7 +248,7 @@ def run_experiment(
         with obs.trace.span(
             f"run.{spec.name}",
             attrs={
-                "profile": profile.name, "backend": backend.name,
+                "profile": profile.name, "backend": backend,
                 "jobs": jobs, "cells": len(cells),
             },
         ):
@@ -308,7 +306,7 @@ def run_experiment(
         report_text=report_text,
         elapsed=elapsed,
         cache_stats=cache_stats,
-        backend=backend.name,
+        backend=backend,
         resilience=execution.counters(),
         telemetry=telemetry,
     )

@@ -18,10 +18,10 @@ is how tests script "always fails under the process backend, succeeds after
 the downgrade to serial".
 
 The ``crash`` fault calls :func:`os._exit` only inside a real worker
-*process* (the process backend passes ``workers_are_processes=True`` when
-installing the plan); under the thread and serial backends — where exiting
-would kill the caller — it raises :class:`SimulatedCrash` instead, which the
-resilience layer classifies exactly like a dead worker.
+*process* (a plan installed for the ``"process"`` backend); under the
+serial backend — where exiting would kill the caller — it raises
+:class:`SimulatedCrash` instead, which the resilience layer classifies
+exactly like a dead worker.
 
 Nothing here runs unless a plan has been installed: production runs never
 pay for the hook.
@@ -42,7 +42,7 @@ FAULT_KINDS = ("crash", "hang", "corrupt", "error")
 
 class SimulatedCrash(RuntimeError):
     """A scripted worker crash in a context where ``os._exit`` would kill
-    the caller (thread or serial backend)."""
+    the caller (the serial backend)."""
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ class FaultRule:
     index).  ``attempts`` bounds how often the fault fires — attempt
     numbers are 1-based and monotonically increasing across retries and
     backend downgrades, so ``attempts=1`` means "fail once, then recover".
-    ``only_backend`` restricts the rule to one backend name (``"serial"``,
-    ``"process"``, ``"thread"``); None fires everywhere.
+    ``only_backend`` restricts the rule to one backend name (``"serial"``
+    or ``"process"``); None fires everywhere.
     """
 
     task_index: int
@@ -171,31 +171,25 @@ class FaultPlan:
 # ----------------------------------------------------------------------
 # Worker-side plan installation and injection
 # ----------------------------------------------------------------------
-# Read-only after installation, so plain module globals are safe under the
-# thread backend too (every thread consults the same immutable plan).
 _ACTIVE_PLAN: FaultPlan | None = None
 _ACTIVE_BACKEND: str = ""
-_ALLOW_PROCESS_EXIT: bool = False
 
 
-def install_fault_plan(
-    plan: FaultPlan | None, backend_name: str, workers_are_processes: bool
-) -> None:
+def install_fault_plan(plan: FaultPlan | None, backend_name: str) -> None:
     """Arm ``plan`` in this process (called from the backend initializer).
 
-    ``workers_are_processes`` gates the real ``os._exit`` crash: only a
-    dedicated worker process may die for a ``crash`` rule; in-process
-    backends raise :class:`SimulatedCrash` instead.
+    The backend name gates the real ``os._exit`` crash: only a ``"process"``
+    worker may die for a ``crash`` rule; the serial backend raises
+    :class:`SimulatedCrash` instead.
     """
-    global _ACTIVE_PLAN, _ACTIVE_BACKEND, _ALLOW_PROCESS_EXIT
+    global _ACTIVE_PLAN, _ACTIVE_BACKEND
     _ACTIVE_PLAN = plan
     _ACTIVE_BACKEND = backend_name
-    _ALLOW_PROCESS_EXIT = workers_are_processes
 
 
 def clear_fault_plan() -> None:
     """Disarm any installed plan (the resilience layer's cleanup hook)."""
-    install_fault_plan(None, "", False)
+    install_fault_plan(None, "")
 
 
 def active_fault_plan() -> FaultPlan | None:
@@ -218,7 +212,7 @@ def maybe_inject(task_index: int, attempt: int) -> CorruptResult | None:
     if rule is None:
         return None
     if rule.kind == "crash":
-        if _ALLOW_PROCESS_EXIT:
+        if _ACTIVE_BACKEND == "process":
             os._exit(CRASH_EXIT_CODE)
         raise SimulatedCrash(
             f"injected crash: task {task_index}, attempt {attempt}"

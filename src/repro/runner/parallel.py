@@ -45,7 +45,6 @@ from typing import Any, Callable, Sequence
 
 from repro.circuits.bench_io import dumps_bench, loads_bench
 from repro.circuits.netlist import Netlist
-from repro.runner.backends import ExecutionBackend
 from repro.runner.faults import FaultPlan
 from repro.runner.resilience import ResiliencePolicy, run_tasks
 
@@ -108,10 +107,10 @@ def make_shards(items: Sequence, n_shards: int, base_seed: int = 0) -> list[Shar
 # ----------------------------------------------------------------------
 # Worker state
 # ----------------------------------------------------------------------
-# Thread-local so every worker owns a private solver stack under *any*
-# backend: a process-pool worker (initializer and tasks share the worker's
-# main thread), a thread-pool worker (initializer runs once per thread),
-# and the in-process serial fallback all see their own state.
+# Every worker owns a private solver stack: a process-pool worker
+# (initializer and tasks share the worker's main thread) and the in-process
+# serial fallback each see their own state.  Thread-local, so callers that
+# run stages from threads of their own never share a stack.
 _WORKER_STATE = threading.local()
 
 
@@ -144,7 +143,7 @@ def sharded_map(
     n_jobs: int,
     *,
     justifier: Any = None,
-    backend: ExecutionBackend | str | None = None,
+    backend: str | None = None,
     resilience: ResiliencePolicy | None = None,
     fault_plan: FaultPlan | None = None,
     label: str,

@@ -1,8 +1,8 @@
 """Fault tolerance for backend-executed work: retries, timeouts, degradation.
 
 A single crashed or hung worker used to kill a whole grid run.  This module
-is the robustness layer between a caller's task list and an
-:class:`~repro.runner.backends.ExecutionBackend`:
+is the robustness layer between a caller's task list and an execution
+backend (:mod:`repro.runner.backends`):
 
 - **Per-task retry with exponential backoff and jitter.**  A failed attempt
   (worker crash, timeout, raised exception, rejected result) is resubmitted
@@ -10,7 +10,7 @@ is the robustness layer between a caller's task list and an
   ``(task seed, attempt)``, so a rerun of the same shards sleeps the same
   schedule — deterministic given the shard seed, like everything else in
   the runner.
-- **Per-attempt timeouts.**  On pooled backends, an attempt that exceeds
+- **Per-attempt timeouts.**  On the process backend, an attempt that exceeds
   ``timeout`` seconds (measured from when the caller starts waiting on it;
   an attempt is never given *less*) is abandoned and retried.  The
   abandoned executor's worker processes are terminated — a hung worker must
@@ -21,10 +21,9 @@ is the robustness layer between a caller's task list and an
   the layer collects what completed, rebuilds a fresh executor, and
   resubmits only the unfinished tasks to the surviving round.
 - **Graceful degradation.**  After ``max_backend_failures`` consecutive
-  failing rounds — or when any task exhausts its attempts on a pooled
-  backend — the layer falls back to
-  :class:`~repro.runner.backends.SerialBackend`, gives the survivors a
-  fresh attempt budget, and finishes the run inline.  The downgrade is
+  failing rounds — or when any task exhausts its attempts on the process
+  backend — the layer falls back to the serial backend, gives the survivors
+  a fresh attempt budget, and finishes the run inline.  The downgrade is
   recorded on the :class:`ResilientOutcome` so run records can report it.
 
 Results are returned in task-submission order, so a recovered run is
@@ -49,7 +48,7 @@ from typing import Any
 
 from repro import obs
 from repro.runner import faults
-from repro.runner.backends import ExecutionBackend, SerialBackend, resolve_backend
+from repro.runner.backends import make_executor, resolve_backend
 
 #: Multiplier decorrelating per-task jitter streams (Knuth's 32-bit prime).
 _JITTER_STRIDE = 2654435761
@@ -202,13 +201,12 @@ def _init_with_faults(
     inner: Callable[..., None] | None,
     inner_args: tuple,
     plan: faults.FaultPlan,
-    backend_name: str,
-    workers_are_processes: bool,
+    backend: str,
 ) -> None:
     """Chained worker initializer: the caller's own init, then the plan."""
     if inner is not None:
         inner(*inner_args)
-    faults.install_fault_plan(plan, backend_name, workers_are_processes)
+    faults.install_fault_plan(plan, backend)
 
 
 def _init_with_obs(
@@ -227,35 +225,37 @@ def _round_initializer(
     initializer: Callable[..., None] | None,
     initargs: tuple,
     fault_plan: faults.FaultPlan | None,
-    backend: ExecutionBackend,
+    backend: str,
 ) -> tuple[Callable[..., None] | None, tuple]:
-    """The (initializer, initargs) for one round: telemetry, then faults."""
+    """The (initializer, initargs) for one round: telemetry, then faults.
+
+    Only process workers install telemetry: a serial round runs its
+    initializer in the caller, whose tracer is already configured, and
+    :func:`call_with_faults` parents each attempt explicitly — installing
+    a remote parent there would outlive the run.
+    """
     chained, chained_args = initializer, tuple(initargs)
-    if obs.enabled():
+    if obs.enabled() and backend == "process":
         trace_dir, parent_ctx = obs.worker_install_args()
         chained, chained_args = _init_with_obs, (
             chained, chained_args, trace_dir, parent_ctx,
         )
     if fault_plan is not None:
         chained, chained_args = _init_with_faults, (
-            chained, chained_args, fault_plan,
-            backend.name, backend.workers_are_processes,
+            chained, chained_args, fault_plan, backend,
         )
     return chained, chained_args
 
 
-def _release_executor(
-    executor: Executor, backend: ExecutionBackend, abandoned: bool
-) -> None:
+def _release_executor(executor: Executor, backend: str, abandoned: bool) -> None:
     """Close an executor; terminate its workers when abandoning mid-round.
 
     After a timeout the pool may still hold a hung worker — waiting for it
     would stall the run, and leaving it alive would leak a process past the
     interpreter's exit handlers.  ``Executor`` has no public kill switch,
-    so this reaches for the pool's process table; the attribute access is
-    defensive because a custom backend may not have one.
+    so this reaches for the pool's process table.
     """
-    if abandoned and backend.workers_are_processes:
+    if abandoned and backend == "process":
         processes = getattr(executor, "_processes", None) or {}
         for process in list(processes.values()):
             try:
@@ -269,7 +269,7 @@ def run_tasks(
     fn: Callable[..., Any],
     tasks: Sequence[tuple],
     *,
-    backend: ExecutionBackend | str | None = None,
+    backend: str | None = None,
     policy: ResiliencePolicy | None = None,
     initializer: Callable[..., None] | None = None,
     initargs: tuple = (),
@@ -292,8 +292,8 @@ def run_tasks(
     n = len(tasks)
     outcome = ResilientOutcome(
         results=[None] * n,
-        backend=active.name,
-        final_backend=active.name,
+        backend=active,
+        final_backend=active,
         rounds=0,
         attempts=[0] * n,
     )
@@ -309,7 +309,7 @@ def run_tasks(
     consecutive_bad_rounds = 0
     try:
         with obs.trace.span(
-            f"tasks.{label}", attrs={"backend": active.name, "tasks": n}
+            f"tasks.{label}", attrs={"backend": active, "tasks": n}
         ) as run_span:
             while pending:
                 outcome.rounds += 1
@@ -326,7 +326,7 @@ def run_tasks(
                     initializer, initargs, fault_plan, active
                 )
                 workers = max(1, min(max_workers or len(pending), len(pending)))
-                executor = active.make_executor(workers, round_init, round_initargs)
+                executor = make_executor(active, workers, round_init, round_initargs)
                 still_pending: list[int] = []
                 round_bad = False
                 abandoned = False
@@ -345,7 +345,7 @@ def run_tasks(
                             f"{label}[{index}]",
                             attrs={
                                 "attempt": outcome.attempts[index],
-                                "backend": active.name,
+                                "backend": active,
                             },
                         )
                         task_ctx = task_span.context()
@@ -366,7 +366,7 @@ def run_tasks(
                             )
                         futures.append((index, future, task_span))
 
-                    wait_timeout = policy.timeout if active.supports_timeout else None
+                    wait_timeout = policy.timeout if active == "process" else None
                     for index, future, task_span in futures:
                         failure: str | None = None
                         value: Any = None
@@ -413,7 +413,7 @@ def run_tasks(
                             outcome.errors += 1
                         outcome.failures.setdefault(index, []).append(
                             f"attempt {outcome.attempts[index]} on "
-                            f"{active.name}: {failure}"
+                            f"{active}: {failure}"
                         )
                         task_span.set_attr("failure", failure)
                         task_span.end(status=kind, at=ended)
@@ -426,7 +426,7 @@ def run_tasks(
                     index for index in still_pending
                     if outcome.attempts[index] >= budget[index]
                 ]
-                if still_pending and not outcome.degraded and active.name != "serial" and (
+                if still_pending and not outcome.degraded and active == "process" and (
                     exhausted or consecutive_bad_rounds >= policy.max_backend_failures
                 ):
                     # Stop trusting the pooled backend: finish the run inline.
@@ -434,13 +434,13 @@ def run_tasks(
                     outcome.degraded_reason = (
                         f"{len(exhausted)} {label}(s) exhausted "
                         f"{policy.max_attempts} attempts on the "
-                        f"{active.name} backend"
+                        f"{active} backend"
                         if exhausted
                         else f"{consecutive_bad_rounds} consecutive failing rounds "
-                        f"on the {active.name} backend"
+                        f"on the {active} backend"
                     )
-                    active = SerialBackend()
-                    outcome.final_backend = active.name
+                    active = "serial"
+                    outcome.final_backend = active
                     for index in still_pending:
                         budget[index] = outcome.attempts[index] + policy.max_attempts
                 elif exhausted:
@@ -451,11 +451,11 @@ def run_tasks(
                         failures=dict(outcome.failures),
                     )
                 pending = still_pending
-            run_span.set_attr("final_backend", active.name)
+            run_span.set_attr("final_backend", active)
             run_span.set_attr("rounds", outcome.rounds)
     finally:
-        if fault_plan is not None and not active.workers_are_processes:
-            # Serial/thread rounds armed the plan in *this* process.
+        if fault_plan is not None and active == "serial":
+            # Serial rounds armed the plan in *this* process.
             faults.clear_fault_plan()
     return outcome
 

@@ -12,24 +12,20 @@ The suite carries the ``faults`` marker so CI can run it in its own job
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
 
 from repro.experiments.reporting import resilience_summary
-from repro.runner.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-    backend_names,
-    resolve_backend,
-)
+from repro.runner.backends import BACKENDS, make_executor, resolve_backend
 from repro.runner.execution import run_experiment
 from repro.runner.faults import (
     CorruptResult,
     FaultPlan,
     FaultRule,
     SimulatedCrash,
+    active_fault_plan,
     clear_fault_plan,
     install_fault_plan,
     maybe_inject,
@@ -56,8 +52,8 @@ def boom(x):
     raise ValueError(f"boom {x}")
 
 
-#: The built-in in-process backends.
-BUILTIN_BACKENDS = ("serial", "process", "thread")
+#: The built-in backends.
+BUILTIN_BACKENDS = ("serial", "process")
 
 TASKS = [(i,) for i in range(6)]
 EXPECTED = [i * i for i in range(6)]
@@ -89,23 +85,34 @@ class TestBackends:
             assert outcome.backend == name == outcome.final_backend
 
     def test_resolve_backend_defaults_follow_job_count(self):
-        assert resolve_backend(None, jobs=1).name == "serial"
-        assert resolve_backend(None, jobs=None).name == "serial"
-        assert resolve_backend(None, jobs=4).name == "process"
+        assert resolve_backend(None, jobs=1) == "serial"
+        assert resolve_backend(None, jobs=None) == "serial"
+        assert resolve_backend(None, jobs=4) == "process"
 
-    def test_resolve_backend_accepts_instance_and_name(self):
-        backend = ThreadPoolBackend()
-        assert resolve_backend(backend) is backend
-        assert isinstance(resolve_backend("process"), ProcessPoolBackend)
+    @pytest.mark.parametrize("backend", BUILTIN_BACKENDS)
+    def test_an_explicit_backend_wins_over_the_job_count(self, backend):
+        assert resolve_backend(backend, jobs=1) == backend
+        assert resolve_backend(backend, jobs=4) == backend
+
+    @pytest.mark.parametrize("backend", BUILTIN_BACKENDS)
+    def test_only_the_process_backend_leaves_the_caller(self, backend):
+        executor = make_executor(backend, 1)
+        try:
+            pid = executor.submit(os.getpid).result(timeout=60)
+        finally:
+            executor.shutdown()
+        assert (pid == os.getpid()) == (backend == "serial")
 
     def test_resolve_backend_rejects_unknown_name(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
             resolve_backend("bogus")
+        with pytest.raises(ValueError, match="choose from: process, serial"):
+            resolve_backend("thread")
 
     def test_queue_is_not_an_execution_backend(self):
         """The durable queue serves ``deterrent serve`` only; ``--backend``
-        offers exactly the three pools."""
-        assert sorted(backend_names()) == ["process", "serial", "thread"]
+        offers exactly the two backends."""
+        assert sorted(BACKENDS) == ["process", "serial"]
         with pytest.raises(ValueError, match="unknown execution backend"):
             resolve_backend("queue")
 
@@ -113,18 +120,10 @@ class TestBackends:
         def bad_init():
             raise RuntimeError("init failed")
 
-        executor = SerialBackend().make_executor(1, bad_init, ())
+        executor = make_executor("serial", 1, bad_init, ())
         future = executor.submit(square, 3)
         with pytest.raises(RuntimeError, match="init failed"):
             future.result()
-
-    def test_backend_capability_flags(self):
-        assert SerialBackend.workers_are_processes is False
-        assert SerialBackend.supports_timeout is False
-        assert ProcessPoolBackend.workers_are_processes is True
-        assert ProcessPoolBackend.supports_timeout is True
-        assert ThreadPoolBackend.workers_are_processes is False
-        assert ThreadPoolBackend.supports_timeout is True
 
 
 # ----------------------------------------------------------------------
@@ -138,11 +137,11 @@ class TestFaultPlan:
         assert clone.rule_for(3, 2, "process") is not None
 
     def test_rules_key_on_task_attempt_and_backend(self):
-        rule = FaultRule(2, "crash", attempts=2, only_backend="thread")
-        assert rule.matches(2, 1, "thread")
-        assert rule.matches(2, 2, "thread")
-        assert not rule.matches(2, 3, "thread")  # attempts exhausted
-        assert not rule.matches(1, 1, "thread")  # other task
+        rule = FaultRule(2, "crash", attempts=2, only_backend="serial")
+        assert rule.matches(2, 1, "serial")
+        assert rule.matches(2, 2, "serial")
+        assert not rule.matches(2, 3, "serial")  # attempts exhausted
+        assert not rule.matches(1, 1, "serial")  # other task
         assert not rule.matches(2, 1, "process")  # other backend
 
     def test_rule_validation(self):
@@ -160,18 +159,36 @@ class TestFaultPlan:
         assert maybe_inject(0, 1) is None
 
     def test_crash_is_simulated_outside_worker_processes(self):
-        install_fault_plan(FaultPlan.crashing(0), "thread", workers_are_processes=False)
+        install_fault_plan(FaultPlan.crashing(0), "serial")
         try:
             with pytest.raises(SimulatedCrash):
                 maybe_inject(0, 1)
         finally:
             clear_fault_plan()
 
+    @pytest.mark.parametrize(
+        "backend, plan, degraded",
+        [
+            ("serial", FaultPlan.corrupting(0), False),
+            ("process", FaultPlan.corrupting(0), False),
+            ("process", FaultPlan.crashing(0, attempts=99, only_backend="process"), True),
+        ],
+        ids=["serial", "process", "process-degraded"],
+    )
+    def test_plan_is_disarmed_in_the_caller_after_a_run(self, backend, plan, degraded):
+        outcome = run_tasks(
+            square, TASKS, backend=backend, max_workers=2, fault_plan=plan,
+            policy=ResiliencePolicy(max_attempts=2, backoff_base=0.0),
+        )
+        assert outcome.results == EXPECTED
+        assert outcome.degraded is degraded
+        assert active_fault_plan() is None
+
     def test_corrupt_and_error_injection(self):
         plan = FaultPlan(
             (FaultRule(0, "corrupt"), FaultRule(1, "error"))
         )
-        install_fault_plan(plan, "serial", workers_are_processes=False)
+        install_fault_plan(plan, "serial")
         try:
             assert maybe_inject(0, 1) == CorruptResult(task_index=0, attempt=1)
             with pytest.raises(RuntimeError, match="injected error"):
@@ -225,9 +242,9 @@ class TestRecovery:
         assert outcome.retries >= 2
         assert not outcome.degraded
 
-    def test_thread_backend_recovers_from_simulated_crashes(self):
+    def test_serial_backend_recovers_from_simulated_crashes(self):
         outcome = run_tasks(
-            square, TASKS, backend="thread", max_workers=2,
+            square, TASKS, backend="serial", max_workers=2,
             fault_plan=FaultPlan.crashing(0, 5), policy=FAST,
         )
         assert outcome.results == EXPECTED
@@ -238,15 +255,6 @@ class TestRecovery:
             square, TASKS, backend="process", max_workers=2,
             fault_plan=FaultPlan.hanging(2, seconds=10.0),
             policy=ResiliencePolicy(timeout=1.0, backoff_base=0.01),
-        )
-        assert outcome.results == EXPECTED
-        assert outcome.timeouts >= 1
-
-    def test_thread_backend_timeout_recovery(self):
-        outcome = run_tasks(
-            square, TASKS, backend="thread", max_workers=2,
-            fault_plan=FaultPlan.hanging(0, seconds=5.0),
-            policy=ResiliencePolicy(timeout=0.5, backoff_base=0.01),
         )
         assert outcome.results == EXPECTED
         assert outcome.timeouts >= 1
@@ -342,9 +350,9 @@ class TestDegradation:
         assert "exhausted" in outcome.degraded_reason
 
     def test_consecutive_bad_rounds_trigger_degradation(self):
-        plan = FaultPlan.crashing(1, attempts=99, only_backend="thread")
+        plan = FaultPlan.crashing(1, attempts=99, only_backend="process")
         outcome = run_tasks(
-            square, TASKS, backend="thread", max_workers=2, fault_plan=plan,
+            square, TASKS, backend="process", max_workers=2, fault_plan=plan,
             policy=ResiliencePolicy(
                 max_attempts=10, max_backend_failures=2, backoff_base=0.01
             ),
@@ -357,18 +365,18 @@ class TestDegradation:
         plan = FaultPlan.crashing(0, attempts=99)  # every backend, forever
         with pytest.raises(ResilienceError):
             run_tasks(
-                square, TASKS, backend="thread", max_workers=2, fault_plan=plan,
+                square, TASKS, backend="process", max_workers=2, fault_plan=plan,
                 policy=ResiliencePolicy(max_attempts=2, backoff_base=0.0),
             )
 
     def test_counters_roundtrip_into_summary_line(self):
-        plan = FaultPlan.crashing(0, attempts=99, only_backend="thread")
+        plan = FaultPlan.crashing(0, attempts=99, only_backend="process")
         outcome = run_tasks(
-            square, TASKS, backend="thread", max_workers=2, fault_plan=plan,
+            square, TASKS, backend="process", max_workers=2, fault_plan=plan,
             policy=ResiliencePolicy(max_attempts=2, backoff_base=0.0),
         )
         line = resilience_summary(outcome.counters())
-        assert "backend=thread" in line
+        assert "backend=process" in line
         assert "retries=" in line
         assert "crashes=" in line
         assert "degraded to serial" in line
@@ -431,14 +439,14 @@ class TestRunnerUnderFaults:
         assert record["resilience"]["final_backend"] == "serial"
         assert len(record["cells"]) == len(run.outcomes) >= 1
 
-    def test_thread_backend_runner_matches_serial(self, tmp_path):
+    def test_process_backend_runner_matches_serial(self, tmp_path):
         cache = str(tmp_path / "cache")
         serial = run_experiment("transfer", profile="tiny", jobs=1, cache_dir=cache)
-        threaded = run_experiment(
-            "transfer", profile="tiny", jobs=2, cache_dir=cache, backend="thread"
+        pooled = run_experiment(
+            "transfer", profile="tiny", jobs=2, cache_dir=cache, backend="process"
         )
-        assert run_record_cells(threaded) == run_record_cells(serial)
-        assert threaded.record()["backend"] == "thread"
+        assert run_record_cells(pooled) == run_record_cells(serial)
+        assert pooled.record()["backend"] == "process"
 
 
 # ----------------------------------------------------------------------
@@ -569,7 +577,7 @@ class TestShardedPathsUnderFaults:
         reference = sharded_map(netlist, make_justifier, fn, items, 1, label="inline")
         faulted = sharded_map(
             netlist, make_justifier, fn, items, 2,
-            backend="thread",
+            backend="process",
             resilience=FAST,
             fault_plan=FaultPlan.crashing(0),
             label="chaos",

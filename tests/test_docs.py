@@ -54,14 +54,14 @@ class TestDocsMatchRegistry:
             assert f"`{spec.name}`" in text, f"{spec.name} missing from docs/experiments.md"
 
     def test_every_documented_backend_exists(self):
-        from repro.runner.backends import backend_names
+        from repro.runner.backends import BACKENDS
 
         shown = set()
         for path in _link_checker().doc_files(REPO_ROOT):
             for match in re.finditer(r"--backend[ =]([\w|]+)", path.read_text()):
                 shown.update(match.group(1).split("|"))
         assert shown, "no --backend example in README.md or docs/"
-        assert sorted(shown - set(backend_names())) == []
+        assert sorted(shown - set(BACKENDS)) == []
 
     def test_no_doc_names_a_removed_entry_point(self):
         # Harnesses run only through ``deterrent run`` / ``run_experiment``;

@@ -1,11 +1,11 @@
-"""Merge parity of the telemetry layer across all three execution backends.
+"""Merge parity of the telemetry layer across both execution backends.
 
-The same tiny grid traced on the serial, thread, and process backends
+The same tiny grid traced on the serial and process backends
 must produce (a) one connected span tree per run — every worker span linked
 back to the submitting run span — and (b) identical run records: the same
 per-cell results, ``solver_stats`` included.  Counts are read from the
 record, their one owner; the telemetry block carries spans and timings only.
-The grid is warmed once into a shared artifact cache so all three runs
+The grid is warmed once into a shared artifact cache so both runs
 execute the same cached work and the comparison is bit-exact, not merely
 statistical.
 """
@@ -21,7 +21,7 @@ from repro.runner.execution import run_experiment
 
 pytestmark = pytest.mark.obs
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: One 2-cell sequential_detect grid — the smallest grid where parallel
 #: backends actually schedule more than one task.
@@ -36,7 +36,6 @@ OPTIONS = {
 def _run_traced(backend: str, trace_dir, cache_dir):
     """One traced run on ``backend`` from a clean telemetry state."""
     obs.disable()
-    obs.trace.install_remote_parent(None)
     run = run_experiment(
         "sequential_detect",
         profile="tiny",
@@ -61,7 +60,6 @@ def traced_runs(tmp_path_factory):
             runs[backend] = (_run_traced(backend, trace_dir, cache_dir), trace_dir)
     finally:
         obs.disable()
-        obs.trace.install_remote_parent(None)
         set_default_cache(None)
     return runs
 

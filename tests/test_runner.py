@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -143,7 +144,7 @@ def c17_requirements():
 
 
 class TestShardedMap:
-    """Every backend and job count gives the inline answer on exact stages."""
+    """Every job count gives the inline answer on exact stages."""
 
     @settings(
         max_examples=25,
@@ -153,9 +154,8 @@ class TestShardedMap:
     @given(
         count=st.integers(min_value=0, max_value=30),
         n_jobs=st.integers(min_value=1, max_value=5),
-        backend=st.sampled_from(["serial", "thread"]),
     )
-    def test_sharded_verdicts_equal_inline(self, c17_requirements, count, n_jobs, backend):
+    def test_sharded_verdicts_equal_inline(self, c17_requirements, count, n_jobs):
         netlist, requirements = c17_requirements
         singles = [requirements[k % len(requirements)] for k in range(count)]
         pairs = [
@@ -165,7 +165,7 @@ class TestShardedMap:
         for fn, items in ((is_activatable, singles), (pair_is_compatible, pairs)):
             inline = sharded_map(netlist, Justifier, fn, items, 1, label="inline")
             sharded = sharded_map(
-                netlist, Justifier, fn, items, n_jobs, backend=backend, label="sharded"
+                netlist, Justifier, fn, items, n_jobs, backend="serial", label="sharded"
             )
             assert sharded == inline
 
@@ -364,7 +364,6 @@ class TestTraceDirScope:
         obs.disable()
         yield
         obs.disable()
-        obs.trace.install_remote_parent(None)
 
     @staticmethod
     def state():
@@ -410,6 +409,16 @@ class TestTraceDirScope:
         # The failed run's spans reached its own directory.
         names = {record["name"] for record in load_spans(tmp_path / "trace")}
         assert "run.runner_toy" in names
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_no_remote_parent_after_a_traced_run(self, tmp_path, backend):
+        assert obs.current_context() is None
+        run = run_experiment(
+            self.SPEC, profile=TINY, jobs=1 if backend == "serial" else 2,
+            backend=backend, trace_dir=tmp_path / "trace",
+        )
+        assert run.collected == [10, 20]
+        assert obs.current_context() is None
 
 
 class TestCli:
@@ -459,17 +468,17 @@ class TestCli:
         assert cli_main(["report", "transfer", "--results-dir", str(tmp_path)]) == 0
         assert "coverage" in capsys.readouterr().out
 
-    def test_run_rejects_the_removed_queue_backend(self, tmp_path, capsys):
+    @pytest.mark.parametrize("removed", ["queue", "thread"])
+    def test_run_rejects_a_removed_backend(self, tmp_path, capsys, removed):
         with pytest.raises(SystemExit) as exit_info:
             cli_main([
-                "run", "sequential", "--profile", "tiny", "--backend", "queue",
+                "run", "sequential", "--profile", "tiny", "--backend", removed,
                 "--results-dir", str(tmp_path),
             ])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice: 'queue'" in err
-        for name in ("process", "serial", "thread"):
-            assert f"'{name}'" in err
+        assert f"invalid choice: '{removed}'" in err
+        assert re.search(r"choose from '?process'?, '?serial'?\)", err)
         assert not any(tmp_path.iterdir())  # rejected before anything ran
 
     def test_queue_worker_rejects_the_removed_no_heartbeat_flag(self, tmp_path, capsys):
@@ -572,20 +581,20 @@ class TestCli:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'bogus'" in err
-        assert "serial" in err and "process" in err and "thread" in err
+        assert "serial" in err and "process" in err
 
-    def test_thread_backend_smoke(self, tmp_path, capsys):
+    def test_process_backend_smoke(self, tmp_path, capsys):
         code = cli_main([
             "run", "transfer", "--profile", "tiny",
-            "--backend", "thread", "--jobs", "2",
+            "--backend", "process", "--jobs", "2",
             "--results-dir", str(tmp_path),
             "--cache-dir", str(tmp_path / "cache"),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "execution: backend=thread, clean" in out
+        assert "execution: backend=process, clean" in out
         record = json.loads((tmp_path / "transfer-tiny.json").read_text())
-        assert record["backend"] == "thread"
+        assert record["backend"] == "process"
         assert record["resilience"]["retries"] == 0
 
     def test_bad_policy_value_is_a_usage_error(self, capsys):

@@ -351,7 +351,6 @@ def traced_service(tmp_path):
     finally:
         obs.trace.flush_spans()
         obs.disable()
-        obs.trace.install_remote_parent(None)
 
 
 class TestPrometheusExposition:
@@ -430,7 +429,6 @@ class TestTraceparentPropagation:
         self, service_url, traced_service
     ):
         url, service = service_url
-        obs.trace.install_remote_parent(None)
         status, body = http_json(url + "/jobs", payload=seq_payload())
         assert status == 202
         drain_one_job(service)
