@@ -3,8 +3,8 @@
 
 The script constructs a small bus controller from word-level blocks (an
 address decoder, a command comparator, and an ALU), exports it to the ISCAS
-``.bench`` and structural Verilog formats, and runs the DETERRENT pipeline on
-it — the workflow a user would follow for a proprietary design.
+``.bench`` format, and runs the DETERRENT pipeline on it — the workflow a user
+would follow for a proprietary design.
 
 Run with:  python examples/custom_circuit.py
 """
@@ -14,8 +14,6 @@ from pathlib import Path
 from repro.circuits import blocks
 from repro.circuits.bench_io import dumps_bench
 from repro.circuits.builder import NetlistBuilder
-from repro.circuits.stats import netlist_stats
-from repro.circuits.verilog_io import dumps_verilog
 from repro.core.config import DeterrentConfig
 from repro.core.pipeline import DeterrentPipeline
 from repro.rl.ppo import PpoConfig
@@ -47,14 +45,12 @@ def build_bus_controller() -> "NetlistBuilder":
 
 def main() -> None:
     netlist = build_bus_controller().build()
-    stats = netlist_stats(netlist)
-    print(f"Built {stats.name}: {stats.num_gates} gates, depth {stats.depth}")
+    print(f"Built {netlist.name}: {netlist.num_gates} gates, depth {netlist.depth}")
 
     out_dir = Path("results")
     out_dir.mkdir(exist_ok=True)
     (out_dir / "bus_controller.bench").write_text(dumps_bench(netlist))
-    (out_dir / "bus_controller.v").write_text(dumps_verilog(netlist))
-    print(f"Exported netlist to {out_dir}/bus_controller.bench and .v")
+    print(f"Exported netlist to {out_dir}/bus_controller.bench")
 
     config = DeterrentConfig(
         rareness_threshold=0.1,

@@ -2,7 +2,7 @@
 """Compare DETERRENT against every baseline on one design (a mini Table 2).
 
 For a single benchmark the script generates pattern sets with Random patterns,
-the TestMAX-style ATPG proxy, MERO, TARMAC, TGRL and DETERRENT, then evaluates
+the TestMAX-style ATPG proxy, TARMAC, TGRL and DETERRENT, then evaluates
 all of them against the same population of randomly inserted Trojans and
 prints a Table-2-style comparison of coverage vs test length.
 
@@ -12,7 +12,6 @@ Run with:  python examples/technique_shootout.py [benchmark-name]
 import sys
 
 from repro.baselines.atpg import atpg_pattern_set
-from repro.baselines.mero import MeroConfig, mero_pattern_set
 from repro.baselines.random_patterns import random_pattern_set
 from repro.baselines.tarmac import TarmacConfig, tarmac_pattern_set
 from repro.baselines.tgrl import TgrlConfig, tgrl_pattern_set
@@ -41,11 +40,6 @@ def main(design: str = "c2670_like") -> None:
     )
     print("Running ATPG proxy...")
     pattern_sets["ATPG"] = atpg_pattern_set(context.netlist, context.compatibility.rare_nets)
-    print("Running MERO...")
-    pattern_sets["MERO"] = mero_pattern_set(
-        context.netlist, context.compatibility.rare_nets,
-        MeroConfig(num_random_patterns=256, n_detect=3, seed=0),
-    )
     print("Running TARMAC...")
     pattern_sets["TARMAC"] = tarmac_pattern_set(
         context.compatibility, TarmacConfig(num_cliques=profile.num_cliques, seed=0)

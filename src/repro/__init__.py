@@ -14,7 +14,7 @@ The package is organised into substrates plus the paper's core contribution:
 - :mod:`repro.rl` — numpy PPO with action masking and vectorised environments.
 - :mod:`repro.core` — the DETERRENT environment, agent, and pipeline.
 - :mod:`repro.trojan` — hardware Trojan model, insertion, coverage evaluation.
-- :mod:`repro.baselines` — random, MERO, TARMAC, TGRL, and ATPG baselines.
+- :mod:`repro.baselines` — random, ATPG, TARMAC, and TGRL baselines.
 - :mod:`repro.experiments` — harnesses that regenerate every paper table and
   figure.
 

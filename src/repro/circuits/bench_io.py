@@ -102,15 +102,9 @@ def dumps_bench(netlist: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_bench(netlist: Netlist, path: str | Path) -> None:
-    """Write a :class:`Netlist` to a ``.bench`` file."""
-    Path(path).write_text(dumps_bench(netlist))
-
-
 __all__ = [
     "BenchParseError",
     "loads_bench",
     "load_bench",
     "dumps_bench",
-    "dump_bench",
 ]

@@ -88,14 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend (default: serial for --jobs 1, process otherwise)",
     )
     run_parser.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
+        "--cell-timeout", dest="timeout", type=float, default=None, metavar="SECONDS",
         help="per-attempt wall-clock limit for one grid cell on the process "
-             "backend (default: the experiment's own, else unlimited)",
+             "backend (default: unlimited)",
     )
     run_parser.add_argument(
         "--max-attempts", type=int, default=None, metavar="N",
         help="attempts per grid cell before degrading to the serial backend "
-             "(default: the experiment's own, else 3)",
+             "(default: 3)",
     )
     run_parser.add_argument(
         "--cache-dir", default=None,
@@ -310,13 +310,11 @@ def _command_run(args: argparse.Namespace) -> int:
         obs.configure(args.trace)
     target_dir = Path(args.results_dir) if args.results_dir else results_dir()
     try:
-        # An explicit CLI policy replaces the experiment's own cell
-        # defaults wholesale (policy_for_spec's contract).
         resilience = None
-        if args.cell_timeout is not None or args.max_attempts is not None:
+        if args.timeout is not None or args.max_attempts is not None:
             policy_kwargs: dict[str, Any] = {}
-            if args.cell_timeout is not None:
-                policy_kwargs["timeout"] = args.cell_timeout
+            if args.timeout is not None:
+                policy_kwargs["timeout"] = args.timeout
             if args.max_attempts is not None:
                 policy_kwargs["max_attempts"] = args.max_attempts
             resilience = ResiliencePolicy(**policy_kwargs)

@@ -9,6 +9,7 @@ experiment needs (patterns, sets, timing, training statistics).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.circuits.netlist import Netlist
@@ -20,7 +21,6 @@ from repro.core.patterns import PatternSet, generate_patterns
 from repro.runner.cache import get_default_cache, netlist_fingerprint
 from repro.simulation.compiled import compile_netlist
 from repro.simulation.rare_nets import RareNet, extract_rare_nets
-from repro.utils.timing import Stopwatch
 
 
 @dataclass
@@ -32,6 +32,7 @@ class DeterrentResult:
     compatibility: CompatibilityAnalysis
     agent_result: AgentResult
     pattern_set: PatternSet
+    #: Wall-clock seconds of each phase (not cumulative), keyed by phase name.
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -64,13 +65,14 @@ class DeterrentPipeline:
         experiment of §4.5 does).
         """
         config = self.config
-        stopwatch = Stopwatch().start()
+        timings: dict[str, float] = {}
+        started = time.perf_counter()
         combinational = ensure_combinational(netlist)
         # Lower the netlist once up front; every downstream simulation —
         # probability estimation, baselines, coverage evaluation — reuses the
         # cached compiled engine instead of re-walking Gate objects.
         compile_netlist(combinational)
-        stopwatch.lap("compile")
+        started = _record_phase(timings, "compile", started)
 
         if rare_nets is None:
             def _extract() -> list[RareNet]:
@@ -93,7 +95,7 @@ class DeterrentPipeline:
                 )
             else:
                 rare_nets = _extract()
-        stopwatch.lap("rare_net_extraction")
+        started = _record_phase(timings, "rare_net_extraction", started)
         if not rare_nets:
             raise ValueError(
                 f"no rare nets found in {netlist.name!r} at threshold "
@@ -106,7 +108,7 @@ class DeterrentPipeline:
             compatibility = compute_compatibility(
                 combinational, rare_nets, n_jobs=config.n_jobs
             )
-        stopwatch.lap("compatibility")
+        started = _record_phase(timings, "compatibility", started)
         if compatibility.num_rare_nets == 0:
             raise ValueError(
                 f"none of the {len(rare_nets)} rare nets of {netlist.name!r} is activatable"
@@ -119,7 +121,7 @@ class DeterrentPipeline:
 
         agent = DeterrentAgent(compatibility, config)
         agent_result = agent.train()
-        stopwatch.lap("training")
+        started = _record_phase(timings, "training", started)
 
         selected_sets = agent_result.largest_sets(config.k_patterns)
         # Like the pre-filter and pair queries, per-set witness generation
@@ -127,8 +129,7 @@ class DeterrentPipeline:
         pattern_set = generate_patterns(
             compatibility, selected_sets, technique="DETERRENT", n_jobs=config.n_jobs
         )
-        stopwatch.lap("pattern_generation")
-        stopwatch.stop()
+        _record_phase(timings, "pattern_generation", started)
 
         return DeterrentResult(
             netlist=combinational,
@@ -136,8 +137,15 @@ class DeterrentPipeline:
             compatibility=compatibility,
             agent_result=agent_result,
             pattern_set=pattern_set,
-            timings=dict(stopwatch.laps),
+            timings=timings,
         )
+
+
+def _record_phase(timings: dict[str, float], name: str, started: float) -> float:
+    """Store the seconds since ``started`` under ``name``; return the new start."""
+    now = time.perf_counter()
+    timings[name] = now - started
+    return now
 
 
 __all__ = ["DeterrentPipeline", "DeterrentResult"]

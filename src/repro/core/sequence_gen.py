@@ -53,6 +53,9 @@ from repro.utils.rng import RngLike, make_rng
 
 OrderedRequirements = tuple[tuple[str, int], ...]
 
+#: Consecutive duplicate greedy passes after which the set search gives up.
+STALL_LIMIT = 8
+
 
 @dataclass
 class SequentialCompatibility:
@@ -177,16 +180,9 @@ def analyze_sequential_compatibility(
     mode: str = "consecutive",
     count: int = 1,
     justifier: SequentialJustifier | None = None,
-    max_rare_nets: int | None = None,
     solver_config: SolverConfig | None = None,
 ) -> SequentialCompatibility:
     """Pre-filter ``rare_nets`` by temporal activatability at depth ``cycles``.
-
-    ``max_rare_nets`` optionally caps the candidates to the N rarest (the
-    extraction order), bounding solver work on large designs.  Use with
-    care: state-dependent extraction puts provably-unreachable nets
-    (estimated probability 0) at the front of the order, so an aggressive
-    cap can exclude every reachable net — the default considers all.
 
     ``solver_config`` tunes the CDCL solver behind the unrolled stack; it is
     ignored when a pre-built ``justifier`` is supplied (the justifier's own
@@ -200,12 +196,9 @@ def analyze_sequential_compatibility(
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
     # Re-sort defensively into extraction order (rarest first) so the
-    # rarest-first guarantees of ordered_requirements / the greedy passes /
-    # the max_rare_nets cap hold even for callers that reordered or filtered
-    # the extraction output.
+    # rarest-first guarantees of ordered_requirements and the greedy passes
+    # hold even for callers that reordered or filtered the extraction output.
     candidates = sorted(rare_nets, key=lambda rare: (rare.probability, rare.net))
-    if max_rare_nets is not None:
-        candidates = candidates[:max_rare_nets]
     justifier = justifier or SequentialJustifier(netlist, cycles, config=solver_config)
     justifier.extend_to(cycles)
     verdicts = temporal_activatability(justifier, candidates, mode, count, cycles)
@@ -224,8 +217,6 @@ def greedy_compatible_sets(
     compatibility: SequentialCompatibility,
     num_sets: int,
     seed: RngLike = None,
-    max_set_size: int | None = None,
-    stall_limit: int = 8,
 ) -> list[tuple[int, ...]]:
     """Greedy maximal sets of jointly-justifiable rare nets (index tuples).
 
@@ -234,7 +225,7 @@ def greedy_compatible_sets(
     scans rarest-first, further passes scan random permutations for
     diversity, and every candidate addition must keep the accumulated
     conjunction justifiable under the analysis's temporal rule.  Duplicate
-    maximal sets end a pass without yield; ``stall_limit`` consecutive
+    maximal sets end a pass without yield; ``STALL_LIMIT`` consecutive
     duplicate passes end the search early (the design has run out of
     distinct maximal sets).
 
@@ -261,7 +252,7 @@ def greedy_compatible_sets(
     unsat_cover: list[frozenset[int]] = []  # sets proven unable to fire
     first_pass = True
     stall = 0
-    while len(sets) < num_sets and stall < stall_limit:
+    while len(sets) < num_sets and stall < STALL_LIMIT:
         if first_pass:
             order = list(range(count))
             first_pass = False
@@ -269,8 +260,6 @@ def greedy_compatible_sets(
             order = [int(index) for index in rng.permutation(count)]
         chosen: list[int] = []
         for index in order:
-            if max_set_size is not None and len(chosen) >= max_set_size:
-                break
             candidate = frozenset(chosen) | {index}
             verdict = verdicts.get(candidate)
             if verdict is None:
@@ -370,7 +359,6 @@ def generate_sequences(
     num_sequences: int = 16,
     seed: RngLike = None,
     justifier: SequentialJustifier | None = None,
-    max_rare_nets: int | None = None,
     n_jobs: int = 1,
     technique: str = "SAT-guided",
     solver_config: SolverConfig | None = None,
@@ -400,7 +388,7 @@ def generate_sequences(
     ) as gen_span:
         result = _generate_sequences(
             netlist, rare_nets, cycles, mode, count, num_sequences, seed,
-            justifier, max_rare_nets, n_jobs, technique, solver_config,
+            justifier, n_jobs, technique, solver_config,
         )
         gen_span.set_attr("sequences", int(result.sequences.shape[0]))
         return result
@@ -415,7 +403,6 @@ def _generate_sequences(
     num_sequences: int,
     seed: RngLike,
     justifier: SequentialJustifier | None,
-    max_rare_nets: int | None,
     n_jobs: int,
     technique: str,
     solver_config: SolverConfig | None,
@@ -424,8 +411,7 @@ def _generate_sequences(
     with obs.trace.span("sequence_gen.activatability"):
         compatibility = analyze_sequential_compatibility(
             netlist, rare_nets, cycles, mode, count,
-            justifier=justifier, max_rare_nets=max_rare_nets,
-            solver_config=solver_config,
+            justifier=justifier, solver_config=solver_config,
         )
     metadata = {
         "cycles": cycles,

@@ -15,6 +15,7 @@ paper uses for circuits such as c2670.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.rl.env import VectorizedEnvironment
 from repro.rl.nn import Adam, clip_gradients
 from repro.rl.policy import MaskedCategoricalPolicy
 from repro.utils.rng import RngLike, make_rng
-from repro.utils.timing import Stopwatch
 
 
 @dataclass
@@ -128,17 +128,11 @@ class PpoTrainer:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def train(self, total_steps: int, progress_callback=None) -> TrainingSummary:
-        """Run PPO for approximately ``total_steps`` environment steps.
-
-        Args:
-            total_steps: target number of (vectorised) environment steps.
-            progress_callback: optional callable invoked after every rollout
-                with the running :class:`TrainingSummary`.
-        """
+    def train(self, total_steps: int) -> TrainingSummary:
+        """Run PPO for approximately ``total_steps`` (vectorised) environment steps."""
         config = self.config
         summary = TrainingSummary()
-        stopwatch = Stopwatch().start()
+        started = time.perf_counter()
         num_envs = len(self.envs)
         buffer = RolloutBuffer(
             config.num_steps, num_envs, self.envs.observation_dim, self.envs.num_actions
@@ -172,10 +166,8 @@ class PpoTrainer:
             )
             batch = buffer.batch(advantages, returns)
             self._update(batch, summary)
-            if progress_callback is not None:
-                progress_callback(summary)
 
-        summary.elapsed_seconds = stopwatch.stop()
+        summary.elapsed_seconds = time.perf_counter() - started
         return summary
 
     # ------------------------------------------------------------------

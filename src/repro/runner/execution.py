@@ -36,7 +36,7 @@ from repro.runner.cache import get_default_cache, set_default_cache
 from repro.runner.faults import FaultPlan
 from repro.runner.parallel import extend_sys_path, resolve_jobs
 from repro.runner.registry import ExperimentSpec, GridCell, get_experiment
-from repro.runner.resilience import ResiliencePolicy, policy_for_spec, run_tasks
+from repro.runner.resilience import ResiliencePolicy, run_tasks
 from repro.sat import native
 
 
@@ -192,9 +192,8 @@ def run_experiment(
             run record to ``<experiment>-<profile>.json``.
         backend: execution backend, ``"serial"`` or ``"process"``.  None
             means serial for ``jobs=1`` and the process pool otherwise.
-        resilience: retry/timeout policy for cell execution; per-spec
-            ``cell_timeout``/``cell_max_attempts`` overrides are folded in.
-            None uses :class:`ResiliencePolicy` defaults.
+        resilience: retry/timeout policy for cell execution.  None uses
+            :class:`ResiliencePolicy` defaults.
         fault_plan: scripted faults for chaos testing (see
             :mod:`repro.runner.faults`); None in production.
         trace_dir: when set, enables the telemetry layer (:mod:`repro.obs`)
@@ -243,7 +242,6 @@ def run_experiment(
     started = time.perf_counter()
     outcomes: list[CellOutcome] = []
     cache_stats: dict[str, int] | None = None
-    policy = policy_for_spec(resilience, spec.cell_timeout, spec.cell_max_attempts)
     try:
         with obs.trace.span(
             f"run.{spec.name}",
@@ -256,7 +254,7 @@ def run_experiment(
                 _execute_cell,
                 [(spec.module, cell, profile) for cell in cells],
                 backend=backend,
-                policy=policy,
+                policy=resilience,
                 initializer=_init_cell_worker,
                 initargs=(list(sys.path), cache_dir),
                 max_workers=min(jobs, len(cells)),

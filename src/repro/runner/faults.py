@@ -50,9 +50,7 @@ class CorruptResult:
     """The payload a ``corrupt`` fault returns in place of the real result.
 
     The resilience layer always rejects instances of this marker, so chaos
-    tests can exercise the retry-on-bad-result path without a domain
-    validator; detecting *real* silent corruption requires the caller's
-    ``validate`` hook (see :class:`repro.runner.resilience.ResiliencePolicy`).
+    tests can exercise the retry-on-bad-result path.
     """
 
     task_index: int

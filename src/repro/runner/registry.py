@@ -35,22 +35,12 @@ class GridCell:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one registered experiment.
-
-    ``cell_timeout`` and ``cell_max_attempts`` are per-spec overrides for
-    the runner's resilience policy (see
-    :func:`repro.runner.resilience.policy_for_spec`): a harness whose cells
-    are known to be long-running can raise its per-attempt timeout, and one
-    whose cells are cheap can afford extra retries.  None defers to the
-    runner-wide policy.
-    """
+    """Declarative description of one registered experiment."""
 
     name: str
     module: str
     title: str
     description: str = ""
-    cell_timeout: float | None = None
-    cell_max_attempts: int | None = None
 
     def resolve(self) -> ModuleType:
         """Import (lazily) and return the harness module."""

@@ -5,7 +5,7 @@ is the robustness layer between a caller's task list and an execution
 backend (:mod:`repro.runner.backends`):
 
 - **Per-task retry with exponential backoff and jitter.**  A failed attempt
-  (worker crash, timeout, raised exception, rejected result) is resubmitted
+  (worker crash, timeout, raised exception, corrupt result) is resubmitted
   up to ``max_attempts`` times.  The backoff delay is a pure function of
   ``(task seed, attempt)``, so a rerun of the same shards sleeps the same
   schedule — deterministic given the shard seed, like everything else in
@@ -43,7 +43,7 @@ import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import BrokenExecutor, Executor, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro import obs
@@ -73,10 +73,9 @@ class ResiliencePolicy:
             downgrades to the serial backend.
         seed: base seed for the deterministic backoff jitter when the
             caller provides no per-task seeds.
-        validate: optional ``(task_index, result) -> bool`` hook; a False
-            verdict rejects the result and retries the task.  Results that
-            are :class:`~repro.runner.faults.CorruptResult` markers are
-            always rejected.
+
+    Results that are :class:`~repro.runner.faults.CorruptResult` markers
+    are always rejected and the task retried.
     """
 
     max_attempts: int = 3
@@ -85,7 +84,6 @@ class ResiliencePolicy:
     backoff_cap: float = 2.0
     max_backend_failures: int = 3
     seed: int = 0
-    validate: Callable[[int, Any], bool] | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -387,14 +385,6 @@ def run_tasks(
                                 failure = f"error: {error!r}"
                         if failure is None and isinstance(value, faults.CorruptResult):
                             failure = "corrupt"
-                        if failure is None and policy.validate is not None:
-                            try:
-                                valid = policy.validate(index, value)
-                            except Exception as error:  # noqa: BLE001
-                                valid = False
-                                failure = f"validator error: {error!r}"
-                            if not valid and failure is None:
-                                failure = "corrupt"
                         ended = resolved_at.get(index)
                         if failure is None:
                             outcome.results[index] = value
@@ -460,32 +450,11 @@ def run_tasks(
     return outcome
 
 
-def policy_for_spec(
-    policy: ResiliencePolicy | None,
-    cell_timeout: float | None,
-    cell_max_attempts: int | None,
-) -> ResiliencePolicy:
-    """Fold an experiment spec's per-cell defaults into a policy.
-
-    An explicit caller policy wins wholesale; otherwise the spec's
-    ``cell_timeout`` / ``cell_max_attempts`` fill in over the defaults.
-    """
-    if policy is not None:
-        return policy
-    policy = ResiliencePolicy()
-    if cell_timeout is not None:
-        policy = replace(policy, timeout=cell_timeout)
-    if cell_max_attempts is not None:
-        policy = replace(policy, max_attempts=cell_max_attempts)
-    return policy
-
-
 __all__ = [
     "ResilienceError",
     "ResiliencePolicy",
     "ResilientOutcome",
     "backoff_delay",
     "call_with_faults",
-    "policy_for_spec",
     "run_tasks",
 ]

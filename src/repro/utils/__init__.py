@@ -1,1 +1,1 @@
-"""Shared utilities: deterministic RNG helpers, timing, and bit packing."""
+"""Shared utilities: deterministic RNG helpers and atomic file writes."""

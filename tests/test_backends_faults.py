@@ -271,22 +271,6 @@ class TestRecovery:
                 isinstance(result, CorruptResult) for result in outcome.results
             )
 
-    def test_validator_rejection_counts_as_corrupt(self):
-        rejected_once = []
-
-        def validate(index, value):
-            if index == 1 and not rejected_once:
-                rejected_once.append(index)
-                return False
-            return True
-
-        outcome = run_tasks(
-            square, TASKS, backend="serial",
-            policy=ResiliencePolicy(validate=validate, backoff_base=0.0),
-        )
-        assert outcome.results == EXPECTED
-        assert outcome.corrupt == 1
-
     def test_serial_backend_ignores_timeout(self):
         outcome = run_tasks(
             square, TASKS, backend="serial",

@@ -1,10 +1,9 @@
-"""Tests for the baseline techniques (Random, ATPG proxy, MERO, TARMAC, TGRL)."""
+"""Tests for the baseline techniques (Random, ATPG proxy, TARMAC, TGRL)."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.atpg import atpg_pattern_set
-from repro.baselines.mero import MeroConfig, mero_pattern_set
 from repro.baselines.random_patterns import random_pattern_set
 from repro.baselines.tarmac import TarmacConfig, sample_maximal_clique, tarmac_pattern_set
 from repro.baselines.tgrl import TgrlConfig, TgrlEnv, tgrl_pattern_set
@@ -63,26 +62,6 @@ class TestAtpgProxy:
             other.witness({item.net: item.rare_value})
         second = atpg_pattern_set(small_multiplier, rare)
         assert np.array_equal(first.patterns, second.patterns)
-
-
-class TestMero:
-    def test_returns_patterns_that_hit_rare_nets(self, small_multiplier, multiplier_compatibility):
-        rare = multiplier_compatibility.rare_nets
-        pattern_set = mero_pattern_set(
-            small_multiplier, rare,
-            MeroConfig(num_random_patterns=64, n_detect=2, seed=0),
-        )
-        assert pattern_set.technique == "MERO"
-        assert len(pattern_set) >= 1
-        simulator = BitParallelSimulator(small_multiplier)
-        values = simulator.run_patterns(pattern_set.patterns)
-        activated = sum(
-            (values[item.net] == item.rare_value).any() for item in rare
-        )
-        assert activated > 0
-
-    def test_empty_rare_net_list(self, small_multiplier):
-        assert len(mero_pattern_set(small_multiplier, [])) == 0
 
 
 class TestTarmac:

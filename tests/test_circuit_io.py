@@ -1,11 +1,10 @@
-"""Tests for .bench and structural Verilog I/O."""
+"""Tests for .bench I/O."""
 
 import numpy as np
 import pytest
 
 from repro.circuits import generators
 from repro.circuits.bench_io import BenchParseError, dumps_bench, load_bench, loads_bench
-from repro.circuits.verilog_io import VerilogParseError, dumps_verilog, loads_verilog
 from repro.simulation.logic_sim import BitParallelSimulator
 
 
@@ -69,34 +68,3 @@ class TestBenchFormat:
         netlist = loads_bench("INPUT(a)\nOUTPUT(y)\ny = BUFF(a)\n")
         assert netlist.num_gates == 1
 
-
-class TestVerilogFormat:
-    def test_roundtrip_c17(self, c17):
-        text = dumps_verilog(c17)
-        parsed = loads_verilog(text)
-        assert equivalent(c17, parsed)
-
-    def test_roundtrip_random_circuit(self, small_random_circuit):
-        parsed = loads_verilog(dumps_verilog(small_random_circuit))
-        assert equivalent(small_random_circuit, parsed)
-
-    def test_module_name_preserved(self, c17):
-        assert loads_verilog(dumps_verilog(c17)).name == "c17"
-
-    def test_escaped_identifiers(self):
-        mult = generators.multiplier_circuit("m", width=2)
-        text = dumps_verilog(mult)
-        assert "\\" in text  # bus names like a[0] need escaping
-        assert equivalent(mult, loads_verilog(text))
-
-    def test_parse_error_on_unknown_primitive(self):
-        bad = "module t (a, y);\n  input a;\n  output y;\n  latch g_0 (y, a);\nendmodule\n"
-        with pytest.raises(VerilogParseError):
-            loads_verilog(bad)
-
-    def test_sequential_emits_dff_instances(self):
-        sequential = generators.sequential_controller("seq2", state_bits=3, data_width=4)
-        text = dumps_verilog(sequential)
-        assert "dff" in text
-        parsed = loads_verilog(text)
-        assert len(parsed.flip_flops) == len(sequential.flip_flops)

@@ -1,6 +1,8 @@
 """Tests for the DETERRENT core: config, compatibility, environment, agent,
 pattern generation, and the end-to-end pipeline."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,6 +285,14 @@ class TestPipeline:
             "compile", "rare_net_extraction", "compatibility", "training",
             "pattern_generation",
         }
+
+    def test_phase_timings_are_per_phase_not_cumulative(self, small_multiplier, tiny_config):
+        pipeline = DeterrentPipeline(tiny_config.with_overrides(rareness_threshold=0.2))
+        started = time.perf_counter()
+        result = pipeline.run(small_multiplier)
+        wall = time.perf_counter() - started
+        assert all(seconds >= 0.0 for seconds in result.timings.values())
+        assert sum(result.timings.values()) <= wall
 
     def test_pipeline_patterns_activate_their_sets(self, small_multiplier, tiny_config):
         pipeline = DeterrentPipeline(tiny_config.with_overrides(rareness_threshold=0.2))

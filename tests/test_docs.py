@@ -67,7 +67,9 @@ class TestDocsMatchRegistry:
         # Harnesses run only through ``deterrent run`` / ``run_experiment``;
         # the per-module ``python -m repro.experiments.<name>`` mains are gone.
         # Spans are the only timing mechanism: the histogram registry, its
-        # per-pid files and the sampled profiling hooks are gone too.
+        # per-pid files and the sampled profiling hooks are gone too.  So are
+        # the MERO baseline, Verilog I/O, netlist statistics, the stopwatch
+        # and the per-spec cell resilience defaults.
         removed = (
             "python -m repro.experiments.",
             "DETERRENT_PROFILE",
@@ -75,6 +77,11 @@ class TestDocsMatchRegistry:
             "repro.obs.profile",
             "repro.obs.metrics",
             "hot_path",
+            "MERO",
+            "Verilog",
+            "netlist_stats",
+            "Stopwatch",
+            "cell_timeout",
         )
         paths = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
         paths += sorted(p for p in (REPO_ROOT / ".claude" / "skills").rglob("*") if p.is_file())

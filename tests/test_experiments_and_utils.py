@@ -7,7 +7,6 @@ from repro.experiments import common
 from repro.experiments.reporting import append_jsonl, format_table, load_jsonl, save_json
 from repro.runner.execution import run_experiment
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.timing import Stopwatch
 
 #: A deliberately tiny profile so harness tests finish in seconds.
 TINY = common.ExperimentProfile(
@@ -47,14 +46,6 @@ class TestUtils:
     def test_spawn_rngs_negative_count(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-
-    def test_stopwatch_rates(self):
-        watch = Stopwatch().start()
-        watch.stop()
-        assert watch.rate_per_minute(0) == 0.0
-        assert watch.elapsed >= 0.0
-        watch.lap("phase")
-        assert "phase" in watch.laps
 
 
 class TestReporting:

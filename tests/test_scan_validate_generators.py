@@ -1,4 +1,4 @@
-"""Tests for scan conversion, validation, statistics, generators, and the library."""
+"""Tests for scan conversion, validation, generators, and the library."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.circuits.library import (
 )
 from repro.circuits.netlist import Netlist
 from repro.circuits.scan import ensure_combinational, full_scan
-from repro.circuits.stats import netlist_stats
 from repro.circuits.validate import validate_netlist
 from repro.simulation.rare_nets import extract_rare_nets
 
@@ -93,22 +92,6 @@ class TestValidation:
         netlist.add_output("y")
         report = validate_netlist(netlist)
         assert any("cycle" in error for error in report.errors)
-
-
-class TestStats:
-    def test_c17_stats(self, c17):
-        stats = netlist_stats(c17)
-        assert stats.num_gates == 6
-        assert stats.num_inputs == 5
-        assert stats.num_outputs == 2
-        assert stats.gate_type_counts == {"NAND": 6}
-        assert stats.depth == 3
-        assert stats.num_nets == 11
-
-    def test_multiplier_stats(self, small_multiplier):
-        stats = netlist_stats(small_multiplier)
-        assert stats.num_gates == small_multiplier.num_gates
-        assert stats.num_flip_flops == 0
 
 
 class TestGenerators:

@@ -87,11 +87,6 @@ class TestSequentialCompatibility:
         for indices in sets:
             assert compatibility.set_is_satisfiable(list(indices))
 
-    def test_max_set_size_is_honoured(self, compatibility):
-        sets = greedy_compatible_sets(compatibility, num_sets=3, seed=5, max_set_size=2)
-        assert sets
-        assert all(len(indices) <= 2 for indices in sets)
-
     def test_witness_with_repair_handles_unsatisfiable_supersets(self, compatibility):
         """A hand-built set mixing incompatible nets is repaired, not dropped."""
         justifier = compatibility.justifier
