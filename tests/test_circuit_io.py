@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuits import generators
 from repro.circuits.bench_io import BenchParseError, dumps_bench, load_bench, loads_bench
+from repro.circuits.gates import GateType
 from repro.simulation.logic_sim import BitParallelSimulator
 
 
@@ -67,4 +68,44 @@ class TestBenchFormat:
     def test_buff_alias(self):
         netlist = loads_bench("INPUT(a)\nOUTPUT(y)\ny = BUFF(a)\n")
         assert netlist.num_gates == 1
+
+    def test_inv_alias_is_not(self):
+        netlist = loads_bench("INPUT(a)\nOUTPUT(y)\ny = INV(a)\n")
+        assert netlist.gate_for("y").gate_type is GateType.NOT
+
+    def test_roundtrip_random_circuit(self, small_random_circuit):
+        parsed = loads_bench(dumps_bench(small_random_circuit))
+        assert parsed.num_gates == small_random_circuit.num_gates
+        assert equivalent(small_random_circuit, parsed)
+
+    def test_name_comes_from_argument_or_file_stem(self, tmp_path, c17):
+        path = tmp_path / "c17.bench"
+        path.write_text(dumps_bench(c17))
+        assert loads_bench(dumps_bench(c17), name="c17").name == "c17"
+        assert load_bench(path).name == "c17"
+        assert load_bench(path, name="other").name == "other"
+
+    def test_sequential_roundtrip_keeps_flip_flop_wiring(self):
+        sequential = generators.sequential_controller("seq2", state_bits=3, data_width=4)
+        parsed = loads_bench(dumps_bench(sequential))
+        assert {(ff.q, ff.d) for ff in parsed.flip_flops} == {
+            (ff.q, ff.d) for ff in sequential.flip_flops
+        }
+
+    def test_roundtrip_keeps_every_gate(self, c17):
+        sequential = generators.sequential_controller("seq2", state_bits=3, data_width=4)
+        for netlist in (c17, sequential):
+            parsed = loads_bench(dumps_bench(netlist))
+            assert {
+                (gate.output, gate.gate_type, gate.inputs) for gate in parsed.gates
+            } == {(gate.output, gate.gate_type, gate.inputs) for gate in netlist.gates}
+
+    def test_output_may_precede_its_driver(self):
+        netlist = loads_bench("OUTPUT(y)\nINPUT(a)\nINPUT(b)\ny = AND(a, b)\n")
+        assert netlist.outputs == ("y",)
+        assert netlist.gate_for("y").inputs == ("a", "b")
+
+    def test_parse_error_names_the_line(self):
+        with pytest.raises(BenchParseError, match="line 3"):
+            loads_bench("INPUT(a)\nOUTPUT(y)\ny := NOT(a)\n")
 

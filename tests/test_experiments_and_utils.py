@@ -179,6 +179,21 @@ class TestHarnesses:
         assert len(points) == 2
         assert points[0].num_rare_nets <= points[1].num_rare_nets
 
+    def test_pipeline_report_total_is_the_sum_of_phase_timings(self):
+        from repro.experiments import pipeline_run
+
+        summary = pipeline_run.PipelineSummary(
+            design="c6288_like", num_rare_nets=4, max_compatible_set_size=3,
+            test_length=2, coverage_percent=50.0,
+            timings={
+                "compile": 0.25, "rare_net_extraction": 0.5, "compatibility": 0.75,
+                "training": 1.5, "pattern_generation": 1.0,
+            },
+        )
+        header, _, row = pipeline_run.report([summary]).splitlines()
+        assert header.split()[-2:] == ["Total", "(s)"]
+        assert row.split()[-1] == "4.00"
+
     def test_transfer_experiment(self):
         from repro.experiments import transfer
 

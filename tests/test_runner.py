@@ -353,6 +353,52 @@ class TestCacheDirScope:
         assert get_default_cache() is None
 
 
+class TestPolicyPassThrough:
+    """The policy given to ``run_experiment`` (or via the CLI) is the one
+    ``run_tasks`` runs the cells under."""
+
+    SPEC = ExperimentSpec(name="runner_toy", module=__name__, title="toy")
+
+    @pytest.fixture()
+    def policies(self, monkeypatch):
+        from repro.runner import execution
+
+        seen = []
+        real_run_tasks = execution.run_tasks
+
+        def recording_run_tasks(*args, **kwargs):
+            seen.append(kwargs["policy"])
+            return real_run_tasks(*args, **kwargs)
+
+        monkeypatch.setattr(execution, "run_tasks", recording_run_tasks)
+        return seen
+
+    @pytest.mark.parametrize("policy", [None, ResiliencePolicy(max_attempts=1, timeout=5.0)])
+    def test_run_experiment_hands_its_policy_to_run_tasks(self, policies, policy):
+        run = run_experiment(self.SPEC, profile=TINY, resilience=policy)
+        assert run.collected == [10, 20]
+        assert policies == [policy]
+
+    def test_cli_flags_become_the_run_policy(self, tmp_path, capsys, monkeypatch, policies):
+        from repro.runner import execution
+
+        real_run_experiment = execution.run_experiment
+        monkeypatch.setattr(
+            execution, "run_experiment",
+            lambda experiment, **kwargs: real_run_experiment(self.SPEC, **kwargs),
+        )
+        base = ["run", "runner_toy", "--profile", "tiny", "--results-dir", str(tmp_path)]
+        assert cli_main(base) == 0
+        assert cli_main([*base, "--cell-timeout", "7.5"]) == 0
+        assert cli_main([*base, "--max-attempts", "2"]) == 0
+        assert "toy: [10, 20]" in capsys.readouterr().out
+        assert policies == [
+            None,
+            ResiliencePolicy(timeout=7.5),
+            ResiliencePolicy(max_attempts=2),
+        ]
+
+
 class TestTraceDirScope:
     """``run_experiment(trace_dir=...)`` traces for the call only."""
 

@@ -94,6 +94,22 @@ class TestValidation:
         assert any("cycle" in error for error in report.errors)
 
 
+class TestNetlistProperties:
+    def test_c17_structure(self, c17):
+        assert c17.num_gates == 6
+        assert len(c17.inputs) == 5
+        assert len(c17.outputs) == 2
+        assert c17.depth == 3
+        assert len(c17.nets) == 11
+        assert not c17.is_sequential
+
+    def test_sequential_controller_keeps_its_flip_flops(self):
+        sequential = generators.sequential_controller("seq", state_bits=4, data_width=4)
+        assert sequential.is_sequential
+        assert len(sequential.flip_flops) >= 4
+        assert not ensure_combinational(sequential).is_sequential
+
+
 class TestGenerators:
     def test_c17_matches_published_structure(self, c17):
         assert c17.num_gates == 6

@@ -14,6 +14,7 @@ import pytest
 
 from repro import obs
 from repro.circuits.library import load_benchmark
+from repro.core import sequence_gen
 from repro.core.compatibility import compute_compatibility, is_activatable
 from repro.core.patterns import SequenceSet, generate_patterns
 from repro.core.sequence_gen import (
@@ -86,6 +87,17 @@ class TestSequentialCompatibility:
         assert len({frozenset(indices) for indices in sets}) == len(sets)
         for indices in sets:
             assert compatibility.set_is_satisfiable(list(indices))
+
+    def test_a_lower_stall_limit_stops_the_same_search_earlier(
+        self, compatibility, monkeypatch
+    ):
+        """Far more sets than exist are asked for, so only the stall limit ends
+        the search; the passes are seeded, so a lower limit yields a prefix."""
+        full = greedy_compatible_sets(compatibility, num_sets=10_000, seed=5)
+        monkeypatch.setattr(sequence_gen, "STALL_LIMIT", 1)
+        short = greedy_compatible_sets(compatibility, num_sets=10_000, seed=5)
+        assert 0 < len(short) < len(full)
+        assert full[: len(short)] == short
 
     def test_witness_with_repair_handles_unsatisfiable_supersets(self, compatibility):
         """A hand-built set mixing incompatible nets is repaired, not dropped."""
