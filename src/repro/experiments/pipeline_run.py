@@ -9,6 +9,7 @@ the other harnesses measure individual figures/tables of the paper.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import DeterrentPipeline
@@ -27,6 +28,9 @@ class PipelineSummary:
     max_compatible_set_size: int
     test_length: int
     coverage_percent: float
+    #: Seconds per phase: ``preparation`` (``prepare_benchmark``: loading the
+    #: design, its rare nets, compatibility and Trojans) first, then the
+    #: pipeline's own phases.
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -43,7 +47,9 @@ def cells(profile: ExperimentProfile, options: dict) -> list[GridCell]:
 def run_cell(params: dict, profile: ExperimentProfile) -> PipelineSummary:
     """Run the full pipeline on one design and score its patterns."""
     design = params["design"]
+    started = time.perf_counter()
     context = prepare_benchmark(design, profile)
+    preparation = time.perf_counter() - started
     pipeline = DeterrentPipeline(profile.deterrent_config(rareness_threshold=context.threshold))
     result = pipeline.run(
         context.netlist, rare_nets=context.rare_nets, compatibility=context.compatibility
@@ -55,7 +61,10 @@ def run_cell(params: dict, profile: ExperimentProfile) -> PipelineSummary:
         max_compatible_set_size=result.max_compatible_set_size,
         test_length=result.test_length,
         coverage_percent=coverage.coverage_percent,
-        timings={name: round(value, 3) for name, value in result.timings.items()},
+        timings={
+            "preparation": round(preparation, 3),
+            **{name: round(value, 3) for name, value in result.timings.items()},
+        },
     )
 
 

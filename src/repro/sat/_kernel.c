@@ -11,44 +11,72 @@
  *   add_clause(solver, literals)   CdclSolver._add_clause, CdclSolver._watch_clause
  *   unwatch(solver, code, clause)  CdclSolver._unwatch
  *
- * The functions edit the solver's own lists in place (the code-indexed value
- * table, _level, _reason, _phase, _seen, _watches, _binary, _trail,
- * _trail_limits, _problem, _learned and the heap's _heap/_pos/_act), so the
- * trail order, the clause literal order, the watch-list compaction and the
- * heap sift order come out exactly as the Python methods leave them.  Every
- * index read from a list is checked against the list it indexes, so a broken
- * solver state raises instead of reading out of bounds; after an exception
- * the solver is left as the error found it.
+ * The solver keeps its state in typed arrays (array.array), not in Python
+ * objects: the clause arena, the code-indexed value table, _level, _reason,
+ * _phase, _trail, _trail_limits, _problem, the learned-clause activities, the
+ * PairLists pools of _watches and _binary, and the heap's _heap/_pos/_act;
+ * _seen is a bytearray.  The functions edit the same arrays the Python
+ * methods index, so the trail order, the clause literal order, the watch-list
+ * compaction and the heap sift order come out exactly as the Python methods
+ * leave them.  Each call fetches every table once, checks its type, and
+ * checks once that the per-variable tables agree in length; every code,
+ * offset and position read from a table is then checked against the table it
+ * indexes, so a broken solver state raises instead of reading or writing out
+ * of bounds (and leaves the solver unusable).
+ *
+ * Tables that grow (the trail, the heap, the arena, the pools) are resized
+ * here by array.array's own rule, through its object layout, because a
+ * buffer view would pin an array's size for the whole call.  Module
+ * initialisation checks that layout against the buffer protocol on a live
+ * array and refuses to load if it differs.
  *
  * repro/sat/native.py builds and loads this file.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
+#include <string.h>
 
-#define ITEMS(list) (((PyListObject *)(list))->ob_item)
-#define SIZE(list) PyList_GET_SIZE(list)
+/* The leading fields of CPython's array object and of its item descriptor
+ * (Modules/arraymodule.c). */
+typedef struct {
+    char typecode;
+    int itemsize;
+} Descr;
 
-static PyObject *minus_one, *zero, *one;
+typedef struct {
+    PyObject_VAR_HEAD
+    char *items;
+    Py_ssize_t allocated;
+    const Descr *descr;
+    PyObject *weakrefs;
+    Py_ssize_t exports;
+} Array;
 
-/* Solver attributes fetched by propagate/backtrack, and the heap's. */
-enum { TRAIL, VALUE, LEVEL, REASON, PHASE, WATCHES, BINARY, LIMITS, SOLVER_LISTS };
-static const char *const solver_names[SOLVER_LISTS] = {
-    "_trail", "_value", "_level", "_reason", "_phase", "_watches", "_binary", "_trail_limits",
-};
-enum { HEAP, POS, ACT, HEAP_LISTS };
-static const char *const heap_names[HEAP_LISTS] = {"_heap", "_pos", "_act"};
-static PyObject *solver_attrs[SOLVER_LISTS], *heap_attrs[HEAP_LISTS];
-/* Every other attribute name the functions use. */
+#define INTS(array) ((int *)(array)->items)
+#define BYTES(array) ((signed char *)(array)->items)
+#define DOUBLES(array) ((double *)(array)->items)
+#define LEN(array) Py_SIZE(array)
+
+static PyTypeObject *array_type;
+
+/* Attribute names: the solver's tables, its pools' and its heap's, then the rest. */
 enum {
-    QUEUE_HEAD, STATS, PROPAGATIONS, HEAP_ATTR, SEEN, VAR_INC, CLAUSE_INC, LEARNED_LIST,
-    LEARNED_FLAG, ACTIVITY, RESCALE, UNSAT, NUM_VARS, ENSURE_VARS, PROBLEM, NAMES
+    ARENA, PROBLEM, TRAIL, LIMITS, VALUE, LEVEL, REASON, PHASE, ACTIVITY, TABLES,
+    ITEMS = TABLES, START, SIZE, CAPACITY,
+    ORDER, POS, ACT,
+    WATCHES, BINARY, HEAP, SEEN, QUEUE_HEAD, STATS, PROPAGATIONS, VAR_INC, CLAUSE_INC, UNSAT,
+    NUM_VARS, ENSURE_VARS, NAMES
 };
-static const char *const other_names[NAMES] = {
-    "_queue_head", "_stats", "propagations", "_heap", "_seen", "_var_inc", "_clause_inc",
-    "_learned", "learned", "activity", "rescale", "_unsat", "_num_vars", "_ensure_vars",
-    "_problem",
+static const char *const names[NAMES] = {
+    "_arena", "_problem", "_trail", "_trail_limits", "_value", "_level", "_reason", "_phase",
+    "_activity", "items", "start", "size", "capacity", "_heap", "_pos", "_act",
+    "_watches", "_binary", "_heap", "_seen", "_queue_head", "_stats", "propagations",
+    "_var_inc", "_clause_inc", "_unsat", "_num_vars", "_ensure_vars",
 };
+/* The typecode of each table, by name index. */
+static const char typecodes[] = "iiiibiibdiiiiiid";
 static PyObject *name[NAMES];
 
 /* Rescale thresholds and factors; the same constants as repro/sat/solver.py. */
@@ -56,107 +84,212 @@ static PyObject *name[NAMES];
 #define ACTIVITY_RESCALE 1e-100
 #define CLAUSE_ACTIVITY_LIMIT 1e20
 #define CLAUSE_ACTIVITY_RESCALE 1e-20
-static PyObject *activity_rescale; /* the float ACTIVITY_RESCALE, for heap.rescale */
-static PyObject *clause_type;      /* repro.sat.solver.Clause, imported on first use */
 
-/* `integer` as an index into `bound` entries; -1 with an exception otherwise. */
-static inline Py_ssize_t index_of(PyObject *integer, Py_ssize_t bound)
+/* Resize `array` to `size` items, new items zero, by array.array's growth rule. */
+static int resize(Array *array, Py_ssize_t size)
 {
-    Py_ssize_t index = PyLong_AsSsize_t(integer);
-    if ((size_t)index < (size_t)bound)
-        return index;
-    if (!PyErr_Occurred())
-        PyErr_Format(PyExc_IndexError, "index %zd outside 0..%zd", index, bound - 1);
-    return -1;
-}
-
-/* The value-table entry at a checked code: 1, 0 or -1; -2 with an exception. */
-static inline long state_of(PyObject *value, Py_ssize_t code)
-{
-    long state = PyLong_AsLong(ITEMS(value)[code]);
-    return state == -1 && PyErr_Occurred() ? -2 : state;
-}
-
-/* The activity of a checked variable (-1.0 with an exception if not a float). */
-static inline double activity_of(PyObject *act, Py_ssize_t variable)
-{
-    return PyFloat_AsDouble(ITEMS(act)[variable]);
-}
-
-/* list[index] = item (a new reference is taken, the old item released). */
-static inline void set_item(PyObject *list, Py_ssize_t index, PyObject *item)
-{
-    PyObject *old = ITEMS(list)[index];
-    Py_INCREF(item);
-    ITEMS(list)[index] = item;
-    Py_DECREF(old);
-}
-
-/* list[index] = number, for the heap's position index. */
-static inline int set_int(PyObject *list, Py_ssize_t index, Py_ssize_t number)
-{
-    PyObject *item = PyLong_FromSsize_t(number);
-    if (item == NULL)
-        return -1;
-    PyObject *old = ITEMS(list)[index];
-    ITEMS(list)[index] = item;
-    Py_DECREF(old);
-    return 0;
-}
-
-static void release(PyObject **lists, int count)
-{
-    for (int i = 0; i < count; i++)
-        Py_DECREF(lists[i]);
-}
-
-/* out[i] = getattr(owner, names[i]) for every i, each checked to be a list. */
-static int fetch(PyObject *owner, PyObject **names, PyObject **out, int count)
-{
-    for (int i = 0; i < count; i++) {
-        out[i] = PyObject_GetAttr(owner, names[i]);
-        if (out[i] != NULL && PyList_Check(out[i]))
-            continue;
-        if (out[i] != NULL) {
-            PyErr_Format(PyExc_TypeError, "%U must be a list", names[i]);
-            i++;
-        }
-        release(out, i);
+    if (array->exports > 0) {
+        PyErr_SetString(PyExc_BufferError, "cannot resize an array that is exporting buffers");
         return -1;
     }
+    Py_ssize_t itemsize = array->descr->itemsize, old = LEN(array);
+    if (size > array->allocated) {
+        Py_ssize_t allocated = size + (size >> 4) + (old < 8 ? 3 : 7);
+        char *items = allocated > PY_SSIZE_T_MAX / itemsize
+                      ? NULL : PyMem_Realloc(array->items, allocated * itemsize);
+        if (items == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        array->items = items;
+        array->allocated = allocated;
+    }
+    if (size > old)
+        memset(array->items + old * itemsize, 0, (size - old) * itemsize);
+    Py_SET_SIZE(array, size);
     return 0;
 }
 
-/* The solver's lists, checked to agree on the number of variables. */
-static int fetch_solver(PyObject *solver, PyObject **lists)
+static int push(Array *array, int item)
 {
-    if (fetch(solver, solver_attrs, lists, SOLVER_LISTS) < 0)
+    Py_ssize_t size = LEN(array);
+    if (resize(array, size + 1) < 0)
         return -1;
-    Py_ssize_t codes = SIZE(lists[VALUE]);
-    if (SIZE(lists[WATCHES]) == codes && SIZE(lists[BINARY]) == codes
-        && 2 * SIZE(lists[LEVEL]) == codes && 2 * SIZE(lists[REASON]) == codes
-        && 2 * SIZE(lists[PHASE]) == codes)
-        return 0;
-    PyErr_SetString(PyExc_ValueError, "solver tables disagree on the number of variables");
-    release(lists, SOLVER_LISTS);
-    return -1;
+    INTS(array)[size] = item;
+    return 0;
 }
 
-/* The heap's lists, checked to agree on the number of variables. */
-static int fetch_heap(PyObject *heap, PyObject **lists)
+/* A PairLists pool: list c is items[start[c] : start[c] + size[c]], in capacity[c] items. */
+typedef struct {
+    Array *items, *start, *size, *capacity;
+} Pool;
+
+/* The tables one call works on, with the references that keep them alive. */
+typedef struct {
+    Array *table[ACT + 1];   /* by name: ARENA..ACTIVITY and ORDER..ACT */
+    Pool watches, binary;
+    PyObject *owned[32];
+    int count;
+    Py_ssize_t codes, variables;
+} State;
+
+static void release(State *state)
 {
-    if (fetch(heap, heap_attrs, lists, HEAP_LISTS) < 0)
-        return -1;
-    if (SIZE(lists[POS]) == SIZE(lists[ACT]))
+    for (int i = 0; i < state->count; i++)
+        Py_DECREF(state->owned[i]);
+    state->count = 0;
+}
+
+static PyObject *attribute(State *state, PyObject *owner, int which)
+{
+    PyObject *object = PyObject_GetAttr(owner, name[which]);
+    if (object != NULL)
+        state->owned[state->count++] = object;
+    return object;
+}
+
+/* owner.<name> checked to be an array of the name's typecode. */
+static Array *table(State *state, PyObject *owner, int which)
+{
+    PyObject *object = attribute(state, owner, which);
+    if (object == NULL)
+        return NULL;
+    if (Py_IS_TYPE(object, array_type) && ((Array *)object)->descr->typecode == typecodes[which])
+        return (Array *)object;
+    PyErr_Format(PyExc_TypeError, "%U must be an array('%c')", name[which], typecodes[which]);
+    return NULL;
+}
+
+static int fetch_pool(State *state, PyObject *solver, int which, Pool *pool)
+{
+    PyObject *lists = attribute(state, solver, which);
+    return lists == NULL || !(pool->items = table(state, lists, ITEMS))
+           || !(pool->start = table(state, lists, START))
+           || !(pool->size = table(state, lists, SIZE))
+           || !(pool->capacity = table(state, lists, CAPACITY)) ? -1 : 0;
+}
+
+static int pool_agrees(const Pool *pool, Py_ssize_t codes)
+{
+    return LEN(pool->start) == codes && LEN(pool->size) == codes && LEN(pool->capacity) == codes;
+}
+
+static int fetch_heap(State *state, PyObject *heap)
+{
+    for (int which = ORDER; which <= ACT; which++)
+        if ((state->table[which] = table(state, heap, which)) == NULL)
+            return -1;
+    state->variables = LEN(state->table[ACT]);
+    if (LEN(state->table[POS]) == state->variables)
         return 0;
     PyErr_SetString(PyExc_ValueError, "heap position and activity tables differ in size");
-    release(lists, HEAP_LISTS);
     return -1;
 }
 
-static Py_ssize_t get_size(PyObject *owner, PyObject *name)
+/* Every table of `solver`, checked to agree on the number of variables. */
+static int fetch(State *state, PyObject *solver)
 {
-    PyObject *number = PyObject_GetAttr(owner, name);
+    state->count = 0;
+    for (int which = ARENA; which < TABLES; which++)
+        if ((state->table[which] = table(state, solver, which)) == NULL)
+            goto error;
+    PyObject *heap = attribute(state, solver, HEAP);
+    if (heap == NULL || fetch_pool(state, solver, WATCHES, &state->watches) < 0
+        || fetch_pool(state, solver, BINARY, &state->binary) < 0 || fetch_heap(state, heap) < 0)
+        goto error;
+    Py_ssize_t codes = state->codes = LEN(state->table[VALUE]), variables = codes / 2;
+    if (codes == 2 * state->variables && LEN(state->table[LEVEL]) == variables
+        && LEN(state->table[REASON]) == variables && LEN(state->table[PHASE]) == variables
+        && pool_agrees(&state->watches, codes) && pool_agrees(&state->binary, codes))
+        return 0;
+    PyErr_SetString(PyExc_ValueError, "solver tables disagree on the number of variables");
+error:
+    release(state);
+    return -1;
+}
+
+static int out_of_range(const char *what, long index)
+{
+    PyErr_Format(PyExc_IndexError, "%s %ld is out of range", what, index);
+    return -1;
+}
+
+/* Jump to `error` with IndexError unless `code` indexes the value table. */
+#define CHECK_CODE(state, code)                            \
+    if ((size_t)(code) >= (size_t)(state)->codes) {        \
+        out_of_range("literal code", code);                \
+        goto error;                                        \
+    }
+
+/* The literals of the clause at `offset` (at least `least` of them); NULL with IndexError. */
+static int *clause_at(State *state, long offset, Py_ssize_t least, Py_ssize_t *size)
+{
+    Array *arena = state->table[ARENA];
+    if (offset >= 2 && offset < LEN(arena)) {
+        *size = INTS(arena)[offset - 2];
+        if (*size >= least && *size <= LEN(arena) - offset)
+            return INTS(arena) + offset;
+    }
+    PyErr_Format(PyExc_IndexError, "conflict or reason clause offset %ld is outside the arena",
+                 offset);
+    return NULL;
+}
+
+/* The list of checked `code` in a pool, as items [*begin, *end). */
+static int segment(const Pool *pool, Py_ssize_t code, Py_ssize_t *begin, Py_ssize_t *end)
+{
+    Py_ssize_t start = INTS(pool->start)[code], size = INTS(pool->size)[code];
+    Py_ssize_t capacity = INTS(pool->capacity)[code];
+    if (start >= 0 && size >= 0 && !((size | capacity) & 1) && size <= capacity
+        && capacity <= LEN(pool->items) - start) {
+        *begin = start;
+        *end = start + size;
+        return 0;
+    }
+    PyErr_SetString(PyExc_ValueError, "a watch or implication list lies outside its pool");
+    return -1;
+}
+
+/* PairLists.append: (first, second) onto the list of checked `code`. */
+static int append_pair(const Pool *pool, Py_ssize_t code, int first, int second)
+{
+    Py_ssize_t begin, end;
+    if (segment(pool, code, &begin, &end) < 0)
+        return -1;
+    Py_ssize_t size = end - begin;
+    if (size == INTS(pool->capacity)[code]) {
+        Py_ssize_t moved = LEN(pool->items), capacity = size ? 2 * size : 4;
+        if (moved + capacity > INT_MAX) {
+            PyErr_SetString(PyExc_OverflowError, "a watch or implication pool is full");
+            return -1;
+        }
+        if (resize(pool->items, moved + capacity) < 0)
+            return -1;
+        memcpy(INTS(pool->items) + moved, INTS(pool->items) + begin, size * sizeof(int));
+        INTS(pool->start)[code] = (int)moved;
+        INTS(pool->capacity)[code] = (int)capacity;
+        begin = moved;
+    }
+    INTS(pool->items)[begin + size] = first;
+    INTS(pool->items)[begin + size + 1] = second;
+    INTS(pool->size)[code] = (int)(size + 2);
+    return 0;
+}
+
+/* Assign the checked literal `code` at `level` with `reason`. */
+static int assign(State *state, int code, int level, int reason)
+{
+    BYTES(state->table[VALUE])[code] = 1;
+    BYTES(state->table[VALUE])[code ^ 1] = 0;
+    INTS(state->table[LEVEL])[code >> 1] = level;
+    INTS(state->table[REASON])[code >> 1] = reason;
+    BYTES(state->table[PHASE])[code >> 1] = code & 1;
+    return push(state->table[TRAIL], code);
+}
+
+static Py_ssize_t get_size(PyObject *owner, int which)
+{
+    PyObject *number = PyObject_GetAttr(owner, name[which]);
     if (number == NULL)
         return -1;
     Py_ssize_t result = PyLong_AsSsize_t(number);
@@ -164,398 +297,284 @@ static Py_ssize_t get_size(PyObject *owner, PyObject *name)
     return result;
 }
 
-static int set_size(PyObject *owner, PyObject *name, Py_ssize_t size)
+static int set_object(PyObject *owner, int which, PyObject *item)
 {
-    PyObject *number = PyLong_FromSsize_t(size);
-    if (number == NULL)
-        return -1;
-    int status = PyObject_SetAttr(owner, name, number);
-    Py_DECREF(number);
+    int status = item == NULL ? -1 : PyObject_SetAttr(owner, name[which], item);
+    Py_XDECREF(item);
     return status;
 }
 
-static int check_args(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
+static int check_args(const char *function, Py_ssize_t nargs, Py_ssize_t expected)
 {
     if (nargs == expected)
         return 0;
-    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", name, expected, nargs);
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", function, expected,
+                 nargs);
     return -1;
 }
 
-/* The list of _watches or _binary at a checked code; NULL with an exception. */
-static PyObject *list_at(PyObject *lists, Py_ssize_t code)
+/* Unit propagation over the solver's queue: the conflicting clause's offset,
+ * -1 for none, -2 with an exception. */
+static long run_propagate(PyObject *solver, State *state)
 {
-    PyObject *list = ITEMS(lists)[code];
-    if (PyList_Check(list))
-        return list;
-    PyErr_SetString(PyExc_TypeError, "watch and implication lists must be lists");
-    return NULL;
-}
-
-/* Whether `entry` is a pair, as every watch and implication entry must be. */
-static int is_pair(PyObject *entry)
-{
-    if (PyTuple_Check(entry) && PyTuple_GET_SIZE(entry) == 2)
-        return 1;
-    PyErr_SetString(PyExc_TypeError, "watch and implication entries must be pairs");
-    return 0;
-}
-
-/* Assign the literal `code` (the int object `literal`) at `level` with `reason`. */
-static int assign(PyObject **lists, Py_ssize_t code, PyObject *literal, PyObject *level,
-                  PyObject *reason)
-{
-    set_item(lists[VALUE], code, one);
-    set_item(lists[VALUE], code ^ 1, zero);
-    Py_ssize_t variable = code >> 1;
-    set_item(lists[LEVEL], variable, level);
-    set_item(lists[REASON], variable, reason);
-    set_item(lists[PHASE], variable, (code & 1) ? one : zero);
-    return PyList_Append(lists[TRAIL], literal);
-}
-
-/* watch_list[keep] = (clause, first); `entry` already is that pair when `same`. */
-static int keep_watch(PyObject *watch_list, Py_ssize_t keep, PyObject *entry, int same,
-                      PyObject *clause, PyObject *first)
-{
-    if (same) {
-        set_item(watch_list, keep, entry);
-        return 0;
-    }
-    PyObject *fresh = PyTuple_Pack(2, clause, first);
-    if (fresh == NULL)
-        return -1;
-    set_item(watch_list, keep, fresh);
-    Py_DECREF(fresh);
-    return 0;
-}
-
-/* Unit propagation over the solver's queue; returns a conflicting clause or None. */
-static PyObject *propagate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *lists[SOLVER_LISTS];
-    if (check_args("propagate", nargs, 1) < 0 || fetch_solver(args[0], lists) < 0)
-        return NULL;
-    PyObject *trail = lists[TRAIL], *value = lists[VALUE], *watches = lists[WATCHES];
-    Py_ssize_t codes = SIZE(value);
-    PyObject *conflict = Py_None, *level = NULL, *stats = NULL;
-    Py_ssize_t head = get_size(args[0], name[QUEUE_HEAD]), start = head;
-    if (head == -1 && PyErr_Occurred())
-        goto error;
+    Array *trail = state->table[TRAIL];
+    const Pool *watches = &state->watches, *binary = &state->binary;
+    signed char *value = BYTES(state->table[VALUE]);
     /* Propagation never opens a decision level, so this is loop-invariant. */
-    level = PyLong_FromSsize_t(SIZE(lists[LIMITS]));
-    if (level == NULL)
-        goto error;
-    while (head < SIZE(trail)) {
-        Py_ssize_t true_code = index_of(ITEMS(trail)[head], codes);
-        if (true_code < 0)
-            goto error;
-        Py_ssize_t falsified = true_code ^ 1;
+    int level = (int)LEN(state->table[LIMITS]);
+    long conflict = -1;
+    Py_ssize_t head = get_size(solver, QUEUE_HEAD), start = head, begin, end;
+    if (head < 0) {
+        if (!PyErr_Occurred())
+            out_of_range("queue head", (long)head);
+        return -2;
+    }
+    while (head < LEN(trail)) {
+        int falsified = INTS(trail)[head] ^ 1;
+        CHECK_CODE(state, falsified);
         head++;
-        PyObject *implications = list_at(lists[BINARY], falsified);
-        if (implications == NULL)
+        if (segment(binary, falsified, &begin, &end) < 0)
             goto error;
-        for (Py_ssize_t i = 0; i < SIZE(implications); i++) {
-            PyObject *pair = ITEMS(implications)[i];
-            if (!is_pair(pair))
-                goto error;
-            PyObject *implied = PyTuple_GET_ITEM(pair, 0);
-            Py_ssize_t implied_code = index_of(implied, codes);
-            long state = implied_code < 0 ? -2 : state_of(value, implied_code);
-            if (state == 1)
+        for (Py_ssize_t i = begin; i < end; i += 2) {
+            int implied = INTS(binary->items)[i];
+            CHECK_CODE(state, implied);
+            if (value[implied] == 1)
                 continue;
-            if (state == 0) {
-                conflict = PyTuple_GET_ITEM(pair, 1);
+            if (value[implied] == 0) {
+                conflict = INTS(binary->items)[i + 1];
                 goto done;
             }
-            if (state == -2
-                || assign(lists, implied_code, implied, level, PyTuple_GET_ITEM(pair, 1)) < 0)
+            if (assign(state, implied, level, INTS(binary->items)[i + 1]) < 0)
                 goto error;
         }
-        /* Compacted in place to watch_list[:keep].  A moved watch goes to a
+        /* Compacted in place to [begin, keep).  A moved watch goes to a
          * non-falsified literal's list, so this list never grows mid-sweep. */
-        PyObject *watch_list = list_at(watches, falsified);
-        if (watch_list == NULL)
+        if (segment(watches, falsified, &begin, &end) < 0)
             goto error;
-        Py_ssize_t size = SIZE(watch_list), keep = 0;
-        for (Py_ssize_t i = 0; i < size; i++) {
-            PyObject *entry = ITEMS(watch_list)[i];
-            if (!is_pair(entry))
-                goto error;
-            Py_ssize_t blocker = index_of(PyTuple_GET_ITEM(entry, 1), codes);
-            long state = blocker < 0 ? -2 : state_of(value, blocker);
-            if (state == -2)
-                goto error;
+        Py_ssize_t keep = begin, size;
+        for (Py_ssize_t i = begin; i < end; i += 2) {
+            int *items = INTS(watches->items); /* a moved watch may reallocate the pool */
+            int clause = items[i], blocker = items[i + 1];
+            CHECK_CODE(state, blocker);
             /* Blocking literal already true: clause satisfied, keep as-is. */
-            if (state == 1) {
-                if (keep != i)
-                    set_item(watch_list, keep, entry);
-                keep++;
+            if (value[blocker] == 1) {
+                items[keep++] = clause;
+                items[keep++] = blocker;
                 continue;
             }
-            PyObject *clause = PyTuple_GET_ITEM(entry, 0);
-            if (!PyList_Check(clause) || SIZE(clause) < 2) {
-                PyErr_SetString(PyExc_TypeError, "a watched clause must list 2+ literals");
+            int *literals = clause_at(state, clause, 2, &size);
+            if (literals == NULL)
                 goto error;
-            }
-            PyObject **literals = ITEMS(clause);
             /* Ensure the falsified literal sits at position 1. */
-            PyObject *first = literals[0];
-            Py_ssize_t first_code = index_of(first, codes);
-            if (first_code == falsified) {
+            int first = literals[0];
+            if (first == falsified) {
                 first = literals[1];
-                first_code = index_of(first, codes);
-                literals[1] = literals[0];
                 literals[0] = first;
+                literals[1] = falsified;
             }
-            state = first_code < 0 ? -2 : state_of(value, first_code);
-            if (state == -2)
-                goto error;
-            if (state == 1) {
-                if (keep_watch(watch_list, keep, entry, blocker == first_code, clause, first) < 0)
-                    goto error;
-                keep++;
+            CHECK_CODE(state, first);
+            signed char state_of_first = value[first];
+            if (state_of_first == 1) {
+                items[keep++] = clause;
+                items[keep++] = first;
                 continue;
             }
             /* Watch the first non-false literal past the two watches. */
-            Py_ssize_t length = SIZE(clause), k = 2, alternative = -1;
-            for (; k < length; k++) {
-                alternative = index_of(literals[k], codes);
-                long alternative_state = alternative < 0 ? -2 : state_of(value, alternative);
-                if (alternative_state == -2)
-                    goto error;
-                if (alternative_state != 0)
+            Py_ssize_t k = 2;
+            for (; k < size; k++) {
+                CHECK_CODE(state, literals[k]);
+                if (value[literals[k]] != 0)
                     break;
             }
-            if (k < length) {
-                PyObject *literal = literals[k];
-                literals[k] = literals[1];
-                literals[1] = literal;
-                /* The visited pair already reads (clause, first) when its
-                 * blocker is `first`: move it instead of packing a new one. */
-                PyObject *target = list_at(watches, alternative);
-                PyObject *pair = target == NULL ? NULL
-                               : blocker == first_code ? (Py_INCREF(entry), entry)
-                               : PyTuple_Pack(2, clause, first);
-                if (pair == NULL)
-                    goto error;
-                int status = PyList_Append(target, pair);
-                Py_DECREF(pair);
-                if (status < 0)
+            if (k < size) {
+                int alternative = literals[k];
+                literals[k] = falsified;
+                literals[1] = alternative;
+                if (append_pair(watches, alternative, clause, first) < 0)
                     goto error;
                 continue;
             }
-            if (keep_watch(watch_list, keep, entry, blocker == first_code, clause, first) < 0)
-                goto error;
-            keep++;
-            if (state == 0) {
+            items[keep++] = clause;
+            items[keep++] = first;
+            if (state_of_first == 0) {
                 /* Conflict: slide the unvisited tail down and stop. */
-                if (PyList_SetSlice(watch_list, keep, i + 1, NULL) < 0)
-                    goto error;
+                memmove(items + keep, items + i + 2, (end - i - 2) * sizeof(int));
+                INTS(watches->size)[falsified] = (int)(keep + end - i - 2 - begin);
                 conflict = clause;
                 goto done;
             }
             /* Unit: `first` is unassigned. */
-            if (assign(lists, first_code, first, level, clause) < 0)
+            if (assign(state, first, level, clause) < 0)
                 goto error;
         }
-        if (keep < size && PyList_SetSlice(watch_list, keep, size, NULL) < 0)
-            goto error;
+        INTS(watches->size)[falsified] = (int)(keep - begin);
     }
-done:
+done:;
     /* The Python method's `finally`: store the queue head, count the work. */
-    stats = PyObject_GetAttr(args[0], name[STATS]);
-    Py_ssize_t count = stats == NULL ? -1 : get_size(stats, name[PROPAGATIONS]);
-    if ((count == -1 && PyErr_Occurred()) || set_size(args[0], name[QUEUE_HEAD], head) < 0
-        || set_size(stats, name[PROPAGATIONS], count + head - start) < 0)
-        goto error;
-    Py_INCREF(conflict);
-    goto out;
-error:
-    conflict = NULL;
-out:
+    PyObject *stats = PyObject_GetAttr(solver, name[STATS]);
+    Py_ssize_t count = stats == NULL ? -1 : get_size(stats, PROPAGATIONS);
+    int status = (count == -1 && PyErr_Occurred())
+                 || set_object(solver, QUEUE_HEAD, PyLong_FromSsize_t(head)) < 0
+                 || set_object(stats, PROPAGATIONS, PyLong_FromSsize_t(count + head - start)) < 0;
     Py_XDECREF(stats);
-    Py_XDECREF(level);
-    release(lists, SOLVER_LISTS);
-    return conflict;
+    return status ? -2 : conflict;
+error:
+    return -2;
 }
 
-/* Re-insert `variable` unless it is in the heap; sift it up (push_many's step). */
-static int push(PyObject **heap_lists, Py_ssize_t variable)
+static PyObject *propagate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *heap = heap_lists[HEAP], *pos = heap_lists[POS], *act = heap_lists[ACT];
-    Py_ssize_t size = SIZE(act), position = PyLong_AsSsize_t(ITEMS(pos)[variable]);
-    if (position == -1 && PyErr_Occurred())
-        return -1;
-    if (position >= 0)
+    State state;
+    if (check_args("propagate", nargs, 1) < 0 || fetch(&state, args[0]) < 0)
+        return NULL;
+    long conflict = run_propagate(args[0], &state);
+    release(&state);
+    return conflict == -2 ? NULL : PyLong_FromLong(conflict);
+}
+
+/* Re-insert checked `variable` unless it is in the heap; sift it up (push_many's step). */
+static int push_variable(State *state, int variable)
+{
+    Array *order = state->table[ORDER];
+    int *pos = INTS(state->table[POS]);
+    double *act = DOUBLES(state->table[ACT]), activity = act[variable];
+    if (pos[variable] >= 0)
         return 0;
-    PyObject *entry = PyLong_FromSsize_t(variable);
-    if (entry == NULL)
+    Py_ssize_t position = LEN(order);
+    if (push(order, variable) < 0)
         return -1;
-    position = SIZE(heap);
-    if (PyList_Append(heap, entry) < 0)
-        goto error;
-    double activity = activity_of(act, variable);
+    int *heap = INTS(order);
     while (position > 0) {
         Py_ssize_t parent_position = (position - 1) >> 1;
-        PyObject *parent = ITEMS(heap)[parent_position];
-        Py_ssize_t parent_variable = index_of(parent, size);
-        if (parent_variable < 0)
-            goto error;
-        if (activity_of(act, parent_variable) >= activity)
+        int parent = heap[parent_position];
+        if ((size_t)parent >= (size_t)state->variables)
+            return out_of_range("heap variable", parent);
+        if (act[parent] >= activity)
             break;
-        set_item(heap, position, parent);
-        if (set_int(pos, parent_variable, position) < 0)
-            goto error;
+        heap[position] = parent;
+        pos[parent] = (int)position;
         position = parent_position;
     }
-    set_item(heap, position, entry);
-    if (set_int(pos, variable, position) < 0 || PyErr_Occurred())
-        goto error;
-    Py_DECREF(entry);
+    heap[position] = variable;
+    pos[variable] = (int)position;
     return 0;
-error:
-    Py_DECREF(entry);
-    return -1;
 }
 
 /* Undo every assignment above decision level `level`; re-insert the variables. */
 static PyObject *backtrack(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *lists[SOLVER_LISTS], *heap_lists[HEAP_LISTS], *heap = NULL, *result = NULL;
+    State state;
     if (check_args("backtrack", nargs, 2) < 0)
         return NULL;
     Py_ssize_t level = PyLong_AsSsize_t(args[1]);
-    if ((level == -1 && PyErr_Occurred()) || fetch_solver(args[0], lists) < 0)
+    if ((level == -1 && PyErr_Occurred()) || fetch(&state, args[0]) < 0)
         return NULL;
-    PyObject *trail = lists[TRAIL], *value = lists[VALUE], *limits = lists[LIMITS];
-    if (level < 0 || SIZE(limits) <= level) {
-        result = Py_None;
-        Py_INCREF(result);
-        goto out;
-    }
-    heap = PyObject_GetAttr(args[0], name[HEAP_ATTR]);
-    if (heap == NULL || fetch_heap(heap, heap_lists) < 0)
-        goto out;
-    Py_ssize_t size = SIZE(trail), limit = index_of(ITEMS(limits)[level], size + 1);
-    if (limit < 0)
-        goto out_heap;
-    for (Py_ssize_t i = limit; i < size; i++) {
-        Py_ssize_t code = index_of(ITEMS(trail)[i], SIZE(value));
-        if (code < 0)
-            goto out_heap;
-        set_item(value, code, minus_one);
-        set_item(value, code ^ 1, minus_one);
-        set_item(lists[REASON], code >> 1, Py_None);
+    Array *trail = state.table[TRAIL], *limits = state.table[LIMITS];
+    if (level < 0 || LEN(limits) <= level)
+        goto done;
+    Py_ssize_t size = LEN(trail), limit = INTS(limits)[level];
+    if ((size_t)limit > (size_t)size) {
+        out_of_range("trail limit", limit);
+        goto error;
     }
     for (Py_ssize_t i = limit; i < size; i++) {
-        Py_ssize_t code = index_of(ITEMS(trail)[i], 2 * SIZE(heap_lists[ACT]));
-        if (code < 0 || push(heap_lists, code >> 1) < 0)
-            goto out_heap;
+        int code = INTS(trail)[i];
+        CHECK_CODE(&state, code);
+        BYTES(state.table[VALUE])[code] = -1;
+        BYTES(state.table[VALUE])[code ^ 1] = -1;
+        INTS(state.table[REASON])[code >> 1] = -1;
     }
-    if (PyList_SetSlice(trail, limit, size, NULL) < 0
-        || PyList_SetSlice(limits, level, SIZE(limits), NULL) < 0)
-        goto out_heap;
-    Py_ssize_t head = get_size(args[0], name[QUEUE_HEAD]);
-    if ((head == -1 && PyErr_Occurred())
-        || set_size(args[0], name[QUEUE_HEAD], head < limit ? head : limit) < 0)
-        goto out_heap;
-    result = Py_None;
-    Py_INCREF(result);
-out_heap:
-    release(heap_lists, HEAP_LISTS);
-out:
-    Py_XDECREF(heap);
-    release(lists, SOLVER_LISTS);
-    return result;
+    for (Py_ssize_t i = limit; i < size; i++)
+        if (push_variable(&state, INTS(trail)[i] >> 1) < 0)
+            goto error;
+    Py_ssize_t head = get_size(args[0], QUEUE_HEAD);
+    if ((head == -1 && PyErr_Occurred()) || resize(trail, limit) < 0 || resize(limits, level) < 0
+        || set_object(args[0], QUEUE_HEAD, PyLong_FromSsize_t(head < limit ? head : limit)) < 0)
+        goto error;
+done:
+    release(&state);
+    Py_RETURN_NONE;
+error:
+    release(&state);
+    return NULL;
 }
 
 /* Pop maximum-activity variables until one is unassigned; None when empty. */
 static PyObject *pop_unassigned(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *lists[HEAP_LISTS];
+    State state = {.count = 0};
     if (check_args("pop_unassigned", nargs, 2) < 0)
         return NULL;
-    PyObject *value = args[1];
-    if (!PyList_Check(value)) {
-        PyErr_SetString(PyExc_TypeError, "value must be a list");
+    Array *value = (Array *)args[1];
+    if (!Py_IS_TYPE(args[1], array_type) || value->descr->typecode != 'b') {
+        PyErr_SetString(PyExc_TypeError, "value must be an array('b')");
         return NULL;
     }
-    if (fetch_heap(args[0], lists) < 0)
-        return NULL;
-    PyObject *heap = lists[HEAP], *pos = lists[POS], *act = lists[ACT], *top = NULL, *last = NULL;
-    Py_ssize_t variables = SIZE(act);
-    while (SIZE(heap) > 0) {
-        top = ITEMS(heap)[0];
-        Py_INCREF(top);
-        Py_ssize_t top_variable = index_of(top, variables);
-        if (top_variable < 0)
+    if (fetch_heap(&state, args[0]) < 0)
+        goto error;
+    Array *order = state.table[ORDER];
+    int *pos = INTS(state.table[POS]);
+    double *act = DOUBLES(state.table[ACT]);
+    while (LEN(order) > 0) {
+        int *heap = INTS(order), top = heap[0];
+        Py_ssize_t size = LEN(order) - 1, position = 0, child_position = 1;
+        int last = heap[size];
+        if ((size_t)top >= (size_t)state.variables || (size_t)last >= (size_t)state.variables) {
+            out_of_range("heap variable", top);
             goto error;
-        set_item(pos, top_variable, minus_one);
-        Py_ssize_t size = SIZE(heap) - 1;
-        last = ITEMS(heap)[size];
-        Py_INCREF(last);
-        if (PyList_SetSlice(heap, size, size + 1, NULL) < 0)
+        }
+        pos[top] = -1;
+        if (resize(order, size) < 0)
             goto error;
         if (size) {
-            Py_ssize_t last_variable = index_of(last, variables);
-            if (last_variable < 0)
-                goto error;
-            double activity = activity_of(act, last_variable);
-            Py_ssize_t position = 0, child_position = 1;
+            double activity = act[last];
             while (child_position < size) {
                 Py_ssize_t right = child_position + 1;
-                Py_ssize_t child_variable = index_of(ITEMS(heap)[child_position], variables);
-                if (child_variable < 0)
+                int child = heap[child_position];
+                if ((size_t)child >= (size_t)state.variables) {
+                    out_of_range("heap variable", child);
                     goto error;
+                }
                 if (right < size) {
-                    Py_ssize_t right_variable = index_of(ITEMS(heap)[right], variables);
-                    if (right_variable < 0)
+                    int other = heap[right];
+                    if ((size_t)other >= (size_t)state.variables) {
+                        out_of_range("heap variable", other);
                         goto error;
-                    if (activity_of(act, right_variable) > activity_of(act, child_variable)) {
+                    }
+                    if (act[other] > act[child]) {
                         child_position = right;
-                        child_variable = right_variable;
+                        child = other;
                     }
                 }
-                if (activity >= activity_of(act, child_variable))
+                if (activity >= act[child])
                     break;
-                set_item(heap, position, ITEMS(heap)[child_position]);
-                if (set_int(pos, child_variable, position) < 0)
-                    goto error;
+                heap[position] = child;
+                pos[child] = (int)position;
                 position = child_position;
                 child_position = 2 * position + 1;
             }
-            set_item(heap, position, last);
-            if (set_int(pos, last_variable, position) < 0)
-                goto error;
+            heap[position] = last;
+            pos[last] = (int)position;
         }
-        Py_CLEAR(last);
-        if (2 * top_variable >= SIZE(value)) {
+        if (2 * (Py_ssize_t)top >= LEN(value)) {
             PyErr_SetString(PyExc_IndexError, "a heap variable is outside the value table");
             goto error;
         }
-        long state = state_of(value, 2 * top_variable);
-        if (state == -2 || PyErr_Occurred())
-            goto error;
-        if (state == -1) {
-            release(lists, HEAP_LISTS);
-            return top;
+        if (BYTES(value)[2 * top] == -1) {
+            release(&state);
+            return PyLong_FromLong(top);
         }
-        Py_CLEAR(top);
     }
-    release(lists, HEAP_LISTS);
+    release(&state);
     Py_RETURN_NONE;
 error:
-    Py_XDECREF(last);
-    Py_XDECREF(top);
-    release(lists, HEAP_LISTS);
+    release(&state);
     return NULL;
 }
 
-/* owner.name as a double. */
-static int get_double(PyObject *owner, PyObject *attr, double *out)
+static int get_double(PyObject *owner, int which, double *out)
 {
-    PyObject *number = PyObject_GetAttr(owner, attr);
+    PyObject *number = PyObject_GetAttr(owner, name[which]);
     if (number == NULL)
         return -1;
     *out = PyFloat_AsDouble(number);
@@ -563,101 +582,45 @@ static int get_double(PyObject *owner, PyObject *attr, double *out)
     return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
 
-static int set_double(PyObject *owner, PyObject *attr, double number)
-{
-    PyObject *item = PyFloat_FromDouble(number);
-    if (item == NULL)
-        return -1;
-    int status = PyObject_SetAttr(owner, attr, item);
-    Py_DECREF(item);
-    return status;
-}
-
 /* _analyze's learned-clause bump, with its rescale over every learned clause. */
-static int bump_clause(PyObject *solver, PyObject *clause, double *clause_inc)
+static int bump_clause(State *state, PyObject *solver, int index, double *clause_inc)
 {
-    PyObject *flag = PyObject_GetAttr(clause, name[LEARNED_FLAG]);
-    int learned = flag == NULL ? -1 : PyObject_IsTrue(flag);
-    Py_XDECREF(flag);
-    if (learned <= 0)
-        return learned;
-    double activity;
-    if (get_double(clause, name[ACTIVITY], &activity) < 0)
-        return -1;
-    activity += *clause_inc;
-    if (set_double(clause, name[ACTIVITY], activity) < 0)
-        return -1;
-    if (!(activity > CLAUSE_ACTIVITY_LIMIT))
+    Array *activity = state->table[ACTIVITY];
+    if (index >= LEN(activity))
+        return out_of_range("learned clause index", index);
+    double *activities = DOUBLES(activity);
+    activities[index] += *clause_inc;
+    if (!(activities[index] > CLAUSE_ACTIVITY_LIMIT))
         return 0;
-    PyObject *stored = PyObject_GetAttr(solver, name[LEARNED_LIST]);
-    if (stored == NULL)
-        return -1;
-    int status = PyList_Check(stored) ? 0 : -1;
-    if (status < 0)
-        PyErr_SetString(PyExc_TypeError, "_learned must be a list");
-    for (Py_ssize_t i = 0; status == 0 && i < SIZE(stored); i++) {
-        PyObject *other = ITEMS(stored)[i];
-        Py_INCREF(other);
-        status = get_double(other, name[ACTIVITY], &activity) < 0
-                 || set_double(other, name[ACTIVITY], activity * CLAUSE_ACTIVITY_RESCALE) < 0
-                 ? -1 : 0;
-        Py_DECREF(other);
-    }
-    Py_DECREF(stored);
-    if (status == 0) {
-        *clause_inc *= CLAUSE_ACTIVITY_RESCALE;
-        status = set_double(solver, name[CLAUSE_INC], *clause_inc);
-    }
-    return status;
+    for (Py_ssize_t i = 0; i < LEN(activity); i++)
+        activities[i] *= CLAUSE_ACTIVITY_RESCALE;
+    *clause_inc *= CLAUSE_ACTIVITY_RESCALE;
+    return set_object(solver, CLAUSE_INC, PyFloat_FromDouble(*clause_inc));
 }
 
 /* act[variable] += increment, then _analyze's inlined sift-up; the new activity. */
-static int bump_variable(PyObject **heap_lists, Py_ssize_t variable, double increment,
-                         double *out)
+static int bump_variable(State *state, int variable, double increment, double *out)
 {
-    PyObject *order = heap_lists[HEAP], *pos = heap_lists[POS], *act = heap_lists[ACT];
-    if (variable >= SIZE(act)) {
-        PyErr_SetString(PyExc_IndexError, "a variable is outside the heap's tables");
-        return -1;
-    }
-    double activity = activity_of(act, variable) + increment;
-    PyObject *boxed = PyErr_Occurred() ? NULL : PyFloat_FromDouble(activity);
-    if (boxed == NULL)
-        return -1;
-    set_item(act, variable, boxed);
-    Py_DECREF(boxed);
-    Py_ssize_t start = PyLong_AsSsize_t(ITEMS(pos)[variable]), position = start;
-    if (start == -1 && PyErr_Occurred())
-        return -1;
+    int *order = INTS(state->table[ORDER]), *pos = INTS(state->table[POS]);
+    double *act = DOUBLES(state->table[ACT]), activity = act[variable] + increment;
+    act[variable] = activity;
+    Py_ssize_t position = pos[variable];
+    if (position >= LEN(state->table[ORDER]))
+        return out_of_range("heap position", (long)position);
     while (position > 0) {
         Py_ssize_t parent_position = (position - 1) >> 1;
-        if (position >= SIZE(order)) {
-            PyErr_SetString(PyExc_IndexError, "a heap position is outside the heap");
-            return -1;
-        }
-        PyObject *parent = ITEMS(order)[parent_position];
-        Py_ssize_t parent_variable = index_of(parent, SIZE(act));
-        if (parent_variable < 0)
-            return -1;
-        double parent_activity = activity_of(act, parent_variable);
-        if (PyErr_Occurred())
-            return -1;
-        if (parent_activity >= activity)
+        int parent = order[parent_position];
+        if ((size_t)parent >= (size_t)state->variables)
+            return out_of_range("heap variable", parent);
+        if (act[parent] >= activity)
             break;
-        set_item(order, position, parent);
-        if (set_int(pos, parent_variable, position) < 0)
-            return -1;
+        order[position] = parent;
+        pos[parent] = (int)position;
         position = parent_position;
     }
-    /* An unmoved variable already sits at its position (heap[pos[v]] == v). */
-    if (position != start) {
-        PyObject *entry = PyLong_FromSsize_t(variable);
-        if (entry == NULL)
-            return -1;
-        set_item(order, position, entry);
-        Py_DECREF(entry);
-        if (set_int(pos, variable, position) < 0)
-            return -1;
+    if (position >= 0) {
+        order[position] = variable;
+        pos[variable] = (int)position;
     }
     *out = activity;
     return 0;
@@ -665,189 +628,124 @@ static int bump_variable(PyObject **heap_lists, Py_ssize_t variable, double incr
 
 static int by_value(const void *a, const void *b)
 {
-    Py_ssize_t x = *(const Py_ssize_t *)a, y = *(const Py_ssize_t *)b;
+    int x = *(const int *)a, y = *(const int *)b;
     return (x > y) - (x < y);
-}
-
-/* The learned clause's LBD: how many distinct levels its literals sit at. */
-static Py_ssize_t distinct(Py_ssize_t *levels, Py_ssize_t count)
-{
-    qsort(levels, count, sizeof *levels, by_value);
-    Py_ssize_t result = 1;
-    for (Py_ssize_t i = 1; i < count; i++)
-        result += levels[i] != levels[i - 1];
-    return result;
 }
 
 /* First-UIP analysis of `conflict`; returns (learned clause, backjump level, LBD). */
 static PyObject *analyze(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *lists[SOLVER_LISTS], *heap_lists[HEAP_LISTS];
-    if (check_args("analyze", nargs, 2) < 0 || fetch_solver(args[0], lists) < 0)
+    State state;
+    if (check_args("analyze", nargs, 2) < 0)
         return NULL;
-    PyObject *solver = args[0], *trail = lists[TRAIL], *level = lists[LEVEL];
-    PyObject *heap = NULL, *seen = NULL, *learned = NULL, *clause = NULL, *result = NULL;
-    Py_ssize_t *levels = NULL, codes = SIZE(lists[VALUE]);
-    int have_heap = 0;
+    long clause = PyLong_AsLong(args[1]);
+    if ((clause == -1 && PyErr_Occurred()) || fetch(&state, args[0]) < 0)
+        return NULL;
+    PyObject *solver = args[0], *result = NULL;
+    Array *trail = state.table[TRAIL];
+    int *level = INTS(state.table[LEVEL]), *learned = NULL, *levels = NULL, uip = 0;
     double var_inc, clause_inc;
-    heap = PyObject_GetAttr(solver, name[HEAP_ATTR]);
-    if (heap == NULL || fetch_heap(heap, heap_lists) < 0)
-        goto out;
-    have_heap = 1;
-    seen = PyObject_GetAttr(solver, name[SEEN]);
+    PyObject *seen = attribute(&state, solver, SEEN);
     if (seen == NULL)
-        goto out;
-    if (!PyByteArray_Check(seen) || PyByteArray_GET_SIZE(seen) != SIZE(level)) {
+        goto error;
+    if (!PyByteArray_Check(seen) || PyByteArray_GET_SIZE(seen) != state.variables) {
         PyErr_SetString(PyExc_ValueError, "_seen must be a bytearray with one mark per variable");
-        goto out;
+        goto error;
     }
-    if (get_double(solver, name[VAR_INC], &var_inc) < 0
-        || get_double(solver, name[CLAUSE_INC], &clause_inc) < 0
-        || (learned = PyList_New(0)) == NULL)
-        goto out;
-    Py_ssize_t current_level = SIZE(lists[LIMITS]), counter = 0, trail_index = SIZE(trail) - 1;
-    Py_ssize_t uip = 0;
-    clause = args[1];
-    Py_INCREF(clause);
+    char *marks = PyByteArray_AS_STRING(seen);
+    learned = PyMem_New(int, state.variables + 1);
+    levels = PyMem_New(int, state.variables + 1);
+    if (learned == NULL || levels == NULL) {
+        PyErr_NoMemory();
+        goto error;
+    }
+    if (get_double(solver, VAR_INC, &var_inc) < 0
+        || get_double(solver, CLAUSE_INC, &clause_inc) < 0)
+        goto error;
+    Py_ssize_t current_level = LEN(state.table[LIMITS]), counter = 0, count = 1, size;
+    Py_ssize_t trail_index = LEN(trail) - 1;
     for (;;) {
-        if (!PyList_Check(clause)) {
-            PyErr_SetString(PyExc_TypeError, "a conflict or reason clause must be a list");
-            goto out;
-        }
-        if (bump_clause(solver, clause, &clause_inc) < 0)
-            goto out;
-        for (Py_ssize_t k = 0; k < SIZE(clause); k++) {
-            PyObject *literal = ITEMS(clause)[k];
-            Py_ssize_t code = index_of(literal, codes), variable = code >> 1;
-            if (code < 0)
-                goto out;
-            char *marks = PyByteArray_AS_STRING(seen);
-            if (marks[variable])
-                continue;
-            Py_ssize_t variable_level = PyLong_AsSsize_t(ITEMS(level)[variable]);
-            if (variable_level == -1 && PyErr_Occurred())
-                goto out;
-            if (variable_level == 0)
+        int *literals = clause_at(&state, clause, 1, &size);
+        if (literals == NULL || (literals[-1] >= 0
+                                 && bump_clause(&state, solver, literals[-1], &clause_inc) < 0))
+            goto error;
+        for (Py_ssize_t k = 0; k < size; k++) {
+            int code = literals[k], variable = code >> 1;
+            CHECK_CODE(&state, code);
+            if (marks[variable] || level[variable] == 0)
                 continue;
             marks[variable] = 1;
             double activity;
-            if (bump_variable(heap_lists, variable, var_inc, &activity) < 0)
-                goto out;
+            if (bump_variable(&state, variable, var_inc, &activity) < 0)
+                goto error;
             if (activity > ACTIVITY_LIMIT) {
-                PyObject *done = PyObject_CallMethodOneArg(heap, name[RESCALE], activity_rescale);
-                if (done == NULL)
-                    goto out;
-                Py_DECREF(done);
+                double *act = DOUBLES(state.table[ACT]);
+                for (Py_ssize_t i = 0; i < state.variables; i++)
+                    act[i] *= ACTIVITY_RESCALE;
                 var_inc *= ACTIVITY_RESCALE;
             }
-            if (variable_level == current_level)
+            if (level[variable] == current_level)
                 counter++;
-            else if (PyList_Append(learned, literal) < 0)
-                goto out;
+            else
+                learned[count++] = code;
         }
         /* Find the next marked literal on the trail to resolve. */
-        Py_ssize_t variable;
+        int variable;
         for (;;) {
             if (trail_index < 0) {
                 PyErr_SetString(PyExc_RuntimeError, "conflict analysis ran off the trail");
-                goto out;
+                goto error;
             }
-            uip = index_of(ITEMS(trail)[trail_index], codes);
-            if (uip < 0)
-                goto out;
-            trail_index--;
+            uip = INTS(trail)[trail_index--];
+            CHECK_CODE(&state, uip);
             variable = uip >> 1;
-            if (!PyByteArray_AS_STRING(seen)[variable])
-                continue;
-            Py_ssize_t variable_level = PyLong_AsSsize_t(ITEMS(level)[variable]);
-            if (variable_level == -1 && PyErr_Occurred())
-                goto out;
-            if (variable_level == current_level)
+            if (marks[variable] && level[variable] == current_level)
                 break;
         }
         if (--counter == 0)
             break;
-        PyObject *reason = ITEMS(lists[REASON])[variable];
-        Py_INCREF(reason);
-        Py_SETREF(clause, reason);
+        clause = INTS(state.table[REASON])[variable];
     }
-    if (set_double(solver, name[VAR_INC], var_inc) < 0)
-        goto out;
+    if (set_object(solver, VAR_INC, PyFloat_FromDouble(var_inc)) < 0)
+        goto error;
     /* Every marked variable is in the learned clause or on the trail from
      * the first UIP up. */
-    char *marks = PyByteArray_AS_STRING(seen);
-    for (Py_ssize_t i = 0; i < SIZE(learned); i++)
-        marks[PyLong_AsSsize_t(ITEMS(learned)[i]) >> 1] = 0;
-    for (Py_ssize_t i = trail_index + 1; i < SIZE(trail); i++)
-        marks[PyLong_AsSsize_t(ITEMS(trail)[i]) >> 1] = 0;
-    PyObject *asserting = PyLong_FromSsize_t(uip ^ 1);
-    int status = asserting == NULL ? -1 : PyList_Insert(learned, 0, asserting);
-    Py_XDECREF(asserting);
-    if (status < 0)
-        goto out;
-    Py_ssize_t size = SIZE(learned), backjump = 0, deepest = 1;
-    if (size == 1) {
-        result = Py_BuildValue("(Oii)", learned, 0, 1);
-        goto out;
-    }
-    if ((levels = PyMem_New(Py_ssize_t, size)) == NULL) {
-        PyErr_NoMemory();
-        goto out;
-    }
-    for (Py_ssize_t i = 0; i < size; i++) {
-        levels[i] = PyLong_AsSsize_t(ITEMS(level)[PyLong_AsSsize_t(ITEMS(learned)[i]) >> 1]);
-        if (levels[i] == -1 && PyErr_Occurred())
-            goto out;
+    for (Py_ssize_t i = 1; i < count; i++)
+        marks[learned[i] >> 1] = 0;
+    for (Py_ssize_t i = trail_index + 1; i < LEN(trail); i++)
+        marks[INTS(trail)[i] >> 1] = 0;
+    learned[0] = uip ^ 1;
+    Py_ssize_t backjump = 0, deepest = 1, distinct = 1;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        levels[i] = level[learned[i] >> 1];
         if (i >= 1 && (i == 1 || levels[i] > backjump)) {
             backjump = levels[i];
             deepest = i;
         }
     }
-    PyObject *second = ITEMS(learned)[1];
-    ITEMS(learned)[1] = ITEMS(learned)[deepest];
-    ITEMS(learned)[deepest] = second;
-    result = Py_BuildValue("(Onn)", learned, backjump, distinct(levels, size));
-out:
-    PyMem_Free(levels);
-    Py_XDECREF(clause);
-    Py_XDECREF(learned);
-    Py_XDECREF(seen);
-    if (have_heap)
-        release(heap_lists, HEAP_LISTS);
-    Py_XDECREF(heap);
-    release(lists, SOLVER_LISTS);
-    return result;
-}
-
-/* Append (first, second) to table[code]. */
-static int append_pair(PyObject *table, Py_ssize_t code, PyObject *first, PyObject *second)
-{
-    PyObject *list = list_at(table, code);
-    PyObject *pair = list == NULL ? NULL : PyTuple_Pack(2, first, second);
-    if (pair == NULL)
-        return -1;
-    int status = PyList_Append(list, pair);
-    Py_DECREF(pair);
-    return status;
-}
-
-/* _watch_clause: the first two literals, in implication lists when binary. */
-static int watch_clause(PyObject **lists, PyObject *clause)
-{
-    if (!PyList_Check(clause) || SIZE(clause) < 2) {
-        PyErr_SetString(PyExc_TypeError, "a stored clause must list 2+ literals");
-        return -1;
+    if (count > 1) {
+        int second = learned[1];
+        learned[1] = learned[deepest];
+        learned[deepest] = second;
+        qsort(levels, count, sizeof *levels, by_value);
+        for (Py_ssize_t i = 1; i < count; i++)
+            distinct += levels[i] != levels[i - 1];
     }
-    PyObject *first = ITEMS(clause)[0], *second = ITEMS(clause)[1];
-    Py_ssize_t codes = SIZE(lists[VALUE]);
-    Py_ssize_t first_code = index_of(first, codes), second_code = index_of(second, codes);
-    if (first_code < 0 || second_code < 0)
-        return -1;
-    if (SIZE(clause) == 2)
-        return append_pair(lists[BINARY], first_code, second, clause) < 0
-               || append_pair(lists[BINARY], second_code, first, clause) < 0 ? -1 : 0;
-    return append_pair(lists[WATCHES], first_code, clause, second) < 0
-           || append_pair(lists[WATCHES], second_code, clause, first) < 0 ? -1 : 0;
+    PyObject *clause_list = PyList_New(count);
+    for (Py_ssize_t i = 0; clause_list != NULL && i < count; i++) {
+        PyObject *code = PyLong_FromLong(learned[i]);
+        if (code == NULL)
+            Py_CLEAR(clause_list);
+        else
+            PyList_SET_ITEM(clause_list, i, code);
+    }
+    if (clause_list != NULL)
+        result = Py_BuildValue("(Nnn)", clause_list, backjump, distinct);
+error:
+    PyMem_Free(learned);
+    PyMem_Free(levels);
+    release(&state);
+    return result;
 }
 
 static int by_variable(const void *a, const void *b)
@@ -864,10 +762,10 @@ static int by_variable(const void *a, const void *b)
  * method, a 0 raises before a tautology is looked for. */
 static Py_ssize_t normalise(PyObject *items, Py_ssize_t *out, int *tautology)
 {
-    Py_ssize_t count = SIZE(items), kept = 0;
+    Py_ssize_t count = PyList_GET_SIZE(items), kept = 0;
     *tautology = 0;
     for (Py_ssize_t i = 0; i < count; i++) {
-        PyObject *integer = PyNumber_Index(ITEMS(items)[i]);
+        PyObject *integer = PyNumber_Index(PyList_GET_ITEM(items, i));
         if (integer == NULL)
             return -1;
         out[i] = PyLong_AsSsize_t(integer);
@@ -896,42 +794,26 @@ static Py_ssize_t normalise(PyObject *items, Py_ssize_t *out, int *tautology)
     return kept;
 }
 
-/* The unit clause `literal` at level 0: enqueue it, then propagate. */
-static int add_unit(PyObject *module, PyObject *solver, PyObject **lists, Py_ssize_t code,
-                    PyObject *literal)
+/* Store the clause of `count` >= 2 checked codes in the arena and _problem; watch it. */
+static int store(State *state, const int *codes, Py_ssize_t count)
 {
-    if (assign(lists, code, literal, zero, Py_None) < 0)
+    Array *arena = state->table[ARENA];
+    Py_ssize_t offset = LEN(arena) + 2;
+    if (offset + count > INT_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "the clause arena is full");
         return -1;
-    PyObject *conflict = propagate(module, &solver, 1);
-    if (conflict == NULL)
-        return -1;
-    int status = conflict == Py_None ? 0 : PyObject_SetAttr(solver, name[UNSAT], Py_True);
-    Py_DECREF(conflict);
-    return status;
-}
-
-/* Store the clause of 2+ codes in _problem and watch it. */
-static int add_stored(PyObject *solver, PyObject **lists, PyObject *codes)
-{
-    if (clause_type == NULL) {
-        PyObject *solver_module = PyImport_ImportModule("repro.sat.solver");
-        if (solver_module == NULL)
-            return -1;
-        clause_type = PyObject_GetAttrString(solver_module, "Clause");
-        Py_DECREF(solver_module);
-        if (clause_type == NULL)
-            return -1;
     }
-    PyObject *stored = PyObject_CallOneArg(clause_type, codes);
-    if (stored == NULL)
+    if (resize(arena, offset + count) < 0 || push(state->table[PROBLEM], (int)offset) < 0)
         return -1;
-    PyObject *problem = PyObject_GetAttr(solver, name[PROBLEM]);
-    int status = problem == NULL ? -1 : PyList_Append(problem, stored);
-    if (status == 0)
-        status = watch_clause(lists, stored);
-    Py_XDECREF(problem);
-    Py_DECREF(stored);
-    return status;
+    INTS(arena)[offset - 2] = (int)count;
+    INTS(arena)[offset - 1] = -1;
+    memcpy(INTS(arena) + offset, codes, count * sizeof(int));
+    int first = codes[0], second = codes[1];
+    if (count == 2)
+        return append_pair(&state->binary, first, second, (int)offset) < 0
+               || append_pair(&state->binary, second, first, (int)offset) < 0 ? -1 : 0;
+    return append_pair(&state->watches, first, (int)offset, second) < 0
+           || append_pair(&state->watches, second, (int)offset, first) < 0 ? -1 : 0;
 }
 
 /* Add a clause at decision level 0. */
@@ -939,11 +821,11 @@ static PyObject *add_clause(PyObject *module, PyObject *const *args, Py_ssize_t 
 {
     if (check_args("add_clause", nargs, 2) < 0)
         return NULL;
-    PyObject *solver = args[0], *lists[SOLVER_LISTS], *items = NULL, *codes = NULL;
-    PyObject *result = NULL;
+    PyObject *solver = args[0], *items = NULL, *result = NULL;
     Py_ssize_t *literals = NULL;
-    int have_lists = 0, tautology;
-    PyObject *limits = PyObject_GetAttr(solver, solver_attrs[LIMITS]);
+    int *codes = NULL, tautology;
+    State state = {.count = 0};
+    PyObject *limits = PyObject_GetAttr(solver, name[LIMITS]);
     int open = limits == NULL ? -1 : PyObject_IsTrue(limits);
     Py_XDECREF(limits);
     if (open < 0)
@@ -956,8 +838,10 @@ static PyObject *add_clause(PyObject *module, PyObject *const *args, Py_ssize_t 
     items = PySequence_List(args[1]);
     if (items == NULL)
         return NULL;
-    Py_ssize_t count = SIZE(items);
-    if ((literals = PyMem_New(Py_ssize_t, count ? count : 1)) == NULL) {
+    Py_ssize_t count = PyList_GET_SIZE(items), kept = 0;
+    literals = PyMem_New(Py_ssize_t, count ? count : 1);
+    codes = PyMem_New(int, count ? count : 1);
+    if (literals == NULL || codes == NULL) {
         PyErr_NoMemory();
         goto out;
     }
@@ -967,7 +851,7 @@ static PyObject *add_clause(PyObject *module, PyObject *const *args, Py_ssize_t 
     if (tautology)
         goto done;
     Py_ssize_t top = count ? Py_ABS(literals[count - 1]) : 0;
-    Py_ssize_t num_vars = get_size(solver, name[NUM_VARS]);
+    Py_ssize_t num_vars = get_size(solver, NUM_VARS);
     if (num_vars == -1 && PyErr_Occurred())
         goto out;
     if (top > num_vars) {
@@ -979,53 +863,42 @@ static PyObject *add_clause(PyObject *module, PyObject *const *args, Py_ssize_t 
             goto out;
         Py_DECREF(grown);
     }
-    if (fetch_solver(solver, lists) < 0)
+    if (fetch(&state, solver) < 0)
         goto out;
-    have_lists = 1;
     /* At level 0 every assignment is permanent: drop false literals and skip
      * the clause if one is already true. */
-    PyObject *value = lists[VALUE];
-    if ((codes = PyList_New(0)) == NULL)
-        goto out;
+    signed char *value = BYTES(state.table[VALUE]);
     for (Py_ssize_t i = 0; i < count; i++) {
         Py_ssize_t variable = Py_ABS(literals[i]);
-        if (variable >= SIZE(value) / 2) {
+        if (variable >= state.variables) {
             PyErr_SetString(PyExc_IndexError, "a literal is outside the value table");
             goto out;
         }
-        Py_ssize_t code = literals[i] > 0 ? variable << 1 : (variable << 1) | 1;
-        long state = state_of(value, code);
-        if (state == -2)
-            goto out;
-        if (state == 1)
+        int code = (int)(literals[i] > 0 ? variable << 1 : (variable << 1) | 1);
+        if (value[code] == 1)
             goto done;
-        if (state == -1) {
-            PyObject *item = PyLong_FromSsize_t(code);
-            int status = item == NULL ? -1 : PyList_Append(codes, item);
-            Py_XDECREF(item);
-            if (status < 0)
-                goto out;
-        }
+        if (value[code] == -1)
+            codes[kept++] = code;
     }
-    if (SIZE(codes) == 0) {
+    if (kept == 0) {
         if (PyObject_SetAttr(solver, name[UNSAT], Py_True) < 0)
             goto out;
     }
-    else if (SIZE(codes) == 1) {
-        PyObject *unit = ITEMS(codes)[0];
-        if (add_unit(module, solver, lists, PyLong_AsSsize_t(unit), unit) < 0)
+    else if (kept == 1) {
+        /* A unit: enqueue it at level 0, then propagate. */
+        long conflict = assign(&state, codes[0], 0, -1) < 0 ? -2 : run_propagate(solver, &state);
+        if (conflict == -2 || (conflict >= 0 && PyObject_SetAttr(solver, name[UNSAT], Py_True) < 0))
             goto out;
     }
-    else if (add_stored(solver, lists, codes) < 0)
+    else if (store(&state, codes, kept) < 0)
         goto out;
 done:
     result = Py_None;
     Py_INCREF(result);
 out:
-    if (have_lists)
-        release(lists, SOLVER_LISTS);
-    Py_XDECREF(codes);
+    release(&state);
     PyMem_Free(literals);
+    PyMem_Free(codes);
     Py_DECREF(items);
     return result;
 }
@@ -1033,42 +906,36 @@ out:
 /* Swap-remove `clause` from the watch list of `code`. */
 static PyObject *unwatch(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
+    State state;
     if (check_args("unwatch", nargs, 3) < 0)
         return NULL;
-    PyObject *watches = PyObject_GetAttr(args[0], solver_attrs[WATCHES]), *result = NULL;
-    if (watches == NULL)
+    Py_ssize_t code = PyLong_AsSsize_t(args[1]);
+    long clause = code == -1 && PyErr_Occurred() ? -1 : PyLong_AsLong(args[2]);
+    if (PyErr_Occurred() || fetch(&state, args[0]) < 0)
         return NULL;
-    if (!PyList_Check(watches)) {
-        PyErr_SetString(PyExc_TypeError, "_watches must be a list");
-        goto out;
-    }
-    Py_ssize_t code = index_of(args[1], SIZE(watches));
-    PyObject *watch_list = code < 0 ? NULL : list_at(watches, code);
-    if (watch_list == NULL)
-        goto out;
-    for (Py_ssize_t i = 0; i < SIZE(watch_list); i++) {
-        PyObject *entry = ITEMS(watch_list)[i];
-        if (!is_pair(entry))
-            goto out;
-        if (PyTuple_GET_ITEM(entry, 0) != args[2])
+    Py_ssize_t begin, end;
+    CHECK_CODE(&state, code);
+    if (segment(&state.watches, code, &begin, &end) < 0)
+        goto error;
+    int *items = INTS(state.watches.items);
+    for (Py_ssize_t i = begin; i < end; i += 2) {
+        if (items[i] != clause)
             continue;
-        Py_ssize_t last = SIZE(watch_list) - 1;
-        set_item(watch_list, i, ITEMS(watch_list)[last]);
-        if (PyList_SetSlice(watch_list, last, last + 1, NULL) < 0)
-            goto out;
-        result = Py_None;
-        Py_INCREF(result);
-        goto out;
+        items[i] = items[end - 2];
+        items[i + 1] = items[end - 1];
+        INTS(state.watches.size)[code] -= 2;
+        release(&state);
+        Py_RETURN_NONE;
     }
     PyErr_SetString(PyExc_RuntimeError, "internal solver error: clause missing from watch list");
-out:
-    Py_DECREF(watches);
-    return result;
+error:
+    release(&state);
+    return NULL;
 }
 
 static PyMethodDef kernel_methods[] = {
     {"propagate", (PyCFunction)(void (*)(void))propagate, METH_FASTCALL,
-     "propagate(solver) -> conflict clause or None; mirrors CdclSolver._propagate."},
+     "propagate(solver) -> conflict offset or -1; mirrors CdclSolver._propagate."},
     {"backtrack", (PyCFunction)(void (*)(void))backtrack, METH_FASTCALL,
      "backtrack(solver, level); mirrors CdclSolver._backtrack."},
     {"pop_unassigned", (PyCFunction)(void (*)(void))pop_unassigned, METH_FASTCALL,
@@ -1087,22 +954,39 @@ static struct PyModuleDef kernel_module = {
     kernel_methods,
 };
 
-static int intern_all(const char *const *names, PyObject **out, int count)
+/* Whether array.array's layout is the one `Array` reads, checked on a live array. */
+static int check_layout(void)
 {
-    for (int i = 0; i < count; i++)
-        if ((out[i] = PyUnicode_InternFromString(names[i])) == NULL)
-            return -1;
-    return 0;
+    PyObject *module = PyImport_ImportModule("array");
+    array_type = module == NULL ? NULL : (PyTypeObject *)PyObject_GetAttrString(module, "array");
+    Py_XDECREF(module);
+    PyObject *probe = array_type == NULL ? NULL
+                    : PyObject_CallFunction((PyObject *)array_type, "s(iii)", "i", 7, 8, 9);
+    Array *array = (Array *)probe;
+    Py_buffer view;
+    int same = probe != NULL && PyObject_GetBuffer(probe, &view, PyBUF_FULL_RO) == 0;
+    if (same) {
+        same = view.buf == array->items && view.len == 3 * sizeof(int) && LEN(array) == 3
+               && array->allocated >= 3 && array->descr->typecode == 'i'
+               && array->descr->itemsize == sizeof(int) && array->exports == 1
+               && INTS(array)[2] == 9;
+        PyBuffer_Release(&view);
+        same = same && array->exports == 0;
+    }
+    Py_XDECREF(probe);
+    if (same)
+        return 0;
+    PyErr_Clear();
+    PyErr_SetString(PyExc_ImportError, "array.array's layout is not the one this kernel reads");
+    return -1;
 }
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
-    if (intern_all(solver_names, solver_attrs, SOLVER_LISTS) < 0
-        || intern_all(heap_names, heap_attrs, HEAP_LISTS) < 0
-        || intern_all(other_names, name, NAMES) < 0
-        || (minus_one = PyLong_FromLong(-1)) == NULL || (zero = PyLong_FromLong(0)) == NULL
-        || (one = PyLong_FromLong(1)) == NULL
-        || (activity_rescale = PyFloat_FromDouble(ACTIVITY_RESCALE)) == NULL)
+    for (int i = 0; i < NAMES; i++)
+        if ((name[i] = PyUnicode_InternFromString(names[i])) == NULL)
+            return NULL;
+    if (check_layout() < 0)
         return NULL;
     return PyModule_Create(&kernel_module);
 }

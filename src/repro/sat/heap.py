@@ -12,9 +12,10 @@ remove it from the heap; :meth:`pop_unassigned` discards assigned variables
 as it pops, and :meth:`push_many` re-inserts on backtrack (skipping variables
 still in the heap).  Both take the solver's literal codes (``2v`` for ``v``,
 ``2v + 1`` for ``-v``).  Activities live here, not in the solver, so a bump
-can restore the heap order in the same O(log n) sift.  The solver's C
-kernel (``_kernel.c``) mirrors both on these same lists: ``pop_unassigned``
-directly, ``push_many`` inside its ``backtrack``.
+can restore the heap order in the same O(log n) sift.  The three tables come
+from :func:`repro.sat.native.table`.  The solver's C kernel (``_kernel.c``)
+mirrors both methods on these same tables: ``pop_unassigned`` directly,
+``push_many`` inside its ``backtrack``.
 
 All comparisons are on activity alone; equal activities keep a deterministic
 (insertion/sift) order, which is what makes solver runs — and therefore
@@ -22,6 +23,8 @@ SAT-guided witness sets — bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
+
+from repro.sat.native import table
 
 
 class ActivityHeap:
@@ -31,9 +34,9 @@ class ActivityHeap:
 
     def __init__(self, num_vars: int = 0) -> None:
         # Index 0 of ``_act``/``_pos`` is unused (variables are 1-based).
-        self._act: list[float] = [0.0] * (num_vars + 1)
-        self._heap: list[int] = list(range(1, num_vars + 1))
-        self._pos: list[int] = [-1] + list(range(num_vars))
+        self._act = table("d", [0.0] * (num_vars + 1))
+        self._heap = table("i", range(1, num_vars + 1))
+        self._pos = table("i", range(-1, num_vars))
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -90,7 +93,7 @@ class ActivityHeap:
             heap[position] = variable
             pos[variable] = position
 
-    def pop_unassigned(self, value: list[int]) -> int | None:
+    def pop_unassigned(self, value) -> int | None:
         """Pop maximum-activity variables until one has ``value[2v] == -1``.
 
         ``value`` is indexed by literal code.  Popped assigned variables stay
@@ -130,7 +133,7 @@ class ActivityHeap:
         pos = self._pos
         for variable in self._heap:
             pos[variable] = -1
-        self._heap.clear()
+        del self._heap[:]
 
     def bump(self, variable: int, increment: float) -> float:
         """Add ``increment`` to the activity; restore heap order; return it."""

@@ -17,6 +17,7 @@ runs its Python methods, which the kernel mirrors step for step.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from contextlib import suppress
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -43,17 +44,30 @@ def kernel() -> ModuleType | None:
     return load(SOURCE, SOURCE.parent / "__pycache__")
 
 
-def load(source: Path, build_dir: Path) -> ModuleType | None:
-    """Load the kernel built from ``source`` in ``build_dir``, building it first if absent."""
+def table(typecode: str, items=()) -> array | list:
+    """A solver table: an ``array`` the kernel reads where it loads, else a list.
+
+    CPython specialises list subscripts but not ``array`` ones, so the Python
+    methods, which run where no kernel loads, are faster on lists.
+    """
+    return list(items) if kernel() is None else array(typecode, items)
+
+
+def load(source: Path, build_dir: Path, flags=FLAGS) -> ModuleType | None:
+    """Load the kernel built from ``source`` in ``build_dir``, building it first if absent.
+
+    ``flags`` are the compiler flags (a sanitizer build passes its own); they
+    are part of the build's name.
+    """
     try:
         text = source.read_bytes()
-        tag = hashlib.sha256(text + " ".join(FLAGS).encode()).hexdigest()[:16]
+        tag = hashlib.sha256(text + " ".join(flags).encode()).hexdigest()[:16]
         target = Path(build_dir) / f"_kernel.{tag}{EXTENSION_SUFFIXES[0]}"
         if not target.exists():
             target.parent.mkdir(parents=True, exist_ok=True)
             with file_lock(target):
                 if not target.exists():
-                    atomic_write(target, _compile(source))
+                    atomic_write(target, _compile(source, flags))
                     _remove_older_builds(target)
         loader = ExtensionFileLoader("repro.sat._kernel", str(target))
         spec = spec_from_file_location("repro.sat._kernel", target, loader=loader)
@@ -74,7 +88,7 @@ def _remove_older_builds(target: Path) -> None:
                     old.unlink()
 
 
-def _compile(source: Path) -> bytes:
+def _compile(source: Path, flags=FLAGS) -> bytes:
     """The shared object built from ``source``; OSError when the build fails."""
     import shlex
     import subprocess
@@ -86,7 +100,7 @@ def _compile(source: Path) -> bytes:
     with tempfile.TemporaryDirectory() as scratch:
         output = Path(scratch) / "kernel.so"
         done = subprocess.run(
-            [*compiler, *FLAGS, f"-I{include}", str(source), "-o", str(output)],
+            [*compiler, *flags, f"-I{include}", str(source), "-o", str(output)],
             capture_output=True,
             text=True,
         )
@@ -95,4 +109,4 @@ def _compile(source: Path) -> bytes:
         return output.read_bytes()
 
 
-__all__ = ["SOURCE", "kernel", "load"]
+__all__ = ["SOURCE", "kernel", "load", "table"]

@@ -26,8 +26,17 @@ performance stack on top:
   :meth:`CdclSolver._propagate`, :meth:`CdclSolver._backtrack`,
   :meth:`ActivityHeap.pop_unassigned`, :meth:`CdclSolver._analyze`,
   :meth:`CdclSolver._add_clause` and :meth:`CdclSolver._unwatch` step for
-  step, on the same lists, so the search is the same on both paths; the
+  step, on the same arrays, so the search is the same on both paths; the
   Python methods are the reference and the fallback.
+
+The solver keeps no Python object per clause or per literal.  Every
+clause's literal codes sit in one ``array('i')`` arena, after a two-int
+header (size, learned index), and a clause is named by the offset of its
+first literal.  Learned clauses keep their LBD and activity in typed side
+tables; watch and implication lists are :class:`PairLists` pools; the value,
+level, reason, phase and trail tables are typed arrays (lists where no
+kernel loads: :func:`repro.sat.native.table`).  The garbage collector sees
+a fixed handful of objects per solver, however large the formula grows.
 
 Incremental assumptions matter for this reproduction: pairwise compatibility
 of ``r`` rare nets requires ``O(r^2)`` satisfiability queries on the *same*
@@ -189,7 +198,7 @@ class SolverResult:
 
     def __init__(
         self, satisfiable: bool, model: dict[int, bool] | None = None,
-        stats: SolverStats | None = None, *, values: list[int] | None = None,
+        stats: SolverStats | None = None, *, values=None,
     ) -> None:
         self.satisfiable, self._model, self.stats, self._values = satisfiable, model, stats, values
 
@@ -210,23 +219,43 @@ class SolverResult:
         return self._model.get(variable, False)
 
 
-class Clause(list):
-    """A problem clause: a literal list whose learned-clause fields are class defaults.
+class PairLists:
+    """One list of int pairs per literal code, all kept in one table.
 
-    Subclassing ``list`` keeps literal access as fast as the raw lists the
-    propagation loop indexes (``clause[0]``/``clause[1]`` are the watched
-    literals), and building one runs no Python code.
+    The list of code ``c`` is ``items[start[c] : start[c] + size[c]]``, two
+    ints per pair, in a segment of ``capacity[c]`` ints.  A full list moves
+    to a segment twice as large at the end of ``items`` (the C kernel
+    appends by the same rule), so the space left behind stays below the
+    capacity in use.  A table is one GC-tracked object: one pool per kind,
+    not one table per code, keeps the collector's work flat.
     """
 
-    __slots__ = ()
-    learned, lbd, activity = False, 0, 0.0
+    __slots__ = ("items", "start", "size", "capacity")
 
+    def __init__(self) -> None:
+        # Empty lists for codes 0 and 1 (variable 0, unused).
+        self.items = native.table("i")
+        self.start = native.table("i", [0, 0])
+        self.size = native.table("i", [0, 0])
+        self.capacity = native.table("i", [0, 0])
 
-class LearnedClause(Clause):
-    """A learned clause, with the LBD and activity that clause-database reduction ranks."""
+    def grow(self, extra: int) -> None:
+        """Add ``extra`` empty lists."""
+        for table in (self.start, self.size, self.capacity):
+            table.extend([0] * extra)
 
-    __slots__ = ("lbd", "activity")
-    learned = True
+    def append(self, code: int, first: int, second: int) -> None:
+        """Append the pair ``(first, second)`` to the list of ``code``."""
+        items, start, size = self.items, self.start[code], self.size[code]
+        if size == self.capacity[code]:
+            capacity = 2 * size if size else 4
+            moved = len(items)
+            items.extend(items[start:start + size])
+            items.extend([0] * (capacity - size))
+            self.start[code], self.capacity[code], start = moved, capacity, moved
+        items[start + size] = first
+        items[start + size + 1] = second
+        self.size[code] = size + 2
 
 
 def luby(index: int) -> int:
@@ -254,7 +283,8 @@ class CdclSolver:
 
     Public methods speak DIMACS literals.  Internally a literal is a *code*,
     ``2v`` for ``v`` and ``2v + 1`` for ``-v`` (negation is ``code ^ 1``),
-    and one value table indexed by code holds 1, 0 or -1 (unassigned).
+    and one value table indexed by code holds 1, 0 or -1 (unassigned).  A
+    clause is the offset of its first literal in the arena; -1 is no clause.
     """
 
     def __init__(
@@ -266,24 +296,32 @@ class CdclSolver:
         self.config = config if config is not None else SolverConfig()
 
         self._num_vars = 0
-        self._learned: list[Clause] = []
-        self._problem: list[Clause] = []
-        # Watch lists, indexed by code, hold ``(clause, blocking code)`` pairs.
+        # Each clause is ``[size, learned index or -1, code, code, ...]`` in
+        # the arena; ``_problem`` and ``_learned`` hold offsets in the order
+        # the clauses were added, and ``_lbd``/``_activity`` run parallel to
+        # ``_learned``.  Space of deleted learned clauses is not reused.
+        self._arena = native.table("i")
+        self._problem = native.table("i")
+        self._learned = native.table("i")
+        self._lbd = native.table("i")
+        self._activity = native.table("d")
+        # Watch lists, indexed by code, hold ``(offset, blocking code)`` pairs.
         # Binary clauses live in their own implication lists (``falsified code
-        # -> (implied code, clause)``): their watches never move, so propagation
-        # skips the replacement search — most Tseitin clauses are binary.
-        self._watches: list[list[tuple[Clause, int]]] = [[], []]
-        self._binary: list[list[tuple[int, Clause]]] = [[], []]
-        self._value: list[int] = [-1, -1]  # codes 0 and 1 (variable 0) unused
+        # -> (implied code, offset)``): their watches never move, so
+        # propagation skips the replacement search — most Tseitin clauses are
+        # binary.
+        self._watches = PairLists()
+        self._binary = PairLists()
+        self._value = native.table("b", [-1, -1])  # codes 0 and 1 (variable 0) unused
         # Per-variable tables, index 0 unused.  ``_phase`` is the sign bit of
         # the preferred decision code.
-        self._level: list[int] = [0]
-        self._reason: list[Clause | None] = [None]
-        self._phase: list[int] = [1]
+        self._level = native.table("i", [0])
+        self._reason = native.table("i", [-1])
+        self._phase = native.table("b", [1])
         self._seen = bytearray(1)
         self._heap = ActivityHeap()
-        self._trail: list[int] = []
-        self._trail_limits: list[int] = []
+        self._trail = native.table("i")
+        self._trail_limits = native.table("i")
         self._queue_head = 0
         self._var_inc = 1.0
         self._clause_inc = 1.0
@@ -347,13 +385,13 @@ class CdclSolver:
             self._unsat = True
             return
         if len(clause) == 1:
-            self._enqueue(clause[0], reason=None)  # unassigned: always succeeds
-            if self._propagate() is not None:
+            self._enqueue(clause[0])  # unassigned: always succeeds
+            if self._propagate() >= 0:
                 self._unsat = True
             return
-        stored = Clause(clause)
-        self._problem.append(stored)
-        self._watch_clause(stored)
+        offset = self._store(clause, -1)
+        self._problem.append(offset)
+        self._watch_clause(offset)
 
     def reserve_vars(self, num_vars: int) -> None:
         """Grow the variable space to at least ``num_vars`` (idempotent).
@@ -397,13 +435,26 @@ class CdclSolver:
             return
         self._value.extend([-1] * (2 * extra))
         self._level.extend([0] * extra)
-        self._reason.extend([None] * extra)
+        self._reason.extend([-1] * extra)
         self._phase.extend([1] * extra)
         self._seen.extend(bytes(extra))
-        self._watches.extend([] for _ in range(2 * extra))
-        self._binary.extend([] for _ in range(2 * extra))
+        self._watches.grow(2 * extra)
+        self._binary.grow(2 * extra)
         self._heap.grow(num_vars)
         self._num_vars = num_vars  # last, so a failed growth leaves the count as it was
+
+    def _store(self, codes, learned_index: int) -> int:
+        """Append a clause to the arena; returns its offset."""
+        arena = self._arena
+        arena.append(len(codes))
+        arena.append(learned_index)
+        offset = len(arena)
+        arena.extend(codes)
+        return offset
+
+    def _clause(self, offset: int) -> list[int]:
+        """The literal codes of the clause at ``offset``, in their current order."""
+        return list(self._arena[offset:offset + self._arena[offset - 2]])
 
     # ------------------------------------------------------------------
     # Solving
@@ -435,7 +486,7 @@ class CdclSolver:
             propagate, backtrack = kernel.propagate, kernel.backtrack
             pop_unassigned, analyze = kernel.pop_unassigned, kernel.analyze
         backtrack(self, 0)
-        if propagate(self) is not None:
+        if propagate(self) >= 0:
             self._unsat = True
             return self._result(False)
 
@@ -450,7 +501,7 @@ class CdclSolver:
         conflicts_since_restart = 0
         while True:
             conflict = propagate(self)
-            if conflict is not None:
+            if conflict >= 0:
                 stats.conflicts += 1
                 conflicts_since_restart += 1
                 if not self._trail_limits:
@@ -484,7 +535,7 @@ class CdclSolver:
                 return self._result(False)
             if state == -1:
                 self._trail_limits.append(len(trail))
-                self._enqueue(code, reason=None)
+                self._enqueue(code)
                 continue
 
             if len(trail) == num_vars:
@@ -507,7 +558,7 @@ class CdclSolver:
             if len(trail) > stats.max_trail:
                 stats.max_trail = len(trail)
             self._trail_limits.append(len(trail))
-            self._enqueue((variable << 1) | self._phase[variable], reason=None)
+            self._enqueue((variable << 1) | self._phase[variable])
 
     def _next_restart_limit(self) -> int:
         """Conflicts allowed before the next restart, per the active policy."""
@@ -521,7 +572,7 @@ class CdclSolver:
     # ------------------------------------------------------------------
     # Internals: assignment and propagation
     # ------------------------------------------------------------------
-    def _enqueue(self, code: int, reason: Clause | None) -> bool:
+    def _enqueue(self, code: int, reason: int = -1) -> bool:
         """Assign the literal ``code``; returns False iff it is already false."""
         value = self._value
         state = value[code]
@@ -536,25 +587,28 @@ class CdclSolver:
         self._trail.append(code)
         return True
 
-    def _propagate(self) -> Clause | None:
-        """Unit propagation; returns a conflicting clause or None.
+    def _propagate(self) -> int:
+        """Unit propagation; returns a conflicting clause's offset, or -1.
 
         Binary clauses propagate through dedicated implication lists (no
         watch maintenance at all); longer clauses use blocking literals so
         the common case — the visited clause is already satisfied elsewhere
-        — is a single list lookup with no clause access, and an in-place
-        two-pointer sweep compacts each watch list without allocating a
-        replacement.  Unit enqueues are inlined: the watched literal is
-        known to be unassigned at that point.  ``_kernel.propagate`` is the
-        C mirror of this method.
+        — is a single table lookup with no clause access, and an in-place
+        two-pointer sweep compacts each watch list.  Unit enqueues are
+        inlined: the watched literal is known to be unassigned at that
+        point.  ``_kernel.propagate`` is the C mirror of this method.
         """
         trail = self._trail
         value = self._value
         level = self._level
         reason = self._reason
         phase = self._phase
+        arena = self._arena
         watches = self._watches
+        watch_items, watch_start, watch_size = watches.items, watches.start, watches.size
+        watch_capacity = watches.capacity
         binary = self._binary
+        binary_items, binary_start, binary_size = binary.items, binary.start, binary.size
         # Propagation never opens a decision level, so this is loop-invariant.
         current_level = len(self._trail_limits)
         head = self._queue_head
@@ -563,58 +617,79 @@ class CdclSolver:
             while head < len(trail):
                 falsified = trail[head] ^ 1
                 head += 1
-                for implied, clause in binary[falsified]:
+                begin = binary_start[falsified]
+                index = begin - 1  # the clause of the entry being visited
+                for implied in binary_items[begin:begin + binary_size[falsified]:2]:
+                    index += 2
                     state = value[implied]
                     if state == 1:
                         continue
                     if state == 0:
-                        return clause
+                        return binary_items[index]
                     value[implied] = 1
                     value[implied ^ 1] = 0
                     variable = implied >> 1
                     level[variable] = current_level
-                    reason[variable] = clause
+                    reason[variable] = binary_items[index]
                     phase[variable] = implied & 1
                     trail.append(implied)
-                # Compacted in place to ``watch_list[:keep]``.  A moved watch goes to
-                # a non-falsified literal's list, so this list never grows mid-sweep.
-                watch_list = watches[falsified]
-                if not watch_list:
+                # Compacted in place to ``[begin, keep)``: the entry at
+                # ``keep + moved`` is the one being visited.  A moved watch
+                # goes to a non-falsified literal's list, so this list never
+                # grows mid-sweep.
+                size = watch_size[falsified]
+                if not size:
                     continue
-                keep = 0
+                begin = keep = watch_start[falsified]
                 moved = 0
-                for entry in watch_list:
+                for index in range(begin + 1, begin + size, 2):
                     # Blocking literal already true: clause satisfied, keep as-is.
-                    if value[entry[1]] == 1:
-                        watch_list[keep] = entry
-                        keep += 1
+                    blocker = watch_items[index]
+                    if value[blocker] == 1:
+                        if moved:
+                            watch_items[keep] = watch_items[index - 1]
+                            watch_items[keep + 1] = blocker
+                        keep += 2
                         continue
-                    clause = entry[0]
+                    clause = watch_items[index - 1]
                     # Ensure the falsified literal sits at position 1.
-                    first = clause[0]
+                    first = arena[clause]
                     if first == falsified:
-                        first = clause[1]
-                        clause[0] = first
-                        clause[1] = falsified
+                        first = arena[clause + 1]
+                        arena[clause] = first
+                        arena[clause + 1] = falsified
                     state = value[first]
                     if state == 1:
-                        watch_list[keep] = (clause, first)
-                        keep += 1
+                        watch_items[keep] = clause
+                        watch_items[keep + 1] = first
+                        keep += 2
                         continue
                     # Watch the first non-false literal past the two watches.
                     # No clause repeats a literal, so ``index`` finds its slot.
-                    for alternative in clause[2:]:
+                    for alternative in arena[clause + 2:clause + arena[clause - 2]]:
                         if value[alternative] != 0:
-                            clause[clause.index(alternative, 2)] = falsified
-                            clause[1] = alternative
-                            watches[alternative].append((clause, first))
+                            arena[arena.index(alternative, clause + 2)] = falsified
+                            arena[clause + 1] = alternative
+                            # PairLists.append, inlined unless the list must move.
+                            end = watch_size[alternative]
+                            if end == watch_capacity[alternative]:
+                                watches.append(alternative, clause, first)
+                            else:
+                                watch_size[alternative] = end + 2
+                                end += watch_start[alternative]
+                                watch_items[end] = clause
+                                watch_items[end + 1] = first
+                            moved += 2
                             break
                     else:
-                        watch_list[keep] = (clause, first)
-                        keep += 1
+                        watch_items[keep] = clause
+                        watch_items[keep + 1] = first
+                        keep += 2
                         if state == 0:
                             # Conflict: slide the unvisited tail down and stop.
-                            watch_list[keep:] = watch_list[keep + moved:]
+                            end = begin + size
+                            watch_items[keep:end - moved] = watch_items[keep + moved:end]
+                            watch_size[falsified] = size - moved
                             return clause
                         # Unit: ``first`` is unassigned — inline the enqueue.
                         value[first] = 1
@@ -624,39 +699,42 @@ class CdclSolver:
                         reason[variable] = clause
                         phase[variable] = first & 1
                         trail.append(first)
-                        continue
-                    moved += 1
-                del watch_list[keep:]
+                watch_size[falsified] = size - moved
         finally:
             self._queue_head = head
             self._stats.propagations += head - start
-        return None
+        return -1
 
-    def _watch_clause(self, clause: Clause) -> None:
+    def _watch_clause(self, clause: int) -> None:
         """Watch the first two literals (binary clauses: implication lists)."""
-        first, second = clause[0], clause[1]
-        if len(clause) == 2:
-            self._binary[first].append((second, clause))
-            self._binary[second].append((first, clause))
+        arena = self._arena
+        first, second = arena[clause], arena[clause + 1]
+        if arena[clause - 2] == 2:
+            self._binary.append(first, second, clause)
+            self._binary.append(second, first, clause)
         else:
-            self._watches[first].append((clause, second))
-            self._watches[second].append((clause, first))
+            self._watches.append(first, clause, second)
+            self._watches.append(second, clause, first)
 
-    def _unwatch(self, code: int, clause: Clause) -> None:
+    def _unwatch(self, code: int, clause: int) -> None:
         """Swap-remove ``clause`` from the watch list of ``code`` (C mirror:
         ``_kernel.unwatch``)."""
-        watch_list = self._watches[code]
-        for index, (watched, _) in enumerate(watch_list):
-            if watched is clause:
-                watch_list[index] = watch_list[-1]
-                watch_list.pop()
+        watches = self._watches
+        items = watches.items
+        begin = watches.start[code]
+        last = begin + watches.size[code] - 2
+        for index in range(begin, last + 2, 2):
+            if items[index] == clause:
+                items[index] = items[last]
+                items[index + 1] = items[last + 1]
+                watches.size[code] -= 2
                 return
         raise RuntimeError("internal solver error: clause missing from watch list")
 
     # ------------------------------------------------------------------
     # Internals: conflict analysis
     # ------------------------------------------------------------------
-    def _analyze(self, conflict: Clause) -> tuple[list[int], int, int]:
+    def _analyze(self, conflict: int) -> tuple[list[int], int, int]:
         """First-UIP analysis: returns (learned clause, backjump level, LBD).
 
         The asserting literal comes first, then the first literal of the
@@ -664,6 +742,7 @@ class CdclSolver:
         ``_kernel.analyze`` is the C mirror of this method.
         """
         current_level = len(self._trail_limits)
+        arena = self._arena
         level = self._level
         reason = self._reason
         trail = self._trail
@@ -673,18 +752,20 @@ class CdclSolver:
         var_inc = self._var_inc
         learned: list[int] = []
         counter = 0
-        clause: Clause | None = conflict
+        clause = conflict
         trail_index = len(trail) - 1
 
         while True:
-            assert clause is not None
-            if clause.learned:
-                clause.activity += self._clause_inc
-                if clause.activity > _CLAUSE_ACTIVITY_LIMIT:
-                    for stored in self._learned:
-                        stored.activity *= _CLAUSE_ACTIVITY_RESCALE
+            assert clause >= 0
+            learned_index = arena[clause - 1]
+            if learned_index >= 0:
+                activities = self._activity
+                activities[learned_index] += self._clause_inc
+                if activities[learned_index] > _CLAUSE_ACTIVITY_LIMIT:
+                    for index in range(len(activities)):
+                        activities[index] *= _CLAUSE_ACTIVITY_RESCALE
                     self._clause_inc *= _CLAUSE_ACTIVITY_RESCALE
-            for code in clause:
+            for code in arena[clause:clause + arena[clause - 2]]:
                 variable = code >> 1
                 if seen[variable]:
                     continue
@@ -752,13 +833,13 @@ class CdclSolver:
         """
         self._stats.learned_clauses += 1
         if len(learned) == 1:
-            return self._enqueue(learned[0], reason=None)
-        stored = LearnedClause(learned)
-        stored.lbd = lbd
-        stored.activity = self._clause_inc
-        self._learned.append(stored)
-        self._watch_clause(stored)
-        return self._enqueue(stored[0], reason=stored)
+            return self._enqueue(learned[0])
+        offset = self._store(learned, len(self._learned))
+        self._learned.append(offset)
+        self._lbd.append(lbd)
+        self._activity.append(self._clause_inc)
+        self._watch_clause(offset)
+        return self._enqueue(learned[0], offset)
 
     def _reduce_db(self) -> int:
         """Forget the worst learned clauses; returns how many were deleted.
@@ -774,37 +855,41 @@ class CdclSolver:
           cross-level dependencies and are cheap to keep,
         - **binary clauses**, whose watch cost is negligible.
         """
-        locked = {
-            id(reason) for reason in self._reason if reason is not None and reason.learned
-        }
+        locked = set(self._reason)
         config = self.config
+        arena, learned, lbd, activity = self._arena, self._learned, self._lbd, self._activity
         forgettable = [
-            clause
-            for clause in self._learned
-            if id(clause) not in locked
-            and clause.lbd > config.glue_lbd
-            and len(clause) > 2
+            index
+            for index, offset in enumerate(learned)
+            if offset not in locked and lbd[index] > config.glue_lbd and arena[offset - 2] > 2
         ]
         victims = int(len(forgettable) * config.reduce_fraction)
         if victims == 0:
             self._reduce_limit += config.reduce_growth
             return 0
-        forgettable.sort(key=lambda clause: (-clause.lbd, clause.activity))
-        doomed = {id(clause) for clause in forgettable[:victims]}
+        forgettable.sort(key=lambda index: (-lbd[index], activity[index]))
+        doomed = set(forgettable[:victims])
         kernel = native.kernel()
         unwatch = CdclSolver._unwatch if kernel is None else kernel.unwatch
-        for clause in forgettable[:victims]:
-            unwatch(self, clause[0], clause)
-            unwatch(self, clause[1], clause)
-        self._learned = [clause for clause in self._learned if id(clause) not in doomed]
+        for index in forgettable[:victims]:
+            offset = learned[index]
+            unwatch(self, arena[offset], offset)
+            unwatch(self, arena[offset + 1], offset)
+        survivors = [index for index in range(len(learned)) if index not in doomed]
+        for table in (learned, lbd, activity):
+            kept = [table[index] for index in survivors]
+            del table[:]
+            table.extend(kept)
+        for index, offset in enumerate(learned):
+            arena[offset - 1] = index
         self._stats.deleted_clauses += victims
         self._reduce_limit += config.reduce_growth
         return victims
 
-    def _verify_model(self, values: list[int]) -> None:
+    def _verify_model(self, values) -> None:
         """Sanity check: every problem clause must be satisfied by the model (``value[2::2]``)."""
         for clause in self._problem:
-            if not any(values[(code >> 1) - 1] == 1 - (code & 1) for code in clause):
+            if not any(values[(code >> 1) - 1] == 1 - (code & 1) for code in self._clause(clause)):
                 raise RuntimeError(
                     "internal solver error: model does not satisfy a clause"
                 )
@@ -823,7 +908,7 @@ class CdclSolver:
         for code in tail:
             value[code] = -1
             value[code ^ 1] = -1
-            reason[code >> 1] = None
+            reason[code >> 1] = -1
         self._heap.push_many(tail)
         del self._trail[limit:]
         del self._trail_limits[level:]

@@ -6,6 +6,8 @@ analyses) session-scoped so the several hundred tests stay fast.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.circuits import generators
@@ -77,3 +79,33 @@ def solver_kernel(request, monkeypatch):
     if kernel is None:
         pytest.skip("the C kernel cannot be built on this host (no C compiler or Python headers)")
     return kernel
+
+
+#: Compiler flags of the sanitizer build: AddressSanitizer and UndefinedBehaviorSanitizer,
+#: with any undefined behaviour fatal.
+SANITIZE_FLAGS = (
+    "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined",
+    "-shared", "-fPIC",
+)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def sanitized_kernel(tmp_path_factory):
+    """With ``REPRO_TEST_SANITIZE=1``, run every test on a sanitizer build of the kernel.
+
+    CI's sanitizer job sets it and preloads gcc's ``libasan.so`` and
+    ``libubsan.so``; the build goes to a temporary directory.  Unset, this
+    does nothing.
+    """
+    if os.environ.get("REPRO_TEST_SANITIZE") != "1":
+        yield None
+        return
+    from repro.sat import native
+
+    build_dir = tmp_path_factory.mktemp("sanitized-kernel")
+    module = native.load(native.SOURCE, build_dir, flags=SANITIZE_FLAGS)
+    if module is None:
+        raise RuntimeError("the sanitizer build of the solver kernel failed")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "kernel", lambda: module)
+        yield module

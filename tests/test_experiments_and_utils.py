@@ -194,6 +194,16 @@ class TestHarnesses:
         assert header.split()[-2:] == ["Total", "(s)"]
         assert row.split()[-1] == "4.00"
 
+    def test_pipeline_timings_include_the_preparation(self, monkeypatch):
+        from repro.experiments import common
+
+        monkeypatch.setattr(common, "_CONTEXT_CACHE", {})  # no in-process memo
+        cell = run_experiment("pipeline", profile=TINY).record()["cells"][0]
+        timings = cell["result"]["timings"]
+        assert list(timings)[0] == "preparation" and timings["preparation"] > 0
+        # Each value is rounded to the millisecond, as the elapsed time is.
+        assert sum(timings.values()) <= cell["elapsed_seconds"] + 0.0005 * (len(timings) + 1)
+
     def test_transfer_experiment(self):
         from repro.experiments import transfer
 

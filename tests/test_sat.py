@@ -12,7 +12,7 @@ from repro.circuits import generators
 from repro.sat.cnf import CNF
 from repro.sat.encode import CircuitEncoder
 from repro.sat.justify import Justifier
-from repro.sat.solver import CdclSolver, Clause, SolverConfig, SolverResult, solve_cnf
+from repro.sat.solver import CdclSolver, SolverConfig, SolverResult, solve_cnf
 from repro.simulation.logic_sim import BitParallelSimulator, simulate_pattern
 
 
@@ -134,7 +134,7 @@ class TestSolverResult:
         # A problem clause the search never watches, false under the model
         # the same search finds again.
         codes = [2 * variable + int(model[variable]) for variable in (1, 2, 3)]
-        solver._problem.append(Clause(codes))
+        solver._problem.append(solver._store(codes, -1))
         with pytest.raises(RuntimeError, match="model does not satisfy"):
             solver.solve()
 

@@ -360,11 +360,15 @@ ENCODING_DIGEST = "5f98a40029af779239447392f4c341239f28e9baa0909c9debd2f87e11e47
 def _encoding_digest(justifier: SequentialJustifier) -> str:
     """sha256 over the solver's variable count, clauses, binary implications and units."""
     solver = justifier.expansion._solver
+    binary = solver._binary
     state = [
         solver._num_vars,
-        [list(clause) for clause in solver._problem],
-        [[implied for implied, _ in entries] for entries in solver._binary],
-        solver._trail,
+        [solver._clause(clause) for clause in solver._problem],
+        [
+            list(binary.items[start:start + size:2])
+            for start, size in zip(binary.start, binary.size)
+        ],
+        list(solver._trail),
     ]
     return hashlib.sha256(json.dumps(state).encode()).hexdigest()
 

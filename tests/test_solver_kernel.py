@@ -4,9 +4,10 @@ Two solvers run the same incremental session in lockstep, one through the
 kernel and one through the reference path (the loader made to report no
 kernel), each adding its clauses and solving on its own path.  After every
 ``add_clause`` and every ``solve`` the answers, the counters and the
-solver's whole internal state must be equal: the trail, every watch and
-implication list in order, the clause literal orders, the analysis marks
-and the heap.  Small ``restart_base``/``reduce_base`` values make restarts
+solver's whole internal state must be equal: every typed table in order —
+the clause arena (so every clause's literal order), the watch and
+implication pools, the trail, the learned-clause side tables, the analysis
+marks and the heap.  Small ``restart_base``/``reduce_base`` values make restarts
 and clause deletion run inside the sessions.
 
 The loader is checked on its own: two processes building into one cold
@@ -16,9 +17,11 @@ to build falls back to None.
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +33,7 @@ import repro
 from repro.runner.execution import run_experiment
 from repro.runner.registry import ExperimentSpec, GridCell
 from repro.sat import native
-from repro.sat.solver import CdclSolver, Clause, SolverConfig
-
-KERNEL = native.kernel()
-needs_kernel = pytest.mark.skipif(
-    KERNEL is None,
-    reason="the C kernel cannot be built on this host (no C compiler or Python headers)",
-)
+from repro.sat.solver import CdclSolver, SolverConfig
 
 PACKAGE_PARENT = Path(repro.__file__).resolve().parents[1]
 
@@ -47,32 +44,51 @@ def _on_reference_path(method, argument):
         return method(argument)
 
 
-def _state(solver: CdclSolver) -> dict:
-    """Everything the search reads, with clauses shown as literal lists."""
+@pytest.fixture(scope="module")
+def kernel():
+    """The C kernel module; the test is skipped where it cannot be built."""
+    module = native.kernel()
+    if module is None:
+        pytest.skip("the C kernel cannot be built on this host (no C compiler or Python headers)")
+    return module
 
-    def clause(stored):
-        return None if stored is None else (list(stored), stored.lbd, stored.activity)
+
+def _state(solver: CdclSolver) -> dict:
+    """Everything the search reads: every table, item for item and in order."""
+
+    def pool(lists):
+        return [list(table) for table in (lists.items, lists.start, lists.size, lists.capacity)]
 
     heap = solver._heap
     return {
         "stats": solver.stats().as_dict(),
+        "arena": list(solver._arena),
+        "problem": list(solver._problem),
+        "learned": list(solver._learned),
+        "lbd": list(solver._lbd),
+        "activity": list(solver._activity),
         "trail": list(solver._trail),
         "trail_limits": list(solver._trail_limits),
         "queue_head": solver._queue_head,
         "value": list(solver._value),
         "level": list(solver._level),
         "phase": list(solver._phase),
-        "reason": [clause(reason) for reason in solver._reason],
-        "watches": [[(list(c), blocker) for c, blocker in entries] for entries in solver._watches],
-        "binary": [[(implied, list(c)) for implied, c in entries] for entries in solver._binary],
-        "problem": [clause(stored) for stored in solver._problem],
-        "learned": [clause(stored) for stored in solver._learned],
+        "reason": list(solver._reason),
+        "watches": pool(solver._watches),
+        "binary": pool(solver._binary),
         "heap": (list(heap._heap), list(heap._pos), list(heap._act)),
         "incs": (solver._var_inc, solver._clause_inc, solver._reduce_limit),
         "seen": bytes(solver._seen),
         "num_vars": solver._num_vars,
         "unsat": solver._unsat,
     }
+
+
+def _pairs(lists, code: int) -> list[tuple[int, int]]:
+    """The list of ``code`` in a ``PairLists`` pool, as tuples."""
+    begin = lists.start[code]
+    flat = list(lists.items[begin:begin + lists.size[code]])
+    return list(zip(flat[::2], flat[1::2]))
 
 
 def _run_lockstep(num_vars: int, clauses, steps, config: SolverConfig):
@@ -120,7 +136,6 @@ step = st.one_of(
 )
 
 
-@needs_kernel
 @settings(max_examples=120, deadline=None)
 @example(
     clauses=[
@@ -139,7 +154,7 @@ step = st.one_of(
     glue_lbd=st.integers(0, 2),
 )
 def test_kernel_matches_reference_on_random_sessions(
-    clauses, steps, restart_base, reduce_base, glue_lbd
+    kernel, clauses, steps, restart_base, reduce_base, glue_lbd
 ):
     config = SolverConfig(
         restart_base=restart_base, reduce_base=reduce_base, reduce_growth=2, glue_lbd=glue_lbd
@@ -155,9 +170,8 @@ def _random_3sat(rng: np.random.Generator, num_vars: int, ratio: float) -> list[
     return clauses
 
 
-@needs_kernel
 @pytest.mark.parametrize("seed", range(6))
-def test_kernel_matches_reference_through_restarts_and_deletion(seed):
+def test_kernel_matches_reference_through_restarts_and_deletion(kernel, seed):
     rng = np.random.default_rng(seed)
     num_vars = 60
     clauses = _random_3sat(rng, num_vars, 4.2)
@@ -169,28 +183,35 @@ def test_kernel_matches_reference_through_restarts_and_deletion(seed):
     assert stats.restarts > 0 and stats.deleted_clauses > 0
 
 
-@needs_kernel
-def test_a_broken_solver_state_raises_instead_of_crashing():
+def test_a_broken_solver_state_raises_instead_of_crashing(kernel):
     solver = CdclSolver()
     solver.add_clause([1, 2, 3])
     solver._trail.append(2 * 99)  # a code past the value table
     with pytest.raises(IndexError):
-        KERNEL.propagate(solver)
+        kernel.propagate(solver)
+    solver._queue_head = -1  # a queue head before the trail
+    with pytest.raises(IndexError, match="queue head"):
+        kernel.propagate(solver)
     with pytest.raises(IndexError):
-        KERNEL.pop_unassigned(solver._heap, [-1, -1])  # a value table too short
+        kernel.pop_unassigned(solver._heap, array("b", [-1, -1]))  # a value table too short
+    with pytest.raises(TypeError, match="array"):
+        kernel.pop_unassigned(solver._heap, [-1] * 8)  # a list, not a typed table
     solver._level.append(0)
     with pytest.raises(ValueError, match="disagree"):
-        KERNEL.backtrack(solver, 0)
+        kernel.backtrack(solver, 0)
     with pytest.raises(ValueError, match="disagree"):
-        KERNEL.analyze(solver, solver._problem[0])
+        kernel.analyze(solver, solver._problem[0])
     with pytest.raises(ValueError, match="disagree"):
-        KERNEL.add_clause(solver, [4, 5])
+        kernel.add_clause(solver, [4, 5])
+    solver._level = list(solver._level)  # a table of the wrong type
+    with pytest.raises(TypeError, match="_level must be an array"):
+        kernel.propagate(solver)
     with pytest.raises(AttributeError):
-        KERNEL.propagate(object())
+        kernel.propagate(object())
     with pytest.raises(TypeError):
-        KERNEL.backtrack(solver)
+        kernel.backtrack(solver)
     with pytest.raises(TypeError):
-        KERNEL.analyze(solver)
+        kernel.analyze(solver)
 
 
 def _two_decisions() -> CdclSolver:
@@ -198,63 +219,147 @@ def _two_decisions() -> CdclSolver:
     solver = CdclSolver()
     solver.add_clause([1, 2, 3])
     solver._trail_limits.append(0)
-    solver._enqueue(2, reason=None)
-    solver._enqueue(4, reason=None)
+    solver._enqueue(2)
+    solver._enqueue(4)
     return solver
 
 
-@needs_kernel
-def test_a_broken_analysis_state_raises_instead_of_crashing():
+def test_a_broken_analysis_state_raises_instead_of_crashing(kernel):
     # A literal past the value table.
+    solver = _two_decisions()
     with pytest.raises(IndexError):
-        KERNEL.analyze(_two_decisions(), Clause([3, 2 * 99]))
+        kernel.analyze(solver, solver._store([3, 2 * 99], -1))
     # A current-level variable that is not the UIP and has no reason clause.
-    with pytest.raises(TypeError, match="reason"):
-        KERNEL.analyze(_two_decisions(), Clause([3, 5]))
+    solver = _two_decisions()
+    with pytest.raises(IndexError, match="reason clause offset -1"):
+        kernel.analyze(solver, solver._store([3, 5], -1))
     # A current-level variable that is not on the trail.
     solver = _two_decisions()
     solver._level[3] = 1
     with pytest.raises(RuntimeError, match="ran off the trail"):
-        KERNEL.analyze(solver, Clause([7]))
-    # A conflict that is not a clause.
+        kernel.analyze(solver, solver._store([7], -1))
+    # A conflict that is not a clause offset, or one outside the arena.
     with pytest.raises(TypeError):
-        KERNEL.analyze(_two_decisions(), None)
-    with pytest.raises(AttributeError):
-        KERNEL.analyze(_two_decisions(), [3, 5])  # a list without learned-clause fields
+        kernel.analyze(_two_decisions(), None)
+    solver = _two_decisions()
+    for outside in (-1, 0, 1, len(solver._arena)):
+        with pytest.raises(IndexError, match="outside the arena"):
+            kernel.analyze(solver, outside)
+    # A clause whose size runs past the end of the arena.
+    solver._arena[solver._problem[0] - 2] = 4
+    with pytest.raises(IndexError, match="outside the arena"):
+        kernel.analyze(solver, solver._problem[0])
+    # A learned-clause index without an activity.
+    solver = _two_decisions()
+    with pytest.raises(IndexError, match="learned clause index"):
+        kernel.analyze(solver, solver._store([3, 5], 7))
 
 
-@needs_kernel
-def test_a_broken_clause_database_raises_instead_of_crashing():
+def test_a_broken_clause_database_raises_instead_of_crashing(kernel):
     solver = CdclSolver()
     solver.add_clause([1, 2, 3])
     solver._num_vars = 9  # the tables still hold three variables
     with pytest.raises(IndexError):
-        KERNEL.add_clause(solver, [8, 9])
+        kernel.add_clause(solver, [8, 9])
     with pytest.raises(TypeError):
-        KERNEL.add_clause(solver, 5)
+        kernel.add_clause(solver, 5)
     stored = solver._problem[0]
+    first, _, third = solver._clause(stored)
     with pytest.raises(RuntimeError, match="missing from watch list"):
-        KERNEL.unwatch(solver, stored[2], stored)
+        kernel.unwatch(solver, third, stored)
     with pytest.raises(IndexError):
-        KERNEL.unwatch(solver, 2 * 99, stored)
-    solver._watches[stored[0]].insert(0, stored)  # an entry that is not a pair
-    with pytest.raises(TypeError, match="pairs"):
-        KERNEL.unwatch(solver, stored[0], stored)
-    del solver._watches[stored[0]][0]
-    KERNEL.unwatch(solver, stored[0], stored)
-    assert solver._watches[stored[0]] == []
+        kernel.unwatch(solver, 2 * 99, stored)
+    watches = solver._watches
+    watches.size[first] += 1  # a list that ends inside a pair
+    with pytest.raises(ValueError, match="outside its pool"):
+        kernel.unwatch(solver, first, stored)
+    watches.size[first] -= 1
+    watches.capacity[first] += 1  # a segment that ends inside a pair
+    with pytest.raises(ValueError, match="outside its pool"):
+        kernel.add_clause(solver, [1, -3, 2])
+    watches.capacity[first] -= 1
+    start = watches.start[first]
+    watches.start[first] = len(watches.items)  # a list past the end of the pool
+    with pytest.raises(ValueError, match="outside its pool"):
+        kernel.unwatch(solver, first, stored)
+    with pytest.raises(ValueError, match="outside its pool"):
+        kernel.propagate(_with_trail(CdclSolver(), 3, like=solver))
+    watches.start[first] = start
+    kernel.unwatch(solver, first, stored)
+    assert _pairs(watches, first) == []
+    solver = CdclSolver()
+    solver.add_clause([1, 2, 3])
+    solver._arena[solver._problem[0] - 2] = 1  # a watched clause of one literal
+    with pytest.raises(IndexError, match="outside the arena"):
+        kernel.propagate(_with_trail(solver, 3))  # -1 is true: the clause is visited
+
+
+def _with_trail(solver: CdclSolver, code: int, like: CdclSolver | None = None) -> CdclSolver:
+    """``solver`` with ``code`` assigned true and queued for propagation.
+
+    With ``like``, ``solver`` first takes over that solver's clause database.
+    """
+    if like is not None:
+        solver.reserve_vars(3)
+        solver._arena, solver._watches, solver._binary = like._arena, like._watches, like._binary
+    solver._enqueue(code)
+    solver._queue_head = len(solver._trail) - 1
+    return solver
+
+
+def test_repeated_solves_keep_allocated_blocks_flat(solver_kernel):
+    """A leak guard: solvers built and solved over and over hold no memory afterwards."""
+    rng = np.random.default_rng(3)
+    instances = [_random_3sat(rng, 50, 4.3) for _ in range(4)]
+    config = SolverConfig(restart_base=2, reduce_base=20, reduce_growth=5)
+
+    def one_round():
+        for clauses in instances:
+            solver = CdclSolver(config=config)
+            solver.add_clauses(clauses)
+            solver.solve()
+            solver.solve([1, -2, 3])
+
+    one_round()  # warm-up: caches, interned objects, the kernel itself
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(5):
+        one_round()
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 100
+
+
+def test_solver_state_is_invisible_to_the_garbage_collector(solver_kernel):
+    """Clauses, watches and per-variable tables add no GC-tracked objects."""
+    rng = np.random.default_rng(4)
+    clauses = _random_3sat(rng, 2500, 2.0)
+    assert len(clauses) == 5000
+    gc.collect()
+    before = len(gc.get_objects())
+    solver = CdclSolver()
+    solver.add_clauses(clauses)
+    assert solver.solve().satisfiable
+    gc.collect()
+    assert len(gc.get_objects()) - before < 100
+
+
+def test_tables_are_arrays_for_the_kernel_and_lists_without(solver_kernel):
+    solver = CdclSolver()
+    solver.add_clause([1, 2, 3])
+    tables = [solver._arena, solver._value, solver._watches.items, solver._heap._act]
+    assert {type(table) for table in tables} == {array if solver_kernel else list}
 
 
 def test_add_clause_branches_on_both_paths(solver_kernel):
     solver = CdclSolver()
     solver.add_clause([1, -1, 2])  # a tautology is dropped
     solver.add_clause([2, 3, 2, 3])  # repeats are merged
-    assert [list(clause) for clause in solver._problem] == [[4, 6]]
-    assert solver._binary[4] == [(6, solver._problem[0])]
+    assert [solver._clause(clause) for clause in solver._problem] == [[4, 6]]
+    assert _pairs(solver._binary, 4) == [(6, solver._problem[0])]
     solver.add_clause([-4])  # a unit is assigned at level 0
-    assert solver._trail == [9] and solver._queue_head == 1
+    assert list(solver._trail) == [9] and solver._queue_head == 1
     solver.add_clause([4, 5, 3])  # the false literal -4 is dropped
-    assert list(solver._problem[-1]) == [6, 10]
+    assert solver._clause(solver._problem[-1]) == [6, 10]
     solver.add_clause([-4, 6])  # satisfied at level 0: not stored
     assert len(solver._problem) == 2
     with pytest.raises(ValueError, match="0 is not"):
@@ -262,10 +367,10 @@ def test_add_clause_branches_on_both_paths(solver_kernel):
     solver._trail_limits.append(len(solver._trail))
     with pytest.raises(RuntimeError, match="level 0"):
         solver.add_clause([1, 2])
-    solver._trail_limits.clear()
+    del solver._trail_limits[:]
     assert not solver._unsat
     solver.add_clause([-3])  # propagates 2 through [2, 3] and 5 through [3, 5]
-    assert solver._trail == [9, 7, 4, 10] and not solver._unsat
+    assert list(solver._trail) == [9, 7, 4, 10] and not solver._unsat
     solver.add_clause([-5, -2])  # both literals false: the empty clause
     assert solver._unsat
     other = CdclSolver()
@@ -281,7 +386,7 @@ def test_numpy_integer_literals_work_on_both_paths(solver_kernel):
     solver.add_clause(np.array([-1, 2]))
     result = solver.solve([np.int64(-2)])
     assert result.model == {1: False, 2: False, 3: True}
-    assert {type(code) for clause in solver._problem for code in clause} == {int}
+    assert {type(code) for clause in solver._problem for code in solver._clause(clause)} == {int}
     solver.reserve_vars(np.int32(5))
     assert solver._num_vars == 5 and type(solver._num_vars) is int
 
@@ -294,7 +399,7 @@ def test_a_non_integer_literal_raises_and_changes_nothing(solver_kernel):
         solver.add_clause([1, 2.0])
     with pytest.raises(TypeError):
         solver.reserve_vars(2.5)
-    assert solver._num_vars == 0 and solver._problem == []
+    assert solver._num_vars == 0 and len(solver._problem) == 0
     solver.add_clause([1, -2])
     with pytest.raises(TypeError):
         solver.solve([1.5])
@@ -338,16 +443,16 @@ import json, sys
 sys.path.insert(0, sys.argv[2])
 from pathlib import Path
 from repro.sat import native
+from array import array
 from repro.sat.heap import ActivityHeap
 module = native.load(native.SOURCE, Path(sys.argv[1]))
 heap = ActivityHeap(3)
 heap.bump(2, 1.0)
-print(json.dumps([module.__file__, module.pop_unassigned(heap, [-1] * 8)]))
+print(json.dumps([module.__file__, module.pop_unassigned(heap, array("b", [-1] * 8))]))
 """
 
 
-@needs_kernel
-def test_concurrent_cold_builds_load_one_kernel(tmp_path):
+def test_concurrent_cold_builds_load_one_kernel(kernel, tmp_path):
     build_dir = tmp_path / "build"
     workers = [
         subprocess.Popen(
@@ -369,12 +474,11 @@ def test_concurrent_cold_builds_load_one_kernel(tmp_path):
     assert not [name for name in built if name.endswith(".tmp")]
 
 
-@needs_kernel
-def test_a_built_kernel_is_reused_without_compiling(tmp_path, monkeypatch):
+def test_a_built_kernel_is_reused_without_compiling(kernel, tmp_path, monkeypatch):
     first = native.load(native.SOURCE, tmp_path)
     assert first is not None
 
-    def refuse(source):
+    def refuse(source, flags):
         raise AssertionError("rebuilt a cached kernel")
 
     monkeypatch.setattr(native, "_compile", refuse)
@@ -387,7 +491,7 @@ def test_a_changed_source_builds_under_a_new_name(tmp_path, monkeypatch):
     source.write_text("/* one */")
     built = []
 
-    def fake_compile(path):
+    def fake_compile(path, flags):
         built.append(path.read_text())
         return b"not a shared object"
 
@@ -402,8 +506,7 @@ def test_a_changed_source_builds_under_a_new_name(tmp_path, monkeypatch):
     assert len(first) == len(second) == 2 and not first & second
 
 
-@needs_kernel
-def test_a_new_build_removes_the_older_builds_and_their_locks(tmp_path):
+def test_a_new_build_removes_the_older_builds_and_their_locks(kernel, tmp_path):
     """Two real sources built in turn into one directory leave only the second build."""
     build_dir = tmp_path / "build"
     old_source = tmp_path / "old" / "_kernel.c"

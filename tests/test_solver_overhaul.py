@@ -8,7 +8,7 @@ oracle on both the SAT/UNSAT verdict and model validity.
 """
 
 import itertools
-from types import SimpleNamespace
+from array import array
 
 import numpy as np
 import pytest
@@ -191,6 +191,7 @@ class HeapOps:
         self.kernel = kernel
 
     def pop_unassigned(self, heap: ActivityHeap, value: list[int]) -> int | None:
+        value = array("b", value)  # the solver's value table is typed
         if self.kernel is None:
             return heap.pop_unassigned(value)
         return self.kernel.pop_unassigned(heap, value)
@@ -199,15 +200,13 @@ class HeapOps:
         if self.kernel is None:
             heap.push_many(codes)
             return
-        num_vars = heap.num_vars
-        solver = SimpleNamespace(
-            _trail=list(codes), _trail_limits=[0], _queue_head=0, _heap=heap,
-            _value=[-1] * (2 * num_vars + 2), _level=[0] * (num_vars + 1),
-            _reason=[None] * (num_vars + 1), _phase=[1] * (num_vars + 1),
-            _watches=[[]] * (2 * num_vars + 2), _binary=[[]] * (2 * num_vars + 2),
-        )
+        solver = CdclSolver()
+        solver.reserve_vars(heap.num_vars)
+        solver._heap = heap
+        solver._trail.extend(codes)
+        solver._trail_limits.append(0)
         self.kernel.backtrack(solver, 0)
-        assert solver._trail == [] and solver._trail_limits == []
+        assert len(solver._trail) == 0 and len(solver._trail_limits) == 0
 
     def pop(self, heap: ActivityHeap) -> int | None:
         """Pop with every variable unassigned (no lazy deletion)."""
@@ -314,8 +313,8 @@ class TestActivityHeap:
         cleared.clear()
         for heap in (drained, cleared):
             assert len(heap) == 0
-            assert heap._heap == []
-            assert heap._pos == [-1] * 10
+            assert list(heap._heap) == []
+            assert list(heap._pos) == [-1] * 10
             assert [heap.activity(v) for v in range(10)] == activities
             heap.check_invariants()
 
@@ -340,10 +339,10 @@ class TestClauseForgetting:
             reductions.append(victims)
             # The pinning contract: no reason clause of any assigned
             # variable may leave the database.
-            alive = {id(clause) for clause in self._learned}
+            alive = set(self._learned)
             for reason in self._reason:
-                if reason is not None and reason.learned:
-                    assert id(reason) in alive, "reduction deleted a reason clause"
+                if reason >= 0 and self._arena[reason - 1] >= 0:
+                    assert reason in alive, "reduction deleted a reason clause"
             return victims
 
         monkeypatch.setattr(CdclSolver, "_reduce_db", checked_reduce)
@@ -389,12 +388,12 @@ class TestClauseForgetting:
                     cnf.add_clause([-var[i1][j], -var[i2][j]])
         solver = CdclSolver(cnf, config=config)
         assert not solver.solve().satisfiable
-        for clause in solver._learned:
-            assert clause.learned
+        for index, clause in enumerate(solver._learned):
+            assert solver._arena[clause - 1] == index
             # Whatever survived reduction is either pinned glue/binary or
             # above the forgetting threshold by construction of _reduce_db;
             # sanity-check the metadata is populated.
-            assert clause.lbd >= 1
+            assert solver._lbd[index] >= 1
 
 
 class TestDifferentialFuzz:
