@@ -14,8 +14,8 @@ still in the heap).  Both take the solver's literal codes (``2v`` for ``v``,
 ``2v + 1`` for ``-v``).  Activities live here, not in the solver, so a bump
 can restore the heap order in the same O(log n) sift.  The three tables come
 from :func:`repro.sat.native.table`.  The solver's C kernel (``_kernel.c``)
-mirrors both methods on these same tables: ``pop_unassigned`` directly,
-``push_many`` inside its ``backtrack``.
+mirrors both methods, and :meth:`ActivityHeap.clear`, on these same tables
+inside its ``solve``.
 
 All comparisons are on activity alone; equal activities keep a deterministic
 (insertion/sift) order, which is what makes solver runs — and therefore

@@ -4,8 +4,8 @@ This is the library's replacement for the PicoSAT/pycosat solver the paper
 uses.  The implementation follows the MiniSat architecture with the classic
 performance stack on top:
 
-- two-watched-literal unit propagation with **blocking literals** and flat
-  per-literal watch arrays,
+- two-watched-literal unit propagation with **blocking literals**, all
+  watch lists in one pooled table,
 - first-UIP conflict analysis with clause learning and LBD (literal block
   distance) tracking,
 - **EVSIDS** variable activities on an indexed max-heap
@@ -19,15 +19,13 @@ performance stack on top:
   worst-half-first by (LBD, activity), pinning reason clauses, binary
   clauses, and low-LBD "glue" clauses,
 - incremental solving under assumptions,
-- a **native inner loop**: propagation, backtracking, the decision pop,
-  conflict analysis, clause ingestion and watch removal run in C
-  (``_kernel.c``, built and loaded by :mod:`repro.sat.native`) where a
-  compiler is available.  The C functions mirror
-  :meth:`CdclSolver._propagate`, :meth:`CdclSolver._backtrack`,
-  :meth:`ActivityHeap.pop_unassigned`, :meth:`CdclSolver._analyze`,
-  :meth:`CdclSolver._add_clause` and :meth:`CdclSolver._unwatch` step for
-  step, on the same arrays, so the search is the same on both paths; the
-  Python methods are the reference and the fallback.
+- a **native search**: each query's whole search (:meth:`CdclSolver._search`
+  with propagation, analysis, learning, restarts and decisions), each block
+  of clauses (:meth:`CdclSolver._add_clause` per clause) and watch removal
+  run in C, one call each (``_kernel.c``, built and loaded by
+  :mod:`repro.sat.native`) where a compiler is available.  The C mirrors
+  the Python methods step for step on the same arrays, so the search is the
+  same on both paths; the Python methods are the reference and the fallback.
 
 The solver keeps no Python object per clause or per literal.  Every
 clause's literal codes sit in one ``array('i')`` arena, after a two-int
@@ -54,7 +52,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields, replace
-from functools import partial
 
 from repro.sat import native
 from repro.sat.cnf import CNF, Literal
@@ -299,7 +296,7 @@ class CdclSolver:
         # Each clause is ``[size, learned index or -1, code, code, ...]`` in
         # the arena; ``_problem`` and ``_learned`` hold offsets in the order
         # the clauses were added, and ``_lbd``/``_activity`` run parallel to
-        # ``_learned``.  Space of deleted learned clauses is not reused.
+        # ``_learned``.  ``_reduce_db`` compacts the arena and the pools.
         self._arena = native.table("i")
         self._problem = native.table("i")
         self._learned = native.table("i")
@@ -349,14 +346,15 @@ class CdclSolver:
         self.add_clauses((literals,))
 
     def add_clauses(self, clauses) -> None:
-        """Add clauses in order, each as by :meth:`add_clause`."""
+        """Add clauses in order, each as by :meth:`add_clause` (one that raises adds nothing)."""
         kernel = native.kernel()
-        add = self._add_clause if kernel is None else partial(kernel.add_clause, self)
+        if kernel is not None:
+            return kernel.add_clauses(self, clauses)
         for literals in clauses:
-            add(literals)
+            self._add_clause(literals)
 
     def _add_clause(self, literals: list[Literal]) -> None:
-        """:meth:`add_clause` in Python (C mirror: ``_kernel.add_clause``)."""
+        """:meth:`add_clause` in Python (C mirror: ``_kernel.add_clauses``, per clause)."""
         if self._trail_limits:
             raise RuntimeError("clauses can only be added at decision level 0")
         literals = sorted({operator.index(literal) for literal in literals}, key=abs)
@@ -466,7 +464,7 @@ class CdclSolver:
         one that is not an integer (``operator.index``) TypeError, before any
         solver state changes.
         """
-        codes = []
+        codes = native.table("i")
         for literal in assumptions or ():
             literal = operator.index(literal)
             if not 1 <= abs(literal) <= self._num_vars:
@@ -477,18 +475,23 @@ class CdclSolver:
             codes.append(literal << 1 if literal > 0 else (-literal << 1) | 1)
         if self._unsat:
             return self._result(False)
-        # The C kernel where it builds, else the Python methods it mirrors.
+        # The C kernel where it builds, else the Python search it mirrors.
         kernel = native.kernel()
-        if kernel is None:
-            propagate, backtrack = CdclSolver._propagate, CdclSolver._backtrack
-            pop_unassigned, analyze = ActivityHeap.pop_unassigned, CdclSolver._analyze
-        else:
-            propagate, backtrack = kernel.propagate, kernel.backtrack
-            pop_unassigned, analyze = kernel.pop_unassigned, kernel.analyze
-        backtrack(self, 0)
-        if propagate(self) >= 0:
-            self._unsat = True
+        values = self._search(codes) if kernel is None else kernel.solve(self, codes)
+        if values is None:
             return self._result(False)
+        if self.config.verify_models:
+            self._verify_model(values)
+        return SolverResult(True, stats=self.stats(), values=values)
+
+    def _search(self, codes: list[int]):
+        """Search under the assumption ``codes``: a model's values (``value[2::2]``,
+        taken before the last backtrack), or None (C mirror: ``_kernel.solve``)."""
+        propagate, backtrack, analyze = self._propagate, self._backtrack, self._analyze
+        backtrack(0)
+        if propagate() >= 0:
+            self._unsat = True
+            return None
 
         config = self.config
         stats = self._stats
@@ -500,25 +503,25 @@ class CdclSolver:
         restart_limit = self._next_restart_limit()
         conflicts_since_restart = 0
         while True:
-            conflict = propagate(self)
+            conflict = propagate()
             if conflict >= 0:
                 stats.conflicts += 1
                 conflicts_since_restart += 1
                 if not self._trail_limits:
                     self._unsat = True
-                    return self._result(False)
-                learned, backjump, lbd = analyze(self, conflict)
-                backtrack(self, backjump)
+                    return None
+                learned, backjump, lbd = analyze(conflict)
+                backtrack(backjump)
                 if not self._handle_learned(learned, lbd):
-                    backtrack(self, 0)
-                    return self._result(False)
+                    backtrack(0)
+                    return None
                 self._var_inc *= 1.0 / config.var_decay
                 self._clause_inc *= 1.0 / config.clause_decay
                 if conflicts_since_restart >= restart_limit:
                     stats.restarts += 1
                     conflicts_since_restart = 0
                     restart_limit = self._next_restart_limit()
-                    backtrack(self, 0)
+                    backtrack(0)
                     if len(self._learned) >= self._reduce_limit:
                         self._reduce_db()
                 continue
@@ -531,8 +534,8 @@ class CdclSolver:
                 if state != 1:
                     break
             if state == 0:
-                backtrack(self, 0)
-                return self._result(False)
+                backtrack(0)
+                return None
             if state == -1:
                 self._trail_limits.append(len(trail))
                 self._enqueue(code)
@@ -544,16 +547,13 @@ class CdclSolver:
                 heap.clear()
                 variable = None
             else:
-                variable = pop_unassigned(heap, value)
+                variable = heap.pop_unassigned(value)
             if variable is None:
                 if len(trail) > stats.max_trail:
                     stats.max_trail = len(trail)
                 values = value[2::2]
-                if config.verify_models:
-                    self._verify_model(values)
-                result = SolverResult(True, stats=self.stats(), values=values)
-                backtrack(self, 0)
-                return result
+                backtrack(0)
+                return values
             stats.decisions += 1
             if len(trail) > stats.max_trail:
                 stats.max_trail = len(trail)
@@ -596,7 +596,7 @@ class CdclSolver:
         — is a single table lookup with no clause access, and an in-place
         two-pointer sweep compacts each watch list.  Unit enqueues are
         inlined: the watched literal is known to be unassigned at that
-        point.  ``_kernel.propagate`` is the C mirror of this method.
+        point.  ``_kernel.solve`` runs its C mirror.
         """
         trail = self._trail
         value = self._value
@@ -739,7 +739,7 @@ class CdclSolver:
 
         The asserting literal comes first, then the first literal of the
         backjump level.  EVSIDS bumps are inlined (heap sift-up included).
-        ``_kernel.analyze`` is the C mirror of this method.
+        ``_kernel.solve`` runs its C mirror.
         """
         current_level = len(self._trail_limits)
         arena = self._arena
@@ -882,9 +882,43 @@ class CdclSolver:
             table.extend(kept)
         for index, offset in enumerate(learned):
             arena[offset - 1] = index
+        self._compact()
         self._stats.deleted_clauses += victims
         self._reduce_limit += config.reduce_growth
         return victims
+
+    def _compact(self) -> None:
+        """Rebuild the arena and both pools from the live clauses, keeping every order;
+        each list's capacity shrinks to its size.  Slices keep a table's type."""
+        arena = self._arena
+        # ``moved[old offset]`` is the new offset.  The arena's last slot holds
+        # a literal, never an offset, so it maps the reason -1 to itself.
+        moved = arena[:]
+        moved[-1] = -1
+        kept, run, end = arena[:0], 0, 0  # arena[run:end] is live and not yet kept
+        for offset in sorted([*self._problem, *self._learned]):
+            if offset - 2 != end:
+                kept.extend(arena[run:end])
+                run = offset - 2
+            moved[offset] = len(kept) + offset - run
+            end = offset + arena[offset - 2]
+        kept.extend(arena[run:end])
+        self._arena = kept
+
+        def remapped(table):
+            offsets = table[:0]
+            offsets.extend(map(moved.__getitem__, table))
+            return offsets
+
+        for table in (self._problem, self._learned, self._reason):
+            table[:] = remapped(table)
+        for lists, column in ((self._watches, 0), (self._binary, 1)):
+            items, start = lists.items[:0], lists.start[:0]
+            for begin, size in zip(lists.start, lists.size):
+                start.append(len(items))
+                items.extend(lists.items[begin:begin + size])
+            items[column::2] = remapped(items[column::2])
+            lists.items, lists.start, lists.capacity = items, start, lists.size[:]
 
     def _verify_model(self, values) -> None:
         """Sanity check: every problem clause must be satisfied by the model (``value[2::2]``)."""
@@ -898,7 +932,7 @@ class CdclSolver:
     # Internals: decisions, backtracking
     # ------------------------------------------------------------------
     def _backtrack(self, level: int) -> None:
-        """Undo every assignment above ``level`` (C mirror: ``_kernel.backtrack``)."""
+        """Undo every assignment above ``level`` (``_kernel.solve`` runs its C mirror)."""
         if len(self._trail_limits) <= level:
             return
         limit = self._trail_limits[level]

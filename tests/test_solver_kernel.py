@@ -3,8 +3,9 @@
 Two solvers run the same incremental session in lockstep, one through the
 kernel and one through the reference path (the loader made to report no
 kernel), each adding its clauses and solving on its own path.  After every
-``add_clause`` and every ``solve`` the answers, the counters and the
-solver's whole internal state must be equal: every typed table in order —
+block of clauses, every single clause and every ``solve`` the answers, the
+counters and the solver's whole internal state must be equal: every typed
+table in order —
 the clause arena (so every clause's literal order), the watch and
 implication pools, the trail, the learned-clause side tables, the analysis
 marks and the heap.  Small ``restart_base``/``reduce_base`` values make restarts
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import gc
 import json
+import random
+import signal
 import subprocess
 import sys
 from array import array
@@ -91,17 +94,31 @@ def _pairs(lists, code: int) -> list[tuple[int, int]]:
     return list(zip(flat[::2], flat[1::2]))
 
 
-def _run_lockstep(num_vars: int, clauses, steps, config: SolverConfig):
+def _blocks(clauses, seed: int):
+    """``clauses`` cut into consecutive blocks of random sizes (empty ones included)."""
+    rng = random.Random(seed)
+    start = 0
+    while start < len(clauses):
+        size = rng.randint(0, 9)
+        yield clauses[start:start + size]
+        start += size
+
+
+def _run_lockstep(num_vars: int, clauses, steps, config: SolverConfig, seed: int = 0):
     """Run one session on both paths; assert equal state after each step.
 
-    Returns the final counters.
+    ``clauses`` go in through ``add_clauses`` in blocks of random sizes, the
+    ``add`` steps one at a time.  Returns the final counters.
     """
     native_solver = CdclSolver(config=config)
     reference = CdclSolver(config=config)
     native_solver.reserve_vars(num_vars)
     reference.reserve_vars(num_vars)
-    for kind, payload in [*(("add", literals) for literals in clauses), *steps]:
-        if kind == "add":
+    for kind, payload in [*(("block", block) for block in _blocks(clauses, seed)), *steps]:
+        if kind == "block":
+            _on_reference_path(reference.add_clauses, payload)
+            native_solver.add_clauses(payload)
+        elif kind == "add":
             _on_reference_path(reference.add_clause, payload)
             native_solver.add_clause(payload)
         else:
@@ -145,6 +162,7 @@ step = st.one_of(
     restart_base=1,
     reduce_base=1,
     glue_lbd=0,
+    seed=0,
 )
 @given(
     clauses=st.lists(clause_strategy, min_size=10, max_size=70),
@@ -152,14 +170,15 @@ step = st.one_of(
     restart_base=st.integers(1, 4),
     reduce_base=st.integers(1, 12),
     glue_lbd=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
 )
 def test_kernel_matches_reference_on_random_sessions(
-    kernel, clauses, steps, restart_base, reduce_base, glue_lbd
+    kernel, clauses, steps, restart_base, reduce_base, glue_lbd, seed
 ):
     config = SolverConfig(
         restart_base=restart_base, reduce_base=reduce_base, reduce_growth=2, glue_lbd=glue_lbd
     )
-    _run_lockstep(14, clauses, [*steps, ("solve", [])], config)
+    _run_lockstep(14, clauses, [*steps, ("solve", [])], config, seed)
 
 
 def _random_3sat(rng: np.random.Generator, num_vars: int, ratio: float) -> list[list[int]]:
@@ -179,8 +198,32 @@ def test_kernel_matches_reference_through_restarts_and_deletion(kernel, seed):
     steps += [("add", clause) for clause in _random_3sat(rng, num_vars, 0.3)]
     steps += [("solve", [4, 5, -6]), ("solve", [])]
     config = SolverConfig(restart_base=2, reduce_base=20, reduce_growth=5)
-    stats = _run_lockstep(num_vars, clauses, steps, config)
+    stats = _run_lockstep(num_vars, clauses, steps, config, seed)
     assert stats.restarts > 0 and stats.deleted_clauses > 0
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"restart_policy": "geometric", "restart_growth": 1.1},
+        {"verify_models": True, "var_decay": 0.5, "clause_decay": 0.5},
+    ],
+    ids=["geometric", "verify_models"],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_matches_reference_under_other_knobs(kernel, knobs, seed):
+    """Geometric restarts, and model checking with fast-growing bump increments."""
+    rng = np.random.default_rng(100 + seed)
+    clauses = _random_3sat(rng, 60, 4.2)
+    steps = [("solve", []), ("solve", [1, -2]), ("solve", [-3, 4])]
+    config = SolverConfig(restart_base=2, reduce_base=20, reduce_growth=5, **knobs)
+    stats = _run_lockstep(60, clauses, steps, config, seed)
+    assert stats.restarts > 0 and stats.deleted_clauses > 0
+
+
+def _solve(kernel, solver: CdclSolver, *codes: int):
+    """``kernel.solve`` under the assumption literal ``codes``."""
+    return kernel.solve(solver, array("i", codes))
 
 
 def test_a_broken_solver_state_raises_instead_of_crashing(kernel):
@@ -188,71 +231,103 @@ def test_a_broken_solver_state_raises_instead_of_crashing(kernel):
     solver.add_clause([1, 2, 3])
     solver._trail.append(2 * 99)  # a code past the value table
     with pytest.raises(IndexError):
-        kernel.propagate(solver)
+        _solve(kernel, solver)
     solver._queue_head = -1  # a queue head before the trail
     with pytest.raises(IndexError, match="queue head"):
-        kernel.propagate(solver)
-    with pytest.raises(IndexError):
-        kernel.pop_unassigned(solver._heap, array("b", [-1, -1]))  # a value table too short
-    with pytest.raises(TypeError, match="array"):
-        kernel.pop_unassigned(solver._heap, [-1] * 8)  # a list, not a typed table
-    solver._level.append(0)
-    with pytest.raises(ValueError, match="disagree"):
-        kernel.backtrack(solver, 0)
-    with pytest.raises(ValueError, match="disagree"):
-        kernel.analyze(solver, solver._problem[0])
-    with pytest.raises(ValueError, match="disagree"):
-        kernel.add_clause(solver, [4, 5])
-    solver._level = list(solver._level)  # a table of the wrong type
-    with pytest.raises(TypeError, match="_level must be an array"):
-        kernel.propagate(solver)
-    with pytest.raises(AttributeError):
-        kernel.propagate(object())
-    with pytest.raises(TypeError):
-        kernel.backtrack(solver)
-    with pytest.raises(TypeError):
-        kernel.analyze(solver)
-
-
-def _two_decisions() -> CdclSolver:
-    """Variables 1 and 2 decided true at level 1; variable 3 unassigned."""
+        _solve(kernel, solver)
     solver = CdclSolver()
     solver.add_clause([1, 2, 3])
-    solver._trail_limits.append(0)
-    solver._enqueue(2)
-    solver._enqueue(4)
-    return solver
+    solver._heap._heap.append(99)  # a heap variable past the value table
+    with pytest.raises(IndexError, match="heap variable"):
+        _solve(kernel, solver)
+    with pytest.raises(IndexError, match="literal code"):
+        _solve(kernel, CdclSolver(), 2 * 99)  # an assumption past the value table
+    with pytest.raises(TypeError, match="array"):
+        kernel.solve(solver, [2])  # assumptions in a list, not a typed table
+    solver = CdclSolver()
+    solver.add_clause([1, 2, 3])
+    solver._level.append(0)
+    with pytest.raises(ValueError, match="disagree"):
+        _solve(kernel, solver)
+    with pytest.raises(ValueError, match="disagree"):
+        kernel.add_clauses(solver, [[4, 5]])
+    solver._level = list(solver._level)  # a table of the wrong type
+    with pytest.raises(TypeError, match="_level must be an array"):
+        _solve(kernel, solver)
+    solver._level = array("i", [0] * 4)
+    solver._seen = bytes(4)  # marks that cannot be written
+    with pytest.raises(TypeError, match="_seen must be a bytearray"):
+        _solve(kernel, solver)
+    with pytest.raises(AttributeError):
+        _solve(kernel, object())
+    with pytest.raises(TypeError):
+        kernel.solve(solver)
+    with pytest.raises(TypeError):
+        kernel.add_clauses(solver)
+
+
+def _conflict_after_one_decision() -> tuple[CdclSolver, int]:
+    """Deciding variable 1 false implies 2 through [1, 2], then conflicts on [1, -2].
+
+    Returns the solver and the implication-pool slot that holds the offset
+    of the conflict clause; the slot two before it holds the reason of 2.
+    """
+    solver = CdclSolver()
+    solver.add_clauses([[1, 2], [1, -2]])
+    binary = solver._binary
+    assert _pairs(binary, 2) == [(4, solver._problem[0]), (5, solver._problem[1])]
+    return solver, binary.start[2] + 3
 
 
 def test_a_broken_analysis_state_raises_instead_of_crashing(kernel):
-    # A literal past the value table.
-    solver = _two_decisions()
-    with pytest.raises(IndexError):
-        kernel.analyze(solver, solver._store([3, 2 * 99], -1))
+    solver, _ = _conflict_after_one_decision()
+    assert list(_solve(kernel, solver)) == [1, 1] and solver.stats().conflicts == 1
+    # A literal past the value table in the conflict clause.
+    solver, slot = _conflict_after_one_decision()
+    solver._arena[solver._problem[1] + 1] = 2 * 99
+    with pytest.raises(IndexError, match="literal code"):
+        _solve(kernel, solver)
     # A current-level variable that is not the UIP and has no reason clause.
-    solver = _two_decisions()
+    solver, slot = _conflict_after_one_decision()
+    solver._binary.items[slot - 2] = -1
     with pytest.raises(IndexError, match="reason clause offset -1"):
-        kernel.analyze(solver, solver._store([3, 5], -1))
-    # A current-level variable that is not on the trail.
-    solver = _two_decisions()
-    solver._level[3] = 1
-    with pytest.raises(RuntimeError, match="ran off the trail"):
-        kernel.analyze(solver, solver._store([7], -1))
-    # A conflict that is not a clause offset, or one outside the arena.
-    with pytest.raises(TypeError):
-        kernel.analyze(_two_decisions(), None)
-    solver = _two_decisions()
-    for outside in (-1, 0, 1, len(solver._arena)):
+        _solve(kernel, solver)
+    # A conflict outside the arena.
+    for outside in (0, 1, len(solver._arena)):
+        solver, slot = _conflict_after_one_decision()
+        solver._binary.items[slot] = outside
         with pytest.raises(IndexError, match="outside the arena"):
-            kernel.analyze(solver, outside)
+            _solve(kernel, solver)
     # A clause whose size runs past the end of the arena.
-    solver._arena[solver._problem[0] - 2] = 4
+    solver, _ = _conflict_after_one_decision()
+    solver._arena[solver._problem[1] - 2] = 4
     with pytest.raises(IndexError, match="outside the arena"):
-        kernel.analyze(solver, solver._problem[0])
+        _solve(kernel, solver)
     # A learned-clause index without an activity.
-    solver = _two_decisions()
+    solver, _ = _conflict_after_one_decision()
+    solver._arena[solver._problem[1] - 1] = 7
     with pytest.raises(IndexError, match="learned clause index"):
-        kernel.analyze(solver, solver._store([3, 5], 7))
+        _solve(kernel, solver)
+
+
+def test_analysis_that_runs_off_the_trail_raises(kernel):
+    """Current-level variables that are false but not on the trail.
+
+    Variable 1 is decided true and implies 2 through [-1, 2]; 2 conflicts on
+    [-2, 3].  Variables 3 and 4 are false at level 1 without a trail entry,
+    and the reason of 2 is rewritten to [4, 2], so the decision is never
+    reached and the analysis still counts two literals when the trail ends.
+    """
+    solver = CdclSolver()
+    solver.add_clauses([[-1, 2], [-2, 3]])
+    solver.reserve_vars(4)
+    solver.set_phases({1: True})
+    for variable in (3, 4):
+        solver._value[2 * variable], solver._value[2 * variable + 1] = 0, 1
+        solver._level[variable] = 1
+    solver._arena[solver._problem[0]] = 2 * 4
+    with pytest.raises(RuntimeError, match="ran off the trail"):
+        _solve(kernel, solver)
 
 
 def test_a_broken_clause_database_raises_instead_of_crashing(kernel):
@@ -260,9 +335,11 @@ def test_a_broken_clause_database_raises_instead_of_crashing(kernel):
     solver.add_clause([1, 2, 3])
     solver._num_vars = 9  # the tables still hold three variables
     with pytest.raises(IndexError):
-        kernel.add_clause(solver, [8, 9])
+        kernel.add_clauses(solver, [[8, 9]])
     with pytest.raises(TypeError):
-        kernel.add_clause(solver, 5)
+        kernel.add_clauses(solver, [5])
+    with pytest.raises(TypeError):
+        kernel.add_clauses(solver, 5)
     stored = solver._problem[0]
     first, _, third = solver._clause(stored)
     with pytest.raises(RuntimeError, match="missing from watch list"):
@@ -276,14 +353,14 @@ def test_a_broken_clause_database_raises_instead_of_crashing(kernel):
     watches.size[first] -= 1
     watches.capacity[first] += 1  # a segment that ends inside a pair
     with pytest.raises(ValueError, match="outside its pool"):
-        kernel.add_clause(solver, [1, -3, 2])
+        kernel.add_clauses(solver, [[1, -3, 2]])
     watches.capacity[first] -= 1
     start = watches.start[first]
     watches.start[first] = len(watches.items)  # a list past the end of the pool
     with pytest.raises(ValueError, match="outside its pool"):
         kernel.unwatch(solver, first, stored)
     with pytest.raises(ValueError, match="outside its pool"):
-        kernel.propagate(_with_trail(CdclSolver(), 3, like=solver))
+        _solve(kernel, _with_trail(CdclSolver(), 3, like=solver))
     watches.start[first] = start
     kernel.unwatch(solver, first, stored)
     assert _pairs(watches, first) == []
@@ -291,7 +368,52 @@ def test_a_broken_clause_database_raises_instead_of_crashing(kernel):
     solver.add_clause([1, 2, 3])
     solver._arena[solver._problem[0] - 2] = 1  # a watched clause of one literal
     with pytest.raises(IndexError, match="outside the arena"):
-        kernel.propagate(_with_trail(solver, 3))  # -1 is true: the clause is visited
+        _solve(kernel, _with_trail(solver, 3))  # -1 is true: the clause is visited
+
+
+def _pigeonhole(holes: int, selector: int) -> list[list[int]]:
+    """``holes + 1`` pigeons in ``holes`` holes, every clause guarded by ``-selector``."""
+    pigeons = holes + 1
+
+    def var(pigeon, hole):
+        return selector + 1 + pigeon * holes + hole
+
+    clauses = [[-selector] + [var(p, h) for h in range(holes)] for p in range(pigeons)]
+    clauses += [
+        [-selector, -var(p, h), -var(q, h)]
+        for h in range(holes)
+        for p in range(pigeons)
+        for q in range(p + 1, pigeons)
+    ]
+    return clauses
+
+
+class Interrupted(Exception):
+    pass
+
+
+def test_a_signal_interrupts_a_long_query_and_the_solver_stays_usable(kernel):
+    """Nine pigeons in eight holes take the kernel about 2 s here: a missed
+    signal fails the test instead of hanging it."""
+    solver = CdclSolver(config=SolverConfig(verify_models=True))
+    solver.add_clauses(_pigeonhole(8, selector=1))
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        with pytest.raises(Interrupted):
+            solver.solve([1])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # The counters of the interrupted search were written back.
+    assert solver.stats().conflicts > 0 and solver._queue_head <= len(solver._trail)
+    result = solver.solve([-1])
+    assert result.satisfiable and result.model[1] is False
+    solver._verify_model(result._values)
 
 
 def _with_trail(solver: CdclSolver, code: int, like: CdclSolver | None = None) -> CdclSolver:
@@ -341,6 +463,31 @@ def test_solver_state_is_invisible_to_the_garbage_collector(solver_kernel):
     assert solver.solve().satisfiable
     gc.collect()
     assert len(gc.get_objects()) - before < 100
+
+
+def test_a_reduction_leaves_only_live_clauses(solver_kernel):
+    """After each reduction the arena holds the live clauses and their headers
+    only, and each pool at most twice its live entries."""
+    rng = np.random.default_rng(11)
+    solver = CdclSolver(config=SolverConfig(restart_base=2, reduce_base=20, reduce_growth=5))
+    solver.add_clauses(_random_3sat(rng, 80, 4.3))
+    reduce_db = solver._reduce_db
+    reductions = []
+
+    def reduce_and_measure():
+        deleted = reduce_db()
+        arena = solver._arena
+        live = [*solver._problem, *solver._learned]
+        assert len(arena) == sum(arena[offset - 2] + 2 for offset in live)
+        for lists in (solver._watches, solver._binary):
+            assert len(lists.items) <= 2 * sum(lists.size) + 4
+        reductions.append(deleted)
+        return deleted
+
+    solver._reduce_db = reduce_and_measure
+    solver.solve()
+    solver.solve([1, -2])
+    assert len(reductions) > 3 and sum(reductions) == solver.stats().deleted_clauses > 0
 
 
 def test_tables_are_arrays_for_the_kernel_and_lists_without(solver_kernel):
@@ -407,6 +554,17 @@ def test_a_non_integer_literal_raises_and_changes_nothing(solver_kernel):
     assert solver.solve([2]).model == {1: True, 2: True}
 
 
+def test_a_bad_literal_in_a_block_keeps_the_clauses_before_it(solver_kernel):
+    solver = CdclSolver()
+    with pytest.raises(TypeError):
+        solver.add_clauses([[1, 2], [-1, 3, 4], [5, 1.5], [6, 7]])
+    assert [solver._clause(clause) for clause in solver._problem] == [[2, 4], [3, 6, 8]]
+    assert solver._num_vars == 4 and not solver._unsat
+    solver.add_clauses(clause for clause in ([5, 1], [-5]))  # any iterable of clauses
+    assert solver._num_vars == 5 and list(solver._trail) == [11, 2]  # -5, then 1
+    assert not solver.solve([-1]).satisfiable and solver.solve([-2]).model[3] is True
+
+
 # A one-cell harness for the run-record test (the runner resolves hooks by module).
 def cells(profile, options):
     return [GridCell(name="solve", params={})]
@@ -444,11 +602,12 @@ sys.path.insert(0, sys.argv[2])
 from pathlib import Path
 from repro.sat import native
 from array import array
-from repro.sat.heap import ActivityHeap
 module = native.load(native.SOURCE, Path(sys.argv[1]))
-heap = ActivityHeap(3)
-heap.bump(2, 1.0)
-print(json.dumps([module.__file__, module.pop_unassigned(heap, array("b", [-1] * 8))]))
+native.kernel = lambda: module
+from repro.sat.solver import CdclSolver
+solver = CdclSolver()
+module.add_clauses(solver, [[1, 2], [-1, 2]])
+print(json.dumps([module.__file__, list(module.solve(solver, array("i", [3])))]))
 """
 
 
@@ -467,8 +626,8 @@ def test_concurrent_cold_builds_load_one_kernel(kernel, tmp_path):
     assert [worker.returncode for worker in workers] == [0, 0], outputs
     loaded = [json.loads(stdout) for stdout, _ in outputs]
     assert loaded[0] == loaded[1]
-    path, popped = loaded[0]
-    assert popped == 2
+    path, values = loaded[0]
+    assert values == [0, 1]  # -1 assumed, so 2 is true
     built = sorted(entry.name for entry in build_dir.iterdir())
     assert [name for name in built if name.endswith(".so")] == [Path(path).name]
     assert not [name for name in built if name.endswith(".tmp")]
@@ -516,7 +675,7 @@ def test_a_new_build_removes_the_older_builds_and_their_locks(kernel, tmp_path):
     foreign = build_dir / "_kernel.0123456789abcdef.other-interpreter.so"
     foreign.write_bytes(b"")
     module = native.load(native.SOURCE, build_dir)
-    assert module is not None and module.pop_unassigned is not None
+    assert module is not None and module.solve is not None
     target = Path(module.__file__)
     assert sorted(path.name for path in build_dir.iterdir()) == sorted(
         [target.name, target.with_suffix(".lock").name, foreign.name]

@@ -181,32 +181,20 @@ def _code(literal: int) -> int:
 
 
 class HeapOps:
-    """``pop_unassigned``/``push_many`` of one solver path, as free functions.
+    """``ActivityHeap.pop_unassigned``/``push_many`` as free functions.
 
-    The C kernel re-inserts variables inside ``backtrack``, so its
-    ``push_many`` undoes a one-level trail holding exactly the given codes.
+    The kernel's copies of both run only inside ``_kernel.solve``; the
+    lockstep tests in ``test_solver_kernel.py`` compare the heap they leave
+    with this reference, item for item, after every query.
     """
 
-    def __init__(self, kernel) -> None:
-        self.kernel = kernel
+    @staticmethod
+    def pop_unassigned(heap: ActivityHeap, value: list[int]) -> int | None:
+        return heap.pop_unassigned(array("b", value))  # the solver's value table is typed
 
-    def pop_unassigned(self, heap: ActivityHeap, value: list[int]) -> int | None:
-        value = array("b", value)  # the solver's value table is typed
-        if self.kernel is None:
-            return heap.pop_unassigned(value)
-        return self.kernel.pop_unassigned(heap, value)
-
-    def push_many(self, heap: ActivityHeap, codes: list[int]) -> None:
-        if self.kernel is None:
-            heap.push_many(codes)
-            return
-        solver = CdclSolver()
-        solver.reserve_vars(heap.num_vars)
-        solver._heap = heap
-        solver._trail.extend(codes)
-        solver._trail_limits.append(0)
-        self.kernel.backtrack(solver, 0)
-        assert len(solver._trail) == 0 and len(solver._trail_limits) == 0
+    @staticmethod
+    def push_many(heap: ActivityHeap, codes: list[int]) -> None:
+        heap.push_many(codes)
 
     def pop(self, heap: ActivityHeap) -> int | None:
         """Pop with every variable unassigned (no lazy deletion)."""
@@ -214,8 +202,8 @@ class HeapOps:
 
 
 @pytest.fixture
-def ops(solver_kernel) -> HeapOps:
-    return HeapOps(solver_kernel)
+def ops() -> HeapOps:
+    return HeapOps()
 
 
 class TestActivityHeap:
