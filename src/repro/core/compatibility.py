@@ -5,11 +5,10 @@ rare values simultaneously.  DETERRENT precomputes the full pairwise
 compatibility dictionary before training (§3.3) so that action masking and the
 end-of-episode state transitions become dictionary lookups instead of SAT
 calls.  The paper parallelises this over 64 processes; here the O(r²) pair
-queries are answered either by a single incremental SAT solver (``n_jobs=1``)
-or sharded across a process pool in which every worker owns its own solver
-over the shared CNF encoding (:func:`repro.runner.parallel.sharded_map`).
-Both paths produce bit-identical matrices, and results are memoised in the
-on-disk artifact cache (:mod:`repro.runner.cache`) when one is configured.
+queries are answered in order on one incremental SAT solver, and the result
+is memoised in the on-disk artifact cache (:mod:`repro.runner.cache`) when
+one is configured.  Grid cells, not pair queries, are what run in parallel
+(``deterrent run --jobs``).
 
 The same structure doubles as the compatibility *graph* used by the TARMAC
 baseline's maximal-clique sampling.
@@ -18,13 +17,11 @@ baseline's maximal-clique sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro.circuits.netlist import Netlist
 from repro.runner.cache import ArtifactCache, get_default_cache, netlist_fingerprint
-from repro.runner.parallel import sharded_map
 from repro.sat.justify import Justifier
 from repro.simulation.rare_nets import RareNet
 
@@ -123,7 +120,6 @@ def compute_compatibility(
     netlist: Netlist,
     rare_nets: list[RareNet],
     *,
-    n_jobs: int = 1,
     justifier: Justifier | None = None,
     cache: ArtifactCache | None | object = _DEFAULT_CACHE,
 ) -> CompatibilityAnalysis:
@@ -133,51 +129,39 @@ def compute_compatibility(
         netlist: combinational netlist to analyse.
         rare_nets: candidate rare nets (order defines matrix indexing of the
             activatable subset).
-        n_jobs: worker processes for the O(r) activatability pre-filter and
-            the O(r²) pair queries.  ``1`` answers everything on one
-            incremental solver; ``> 1`` shards both stages across a process
-            pool (bit-identical verdicts); ``<= 0`` means one worker per CPU.
         justifier: optional pre-built solver stack to reuse (also attached to
             the returned analysis for downstream witness generation).
         cache: artifact cache for memoising the result on disk; defaults to
             the process-wide cache (:func:`repro.runner.cache
             .get_default_cache`), pass ``None`` to disable.
 
-    The boolean matrix is bit-identical across all execution paths (serial,
-    sharded, cache hit).  Downstream SAT *witnesses* are not guaranteed
-    identical across paths: the CDCL solver keeps learned clauses, so a
-    justifier that answered the pair queries itself (serial path) is in a
-    different state than a fresh one (cache hit / sharded path), and may
-    return different — equally valid — models for the same requirements.
+    The boolean matrix is the same whether it was computed or read from the
+    cache.  Downstream SAT *witnesses* are not guaranteed identical across
+    the two: the CDCL solver keeps learned clauses, so a justifier that
+    answered the pair queries itself is in a different state than a fresh
+    one (cache hit), and may return different — equally valid — models for
+    the same requirements.
     """
     if cache is _DEFAULT_CACHE:
         cache = get_default_cache()
 
     justifier = justifier or Justifier(netlist)
 
-    # Workers replicate the caller's solver tuning on their private stacks.
-    make_justifier = partial(Justifier, config=justifier.config)
-
     def _build() -> dict:
-        # The O(r) activatability pre-filter and the O(r²) pair queries are
-        # two sharded maps because the pairs are defined over the
-        # *post-filter* subset; the duplicated per-worker init (bench parse +
-        # CNF encode) is milliseconds against the O(r²) solve time.
-        candidates = [(rare.net, rare.rare_value) for rare in rare_nets]
-        verdicts = sharded_map(
-            netlist, make_justifier, is_activatable, candidates, n_jobs,
-            justifier=justifier, label="activatability-shard",
-        )
+        # The O(r) activatability pre-filter runs first: the O(r²) pair
+        # queries are defined over the *post-filter* subset.
+        verdicts = [
+            is_activatable(justifier, (rare.net, rare.rare_value)) for rare in rare_nets
+        ]
         activatable = [rare for rare, ok in zip(rare_nets, verdicts) if ok]
         unsatisfiable = [rare for rare, ok in zip(rare_nets, verdicts) if not ok]
 
         requirements = [(rare.net, rare.rare_value) for rare in activatable]
         rows, cols = np.triu_indices(len(requirements), 1)
-        compatible = sharded_map(
-            netlist, make_justifier, pair_is_compatible,
-            [(requirements[i], requirements[j]) for i, j in zip(rows, cols)],
-            n_jobs, justifier=justifier, label="compat-shard",
-        )
+        compatible = [
+            pair_is_compatible(justifier, (requirements[i], requirements[j]))
+            for i, j in zip(rows, cols)
+        ]
         matrix = np.eye(len(requirements), dtype=bool)
         matrix[rows, cols] = compatible
         matrix[cols, rows] = compatible

@@ -36,9 +36,6 @@ class DeterrentConfig:
         boosted_exploration: apply the §3.4 exploration boost (entropy
             coefficient 1.0, GAE λ 0.99) on top of ``ppo``.
         seed: master seed for the whole pipeline.
-        n_jobs: worker processes for the offline pairwise-compatibility
-            phase (the paper uses 64); 1 = serial incremental solver
-            (bit-identical results), <= 0 = one worker per CPU.
     """
 
     rareness_threshold: float = 0.1
@@ -54,7 +51,6 @@ class DeterrentConfig:
     ppo: PpoConfig = field(default_factory=PpoConfig)
     boosted_exploration: bool = False
     seed: int = 0
-    n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.reward_mode not in ("per_step", "end_of_episode"):

@@ -14,13 +14,11 @@ netlist, consumed by the multi-cycle Trojan evaluator
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from repro.circuits.netlist import Netlist
 from repro.core.compatibility import CompatibilityAnalysis
-from repro.runner.parallel import sharded_map
 from repro.sat.justify import Justifier, greedy_maximal_subset
 from repro.simulation.rare_nets import RareNet
 from repro.utils.rng import RngLike, make_rng
@@ -191,7 +189,6 @@ def generate_patterns(
     compatibility: CompatibilityAnalysis,
     compatible_sets: list[frozenset[int]],
     technique: str = "DETERRENT",
-    n_jobs: int = 1,
 ) -> PatternSet:
     """Generate one test pattern per compatible set using the SAT solver.
 
@@ -200,28 +197,16 @@ def generate_patterns(
     yielding an input pattern that drives every net in the set to its rare
     value.  Sets that turn out not to be jointly satisfiable (possible when
     the environment only used the pairwise approximation) are repaired by
-    :func:`pattern_witness_with_repair`.
-
-    ``n_jobs > 1`` shards the per-set witness queries across worker
-    processes (:func:`repro.runner.parallel.sharded_map`); ``n_jobs=1`` is
-    the reference path on the analysis's own incremental solver.  Every path
-    emits a valid witness per (repaired) set, but the concrete patterns may
-    differ between paths because worker solvers start from fresh clause
-    databases.
+    :func:`pattern_witness_with_repair`.  Every set is answered in order on
+    the analysis's own incremental solver.
     """
-    justifier = compatibility.justifier
-    results = sharded_map(
-        compatibility.netlist,
-        partial(
-            Justifier, preferred_values=justifier.preferred_values, config=justifier.config
-        ),
-        pattern_witness_with_repair,
-        [tuple(compatibility.rare_nets[index] for index in indices)
-         for indices in compatible_sets],
-        n_jobs,
-        justifier=justifier,
-        label="witness-shard",
-    )
+    results = [
+        pattern_witness_with_repair(
+            compatibility.justifier,
+            tuple(compatibility.rare_nets[index] for index in indices),
+        )
+        for indices in compatible_sets
+    ]
     found = [(witness, realized) for witness, realized in results if witness is not None]
     return PatternSet.from_assignments(
         compatibility.netlist,

@@ -103,11 +103,8 @@ class DeterrentPipeline:
             )
 
         if compatibility is None:
-            # Sharded across config.n_jobs worker processes (paper §3.3);
-            # memoised in the default artifact cache when one is configured.
-            compatibility = compute_compatibility(
-                combinational, rare_nets, n_jobs=config.n_jobs
-            )
+            # Memoised in the default artifact cache when one is configured.
+            compatibility = compute_compatibility(combinational, rare_nets)
         started = _record_phase(timings, "compatibility", started)
         if compatibility.num_rare_nets == 0:
             raise ValueError(
@@ -124,11 +121,7 @@ class DeterrentPipeline:
         started = _record_phase(timings, "training", started)
 
         selected_sets = agent_result.largest_sets(config.k_patterns)
-        # Like the pre-filter and pair queries, per-set witness generation
-        # shards across config.n_jobs workers (serial when n_jobs == 1).
-        pattern_set = generate_patterns(
-            compatibility, selected_sets, technique="DETERRENT", n_jobs=config.n_jobs
-        )
+        pattern_set = generate_patterns(compatibility, selected_sets, technique="DETERRENT")
         _record_phase(timings, "pattern_generation", started)
 
         return DeterrentResult(

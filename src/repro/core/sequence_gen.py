@@ -27,23 +27,19 @@ about input *sequences* from reset rather than single patterns:
 The emitted :class:`~repro.core.patterns.SequenceSet` plays the same role as
 the combinational flow's :class:`~repro.core.patterns.PatternSet`: any
 sampled multi-cycle Trojan whose trigger nets all landed in one generated set
-provably fires on that set's witness sequence.  ``n_jobs > 1`` shards the
-per-set witness extraction across worker processes
-(:func:`repro.runner.parallel.sharded_map`), with ``n_jobs=1`` as the
-reference path on one incremental unrolled solver.
+provably fires on that set's witness sequence.  All three steps run in
+order on one incremental unrolled solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro import obs
 from repro.circuits.netlist import Netlist
 from repro.core.patterns import SequenceSet
-from repro.runner.parallel import sharded_map
 from repro.sat.justify import greedy_maximal_subset
 from repro.sat.solver import SolverConfig
 from repro.sat.temporal import SequentialJustifier, temporal_fire_cycles
@@ -330,26 +326,6 @@ def sequence_witness_with_repair(
     return witness.sequence, witness.fire_cycle, realized
 
 
-def make_sequence_justifier(
-    netlist: Netlist,
-    cycles: int,
-    initial_state: dict[str, int] | None = None,
-    config: SolverConfig | None = None,
-    preferred_values: dict[str, int] | None = None,
-) -> SequentialJustifier:
-    """A biased unrolled solver stack (picklable as a ``functools.partial``).
-
-    Sharded workers build their stacks with it, so they unroll from the same
-    machine state, with the same tuning and witness bias, as the caller's.
-    """
-    justifier = SequentialJustifier(
-        netlist, cycles, initial_state=initial_state, config=config
-    )
-    if preferred_values:
-        justifier.set_preferred_values(preferred_values)
-    return justifier
-
-
 def generate_sequences(
     netlist: Netlist,
     rare_nets: list[RareNet],
@@ -359,7 +335,6 @@ def generate_sequences(
     num_sequences: int = 16,
     seed: RngLike = None,
     justifier: SequentialJustifier | None = None,
-    n_jobs: int = 1,
     technique: str = "SAT-guided",
     solver_config: SolverConfig | None = None,
 ) -> SequenceSet:
@@ -373,11 +348,9 @@ def generate_sequences(
     cycles from reset, so any sampled Trojan whose trigger nets are a subset
     of one set is covered by construction.
 
-    ``solver_config`` tunes every CDCL solver in the pipeline (the serial
-    stack and, for ``n_jobs != 1``, each worker's private stack); the
-    emitted metadata carries the serial stack's cumulative
-    :class:`~repro.sat.solver.SolverStats` under ``"solver_stats"``
-    (worker-side stats are not aggregated).  Under active telemetry the
+    ``solver_config`` tunes the pipeline's CDCL solver; the emitted
+    metadata carries its cumulative :class:`~repro.sat.solver.SolverStats`
+    under ``"solver_stats"``.  Under active telemetry the
     whole pipeline runs inside a ``solver.sequence_gen`` span, with one
     child span per phase: ``sequence_gen.activatability``,
     ``sequence_gen.greedy_sets`` and ``sequence_gen.witness``.
@@ -388,7 +361,7 @@ def generate_sequences(
     ) as gen_span:
         result = _generate_sequences(
             netlist, rare_nets, cycles, mode, count, num_sequences, seed,
-            justifier, n_jobs, technique, solver_config,
+            justifier, technique, solver_config,
         )
         gen_span.set_attr("sequences", int(result.sequences.shape[0]))
         return result
@@ -403,7 +376,6 @@ def _generate_sequences(
     num_sequences: int,
     seed: RngLike,
     justifier: SequentialJustifier | None,
-    n_jobs: int,
     technique: str,
     solver_config: SolverConfig | None,
 ) -> SequenceSet:
@@ -429,30 +401,19 @@ def _generate_sequences(
         return SequenceSet(
             inputs=inputs, sequences=empty, technique=technique, metadata=metadata
         )
-    preferred = {
-        rare.net: rare.rare_value for rare in compatibility.rare_nets
-    }
-    compatibility.justifier.set_preferred_values(preferred)
+    compatibility.justifier.set_preferred_values(
+        {rare.net: rare.rare_value for rare in compatibility.rare_nets}
+    )
     with obs.trace.span("sequence_gen.greedy_sets"):
         sets = greedy_compatible_sets(compatibility, num_sequences, seed=seed)
     ordered_sets = [compatibility.ordered_requirements(indices) for indices in sets]
     with obs.trace.span("sequence_gen.witness"):
-        results = sharded_map(
-            netlist,
-            partial(
-                make_sequence_justifier,
-                cycles=cycles,
-                # A caller-supplied justifier may not unroll from reset.
-                initial_state=compatibility.justifier.initial_state,
-                config=compatibility.justifier.config,
-                preferred_values=preferred,
-            ),
-            partial(sequence_witness_with_repair, mode=mode, count=count, cycles=cycles),
-            ordered_sets,
-            n_jobs,
-            justifier=compatibility.justifier,
-            label="sequence-shard",
-        )
+        results = [
+            sequence_witness_with_repair(
+                compatibility.justifier, ordered, mode, count, cycles
+            )
+            for ordered in ordered_sets
+        ]
     sequences: list[np.ndarray] = []
     for ordered, (sequence, fire_cycle, realized) in zip(ordered_sets, results):
         if sequence is None:
@@ -463,8 +424,8 @@ def _generate_sequences(
         metadata["sets"].append(ordered)
         metadata["set_sizes"].append(realized)
         metadata["fire_cycles"].append(int(fire_cycle))
-    # Cumulative stats of the serial solver stack (pre-filter, greedy set
-    # construction, and — on the n_jobs=1 path — witness extraction).
+    # Cumulative stats of the solver stack (pre-filter, greedy set
+    # construction and witness extraction).
     metadata["solver_stats"] = compatibility.justifier.stats().as_dict()
     array = np.stack(sequences) if sequences else empty
     return SequenceSet(
@@ -477,7 +438,6 @@ __all__ = [
     "analyze_sequential_compatibility",
     "generate_sequences",
     "greedy_compatible_sets",
-    "make_sequence_justifier",
     "sequence_witness_with_repair",
     "temporal_activatability",
 ]

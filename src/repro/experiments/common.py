@@ -148,7 +148,6 @@ def prepare_benchmark(
     trigger_width: int | None = None,
     use_cache: bool = True,
     cache: ArtifactCache | None | object = _DEFAULT_CACHE,
-    n_jobs: int = 1,
 ) -> BenchmarkContext:
     """Load a benchmark and precompute rare nets, compatibility, and Trojans.
 
@@ -157,8 +156,7 @@ def prepare_benchmark(
     threshold, width) within the process, and — when an on-disk artifact
     cache is configured (``cache`` argument, :func:`repro.runner.cache
     .set_default_cache`, or ``DETERRENT_CACHE_DIR``) — shared across worker
-    processes and re-runs.  ``n_jobs > 1`` shards the pairwise-compatibility
-    queries across worker processes (bit-identical result).
+    processes and re-runs.
     """
     width = trigger_width if trigger_width is not None else profile.trigger_width
     # The whole (frozen, hashable) profile is part of the key: two profiles
@@ -198,7 +196,7 @@ def prepare_benchmark(
     else:
         rare_nets = _extract_rare_nets()
 
-    compatibility = compute_compatibility(netlist, rare_nets, n_jobs=n_jobs, cache=cache)
+    compatibility = compute_compatibility(netlist, rare_nets, cache=cache)
     compatibility.justifier.set_preferred_values(
         {rare.net: rare.rare_value for rare in compatibility.rare_nets}
     )

@@ -73,7 +73,7 @@ def cells(profile: ExperimentProfile, options: dict):
     """Same grid shape as the ``sequential`` harness (designs × cycles × rule).
 
     A ``solver`` option (SolverConfig mapping) is validated once here and
-    attached to every cell, so sharded workers rebuild the exact same
+    attached to every cell, so grid-cell workers rebuild the exact same
     configuration from the cell params alone.
     """
     grid = _sequential_cells(profile, options)

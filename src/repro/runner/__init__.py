@@ -1,18 +1,17 @@
-"""Experiment orchestration: sharded solvers, artifact cache, registry, runner.
+"""Experiment orchestration: artifact cache, registry, runner, backends.
 
 This package is the orchestration layer the DETERRENT paper implies but the
 per-harness scripts used to re-implement ad hoc:
 
-- :mod:`repro.runner.parallel` — :func:`~repro.runner.parallel.sharded_map`,
-  the one sharded map behind every per-item SAT stage (the paper's
-  64-process offline phase, §3.3), with an inline reference path.
 - :mod:`repro.runner.cache` — content-addressed on-disk artifact cache for
   rare nets, compatibility analyses, and Trojan populations, keyed by netlist
   fingerprint + configuration fingerprint.
 - :mod:`repro.runner.registry` — declarative specs for every experiment
   harness (name, module, grid cells).
 - :mod:`repro.runner.execution` — the runner that executes grid cells on an
-  execution backend and streams structured JSON results.
+  execution backend and streams structured JSON results.  Grid cells are
+  the unit of parallelism (``deterrent run --jobs``); every SAT stage inside
+  a cell runs in order on that cell's own incremental solver.
 - :mod:`repro.runner.backends` — the two execution backends by name:
   ``serial`` (inline) and ``process`` (a process pool).
 - :mod:`repro.runner.resilience` — retries with deterministic backoff,

@@ -1,14 +1,13 @@
 """Execution backends: where a unit of work actually runs.
 
-Every parallel stage of the reproduction — grid cells in
-:mod:`repro.runner.execution`, SAT shards in :mod:`repro.runner.parallel` —
-runs through :func:`make_executor`, which turns a backend name and
-``(max_workers, initializer, initargs)`` into a
+Grid cells (:mod:`repro.runner.execution`), the one parallel stage of the
+reproduction, run through :func:`make_executor`, which turns a backend name
+and ``(max_workers, initializer, initargs)`` into a
 ``concurrent.futures.Executor``.  There are two backends (:data:`BACKENDS`):
 
 - ``"serial"`` — runs everything in the calling process, in submission
   order.  The initializer runs once, in-process, so worker-state contracts
-  (e.g. the per-worker solver stacks in ``parallel.py``) hold unchanged.
+  (e.g. the cell worker's cache configuration) hold unchanged.
   This is the ``--jobs 1`` path, the reference for bit-identity checks, and
   the graceful-degradation target when the process pool keeps failing.
 - ``"process"`` — a ``ProcessPoolExecutor``: real isolation, real

@@ -34,7 +34,6 @@ from repro import obs
 from repro.runner.backends import resolve_backend
 from repro.runner.cache import get_default_cache, set_default_cache
 from repro.runner.faults import FaultPlan
-from repro.runner.parallel import extend_sys_path, resolve_jobs
 from repro.runner.registry import ExperimentSpec, GridCell, get_experiment
 from repro.runner.resilience import ResiliencePolicy, run_tasks
 from repro.sat import native
@@ -116,9 +115,27 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalise a job-count request: None or <= 0 means "all CPUs"."""
+    if jobs is None or jobs <= 0:
+        return os.cpu_count() or 1
+    return jobs
+
+
 # ----------------------------------------------------------------------
 # Worker-process entry points (module level: must be picklable by name)
 # ----------------------------------------------------------------------
+def extend_sys_path(search_paths: list[str]) -> None:
+    """Replay the parent's ``sys.path`` in a worker.
+
+    Spawned workers can then import ``repro`` from a fresh checkout that was
+    never pip-installed.
+    """
+    for path in search_paths:
+        if path not in sys.path:
+            sys.path.append(path)
+
+
 def _init_cell_worker(search_paths: list[str], cache_dir: str | None) -> None:
     """Replay the parent's import path and cache configuration in a worker."""
     extend_sys_path(search_paths)

@@ -4,8 +4,7 @@ Correctness under failure is only trustworthy if every recovery path is
 exercised by tests, and worker failure is exactly the kind of behaviour that
 cannot be provoked reliably from the outside.  This module provides the
 scripting hook: a picklable :class:`FaultPlan` travels to every worker
-through the backend initializer (the same style as the shard→seed contract
-in :mod:`repro.runner.parallel`) and makes a specific *task* misbehave on a
+through the backend initializer and makes a specific *task* misbehave on a
 specific *attempt* — crash the worker, hang past the timeout, raise, or
 return a corrupt result.
 
@@ -62,10 +61,10 @@ class FaultRule:
     """Make one task misbehave: ``kind`` on the first ``attempts`` attempts.
 
     ``task_index`` is the task's position in submission order (for the
-    sharded SAT paths, the shard index; for the runner, the grid-cell
-    index).  ``attempts`` bounds how often the fault fires — attempt
-    numbers are 1-based and monotonically increasing across retries and
-    backend downgrades, so ``attempts=1`` means "fail once, then recover".
+    runner, the grid-cell index).  ``attempts`` bounds how often the fault
+    fires — attempt numbers are 1-based and monotonically increasing across
+    retries and backend downgrades, so ``attempts=1`` means "fail once, then
+    recover".
     ``only_backend`` restricts the rule to one backend name (``"serial"``
     or ``"process"``); None fires everywhere.
     """

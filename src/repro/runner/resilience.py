@@ -7,8 +7,8 @@ backend (:mod:`repro.runner.backends`):
 - **Per-task retry with exponential backoff and jitter.**  A failed attempt
   (worker crash, timeout, raised exception, corrupt result) is resubmitted
   up to ``max_attempts`` times.  The backoff delay is a pure function of
-  ``(task seed, attempt)``, so a rerun of the same shards sleeps the same
-  schedule — deterministic given the shard seed, like everything else in
+  ``(task seed, attempt)``, so a rerun of the same tasks sleeps the same
+  schedule — deterministic given the task seed, like everything else in
   the runner.
 - **Per-attempt timeouts.**  On the process backend, an attempt that exceeds
   ``timeout`` seconds (measured from when the caller starts waiting on it;
@@ -28,7 +28,7 @@ backend (:mod:`repro.runner.backends`):
 
 Results are returned in task-submission order, so a recovered run is
 indistinguishable from a clean one wherever task results are deterministic
-(every exact-verdict SAT path, every grid cell with a fixed seed).
+(every grid cell with a fixed seed).
 
 Fault injection (:mod:`repro.runner.faults`) threads through here: a
 :class:`~repro.runner.faults.FaultPlan` is installed in every worker via a
@@ -71,8 +71,8 @@ class ResiliencePolicy:
         max_backend_failures: consecutive failing rounds (a round that saw
             at least one crash or timeout) tolerated before the run
             downgrades to the serial backend.
-        seed: base seed for the deterministic backoff jitter when the
-            caller provides no per-task seeds.
+        seed: base seed for the deterministic backoff jitter; task ``i``
+            jitters from ``seed + 7919 * i``.
 
     Results that are :class:`~repro.runner.faults.CorruptResult` markers
     are always rejected and the task retried.
@@ -151,8 +151,8 @@ def backoff_delay(policy: ResiliencePolicy, seed: int, attempt: int) -> float:
 
     ``base * 2**(attempt-2)`` capped at ``backoff_cap``, scaled into
     ``[0.5, 1.5)`` by a jitter stream seeded purely from ``(seed,
-    attempt)`` — reruns of the same shard sleep the same schedule, and
-    distinct shards never thundering-herd the same instant.
+    attempt)`` — reruns of the same task sleep the same schedule, and
+    distinct tasks never thundering-herd the same instant.
     """
     if attempt < 2:
         return 0.0
@@ -272,7 +272,6 @@ def run_tasks(
     initializer: Callable[..., None] | None = None,
     initargs: tuple = (),
     max_workers: int | None = None,
-    seeds: Sequence[int] | None = None,
     fault_plan: faults.FaultPlan | None = None,
     label: str = "task",
 ) -> ResilientOutcome:
@@ -280,10 +279,9 @@ def run_tasks(
 
     ``tasks`` is a sequence of argument tuples for ``fn`` (which must be a
     module-level, picklable function for the process backend).  Results come
-    back in task order.  ``seeds`` (default: derived from ``policy.seed``)
-    drive the deterministic backoff jitter — the sharded SAT paths pass
-    their shard seeds here.  Raises :class:`ResilienceError` only when a
-    task keeps failing even on the serial backend.
+    back in task order; ``policy.seed`` drives the deterministic backoff
+    jitter.  Raises :class:`ResilienceError` only when a task keeps failing
+    even on the serial backend.
     """
     policy = policy or ResiliencePolicy()
     active = resolve_backend(backend, jobs=max_workers)
@@ -297,11 +295,6 @@ def run_tasks(
     )
     if n == 0:
         return outcome
-    if seeds is None:
-        seeds = [policy.seed + 7919 * index for index in range(n)]
-    elif len(seeds) != n:
-        raise ValueError(f"got {len(seeds)} seeds for {n} tasks")
-
     budget = [policy.max_attempts] * n
     pending = list(range(n))
     consecutive_bad_rounds = 0
@@ -314,7 +307,11 @@ def run_tasks(
                 if outcome.rounds > 1:
                     outcome.retries += len(pending)
                     delay = max(
-                        backoff_delay(policy, seeds[index], outcome.attempts[index] + 1)
+                        backoff_delay(
+                            policy,
+                            policy.seed + 7919 * index,
+                            outcome.attempts[index] + 1,
+                        )
                         for index in pending
                     )
                     if delay > 0:

@@ -27,7 +27,6 @@ class Justifier:
     def __init__(
         self,
         netlist: Netlist,
-        preferred_values: dict[str, int] | None = None,
         config: SolverConfig | None = None,
     ) -> None:
         self.netlist = netlist
@@ -36,9 +35,6 @@ class Justifier:
         self._solver = CdclSolver(self.encoder.cnf, config=self.config)
         self.num_queries = 0
         self._preferred_phases: dict[int, bool] = {}
-        self.preferred_values: dict[str, int] = {}
-        if preferred_values:
-            self.set_preferred_values(preferred_values)
 
     def set_preferred_values(self, preferred_values: dict[str, int]) -> None:
         """Bias SAT witnesses toward the given net values when unconstrained.
@@ -51,9 +47,6 @@ class Justifier:
         self._preferred_phases = {
             self.encoder.variable(net): bool(value) for net, value in preferred_values.items()
         }
-        # Keep the net-level mapping so sharded workers can replicate the
-        # bias on their own solver stacks (see core/patterns.py).
-        self.preferred_values = {net: int(value) for net, value in preferred_values.items()}
 
     def stats(self) -> SolverStats:
         """Cumulative solver statistics across every query so far."""
@@ -106,8 +99,7 @@ def greedy_maximal_subset(items, accumulated_satisfiable):
     kept iff ``accumulated_satisfiable(kept + [i])`` holds.  The predicate
     receives the full candidate list each time, so callers decide how a
     candidate set maps to a SAT query (requirement dict, temporal trigger,
-    ...), and the kept order — hence the query sequence — is identical
-    across the serial and sharded paths.
+    ...), and the kept order fixes the query sequence.
     """
     kept: list = []
     for item in items:

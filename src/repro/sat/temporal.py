@@ -194,11 +194,6 @@ class SequentialJustifier:
         return self.expansion.num_frames
 
     @property
-    def initial_state(self) -> dict[str, int] | None:
-        """The non-reset initial state this justifier unrolls from, if any."""
-        return dict(self._initial_state) if self._initial_state else None
-
-    @property
     def num_queries(self) -> int:
         """Number of SAT queries issued so far."""
         return self.expansion.num_queries

@@ -1,4 +1,4 @@
-"""Tests for the on-disk artifact cache and the sharded compatibility path."""
+"""Tests for the on-disk artifact cache."""
 
 from __future__ import annotations
 
@@ -360,18 +360,10 @@ class TestPrepareBenchmarkDiskCache:
 
 
 class TestCompatibilityParity:
-    def test_serial_and_sharded_matrices_identical(self, c2670, c2670_rare):
-        serial = compute_compatibility(c2670, c2670_rare, n_jobs=1, cache=None)
-        sharded = compute_compatibility(c2670, c2670_rare, n_jobs=2, cache=None)
-        assert serial.rare_nets == sharded.rare_nets
-        assert serial.unsatisfiable == sharded.unsatisfiable
-        assert np.array_equal(serial.matrix, sharded.matrix)
-        assert serial.matrix.dtype == sharded.matrix.dtype == np.bool_
-
     def test_compatibility_cache_roundtrip(self, tmp_path, c2670, c2670_rare):
         cache = ArtifactCache(tmp_path)
-        first = compute_compatibility(c2670, c2670_rare, n_jobs=1, cache=cache)
-        again = compute_compatibility(c2670, c2670_rare, n_jobs=1, cache=cache)
+        first = compute_compatibility(c2670, c2670_rare, cache=cache)
+        again = compute_compatibility(c2670, c2670_rare, cache=cache)
         assert cache.stats.hits == 1
         assert np.array_equal(first.matrix, again.matrix)
         assert again.rare_nets == first.rare_nets

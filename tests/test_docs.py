@@ -69,7 +69,8 @@ class TestDocsMatchRegistry:
         # Spans are the only timing mechanism: the histogram registry, its
         # per-pid files and the sampled profiling hooks are gone too.  So are
         # the MERO baseline, Verilog I/O, netlist statistics, the stopwatch
-        # and the per-spec cell resilience defaults.
+        # and the per-spec cell resilience defaults, and so are the sharded
+        # SAT stages with their ``n_jobs`` knobs.
         removed = (
             "python -m repro.experiments.",
             "DETERRENT_PROFILE",
@@ -82,6 +83,9 @@ class TestDocsMatchRegistry:
             "netlist_stats",
             "Stopwatch",
             "cell_timeout",
+            "sharded_map",
+            "n_jobs",
+            "repro.runner.parallel",
         )
         paths = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
         paths += sorted(p for p in (REPO_ROOT / ".claude" / "skills").rglob("*") if p.is_file())

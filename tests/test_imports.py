@@ -48,6 +48,21 @@ def test_light_entry_points_skip_the_heavy_stack(module):
     assert heavy == []
 
 
+@pytest.mark.parametrize(
+    "module", ["repro.core.compatibility", "repro.core.patterns", "repro.core.sequence_gen"]
+)
+def test_sat_stages_load_no_runner_beyond_the_cache(module):
+    # Every SAT stage runs in order on the caller's own solver: the stages
+    # reach the runner only for the artifact cache, and never spawn workers.
+    loaded = loaded_after_import(module)
+    assert module in loaded
+    runner = sorted(name for name in loaded if name.startswith("repro.runner."))
+    assert runner == ["repro.runner.cache"]
+    assert not any(
+        name == "multiprocessing" or name.startswith("multiprocessing.") for name in loaded
+    )
+
+
 def test_the_solver_loads_without_telemetry():
     # The CDCL loop has no timing probes; solver work is timed by the spans
     # of its callers.

@@ -24,11 +24,9 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from repro.circuits.library import load_benchmark
-from repro.core.compatibility import compute_compatibility
 from repro.core.patterns import SequenceSet
 from repro.core.sequence_gen import generate_sequences
 from repro.experiments import common, table2
@@ -194,17 +192,6 @@ def test_ablations_coverage_grows_with_k():
     )
     coverages = [point.coverage_percent for point in k_points]
     assert coverages == sorted(coverages)
-
-
-def test_sharded_compatibility_equals_serial():
-    netlist = load_benchmark("mips16_like")
-    # The 72 rarest nets keep the quadratic pair count small.
-    rare_nets = extract_rare_nets(netlist, threshold=0.1, num_patterns=1024, seed=0)[:72]
-    assert len(rare_nets) >= 2
-    serial = compute_compatibility(netlist, rare_nets, n_jobs=1, cache=None)
-    sharded = compute_compatibility(netlist, rare_nets, n_jobs=2, cache=None)
-    assert np.array_equal(serial.matrix, sharded.matrix)
-    assert serial.rare_nets == sharded.rare_nets
 
 
 class TestTemporalTriggers:

@@ -377,7 +377,8 @@ class TestJustifier:
 
     def test_preferred_values_bias_witness(self, small_multiplier, multiplier_rare_nets):
         preferences = {item.net: item.rare_value for item in multiplier_rare_nets}
-        biased = Justifier(small_multiplier, preferred_values=preferences)
+        biased = Justifier(small_multiplier)
+        biased.set_preferred_values(preferences)
         plain = Justifier(small_multiplier)
         # Pick the rarest net whose rare value is actually reachable.
         target = next(

@@ -1,10 +1,8 @@
-"""SAT-guided sequence generation and the sharded SAT work satellites.
+"""SAT-guided sequence generation and per-set pattern witnesses.
 
 Covers the sequential pattern pipeline (pre-filter, greedy joint sets,
 replay-verified witnesses, the ``sequential_detect`` acceptance property)
-and the sharded counterparts of the serial SAT stages (activatability
-pre-filter, per-set pattern witnesses, per-set sequence witnesses) with
-their ``n_jobs=1`` fallback contracts.
+and the combinational witness stage (every pattern simulates to its set).
 """
 
 from __future__ import annotations
@@ -15,21 +13,19 @@ import pytest
 from repro import obs
 from repro.circuits.library import load_benchmark
 from repro.core import sequence_gen
-from repro.core.compatibility import compute_compatibility, is_activatable
-from repro.core.patterns import SequenceSet, generate_patterns
+from repro.core.compatibility import compute_compatibility
+from repro.core.patterns import SequenceSet, generate_patterns, pattern_witness_with_repair
 from repro.core.sequence_gen import (
     analyze_sequential_compatibility,
     generate_sequences,
     greedy_compatible_sets,
-    make_sequence_justifier,
     sequence_witness_with_repair,
 )
 from repro.obs.trace import build_tree, load_spans
-from repro.runner.parallel import make_shards, sharded_map
 from repro.sat.justify import Justifier
 from repro.sat.temporal import replay_fire_cycles
 from repro.simulation.logic_sim import simulate_pattern
-from repro.simulation.rare_nets import extract_rare_nets
+from repro.simulation.rare_nets import RareNet, extract_rare_nets
 from repro.trojan.evaluation import sequence_trigger_coverage
 from repro.trojan.insertion import sample_sequential_trojans
 from repro.trojan.model import SequentialTrigger, TriggerCondition
@@ -112,6 +108,32 @@ class TestSequentialCompatibility:
         assert sequence is not None
         assert 0 < realized <= len(ordered)
         assert fire_cycle >= 0
+
+    def test_repair_keeps_the_greedy_prefix_of_a_hand_built_set(self):
+        from repro.circuits.gates import GateType
+        from repro.circuits.netlist import Netlist
+        from repro.sat.temporal import SequentialJustifier
+
+        netlist = Netlist("toy_seq")
+        netlist.add_input("a")
+        netlist.add_input("b")
+        netlist.add_flip_flop("q", "a")
+        netlist.add_flip_flop("r", "b")
+        netlist.add_gate("mix", GateType.AND, ("a", "q"))
+        netlist.add_gate("nq", GateType.NOT, ("q",))
+        netlist.add_gate("nb", GateType.NOT, ("b",))
+        netlist.add_gate("hold", GateType.AND, ("nb", "r"))
+        for output in ("mix", "nq", "hold"):
+            netlist.add_output(output)
+        # mix=1 needs q=1 and nq=1 needs q=0 in the same cycle, so the set
+        # is repaired down to (mix, hold).
+        ordered = (("mix", 1), ("hold", 1), ("nq", 1))
+        sequence, fire_cycle, realized = sequence_witness_with_repair(
+            SequentialJustifier(netlist, 3), ordered, "consecutive", 1, 3
+        )
+        assert realized == 2
+        kept = SequentialTrigger(TriggerCondition(ordered[:2]), "consecutive", 1)
+        assert fire_cycle in replay_fire_cycles(netlist, kept, sequence)
 
 
 class TestGenerateSequences:
@@ -204,60 +226,34 @@ class TestGenerateSequences:
         assert len(produced) == 0
         assert produced.metadata["num_activatable"] == 0
 
-    def test_sharded_sequence_witnesses_respect_initial_state(self):
-        """Workers must unroll from the caller's state, not silently from reset."""
-        from functools import partial
-
-        from repro.circuits.gates import GateType
-        from repro.circuits.netlist import Netlist
-
-        netlist = Netlist("toy")
-        netlist.add_input("a")
-        netlist.add_flip_flop("q", "a")
-        netlist.add_gate("mix", GateType.AND, ("a", "q"))
-        netlist.add_output("mix")
-        # consecutive-2 within 2 cycles needs mix at cycles 0 AND 1: possible
-        # only when the machine starts with q=1, never from reset.
-        ordered_sets = [(("mix", 1),), (("mix", 1),)]
-        trigger = SequentialTrigger(
-            condition=TriggerCondition((("mix", 1),)), mode="consecutive", count=2
-        )
-        witness = partial(
-            sequence_witness_with_repair, mode="consecutive", count=2, cycles=2
-        )
-
-        def sharded(initial_state):
-            return sharded_map(
-                netlist,
-                partial(make_sequence_justifier, cycles=2, initial_state=initial_state),
-                witness, ordered_sets, n_jobs=2, label="sequence-shard",
-            )
-
-        seeded = sharded({"q": 1})
-        for sequence, fire_cycle, realized in seeded:
-            assert sequence is not None and realized == 1
-            fires = replay_fire_cycles(
-                netlist, trigger, sequence, initial_state={"q": 1}
-            )
-            assert fires and fires[0] == fire_cycle == 1
-        from_reset = sharded(None)
-        assert all(sequence is None for sequence, _, _ in from_reset)
-
-    def test_sharded_generation_produces_valid_witnesses(self, controller, state_rare):
+    def test_generation_produces_valid_witnesses(self, controller, state_rare):
         guided = generate_sequences(
             controller, state_rare, CYCLES, mode="cumulative", count=2,
-            num_sequences=6, seed=3, n_jobs=2,
+            num_sequences=6, seed=3,
         )
         assert len(guided) > 0
         for position, ordered in enumerate(guided.metadata["sets"]):
-            if guided.metadata["set_sizes"][position] != len(ordered):
-                continue
             trigger = SequentialTrigger(
                 condition=TriggerCondition(tuple(ordered)),
                 mode="cumulative", count=2,
             )
             fires = replay_fire_cycles(controller, trigger, guided.sequences[position])
             assert fires and fires[0] == guided.metadata["fire_cycles"][position]
+
+    @pytest.mark.parametrize("mode", ["consecutive", "cumulative"])
+    def test_every_emitted_set_is_realised_in_full(self, controller, state_rare, mode):
+        """Every greedy set is proven SAT before it is chosen, and the same
+        solver answers the witnesses, so the pipeline never reaches the
+        repair branch of ``sequence_witness_with_repair``."""
+        guided = generate_sequences(
+            controller, state_rare, CYCLES, mode=mode, count=2,
+            num_sequences=16, seed=3,
+        )
+        assert len(guided) > 0
+        sets, sizes = guided.metadata["sets"], guided.metadata["set_sizes"]
+        assert len(sets) == len(sizes) == len(guided)
+        for ordered, realized in zip(sets, sizes):
+            assert realized == len(ordered)
 
 
 @pytest.fixture(scope="module")
@@ -270,55 +266,11 @@ def combinational_rare(combinational):
     return extract_rare_nets(combinational, threshold=0.1, num_patterns=1024, seed=0)
 
 
-class TestItemShards:
-    def test_shards_cover_every_item_exactly_once(self):
-        shards = make_shards(range(23), 5, base_seed=11)
-        items = [item for shard in shards for _, item in shard.items]
-        assert sorted(items) == list(range(23))
-
-    def test_seed_contract(self):
-        shards = make_shards(range(10), 3, base_seed=100)
-        for shard in shards:
-            assert shard.seed == 100 + 7919 * shard.index
-
-    def test_empty_and_invalid(self):
-        assert make_shards([], 4) == []
-        with pytest.raises(ValueError):
-            make_shards(range(4), 0)
-
-
-class TestShardedActivatability:
-    def test_matches_serial_bit_for_bit(self, combinational, combinational_rare):
-        requirements = [
-            (rare.net, rare.rare_value) for rare in combinational_rare[:16]
-        ]
-        serial = sharded_map(
-            combinational, Justifier, is_activatable, requirements, 1, label="inline"
-        )
-        sharded = sharded_map(
-            combinational, Justifier, is_activatable, requirements, 2,
-            label="activatability-shard",
-        )
-        assert serial == sharded
-
-    def test_compatibility_prefilter_identical_across_job_counts(
-        self, combinational, combinational_rare
-    ):
-        rare = combinational_rare[:12]
-        serial = compute_compatibility(combinational, rare, n_jobs=1, cache=None)
-        sharded = compute_compatibility(combinational, rare, n_jobs=2, cache=None)
-        assert serial.rare_nets == sharded.rare_nets
-        assert serial.unsatisfiable == sharded.unsatisfiable
-        assert np.array_equal(serial.matrix, sharded.matrix)
-
-
-class TestShardedPatternWitnesses:
-    def test_sharded_witnesses_satisfy_their_sets(self, combinational, combinational_rare):
-        analysis = compute_compatibility(
-            combinational, combinational_rare[:12], n_jobs=1, cache=None
-        )
+class TestPatternWitnesses:
+    def test_witnesses_satisfy_their_sets(self, combinational, combinational_rare):
+        analysis = compute_compatibility(combinational, combinational_rare[:12], cache=None)
         sets = [frozenset({index}) for index in range(min(6, analysis.num_rare_nets))]
-        patterns = generate_patterns(analysis, sets, technique="test", n_jobs=2)
+        patterns = generate_patterns(analysis, sets, technique="test")
         assert len(patterns) == len(sets)
         for row, indices in zip(patterns.patterns, sets):
             assignment = dict(zip(patterns.sources, (int(bit) for bit in row)))
@@ -327,16 +279,26 @@ class TestShardedPatternWitnesses:
                 assert simulated[net] == value
 
     def test_serial_path_is_unchanged_reference(self, combinational, combinational_rare):
-        analysis = compute_compatibility(
-            combinational, combinational_rare[:12], n_jobs=1, cache=None
-        )
+        analysis = compute_compatibility(combinational, combinational_rare[:12], cache=None)
         sets = [frozenset({0}), frozenset({1, 2})]
-        first = generate_patterns(analysis, sets, technique="test", n_jobs=1)
-        # Witness bits may differ across solver states, but the serial path
-        # on one analysis is deterministic call over call.
+        first = generate_patterns(analysis, sets, technique="test")
+        # Witness bits may differ across solver states, but generation on
+        # one analysis is deterministic call over call.
         analysis_again = compute_compatibility(
-            combinational, combinational_rare[:12], n_jobs=1, cache=None
+            combinational, combinational_rare[:12], cache=None
         )
-        second = generate_patterns(analysis_again, sets, technique="test", n_jobs=1)
+        second = generate_patterns(analysis_again, sets, technique="test")
         assert np.array_equal(first.patterns, second.patterns)
         assert first.metadata["set_sizes"] == second.metadata["set_sizes"]
+
+    def test_repair_keeps_the_rarest_first_subset_of_a_hand_built_set(self):
+        netlist = load_benchmark("c17")
+        # 10 = NAND(1, 3) is 0 only when input 1 is 1, so 1=0 is dropped;
+        # 16=0 needs 2=1 and 11=1, which 6=0 gives alongside 10=0.
+        rare_set = (
+            RareNet("1", 0, 0.3), RareNet("10", 0, 0.1), RareNet("16", 0, 0.2)
+        )
+        witness, realized = pattern_witness_with_repair(Justifier(netlist), rare_set)
+        assert realized == 2
+        simulated = simulate_pattern(netlist, witness)
+        assert simulated["10"] == 0 and simulated["16"] == 0
