@@ -360,6 +360,14 @@ class TestPrepareBenchmarkDiskCache:
 
 
 class TestCompatibilityParity:
+    def test_matrix_is_independent_of_rare_net_order(self, c2670, c2670_rare):
+        forward = compute_compatibility(c2670, c2670_rare, cache=None)
+        backward = compute_compatibility(c2670, c2670_rare[::-1], cache=None)
+        assert backward.rare_nets == forward.rare_nets[::-1]
+        assert backward.unsatisfiable == forward.unsatisfiable[::-1]
+        assert np.array_equal(backward.matrix, forward.matrix[::-1, ::-1])
+        assert forward.matrix.dtype == backward.matrix.dtype == np.bool_
+
     def test_compatibility_cache_roundtrip(self, tmp_path, c2670, c2670_rare):
         cache = ArtifactCache(tmp_path)
         first = compute_compatibility(c2670, c2670_rare, cache=cache)

@@ -307,6 +307,24 @@ class TestRecovery:
         )
         assert outcome.results == EXPECTED
 
+    def test_retries_jitter_from_the_policy_seed_per_task(self, monkeypatch):
+        from repro.runner import resilience
+
+        calls = []
+
+        def recording_delay(policy, seed, attempt):
+            calls.append((seed, attempt))
+            return 0.0
+
+        monkeypatch.setattr(resilience, "backoff_delay", recording_delay)
+        policy = ResiliencePolicy(seed=13)
+        outcome = run_tasks(
+            square, TASKS, backend="serial", max_workers=2,
+            fault_plan=FaultPlan.crashing(1, 4), policy=policy,
+        )
+        assert outcome.results == EXPECTED
+        assert sorted(calls) == [(13 + 7919 * 1, 2), (13 + 7919 * 4, 2)]
+
     def test_empty_task_list(self):
         outcome = run_tasks(square, [], backend="process")
         assert outcome.results == []

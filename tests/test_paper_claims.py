@@ -24,9 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.circuits.library import load_benchmark
+from repro.core.compatibility import compute_compatibility
 from repro.core.patterns import SequenceSet
 from repro.core.sequence_gen import generate_sequences
 from repro.experiments import common, table2
@@ -192,6 +194,17 @@ def test_ablations_coverage_grows_with_k():
     )
     coverages = [point.coverage_percent for point in k_points]
     assert coverages == sorted(coverages)
+
+
+def test_compatibility_is_independent_of_rare_net_order():
+    netlist = load_benchmark("mips16_like")
+    # The 72 rarest nets keep the quadratic pair count small.
+    rare_nets = extract_rare_nets(netlist, threshold=0.1, num_patterns=1024, seed=0)[:72]
+    assert len(rare_nets) >= 2
+    forward = compute_compatibility(netlist, rare_nets, cache=None)
+    backward = compute_compatibility(netlist, rare_nets[::-1], cache=None)
+    assert backward.rare_nets == forward.rare_nets[::-1]
+    assert np.array_equal(backward.matrix, forward.matrix[::-1, ::-1])
 
 
 class TestTemporalTriggers:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.cli import main as cli_main
 from repro.experiments import common
 from repro.obs.trace import build_tree, load_spans
 from repro.runner.cache import CACHE_DIR_ENV, get_default_cache, set_default_cache
-from repro.runner.execution import resolve_jobs, run_experiment
+from repro.runner.execution import extend_sys_path, resolve_jobs, run_experiment
 from repro.runner.resilience import ResilienceError, ResiliencePolicy
 from repro.runner.registry import (
     ExperimentSpec,
@@ -94,6 +95,12 @@ def test_resolve_jobs():
     assert resolve_jobs(None) >= 1
     assert resolve_jobs(0) >= 1
     assert resolve_jobs(-2) >= 1
+
+
+def test_extend_sys_path_appends_each_missing_path_once(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", ["first", "second"])
+    extend_sys_path(["second", str(tmp_path), str(tmp_path), "third"])
+    assert sys.path == ["first", "second", str(tmp_path), "third"]
 
 
 class TestRunner:

@@ -52,6 +52,27 @@ def compatibility(controller, state_rare):
     )
 
 
+def _register_and():
+    """``mix = a AND q`` with ``q`` the registered ``a``: a consecutive-2
+    trigger on ``mix`` within 2 cycles needs ``mix`` at cycles 0 and 1, which
+    only a machine that starts with ``q = 1`` can reach."""
+    from repro.circuits.gates import GateType
+    from repro.circuits.netlist import Netlist
+
+    netlist = Netlist("toy")
+    netlist.add_input("a")
+    netlist.add_flip_flop("q", "a")
+    netlist.add_gate("mix", GateType.AND, ("a", "q"))
+    netlist.add_output("mix")
+    return netlist
+
+
+def _consecutive_mix():
+    return SequentialTrigger(
+        condition=TriggerCondition((("mix", 1),)), mode="consecutive", count=2
+    )
+
+
 class TestSequentialCompatibility:
     def test_prefilter_partitions_rare_nets(self, compatibility, state_rare):
         assert compatibility.num_rare_nets > 0
@@ -71,6 +92,25 @@ class TestSequentialCompatibility:
                 count=compatibility.count,
             )
             assert not justifier.is_satisfiable(trigger, compatibility.cycles)
+
+    def test_prefilter_matches_a_fresh_solver_per_net(self, controller, state_rare):
+        """The pre-filter answers every net on one unrolled solver; each
+        verdict must be what a fresh solver says about that net alone."""
+        from repro.sat.temporal import SequentialJustifier
+
+        analysed = analyze_sequential_compatibility(
+            controller, state_rare, CYCLES, mode="cumulative", count=2
+        )
+        reachable = []
+        for rare in sorted(state_rare, key=lambda rare: (rare.probability, rare.net)):
+            trigger = SequentialTrigger(
+                condition=TriggerCondition(((rare.net, rare.rare_value),)),
+                mode="cumulative", count=2,
+            )
+            if SequentialJustifier(controller, CYCLES).is_satisfiable(trigger, CYCLES):
+                reachable.append(rare)
+        assert analysed.rare_nets == reachable
+        assert len(analysed.rare_nets) + len(analysed.unreachable) == len(state_rare)
 
     def test_rejects_combinational(self):
         netlist = load_benchmark("c2670_like")
@@ -239,6 +279,47 @@ class TestGenerateSequences:
             )
             fires = replay_fire_cycles(controller, trigger, guided.sequences[position])
             assert fires and fires[0] == guided.metadata["fire_cycles"][position]
+
+    def test_witness_unrolls_from_the_justifiers_initial_state(self):
+        """A justifier built on a non-reset state witnesses from that state."""
+        from repro.sat.temporal import SequentialJustifier
+
+        netlist = _register_and()
+        ordered = (("mix", 1),)
+        sequence, fire_cycle, realized = sequence_witness_with_repair(
+            SequentialJustifier(netlist, 2, initial_state={"q": 1}),
+            ordered, "consecutive", 2, 2,
+        )
+        assert sequence is not None and realized == 1
+        fires = replay_fire_cycles(
+            netlist, _consecutive_mix(), sequence, initial_state={"q": 1}
+        )
+        assert fires and fires[0] == fire_cycle == 1
+        from_reset = sequence_witness_with_repair(
+            SequentialJustifier(netlist, 2), ordered, "consecutive", 2, 2
+        )
+        assert from_reset == (None, -1, 0)
+
+    def test_generation_on_a_seeded_justifier_replays_from_its_state(self):
+        from repro.sat.temporal import SequentialJustifier
+
+        netlist = _register_and()
+        rare = [RareNet("mix", 1, 0.05)]
+        seeded = generate_sequences(
+            netlist, rare, 2, mode="consecutive", count=2, num_sequences=2, seed=0,
+            justifier=SequentialJustifier(netlist, 2, initial_state={"q": 1}),
+        )
+        assert len(seeded) == 1
+        assert seeded.metadata["set_sizes"] == [1]
+        fires = replay_fire_cycles(
+            netlist, _consecutive_mix(), seeded.sequences[0], initial_state={"q": 1}
+        )
+        assert fires and fires[0] == seeded.metadata["fire_cycles"][0] == 1
+        from_reset = generate_sequences(
+            netlist, rare, 2, mode="consecutive", count=2, num_sequences=2, seed=0
+        )
+        assert len(from_reset) == 0
+        assert from_reset.metadata["num_activatable"] == 0
 
     @pytest.mark.parametrize("mode", ["consecutive", "cumulative"])
     def test_every_emitted_set_is_realised_in_full(self, controller, state_rare, mode):
