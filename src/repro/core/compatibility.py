@@ -5,9 +5,10 @@ rare values simultaneously.  DETERRENT precomputes the full pairwise
 compatibility dictionary before training (§3.3) so that action masking and the
 end-of-episode state transitions become dictionary lookups instead of SAT
 calls.  The paper parallelises this over 64 processes; here the O(r²) pair
-queries are answered in order on one incremental SAT solver, and the result
-is memoised in the on-disk artifact cache (:mod:`repro.runner.cache`) when
-one is configured.  Grid cells, not pair queries, are what run in parallel
+queries are answered in order on one incremental SAT solver, and the result,
+like the rare nets it starts from (:func:`cached_rare_nets`), is memoised in
+the on-disk artifact cache (:mod:`repro.runner.cache`) when one is
+configured.  Grid cells, not pair queries, are what run in parallel
 (``deterrent run --jobs``).
 
 The same structure doubles as the compatibility *graph* used by the TARMAC
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuits.netlist import Netlist
-from repro.runner.cache import ArtifactCache, get_default_cache, netlist_fingerprint
+from repro.runner.cache import cached, netlist_fingerprint
 from repro.sat.justify import Justifier
-from repro.simulation.rare_nets import RareNet
+from repro.simulation.rare_nets import RareNet, extract_rare_nets
 
 
 @dataclass
@@ -112,8 +113,24 @@ def pair_is_compatible(
     return justifier.are_compatible({net_i: value_i}, {net_j: value_j})
 
 
-#: Sentinel meaning "use the process-wide default artifact cache".
-_DEFAULT_CACHE = object()
+def cached_rare_nets(
+    netlist: Netlist, threshold: float, num_patterns: int, seed: int
+) -> list[RareNet]:
+    """Rare nets of a combinational ``netlist``: the ``rare_nets`` artifact.
+
+    The one owner of that cache kind; the pipeline and
+    :func:`repro.experiments.common.prepare_benchmark` both extract through it.
+    """
+    return cached(
+        "rare_nets",
+        lambda: extract_rare_nets(
+            netlist, threshold=threshold, num_patterns=num_patterns, seed=seed
+        ),
+        netlist=netlist_fingerprint(netlist),
+        threshold=threshold,
+        num_patterns=num_patterns,
+        seed=seed,
+    )
 
 
 def compute_compatibility(
@@ -121,7 +138,6 @@ def compute_compatibility(
     rare_nets: list[RareNet],
     *,
     justifier: Justifier | None = None,
-    cache: ArtifactCache | None | object = _DEFAULT_CACHE,
 ) -> CompatibilityAnalysis:
     """Build the :class:`CompatibilityAnalysis` for ``rare_nets`` of ``netlist``.
 
@@ -131,20 +147,17 @@ def compute_compatibility(
             activatable subset).
         justifier: optional pre-built solver stack to reuse (also attached to
             the returned analysis for downstream witness generation).
-        cache: artifact cache for memoising the result on disk; defaults to
-            the process-wide cache (:func:`repro.runner.cache
-            .get_default_cache`), pass ``None`` to disable.
 
-    The boolean matrix is the same whether it was computed or read from the
+    The result is the ``compatibility`` artifact of the default cache
+    (:func:`repro.runner.cache.cached`), keyed by the netlist and the
+    ordered rare nets; this function is that kind's only owner.  The
+    boolean matrix is the same whether it was computed or read from the
     cache.  Downstream SAT *witnesses* are not guaranteed identical across
     the two: the CDCL solver keeps learned clauses, so a justifier that
     answered the pair queries itself is in a different state than a fresh
     one (cache hit), and may return different — equally valid — models for
     the same requirements.
     """
-    if cache is _DEFAULT_CACHE:
-        cache = get_default_cache()
-
     justifier = justifier or Justifier(netlist)
 
     def _build() -> dict:
@@ -167,18 +180,14 @@ def compute_compatibility(
         matrix[cols, rows] = compatible
         return {"rare_nets": activatable, "matrix": matrix, "unsatisfiable": unsatisfiable}
 
-    if cache is not None:
-        # fetch() is single-flight across processes: concurrent workers that
-        # need the same analysis serialise on a file lock instead of each
-        # recomputing the O(r^2) pair queries.
-        artifact = cache.fetch(
-            "compatibility",
-            _build,
-            netlist=netlist_fingerprint(netlist),
-            rare_nets=[(rare.net, rare.rare_value) for rare in rare_nets],
-        )
-    else:
-        artifact = _build()
+    # Single-flight across processes: concurrent workers that need the same
+    # analysis wait on one build instead of each running the O(r²) queries.
+    artifact = cached(
+        "compatibility",
+        _build,
+        netlist=netlist_fingerprint(netlist),
+        rare_nets=[(rare.net, rare.rare_value) for rare in rare_nets],
+    )
     return CompatibilityAnalysis(
         netlist=netlist,
         rare_nets=artifact["rare_nets"],
@@ -190,6 +199,7 @@ def compute_compatibility(
 
 __all__ = [
     "CompatibilityAnalysis",
+    "cached_rare_nets",
     "compute_compatibility",
     "is_activatable",
     "pair_is_compatible",

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 from repro.circuits.netlist import Netlist
 from repro.circuits.scan import ensure_combinational
 from repro.core.agent import AgentResult, DeterrentAgent
-from repro.core.compatibility import CompatibilityAnalysis, compute_compatibility
+from repro.core.compatibility import CompatibilityAnalysis, cached_rare_nets, compute_compatibility
 from repro.core.config import DeterrentConfig
 from repro.core.patterns import PatternSet, generate_patterns
-from repro.runner.cache import get_default_cache, netlist_fingerprint
 from repro.simulation.compiled import compile_netlist
-from repro.simulation.rare_nets import RareNet, extract_rare_nets
+from repro.simulation.rare_nets import RareNet
 
 
 @dataclass
@@ -75,26 +74,12 @@ class DeterrentPipeline:
         started = _record_phase(timings, "compile", started)
 
         if rare_nets is None:
-            def _extract() -> list[RareNet]:
-                return extract_rare_nets(
-                    combinational,
-                    threshold=config.rareness_threshold,
-                    num_patterns=config.num_probability_patterns,
-                    seed=config.seed,
-                )
-
-            cache = get_default_cache()
-            if cache is not None:
-                rare_nets = cache.fetch(
-                    "rare_nets",
-                    _extract,
-                    netlist=netlist_fingerprint(combinational),
-                    threshold=config.rareness_threshold,
-                    num_patterns=config.num_probability_patterns,
-                    seed=config.seed,
-                )
-            else:
-                rare_nets = _extract()
+            rare_nets = cached_rare_nets(
+                combinational,
+                threshold=config.rareness_threshold,
+                num_patterns=config.num_probability_patterns,
+                seed=config.seed,
+            )
         started = _record_phase(timings, "rare_net_extraction", started)
         if not rare_nets:
             raise ValueError(

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 from repro.circuits.library import benchmark_entry, load_benchmark
 from repro.circuits.netlist import Netlist
-from repro.core.compatibility import CompatibilityAnalysis, compute_compatibility
+from repro.core.compatibility import CompatibilityAnalysis, cached_rare_nets, compute_compatibility
 from repro.core.config import DeterrentConfig
 from repro.rl.ppo import PpoConfig
-from repro.runner.cache import ArtifactCache, get_default_cache, netlist_fingerprint
-from repro.simulation.rare_nets import RareNet, extract_rare_nets
+from repro.runner.cache import cached, get_default_cache, netlist_fingerprint
+from repro.simulation.rare_nets import RareNet
 from repro.trojan.insertion import sample_trojans
 from repro.trojan.model import Trojan
 
@@ -137,92 +137,58 @@ class BenchmarkContext:
 _CONTEXT_CACHE: dict[tuple, BenchmarkContext] = {}
 
 
-#: Sentinel meaning "use the process-wide default artifact cache".
-_DEFAULT_CACHE = object()
-
-
 def prepare_benchmark(
     name: str,
     profile: ExperimentProfile = QUICK,
     threshold: float = 0.1,
     trigger_width: int | None = None,
-    use_cache: bool = True,
-    cache: ArtifactCache | None | object = _DEFAULT_CACHE,
 ) -> BenchmarkContext:
     """Load a benchmark and precompute rare nets, compatibility, and Trojans.
 
-    The offline phase (probability estimation + pairwise compatibility) is the
-    same for every technique, so results are cached per (benchmark, profile,
-    threshold, width) within the process, and — when an on-disk artifact
-    cache is configured (``cache`` argument, :func:`repro.runner.cache
-    .set_default_cache`, or ``DETERRENT_CACHE_DIR``) — shared across worker
-    processes and re-runs.
+    The offline phase is the same for every technique, so each artifact goes
+    through the default artifact cache (:func:`repro.runner.cache.cached`);
+    this function owns the ``trojans`` kind.  Contexts are also memoised in
+    the process per (benchmark, profile, threshold, width, cache root), so a
+    context built before a disk cache was configured is rebuilt through it.
     """
     width = trigger_width if trigger_width is not None else profile.trigger_width
+    cache = get_default_cache()
     # The whole (frozen, hashable) profile is part of the key: two profiles
-    # that share a name but differ in scale must not collide.
-    key = (name, profile, threshold, width)
-    if cache is _DEFAULT_CACHE:
-        cache = get_default_cache()
-    if use_cache and key in _CONTEXT_CACHE:
-        context = _CONTEXT_CACHE[key]
-        if cache is not None:
-            # The context may have been memoised before any disk cache was
-            # configured; make sure its artifacts reach the disk so worker
-            # processes and later sessions can reuse them.
-            _write_through(cache, context, profile, threshold, width)
-        return context
+    # that share a name but differ in scale must not collide.  The root, not
+    # the cache object, is keyed: each ``run_experiment(cache_dir=...)`` call
+    # installs a new object on the same root.
+    key = (name, profile, threshold, width, str(cache.root) if cache is not None else None)
+    if key in _CONTEXT_CACHE:
+        return _CONTEXT_CACHE[key]
 
     entry = benchmark_entry(name)
     netlist = load_benchmark(name)
-
-    def _extract_rare_nets() -> list[RareNet]:
-        return extract_rare_nets(
-            netlist,
-            threshold=threshold,
-            num_patterns=profile.num_probability_patterns,
-            seed=profile.seed,
-        )
-
-    if cache is not None:
-        rare_nets = cache.fetch(
-            "rare_nets",
-            _extract_rare_nets,
-            netlist=netlist_fingerprint(netlist),
-            threshold=threshold,
-            num_patterns=profile.num_probability_patterns,
-            seed=profile.seed,
-        )
-    else:
-        rare_nets = _extract_rare_nets()
-
-    compatibility = compute_compatibility(netlist, rare_nets, cache=cache)
+    rare_nets = cached_rare_nets(
+        netlist,
+        threshold=threshold,
+        num_patterns=profile.num_probability_patterns,
+        seed=profile.seed,
+    )
+    compatibility = compute_compatibility(netlist, rare_nets)
     compatibility.justifier.set_preferred_values(
         {rare.net: rare.rare_value for rare in compatibility.rare_nets}
     )
-
-    def _sample_trojans() -> list[Trojan]:
-        return sample_trojans(
+    trojans = cached(
+        "trojans",
+        lambda: sample_trojans(
             netlist,
             compatibility.rare_nets,
             num_trojans=profile.num_trojans,
             trigger_width=width,
             seed=profile.seed + 1,
             justifier=compatibility.justifier,
-        )
-
-    if cache is not None:
-        trojans = cache.fetch(
-            "trojans",
-            _sample_trojans,
-            netlist=netlist_fingerprint(netlist),
-            rare_nets=[(rare.net, rare.rare_value) for rare in compatibility.rare_nets],
-            num_trojans=profile.num_trojans,
-            trigger_width=width,
-            seed=profile.seed + 1,
-        )
-    else:
-        trojans = _sample_trojans()
+        ),
+        netlist=netlist_fingerprint(netlist),
+        rare_nets=[(rare.net, rare.rare_value) for rare in compatibility.rare_nets],
+        num_trojans=profile.num_trojans,
+        trigger_width=width,
+        seed=profile.seed + 1,
+    )
     context = BenchmarkContext(
         name=name,
         netlist=netlist,
@@ -233,58 +199,8 @@ def prepare_benchmark(
         paper_num_rare_nets=entry.paper_num_rare_nets,
         threshold=threshold,
     )
-    if use_cache:
-        _CONTEXT_CACHE[key] = context
+    _CONTEXT_CACHE[key] = context
     return context
-
-
-def _write_through(
-    cache: ArtifactCache,
-    context: BenchmarkContext,
-    profile: ExperimentProfile,
-    threshold: float,
-    width: int,
-) -> None:
-    """Persist a memoised context's artifacts to disk if they are missing.
-
-    Key construction mirrors the compute path of :func:`prepare_benchmark`
-    and :func:`repro.core.compatibility.compute_compatibility` exactly, so
-    write-through entries and computed entries are interchangeable.
-    """
-    fingerprint = netlist_fingerprint(context.netlist)
-    rare_key = {
-        "netlist": fingerprint,
-        "threshold": threshold,
-        "num_patterns": profile.num_probability_patterns,
-        "seed": profile.seed,
-    }
-    if not cache.path_for("rare_nets", **rare_key).exists():
-        cache.store("rare_nets", context.rare_nets, **rare_key)
-    compat_key = {
-        "netlist": fingerprint,
-        "rare_nets": [(rare.net, rare.rare_value) for rare in context.rare_nets],
-    }
-    if not cache.path_for("compatibility", **compat_key).exists():
-        cache.store(
-            "compatibility",
-            {
-                "rare_nets": context.compatibility.rare_nets,
-                "matrix": context.compatibility.matrix,
-                "unsatisfiable": context.compatibility.unsatisfiable,
-            },
-            **compat_key,
-        )
-    trojan_key = {
-        "netlist": fingerprint,
-        "rare_nets": [
-            (rare.net, rare.rare_value) for rare in context.compatibility.rare_nets
-        ],
-        "num_trojans": profile.num_trojans,
-        "trigger_width": width,
-        "seed": profile.seed + 1,
-    }
-    if not cache.path_for("trojans", **trojan_key).exists():
-        cache.store("trojans", context.trojans, **trojan_key)
 
 
 def clear_context_cache() -> None:
@@ -343,6 +259,7 @@ __all__ = [
     "QUICK",
     "FULL",
     "TINY",
+    "as_tuple",
     "profile_by_name",
     "BenchmarkContext",
     "prepare_benchmark",

@@ -35,7 +35,7 @@ from repro.circuits.netlist import Netlist
 from repro.core.patterns import SequenceSet
 from repro.experiments.common import ExperimentProfile, as_tuple
 from repro.experiments.reporting import format_table
-from repro.runner.cache import get_default_cache, netlist_fingerprint
+from repro.runner.cache import cached, netlist_fingerprint
 from repro.runner.registry import GridCell
 from repro.simulation.rare_nets import RareNet, extract_rare_nets
 from repro.trojan.evaluation import sequence_trigger_coverage
@@ -116,22 +116,15 @@ def cells(profile: ExperimentProfile, options: dict) -> list[GridCell]:
 
 def _rare_nets(netlist: Netlist, cycles: int, profile: ExperimentProfile) -> list[RareNet]:
     """State-dependent rare nets, shared through the artifact cache."""
-
-    def _extract() -> list[RareNet]:
-        return extract_rare_nets(
+    return cached(
+        "sequential_rare_nets",
+        lambda: extract_rare_nets(
             netlist,
             threshold=RARENESS_THRESHOLD,
             num_patterns=profile.num_probability_patterns,
             seed=profile.seed,
             cycles=cycles,
-        )
-
-    cache = get_default_cache()
-    if cache is None:
-        return _extract()
-    return cache.fetch(
-        "sequential_rare_nets",
-        _extract,
+        ),
         netlist=netlist_fingerprint(netlist),
         cycles=cycles,
         threshold=RARENESS_THRESHOLD,
@@ -151,9 +144,9 @@ def _trojans(
 
     ``mode``/``count`` do not change the draw; the cells relabel it.
     """
-
-    def _sample() -> list[SequentialTrojan]:
-        return sample_sequential_trojans(
+    population = cached(
+        "sequential_trojans",
+        lambda: sample_sequential_trojans(
             netlist,
             rare_nets,
             num_trojans=profile.num_trojans,
@@ -161,14 +154,7 @@ def _trojans(
             mode=mode,
             count=count,
             seed=profile.seed + 1,
-        )
-
-    cache = get_default_cache()
-    if cache is None:
-        return _sample()
-    population = cache.fetch(
-        "sequential_trojans",
-        _sample,
+        ),
         netlist=netlist_fingerprint(netlist),
         rare_nets=[(rare.net, rare.rare_value) for rare in rare_nets],
         num_trojans=profile.num_trojans,

@@ -40,7 +40,7 @@ from repro.experiments.common import ExperimentProfile
 from repro.experiments.reporting import format_table
 from repro.experiments.sequential import _rare_nets, _trojans
 from repro.experiments.sequential import cells as _sequential_cells
-from repro.runner.cache import get_default_cache, netlist_fingerprint
+from repro.runner.cache import cached, netlist_fingerprint
 from repro.sat.solver import SolverConfig
 from repro.simulation.rare_nets import RareNet
 from repro.trojan.evaluation import sequence_trigger_coverage
@@ -105,9 +105,9 @@ def _guided_sequences(
     produce different (equally valid) witnesses, so sets generated under one
     configuration are never served for another.
     """
-
-    def _generate() -> SequenceSet:
-        return generate_sequences(
+    return cached(
+        "sat_sequences",
+        lambda: generate_sequences(
             netlist,
             rare_nets,
             cycles,
@@ -116,14 +116,7 @@ def _guided_sequences(
             num_sequences=budget,
             seed=profile.seed + 3,
             solver_config=solver_config,
-        )
-
-    cache = get_default_cache()
-    if cache is None:
-        return _generate()
-    return cache.fetch(
-        "sat_sequences",
-        _generate,
+        ),
         netlist=netlist_fingerprint(netlist),
         rare_nets=[(rare.net, rare.rare_value) for rare in rare_nets],
         cycles=cycles,

@@ -18,10 +18,10 @@ The content-address key contract: an entry lives at
 netlist (passed as its fingerprint or as a ``Netlist``, which is reduced to
 its fingerprint), plus all scalar configuration.  ``config_fingerprint``
 canonicalises before hashing (keys sorted, dataclasses reduced to tagged
-dicts, tuples and lists identified, nested netlists fingerprinted), so two
-call sites that build the same logical key — e.g. the compute path in
-``prepare_benchmark`` and the write-through path in ``_write_through`` —
-address the same file even across processes, sessions, and machines.  Key
+dicts, tuples and lists identified, nested netlists fingerprinted), so a key
+addresses the same file across processes, sessions, and machines.  Each
+artifact kind's key is built at exactly one :func:`cached` call site, so no
+two sites can drift apart on what goes into a key.  Key
 construction is append-only (renaming a key part orphans old entries rather
 than corrupting them).  Entries are immutable and never evicted implicitly;
 ``deterrent cache`` reports per-kind growth and ``deterrent cache prune``
@@ -41,10 +41,11 @@ lifetime counts of every process that ever used the root.  There is nothing
 to flush: ``deterrent cache`` and the service's ``GET /metrics`` read the
 file as it stands.
 
-The module-level *default cache* is what :func:`repro.experiments.common.
-prepare_benchmark` and the experiment runner consult when no explicit cache is
-passed; it is configured with :func:`set_default_cache`, the
-``DETERRENT_CACHE_DIR`` environment variable, or the CLI's ``--cache-dir``.
+The module-level *default cache* is configured with
+:func:`set_default_cache`, the ``DETERRENT_CACHE_DIR`` environment variable,
+or the CLI's ``--cache-dir``.  :func:`cached` is the one entry point for
+offline-phase artifacts: it fetches through the default cache, or just
+builds when none is configured.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import threading
 import time
 from dataclasses import dataclass, field, is_dataclass, asdict
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro import obs
 from repro.circuits.bench_io import dumps_bench
@@ -473,12 +474,26 @@ def get_default_cache() -> ArtifactCache | None:
     return _default_cache
 
 
+def cached(kind: str, builder: Callable[[], Any], **key_parts: Any) -> Any:
+    """The artifact ``kind`` under ``key_parts``, built at most once per cache.
+
+    Fetches through the default cache (single-flight across processes, see
+    :meth:`ArtifactCache.fetch`), or calls ``builder()`` when no cache is
+    configured.  ``key_parts`` must name every input the artifact depends on.
+    """
+    cache = get_default_cache()
+    if cache is None:
+        return builder()
+    return cache.fetch(kind, builder, **key_parts)
+
+
 __all__ = [
     "CACHE_DIR_ENV",
     "ArtifactCache",
     "CacheEntry",
     "CacheStats",
     "PruneReport",
+    "cached",
     "config_fingerprint",
     "get_default_cache",
     "netlist_fingerprint",

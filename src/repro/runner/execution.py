@@ -332,4 +332,10 @@ def run_experiment(
     return run
 
 
-__all__ = ["CellOutcome", "ExperimentRun", "run_experiment"]
+__all__ = [
+    "CellOutcome",
+    "ExperimentRun",
+    "extend_sys_path",
+    "resolve_jobs",
+    "run_experiment",
+]

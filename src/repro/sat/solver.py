@@ -964,6 +964,7 @@ def solve_cnf(
 __all__ = [
     "RESTART_POLICIES",
     "CdclSolver",
+    "PairLists",
     "SolverConfig",
     "SolverResult",
     "SolverStats",

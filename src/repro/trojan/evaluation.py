@@ -328,5 +328,7 @@ __all__ = [
     "CoverageResult",
     "trigger_coverage",
     "sequential_trigger_coverage",
+    "sequence_trigger_coverage",
+    "sequence_ground_truth_coverage",
     "coverage_curve",
 ]

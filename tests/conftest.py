@@ -63,6 +63,23 @@ def tiny_config():
     )
 
 
+@pytest.fixture()
+def default_cache(monkeypatch):
+    """Install the process-wide default artifact cache (None: no cache) for one test.
+
+    Every offline-phase artifact is fetched through the default cache, so a
+    test picks its cache here; the previous default comes back afterwards.
+    """
+    from repro.runner import cache as cache_module
+
+    def install(cache):
+        monkeypatch.setattr(cache_module, "_default_cache", cache)
+        monkeypatch.setattr(cache_module, "_default_resolved", True)
+        return cache
+
+    return install
+
+
 @pytest.fixture(params=["native", "reference"])
 def solver_kernel(request, monkeypatch):
     """Run the test on the solver's C kernel and on its Python reference path.

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +16,14 @@ from repro.core.compatibility import compute_compatibility
 from repro.experiments import common
 from repro.runner.cache import (
     ArtifactCache,
+    CacheStats,
     config_fingerprint,
     netlist_fingerprint,
     set_default_cache,
 )
 from repro.simulation.rare_nets import extract_rare_nets
+
+PACKAGE_ROOT = Path(common.__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -324,54 +330,59 @@ class TestPruneAndInventory:
 
 
 class TestPrepareBenchmarkDiskCache:
-    def test_rerun_hits_disk_cache(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
+    def test_rerun_hits_disk_cache(self, tmp_path, default_cache):
+        cache = default_cache(ArtifactCache(tmp_path))
         common.clear_context_cache()
-        first = common.prepare_benchmark("c6288_like", common.TINY, threshold=0.15,
-                                         cache=cache)
+        first = common.prepare_benchmark("c6288_like", common.TINY, threshold=0.15)
         assert cache.stats.stores == 3  # rare nets + compatibility + trojans
         common.clear_context_cache()
-        second = common.prepare_benchmark("c6288_like", common.TINY, threshold=0.15,
-                                          cache=cache)
+        second = common.prepare_benchmark("c6288_like", common.TINY, threshold=0.15)
         assert cache.stats.hits == 3
         assert second.rare_nets == first.rare_nets
         assert np.array_equal(second.compatibility.matrix, first.compatibility.matrix)
         assert second.trojans == first.trojans
         common.clear_context_cache()
 
-
-    def test_memoised_context_writes_through_to_new_cache(self, tmp_path):
-        # A context memoised before any disk cache existed must still reach
-        # the disk when a cache is configured later (worker warm-up path).
+    def test_memo_is_keyed_by_the_cache_root(self, tmp_path, default_cache):
         common.clear_context_cache()
-        common.prepare_benchmark("c6288_like", common.TINY, threshold=0.15, cache=None)
-        cache = ArtifactCache(tmp_path)
-        context = common.prepare_benchmark("c6288_like", common.TINY, threshold=0.15,
-                                           cache=cache)
-        assert cache.stats.stores == 3
-        common.clear_context_cache()
-        rehydrated = common.prepare_benchmark("c6288_like", common.TINY, threshold=0.15,
-                                              cache=cache)
-        assert cache.stats.hits == 3
-        assert np.array_equal(rehydrated.compatibility.matrix,
-                              context.compatibility.matrix)
-        assert rehydrated.trojans == context.trojans
+        # No cache writes nothing.
+        default_cache(None)
+        bare = common.prepare_benchmark("c6288_like", common.TINY, threshold=0.15)
+        assert list(tmp_path.iterdir()) == []
+        # A context memoised before any disk cache existed is rebuilt through
+        # the cache configured later, so its artifacts reach the disk.
+        first = default_cache(ArtifactCache(tmp_path / "first"))
+        context = common.prepare_benchmark("c6288_like", common.TINY, threshold=0.15)
+        assert context is not bare
+        assert first.stats.stores == 3
+        # A new cache object on the same root is a memo hit.
+        same_root = default_cache(ArtifactCache(tmp_path / "first"))
+        assert common.prepare_benchmark("c6288_like", common.TINY, threshold=0.15) is context
+        assert same_root.stats == CacheStats()
+        # A new root rebuilds through that cache.
+        second = default_cache(ArtifactCache(tmp_path / "second"))
+        rebuilt = common.prepare_benchmark("c6288_like", common.TINY, threshold=0.15)
+        assert rebuilt is not context
+        assert second.stats.stores == 3
+        assert np.array_equal(rebuilt.compatibility.matrix, context.compatibility.matrix)
+        assert rebuilt.trojans == context.trojans
         common.clear_context_cache()
 
 
 class TestCompatibilityParity:
-    def test_matrix_is_independent_of_rare_net_order(self, c2670, c2670_rare):
-        forward = compute_compatibility(c2670, c2670_rare, cache=None)
-        backward = compute_compatibility(c2670, c2670_rare[::-1], cache=None)
+    def test_matrix_is_independent_of_rare_net_order(self, c2670, c2670_rare, default_cache):
+        default_cache(None)
+        forward = compute_compatibility(c2670, c2670_rare)
+        backward = compute_compatibility(c2670, c2670_rare[::-1])
         assert backward.rare_nets == forward.rare_nets[::-1]
         assert backward.unsatisfiable == forward.unsatisfiable[::-1]
         assert np.array_equal(backward.matrix, forward.matrix[::-1, ::-1])
         assert forward.matrix.dtype == backward.matrix.dtype == np.bool_
 
-    def test_compatibility_cache_roundtrip(self, tmp_path, c2670, c2670_rare):
-        cache = ArtifactCache(tmp_path)
-        first = compute_compatibility(c2670, c2670_rare, cache=cache)
-        again = compute_compatibility(c2670, c2670_rare, cache=cache)
+    def test_compatibility_cache_roundtrip(self, tmp_path, c2670, c2670_rare, default_cache):
+        cache = default_cache(ArtifactCache(tmp_path))
+        first = compute_compatibility(c2670, c2670_rare)
+        again = compute_compatibility(c2670, c2670_rare)
         assert cache.stats.hits == 1
         assert np.array_equal(first.matrix, again.matrix)
         assert again.rare_nets == first.rare_nets
@@ -458,3 +469,42 @@ class TestSingleFlightStress:
             results = list(pool.map(fetch_key, range(8)))
         assert results == list(range(8))
         assert ArtifactCache(cache_root).inventory()["stress"][0] == 8
+
+
+def _calls(attribute: str) -> list[tuple[str, ast.Call]]:
+    """(module path, call) for every call of ``attribute`` in the package.
+
+    Matches ``attribute(...)`` and ``anything.attribute(...)``.
+    """
+    found = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == attribute:
+                found.append((path.relative_to(PACKAGE_ROOT).as_posix(), node))
+    return found
+
+
+class TestOneOwnerPerKind:
+    """Every artifact key is built at one call site, through ``cached``."""
+
+    def test_only_the_cache_module_calls_fetch(self):
+        callers = sorted({module for module, _ in _calls("fetch")})
+        assert callers == ["runner/cache.py"]
+
+    def test_each_kind_is_passed_to_exactly_one_cached_call(self):
+        kinds = Counter()
+        for module, call in _calls("cached"):
+            kind = call.args[0] if call.args else None
+            assert isinstance(kind, ast.Constant) and isinstance(kind.value, str), (
+                f"{module}:{call.lineno}: the artifact kind must be a string literal"
+            )
+            kinds[kind.value] += 1
+        assert {kind for kind, sites in kinds.items() if sites != 1} == set()
+        assert set(kinds) >= {
+            "rare_nets", "compatibility", "trojans",
+            "sequential_rare_nets", "sequential_trojans", "sat_sequences",
+        }

@@ -8,6 +8,7 @@ long since imported the whole package.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -82,3 +83,38 @@ def test_examples_import_cleanly(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(getattr(module, "main", None))
+
+
+def _public_definitions_and_all(path: Path) -> tuple[set[str], set[str] | None]:
+    """Public top-level ``def``/``class`` names of a module, and its ``__all__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    exported = None
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return defined, exported
+
+
+MODULES_WITH_ALL = [
+    path for path in sorted(PACKAGE_PARENT.joinpath("repro").rglob("*.py"))
+    if _public_definitions_and_all(path)[1] is not None
+]
+
+
+@pytest.mark.parametrize(
+    "path", MODULES_WITH_ALL,
+    ids=lambda path: ".".join(path.relative_to(PACKAGE_PARENT).with_suffix("").parts),
+)
+def test_all_names_every_public_definition(path):
+    # A module's public API is its ``__all__``: a public function or class
+    # left out of it is either missing from the list or should be private.
+    defined, exported = _public_definitions_and_all(path)
+    assert sorted(defined - exported) == []

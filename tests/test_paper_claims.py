@@ -196,13 +196,14 @@ def test_ablations_coverage_grows_with_k():
     assert coverages == sorted(coverages)
 
 
-def test_compatibility_is_independent_of_rare_net_order():
+def test_compatibility_is_independent_of_rare_net_order(default_cache):
+    default_cache(None)
     netlist = load_benchmark("mips16_like")
     # The 72 rarest nets keep the quadratic pair count small.
     rare_nets = extract_rare_nets(netlist, threshold=0.1, num_patterns=1024, seed=0)[:72]
     assert len(rare_nets) >= 2
-    forward = compute_compatibility(netlist, rare_nets, cache=None)
-    backward = compute_compatibility(netlist, rare_nets[::-1], cache=None)
+    forward = compute_compatibility(netlist, rare_nets)
+    backward = compute_compatibility(netlist, rare_nets[::-1])
     assert backward.rare_nets == forward.rare_nets[::-1]
     assert np.array_equal(backward.matrix, forward.matrix[::-1, ::-1])
 

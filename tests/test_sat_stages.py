@@ -167,12 +167,13 @@ def combinational_rare(combinational):
 
 
 class TestComputeCompatibility:
-    def test_prefilter_keeps_exactly_the_activatable_nets_in_order(self):
+    def test_prefilter_keeps_exactly_the_activatable_nets_in_order(self, default_cache):
         # This design has both activatable and unactivatable rare values,
         # so the pre-filter keeps some nets and drops others.
+        default_cache(None)
         netlist = load_benchmark("s13207_like")
         rare_nets = extract_rare_nets(netlist, threshold=0.1, num_patterns=1024, seed=0)[:40]
-        analysis = compute_compatibility(netlist, rare_nets, cache=None)
+        analysis = compute_compatibility(netlist, rare_nets)
         verdicts = [
             is_activatable(Justifier(netlist), (rare.net, rare.rare_value))
             for rare in rare_nets
@@ -184,9 +185,10 @@ class TestComputeCompatibility:
         ]
 
     def test_matrix_matches_pair_queries_on_one_fresh_solver(
-        self, combinational, combinational_rare
+        self, combinational, combinational_rare, default_cache
     ):
-        analysis = compute_compatibility(combinational, combinational_rare, cache=None)
+        default_cache(None)
+        analysis = compute_compatibility(combinational, combinational_rare)
         matrix = analysis.matrix
         assert matrix.dtype == np.bool_
         assert matrix.shape == (analysis.num_rare_nets,) * 2

@@ -348,8 +348,11 @@ def combinational_rare(combinational):
 
 
 class TestPatternWitnesses:
-    def test_witnesses_satisfy_their_sets(self, combinational, combinational_rare):
-        analysis = compute_compatibility(combinational, combinational_rare[:12], cache=None)
+    def test_witnesses_satisfy_their_sets(
+        self, combinational, combinational_rare, default_cache
+    ):
+        default_cache(None)
+        analysis = compute_compatibility(combinational, combinational_rare[:12])
         sets = [frozenset({index}) for index in range(min(6, analysis.num_rare_nets))]
         patterns = generate_patterns(analysis, sets, technique="test")
         assert len(patterns) == len(sets)
@@ -359,15 +362,16 @@ class TestPatternWitnesses:
             for net, value in analysis.requirements(indices).items():
                 assert simulated[net] == value
 
-    def test_serial_path_is_unchanged_reference(self, combinational, combinational_rare):
-        analysis = compute_compatibility(combinational, combinational_rare[:12], cache=None)
+    def test_serial_path_is_unchanged_reference(
+        self, combinational, combinational_rare, default_cache
+    ):
+        default_cache(None)
+        analysis = compute_compatibility(combinational, combinational_rare[:12])
         sets = [frozenset({0}), frozenset({1, 2})]
         first = generate_patterns(analysis, sets, technique="test")
         # Witness bits may differ across solver states, but generation on
         # one analysis is deterministic call over call.
-        analysis_again = compute_compatibility(
-            combinational, combinational_rare[:12], cache=None
-        )
+        analysis_again = compute_compatibility(combinational, combinational_rare[:12])
         second = generate_patterns(analysis_again, sets, technique="test")
         assert np.array_equal(first.patterns, second.patterns)
         assert first.metadata["set_sizes"] == second.metadata["set_sizes"]
