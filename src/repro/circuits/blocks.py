@@ -47,28 +47,6 @@ def ripple_carry_adder(
     return sums, carry
 
 
-def subtractor(builder: NetlistBuilder, a: list[str], b: list[str]) -> tuple[list[str], str]:
-    """Two's-complement subtractor a - b: returns (difference bus, borrow-free carry)."""
-    b_inverted = [builder.not_(bit) for bit in b]
-    # a + ~b + 1: seed the carry chain with a constant 1 by using (bit XOR bit -> 0? ) —
-    # constants are avoided, so implement +1 by a dedicated half-adder chain on the
-    # inverted operand first.
-    plus_one, carry = _increment(builder, b_inverted)
-    sums, carry_out = ripple_carry_adder(builder, a, plus_one)
-    combined = builder.or_(carry, carry_out)
-    return sums, combined
-
-
-def _increment(builder: NetlistBuilder, bus: list[str]) -> tuple[list[str], str]:
-    """Increment a bus by one without constant nets (carry seeded from bit 0)."""
-    result = [builder.not_(bus[0])]
-    carry = builder.buf(bus[0])
-    for bit in bus[1:]:
-        result.append(builder.xor(bit, carry))
-        carry = builder.and_(bit, carry)
-    return result, carry
-
-
 def array_multiplier(builder: NetlistBuilder, a: list[str], b: list[str]) -> list[str]:
     """Unsigned array multiplier (the structure of ISCAS-85 c6288).
 
@@ -208,7 +186,6 @@ __all__ = [
     "half_adder",
     "full_adder",
     "ripple_carry_adder",
-    "subtractor",
     "array_multiplier",
     "decoder",
     "equality_comparator",

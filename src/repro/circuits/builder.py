@@ -74,10 +74,6 @@ class NetlistBuilder:
         """OR of two or more nets."""
         return self._reduce(GateType.OR, list(inputs), name)
 
-    def nand(self, *inputs: str, name: str | None = None) -> str:
-        """NAND of two or more nets."""
-        return self.gate(GateType.NAND, list(inputs), name)
-
     def nor(self, *inputs: str, name: str | None = None) -> str:
         """NOR of two or more nets."""
         return self.gate(GateType.NOR, list(inputs), name)

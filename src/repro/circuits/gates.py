@@ -1,9 +1,12 @@
-"""Primitive gate types and their Boolean semantics.
+"""Primitive gate types.
 
 Gates are the only combinational primitives in the netlist model.  Sequential
 elements (D flip-flops) are represented separately by the netlist and are
 removed by full-scan conversion before any analysis, mirroring the full scan
-access assumption of the paper (§4.1).
+access assumption of the paper (§4.1).  The Boolean semantics of each type
+are implemented once, on packed words, by the compiled engine
+(:mod:`repro.simulation.compiled`); the test suite checks that engine against
+a scalar evaluator of its own.
 """
 
 from __future__ import annotations
@@ -23,11 +26,6 @@ class GateType(str, Enum):
     XNOR = "XNOR"
     NOT = "NOT"
     BUF = "BUF"
-
-    @property
-    def is_inverting(self) -> bool:
-        """True for gates whose output is the complement of the base function."""
-        return self in (GateType.NAND, GateType.NOR, GateType.XNOR, GateType.NOT)
 
     @property
     def min_inputs(self) -> int:
@@ -77,30 +75,3 @@ class Gate:
         """Number of inputs."""
         return len(self.inputs)
 
-
-def evaluate_gate(gate_type: GateType, values: list[int] | tuple[int, ...]) -> int:
-    """Evaluate a gate on scalar 0/1 input values.
-
-    This scalar evaluator is the reference semantics; the bit-parallel
-    simulator in :mod:`repro.simulation.logic_sim` implements the same
-    functions on packed 64-bit words and is property-tested against this one.
-    """
-    if not values:
-        raise ValueError("gate evaluation requires at least one input value")
-    if gate_type is GateType.AND:
-        return int(all(values))
-    if gate_type is GateType.NAND:
-        return int(not all(values))
-    if gate_type is GateType.OR:
-        return int(any(values))
-    if gate_type is GateType.NOR:
-        return int(not any(values))
-    if gate_type is GateType.XOR:
-        return int(sum(values) % 2)
-    if gate_type is GateType.XNOR:
-        return int((sum(values) + 1) % 2)
-    if gate_type is GateType.NOT:
-        return int(not values[0])
-    if gate_type is GateType.BUF:
-        return int(bool(values[0]))
-    raise ValueError(f"unknown gate type: {gate_type!r}")

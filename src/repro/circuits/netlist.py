@@ -87,13 +87,6 @@ class Netlist:
         self._invalidate()
         return ff
 
-    def remove_gate(self, output: str) -> None:
-        """Remove the gate driving ``output`` (used by netlist transforms)."""
-        if output not in self._gates:
-            raise KeyError(f"no gate drives net {output!r}")
-        del self._gates[output]
-        self._invalidate()
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -149,18 +142,6 @@ class Netlist:
     def gate_for(self, net: str) -> Gate | None:
         """Return the gate driving ``net``, or None."""
         return self._gates.get(net)
-
-    def fanout_map(self) -> dict[str, tuple[str, ...]]:
-        """Map each net to the gate-output nets that consume it."""
-        cached = self._cache.get("fanout")
-        if cached is None:
-            fanout: dict[str, list[str]] = {net: [] for net in self._all_net_names()}
-            for gate in self._gates.values():
-                for source in gate.inputs:
-                    fanout.setdefault(source, []).append(gate.output)
-            cached = {net: tuple(sinks) for net, sinks in fanout.items()}
-            self._cache["fanout"] = cached
-        return cached  # type: ignore[return-value]
 
     def topological_gates(self) -> tuple[Gate, ...]:
         """Gates in a topological order (inputs before consumers).
@@ -227,20 +208,6 @@ class Netlist:
             clone.add_gate(gate.output, gate.gate_type, gate.inputs)
         return clone
 
-    def transitive_fanin(self, net: str) -> set[str]:
-        """All nets in the cone of influence of ``net`` (including itself)."""
-        seen: set[str] = set()
-        stack = [net]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            gate = self._gates.get(current)
-            if gate is not None:
-                stack.extend(gate.inputs)
-        return seen
-
     def __repr__(self) -> str:
         return (
             f"Netlist(name={self.name!r}, inputs={len(self._inputs)}, "
@@ -251,16 +218,6 @@ class Netlist:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _all_net_names(self) -> list[str]:
-        names = list(self._inputs)
-        names.extend(self._flip_flops)
-        names.extend(self._gates)
-        for gate in self._gates.values():
-            for source in gate.inputs:
-                if not self.has_driver(source):
-                    names.append(source)
-        return names
-
     def _invalidate(self) -> None:
         self._cache.clear()
 

@@ -86,15 +86,6 @@ class CompatibilityAnalysis:
             return True
         return self.justifier.is_satisfiable(self.requirements(indices))
 
-    def adjacency(self) -> dict[int, set[int]]:
-        """Compatibility graph as an adjacency mapping (used by TARMAC)."""
-        graph: dict[int, set[int]] = {i: set() for i in range(self.num_rare_nets)}
-        rows, cols = np.nonzero(self.matrix)
-        for row, col in zip(rows, cols):
-            if row != col:
-                graph[int(row)].add(int(col))
-        return graph
-
 
 Requirement = tuple[str, int]
 

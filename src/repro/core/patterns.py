@@ -75,26 +75,6 @@ class PatternSet:
         return cls(sources=sources, patterns=array, technique=technique,
                    metadata=metadata or {})
 
-    def truncated(self, max_patterns: int) -> "PatternSet":
-        """The first ``max_patterns`` patterns (used for coverage-vs-length curves)."""
-        return PatternSet(
-            sources=self.sources,
-            patterns=self.patterns[:max_patterns],
-            technique=self.technique,
-            metadata=dict(self.metadata),
-        )
-
-    def concatenated(self, other: "PatternSet") -> "PatternSet":
-        """Concatenate two pattern sets over identical sources."""
-        if self.sources != other.sources:
-            raise ValueError("pattern sets target different source nets")
-        return PatternSet(
-            sources=self.sources,
-            patterns=np.vstack([self.patterns, other.patterns]) if len(other) else self.patterns,
-            technique=self.technique or other.technique,
-            metadata={**other.metadata, **self.metadata},
-        )
-
 
 @dataclass
 class SequenceSet:

@@ -30,14 +30,6 @@ class CurveResult:
     deterrent_curve: list[tuple[int, float]]
     tgrl_curve: list[tuple[int, float]]
 
-    def patterns_to_reach(self, coverage_percent: float, technique: str = "deterrent") -> int | None:
-        """Smallest number of patterns reaching ``coverage_percent`` (None if never)."""
-        curve = self.deterrent_curve if technique == "deterrent" else self.tgrl_curve
-        for num_patterns, coverage in curve:
-            if coverage >= coverage_percent:
-                return num_patterns
-        return None
-
 
 @dataclass
 class CurveCell:

@@ -72,12 +72,6 @@ def append_jsonl(record: object, path: str | Path) -> Path:
     return path
 
 
-def load_jsonl(path: str | Path) -> list[dict]:
-    """Read back a JSONL stream written by :func:`append_jsonl`."""
-    lines = Path(path).read_text().splitlines()
-    return [json.loads(line) for line in lines if line.strip()]
-
-
 def results_dir() -> Path:
     """Default output directory for experiment artefacts."""
     return Path("results")
@@ -137,7 +131,6 @@ __all__ = [
     "format_table",
     "save_json",
     "append_jsonl",
-    "load_jsonl",
     "resilience_summary",
     "results_dir",
     "telemetry_summary",

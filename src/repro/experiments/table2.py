@@ -18,7 +18,6 @@ from repro.circuits.library import TABLE2_BENCHMARKS, benchmark_entry
 from repro.core.agent import DeterrentAgent
 from repro.core.patterns import PatternSet, generate_patterns
 from repro.experiments.common import (
-    QUICK,
     BenchmarkContext,
     ExperimentProfile,
     PAPER_TABLE2,
@@ -105,23 +104,6 @@ def _technique_outcomes(
             coverage_percent=coverage.coverage_percent,
         )
     return outcomes
-
-
-def run_design(
-    context: BenchmarkContext,
-    profile: ExperimentProfile = QUICK,
-    techniques: tuple[str, ...] = ALL_TECHNIQUES,
-) -> Table2Row:
-    """Run the requested techniques on one prepared benchmark."""
-    entry = benchmark_entry(context.name)
-    row = Table2Row(
-        design=context.name,
-        paper_design=entry.paper_name,
-        num_rare_nets=context.num_rare_nets,
-        num_gates=context.netlist.num_gates,
-    )
-    row.outcomes = _technique_outcomes(context, profile, techniques)
-    return row
 
 
 @dataclass

@@ -95,13 +95,6 @@ class TrainingSummary:
             return 0.0
         return 60.0 * self.total_episodes / self.elapsed_seconds
 
-    @property
-    def mean_episode_reward(self) -> float:
-        """Average undiscounted episode return."""
-        if not self.episode_rewards:
-            return 0.0
-        return float(np.mean(self.episode_rewards))
-
 
 class PpoTrainer:
     """PPO training loop over a vectorised environment."""

@@ -219,16 +219,22 @@ class ArtifactCache:
         return self._load_path(self.path_for(kind, **key_parts))
 
     def _load_path(self, path: Path) -> Any | None:
+        artifact = self._read(path)
+        if artifact is None:
+            self._count(misses=1)
+        return artifact
+
+    def _read(self, path: Path) -> Any | None:
+        """The stored artifact, or None; counts a hit or a corrupt entry, never a miss."""
         try:
             with path.open("rb") as handle:
                 artifact = pickle.load(handle)
         except FileNotFoundError:
-            self._count(misses=1)
             return None
         except Exception:
             # Truncated/garbled entry (e.g. a crashed writer predating atomic
             # stores, or bit rot): drop it and recompute.
-            self._count(corrupt=1, misses=1)
+            self._count(corrupt=1)
             try:
                 path.unlink()
             except OSError:
@@ -251,16 +257,17 @@ class ArtifactCache:
         miss on the same key serialise on an advisory file lock, so the first
         one computes and the rest load its result instead of duplicating the
         work (the offline phase is the most expensive artifact in the store).
+        Only the locked load counts a miss, so misses equal builds.
         """
         with obs.trace.span("cache.fetch"):
-            artifact = self.load(kind, **key_parts)
+            path = self.path_for(kind, **key_parts)
+            artifact = self._read(path)
         if artifact is not None:
             return artifact
-        path = self.path_for(kind, **key_parts)
         path.parent.mkdir(parents=True, exist_ok=True)
         with file_lock(path):
             # Double-checked: a peer holding the lock may have stored it.
-            artifact = self.load(kind, **key_parts)
+            artifact = self._load_path(path)
             if artifact is None:
                 with obs.trace.span("cache.build"):
                     artifact = builder()

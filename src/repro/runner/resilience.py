@@ -139,12 +139,6 @@ class ResilientOutcome:
             "degraded_reason": self.degraded_reason,
         }
 
-    @property
-    def had_failures(self) -> bool:
-        """Did any attempt fail (even if the run ultimately recovered)?"""
-        return bool(self.retries or self.timeouts or self.crashes
-                    or self.errors or self.corrupt)
-
 
 def backoff_delay(policy: ResiliencePolicy, seed: int, attempt: int) -> float:
     """Deterministic jittered delay before running ``attempt`` (2-based).

@@ -1,4 +1,4 @@
-"""CNF formula representation and DIMACS I/O.
+"""CNF formula representation.
 
 Literals follow the DIMACS convention: variables are positive integers and a
 negative integer denotes the negated variable.  :class:`CNF` is a thin,
@@ -8,7 +8,6 @@ append-only container; the solver consumes its clause list directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 Literal = int
 
@@ -40,55 +39,9 @@ class CNF:
                 )
         self.clauses.append(clause)
 
-    @property
-    def num_clauses(self) -> int:
-        """Number of clauses."""
-        return len(self.clauses)
-
     def copy(self) -> "CNF":
         """Structural copy (clauses are copied, literals shared)."""
         return CNF(num_vars=self.num_vars, clauses=[list(c) for c in self.clauses])
-
-    # ------------------------------------------------------------------
-    # DIMACS
-    # ------------------------------------------------------------------
-    def to_dimacs(self) -> str:
-        """Serialise to DIMACS CNF text."""
-        lines = [f"p cnf {self.num_vars} {self.num_clauses}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines) + "\n"
-
-    def write_dimacs(self, path: str | Path) -> None:
-        """Write DIMACS CNF to a file."""
-        Path(path).write_text(self.to_dimacs())
-
-    @classmethod
-    def from_dimacs(cls, text: str) -> "CNF":
-        """Parse DIMACS CNF text."""
-        cnf = cls()
-        declared_vars = 0
-        for raw_line in text.splitlines():
-            line = raw_line.strip()
-            if not line or line.startswith(("c", "%")):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ValueError(f"malformed problem line: {raw_line!r}")
-                declared_vars = int(parts[2])
-                cnf.num_vars = declared_vars
-                continue
-            literals = [int(token) for token in line.split()]
-            if literals and literals[-1] == 0:
-                literals = literals[:-1]
-            if not literals:
-                continue
-            highest = max(abs(lit) for lit in literals)
-            if highest > cnf.num_vars:
-                cnf.num_vars = highest
-            cnf.add_clause(literals)
-        return cnf
 
 
 __all__ = ["CNF", "Literal"]

@@ -1,7 +1,6 @@
 """Logic simulation, signal probabilities, rare nets, and testability.
 
-The hot path is the compiled engine (:mod:`repro.simulation.compiled`);
-:class:`BitParallelSimulator` is not used in production: it keeps the per-net
-dict API for tests and, with ``engine="reference"``, the per-gate oracle the
-compiled engine is tested against.
+One simulator: the compiled bit-parallel engine (:mod:`repro.simulation.compiled`),
+combinational and multi-cycle.  The slow references it is tested against (a
+per-gate interpreter and a naive cycle loop) live in ``tests/oracles.py``.
 """

@@ -52,6 +52,7 @@ extraction and the multi-cycle Trojan evaluator consume directly (see
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,8 +184,6 @@ class CompiledNetlist:
         Returns ``(matrix, num_patterns)`` with ``matrix`` as in
         :meth:`run_packed`.
         """
-        from repro.simulation.logic_sim import pack_patterns
-
         patterns = np.atleast_2d(np.asarray(patterns))
         if patterns.shape[1] != self.num_sources:
             raise ValueError(
@@ -198,9 +197,10 @@ class CompiledNetlist:
         """Per-net count of 1-values over ``num_patterns`` random patterns.
 
         Random input words are drawn directly in packed form; the result is an
-        ``int64`` vector aligned with :attr:`net_names`.  The RNG draw matches
-        the historical :meth:`BitParallelSimulator.count_ones` exactly, so
-        seeded probability estimates are reproducible across engines.
+        ``int64`` vector aligned with :attr:`net_names`.  The draw is one
+        ``(num_sources, num_words)`` block of random words with the tail lanes
+        masked off, so a seeded estimate depends only on the seed and the
+        netlist's source order.
         """
         if num_patterns <= 0:
             return np.zeros(self.num_nets, dtype=np.int64)
@@ -238,13 +238,6 @@ class CompiledNetlist:
         words = matrix[ids]
         words[~rare_one] = ~words[~rare_one]
         return unpack_matrix(words, num_patterns).T.astype(bool)
-
-    def values_dict(
-        self, matrix: np.ndarray, num_patterns: int
-    ) -> dict[str, np.ndarray]:
-        """Unpack a value matrix into the legacy net -> 0/1 vector mapping."""
-        bits = unpack_matrix(matrix, num_patterns)
-        return {net: bits[index] for index, net in enumerate(self.net_names)}
 
     # ------------------------------------------------------------------
     # Internals
@@ -411,8 +404,6 @@ class CompiledSequentialNetlist:
         ``(tensor, num_sequences)`` with ``tensor`` as in
         :meth:`run_packed_sequence`.
         """
-        from repro.simulation.logic_sim import pack_patterns
-
         sequences = np.asarray(sequences)
         if sequences.ndim != 3 or sequences.shape[2] != self.num_inputs:
             raise ValueError(
@@ -476,6 +467,35 @@ def compile_sequential_netlist(netlist: Netlist) -> CompiledSequentialNetlist:
     return netlist.memo(
         _SEQUENTIAL_MEMO_KEY, lambda: CompiledSequentialNetlist(netlist)
     )
+
+
+def pack_patterns(patterns: np.ndarray) -> tuple[np.ndarray, int]:
+    """Pack a ``(num_patterns, num_inputs)`` 0/1 array into uint64 words.
+
+    Returns ``(packed, num_patterns)`` where ``packed`` has shape
+    ``(num_inputs, num_words)`` and bit ``p % 64`` of word ``p // 64`` holds
+    pattern ``p``'s value for that input.  Inputs are validated to be 0/1:
+    any other value (e.g. a stray 2) would otherwise corrupt neighbouring
+    bit lanes through the packing arithmetic.
+    """
+    patterns = np.asarray(patterns)
+    if patterns.ndim != 2:
+        raise ValueError(f"patterns must be 2-D, got shape {patterns.shape}")
+    if patterns.size and not np.all((patterns == 0) | (patterns == 1)):
+        offending = patterns[(patterns != 0) & (patterns != 1)].ravel()[0]
+        raise ValueError(
+            f"patterns must contain only 0/1 values, found {offending!r}"
+        )
+    num_patterns, num_inputs = patterns.shape
+    num_words = max(1, (num_patterns + _WORD_BITS - 1) // _WORD_BITS)
+    padded = np.zeros((num_inputs, num_words * _WORD_BITS), dtype=np.uint8)
+    if num_patterns:
+        padded[:, :num_patterns] = patterns.T
+    packed_bytes = np.packbits(padded, axis=1, bitorder="little")
+    packed = packed_bytes.view(np.dtype("<u8"))
+    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts only
+        packed = packed.astype(np.uint64)
+    return np.ascontiguousarray(packed, dtype=np.uint64), num_patterns
 
 
 def unpack_matrix(words: np.ndarray, num_patterns: int) -> np.ndarray:
@@ -543,5 +563,6 @@ __all__ = [
     "compile_sequential_netlist",
     "batched_conjunctions",
     "conjunction_words",
+    "pack_patterns",
     "unpack_matrix",
 ]

@@ -1,14 +1,8 @@
 """Signal-probability estimation.
 
-Two estimators are provided:
-
-- :func:`estimate_signal_probabilities` — Monte-Carlo estimation by random
-  logic simulation, matching the paper's flow (step ❶ in Figure 4: "logic
-  simulations" feed the rareness filter).
-- :func:`cop_probabilities` — the analytic COP (Controllability-Observability
-  Program) propagation that treats gate inputs as independent.  It is exact on
-  fan-out-free circuits and serves as a fast cross-check and as an input to
-  the SCOAP-flavoured heuristics used by the TGRL baseline.
+:func:`estimate_signal_probabilities` is Monte-Carlo estimation by random
+logic simulation, matching the paper's flow (step ❶ in Figure 4: "logic
+simulations" feed the rareness filter).
 
 For raw sequential circuits,
 :func:`estimate_sequential_signal_probabilities` replaces the full-scan
@@ -20,7 +14,6 @@ state machine rarely visits the enabling states is measured as such.
 
 from __future__ import annotations
 
-from repro.circuits.gates import GateType
 from repro.circuits.netlist import Netlist
 from repro.simulation.compiled import compile_netlist, compile_sequential_netlist
 from repro.utils.rng import RngLike
@@ -75,50 +68,7 @@ def estimate_sequential_signal_probabilities(
     }
 
 
-def cop_probabilities(netlist: Netlist, input_probability: float = 0.5) -> dict[str, float]:
-    """Analytic signal probabilities assuming independent gate inputs (COP).
-
-    Args:
-        netlist: combinational netlist.
-        input_probability: P(input = 1) for every controllable net.
-    """
-    if not 0.0 <= input_probability <= 1.0:
-        raise ValueError(f"input_probability must be in [0, 1], got {input_probability}")
-    probabilities: dict[str, float] = {
-        net: input_probability for net in netlist.combinational_sources()
-    }
-    for gate in netlist.topological_gates():
-        operand_probabilities = [probabilities[net] for net in gate.inputs]
-        probabilities[gate.output] = _gate_probability(gate.gate_type, operand_probabilities)
-    return probabilities
-
-
-def _gate_probability(gate_type: GateType, operands: list[float]) -> float:
-    """Probability that a gate output is 1 given independent input probabilities."""
-    if gate_type in (GateType.AND, GateType.NAND):
-        value = 1.0
-        for p in operands:
-            value *= p
-        return 1.0 - value if gate_type is GateType.NAND else value
-    if gate_type in (GateType.OR, GateType.NOR):
-        value = 1.0
-        for p in operands:
-            value *= 1.0 - p
-        return value if gate_type is GateType.NOR else 1.0 - value
-    if gate_type in (GateType.XOR, GateType.XNOR):
-        value = 0.0
-        for p in operands:
-            value = value * (1.0 - p) + (1.0 - value) * p
-        return 1.0 - value if gate_type is GateType.XNOR else value
-    if gate_type is GateType.NOT:
-        return 1.0 - operands[0]
-    if gate_type is GateType.BUF:
-        return operands[0]
-    raise ValueError(f"unknown gate type {gate_type!r}")
-
-
 __all__ = [
     "estimate_signal_probabilities",
     "estimate_sequential_signal_probabilities",
-    "cop_probabilities",
 ]

@@ -112,14 +112,4 @@ def extract_rare_nets(
     return rare
 
 
-def rare_net_names(rare_nets: list[RareNet]) -> list[str]:
-    """Convenience accessor: just the net names, preserving order."""
-    return [item.net for item in rare_nets]
-
-
-def rare_value_map(rare_nets: list[RareNet]) -> dict[str, int]:
-    """Mapping net name -> rare value."""
-    return {item.net: item.rare_value for item in rare_nets}
-
-
-__all__ = ["RareNet", "extract_rare_nets", "rare_net_names", "rare_value_map"]
+__all__ = ["RareNet", "extract_rare_nets"]

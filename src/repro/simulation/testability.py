@@ -25,11 +25,6 @@ class Testability:
     cc1: float
     co: float
 
-    @property
-    def difficulty(self) -> float:
-        """Aggregate difficulty score used by the TGRL reward."""
-        return self.cc0 + self.cc1 + self.co
-
 
 def scoap_testability(netlist: Netlist) -> dict[str, Testability]:
     """Compute SCOAP CC0/CC1/CO for every net of a combinational netlist.

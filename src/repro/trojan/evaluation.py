@@ -14,11 +14,9 @@ compiled engine (:mod:`repro.simulation.compiled`), and every trigger
 conjunction is checked directly on the packed ``uint64`` value matrix —
 triggers of equal width are stacked and AND-reduced together, so no value is
 ever unpacked to per-pattern bits except the final per-trigger activation
-rows.  The historical one-netlist-per-Trojan flow survives as
-:func:`sequential_trigger_coverage`, which really inserts each Trojan and
-simulates the infected netlist against the golden response; it is the slow
-reference used by the parity tests and by anyone who wants to double-check
-the batched shortcut end to end.
+rows.  The literal one-netlist-per-Trojan flow, which really inserts each
+Trojan and simulates the infected netlist against the golden response, is
+the test suite's oracle (``tests/oracles.py``), not a run path.
 
 **Multi-cycle triggers.** :func:`sequence_trigger_coverage` extends the
 batched trick across clock cycles: the clean *sequential* netlist is stepped
@@ -28,9 +26,9 @@ come from one packed AND-reduce (:func:`repro.simulation.compiled
 accumulators — ``k`` packed planes per trigger group tracking "streak length
 >= i" (consecutive) or "activation count >= i" (cumulative) per sequence
 lane, i.e. O(k) word-ops per cycle and never an unpacked bit until the final
-verdict.  :func:`sequence_ground_truth_coverage` is its per-Trojan oracle:
-every infected netlist (with its real shift-register/counter hardware) is
-clocked over the sequence set and compared against the golden response.
+verdict.  Its per-Trojan oracle, in ``tests/oracles.py`` too, clocks every
+infected netlist (with its real shift-register/counter hardware) over the
+sequence set and compares it against the golden response.
 """
 
 from __future__ import annotations
@@ -46,10 +44,9 @@ from repro.simulation.compiled import (
     compile_netlist,
     compile_sequential_netlist,
     conjunction_words,
+    pack_patterns,
     unpack_matrix,
 )
-from repro.simulation.logic_sim import pack_patterns, simulate_sequences
-from repro.trojan.insertion import insert_sequential_trojan, insert_trojan
 from repro.trojan.model import SequentialTrojan, Trojan
 
 
@@ -124,50 +121,6 @@ def trigger_coverage(
     )
 
 
-def _output_bits(
-    netlist: Netlist, outputs: tuple[str, ...], patterns: np.ndarray
-) -> np.ndarray:
-    """0/1 responses ``[output, pattern]`` of ``netlist`` on ``patterns``."""
-    compiled = compile_netlist(netlist)
-    matrix, num_patterns = compiled.run_patterns(patterns)
-    return unpack_matrix(matrix[[compiled.index_of(net) for net in outputs]], num_patterns)
-
-
-def sequential_trigger_coverage(
-    netlist: Netlist, trojans: list[Trojan], pattern_set: PatternSet
-) -> CoverageResult:
-    """Per-Trojan reference evaluation: simulate every infected netlist.
-
-    For each Trojan the infected netlist is actually built
-    (:func:`repro.trojan.insertion.insert_trojan`) and simulated on the full
-    pattern set; the Trojan counts as detected when any primary output differs
-    from the golden response.  This is the paper's literal logic-testing flow
-    and the ground truth that :func:`trigger_coverage`'s batched shortcut is
-    tested against — use it for audits, not in hot loops.
-    """
-    if tuple(pattern_set.sources) != tuple(netlist.combinational_sources()):
-        raise ValueError(
-            "pattern set source ordering does not match the netlist's controllable nets"
-        )
-    detected = [False] * len(trojans)
-    if len(pattern_set) and trojans:
-        patterns, outputs = pattern_set.patterns, netlist.outputs
-        golden = _output_bits(netlist, outputs, patterns)
-        detected = [
-            not np.array_equal(
-                _output_bits(insert_trojan(netlist, trojan), outputs, patterns), golden
-            )
-            for trojan in trojans
-        ]
-    return CoverageResult(
-        technique=pattern_set.technique,
-        num_trojans=len(trojans),
-        num_detected=int(sum(detected)),
-        test_length=len(pattern_set),
-        detected=detected,
-    )
-
-
 def _sequence_conjunctions(
     compiled, trojans: list[SequentialTrojan]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -201,8 +154,7 @@ def sequence_trigger_coverage(
     any cycle of any sequence — which, by the output-pin payload construction
     of :func:`repro.trojan.insertion.insert_sequential_trojan`, is exactly
     when the infected netlist's outputs diverge from the golden response
-    (asserted by the parity tests against
-    :func:`sequence_ground_truth_coverage`).
+    (asserted by the parity tests against the per-Trojan oracle).
     """
     if tuple(sequence_set.inputs) != tuple(netlist.inputs):
         raise ValueError(
@@ -262,49 +214,6 @@ def sequence_trigger_coverage(
     )
 
 
-def sequence_ground_truth_coverage(
-    netlist: Netlist, trojans: list[SequentialTrojan], sequence_set: SequenceSet
-) -> CoverageResult:
-    """Per-Trojan reference: clock every infected sequential netlist.
-
-    Each Trojan's infected netlist — including its real shift-register or
-    thermometer-counter hardware — is simulated over the full sequence set
-    with the naive cycle loop; the Trojan counts as detected when any primary
-    output differs from the golden response in any cycle of any sequence.
-    This is the literal logic-testing flow and the ground truth the batched
-    :func:`sequence_trigger_coverage` is tested against — use it for audits,
-    not in hot loops.
-    """
-    if tuple(sequence_set.inputs) != tuple(netlist.inputs):
-        raise ValueError(
-            "sequence set input ordering does not match the netlist's primary inputs"
-        )
-    detected: list[bool] = []
-    golden_outputs: dict[str, np.ndarray] | None = None
-    if len(sequence_set) and trojans:
-        golden = simulate_sequences(netlist, sequence_set.sequences)
-        golden_outputs = {net: golden[net] for net in netlist.outputs}
-    for trojan in trojans:
-        if golden_outputs is None:
-            detected.append(False)
-            continue
-        infected = insert_sequential_trojan(netlist, trojan)
-        values = simulate_sequences(infected, sequence_set.sequences)
-        detected.append(
-            any(
-                not np.array_equal(values[net], golden_outputs[net])
-                for net in netlist.outputs
-            )
-        )
-    return CoverageResult(
-        technique=sequence_set.technique,
-        num_trojans=len(trojans),
-        num_detected=int(sum(detected)),
-        test_length=len(sequence_set),
-        detected=detected,
-    )
-
-
 def coverage_curve(
     netlist: Netlist, trojans: list[Trojan], pattern_set: PatternSet
 ) -> list[tuple[int, float]]:
@@ -327,8 +236,6 @@ def coverage_curve(
 __all__ = [
     "CoverageResult",
     "trigger_coverage",
-    "sequential_trigger_coverage",
     "sequence_trigger_coverage",
-    "sequence_ground_truth_coverage",
     "coverage_curve",
 ]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.circuits import generators
 from repro.circuits.library import load_benchmark
 from repro.core.compatibility import compute_compatibility
 from repro.experiments import common
+from repro.runner import cache as cache_module
 from repro.runner.cache import (
     ArtifactCache,
     CacheStats,
@@ -101,6 +103,38 @@ class TestArtifactCache:
         assert cache.fetch("kind", build, k=1) == {"x": 1}
         assert cache.fetch("kind", build, k=1) == {"x": 1}
         assert len(calls) == 1
+
+
+class TestFetchAccounting:
+    """``fetch`` counts one miss per build: misses equal builds."""
+
+    def test_empty_cache_counts_one_miss_and_one_store(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        assert cache.fetch("kind", lambda: "built", k=1) == "built"
+        assert cache.stats.as_dict() == {"hits": 0, "misses": 1, "stores": 1, "corrupt": 0}
+
+    def test_a_peer_store_during_the_lock_wait_is_a_hit(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(tmp_path)
+        peer = ArtifactCache(tmp_path)
+        real_lock = cache_module.file_lock
+
+        @contextmanager
+        def lock_after_a_peer_stored(path):
+            # The unlocked probe has just missed; a peer that held the lock
+            # stores the entry before this process gets the lock.
+            peer.store("kind", "peer's", k=1)
+            with real_lock(path):
+                yield
+
+        monkeypatch.setattr(cache_module, "file_lock", lock_after_a_peer_stored)
+        assert cache.fetch("kind", lambda: pytest.fail("built twice"), k=1) == "peer's"
+        assert cache.stats.as_dict() == {"hits": 1, "misses": 0, "stores": 0, "corrupt": 0}
+
+    def test_a_corrupt_entry_counts_one_miss_and_one_store(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        ArtifactCache(tmp_path).store("kind", "old", k=1).write_bytes(b"garbage")
+        assert cache.fetch("kind", lambda: "rebuilt", k=1) == "rebuilt"
+        assert cache.stats.as_dict() == {"hits": 0, "misses": 1, "stores": 1, "corrupt": 1}
 
 
 class TestDigestAddressing:

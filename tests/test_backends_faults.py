@@ -81,7 +81,9 @@ class TestBackends:
         for name in BUILTIN_BACKENDS:
             outcome = run_tasks(square, TASKS, backend=name, max_workers=3)
             assert outcome.results == reference, name
-            assert not outcome.had_failures
+            counters = outcome.counters()
+            assert [counters[key] for key in ("retries", "timeouts", "crashes", "errors",
+                                              "corrupt")] == [0] * 5
             assert outcome.backend == name == outcome.final_backend
 
     def test_resolve_backend_defaults_follow_job_count(self):

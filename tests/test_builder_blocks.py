@@ -6,7 +6,6 @@ at small widths and with hypothesis at random widths/operands.
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,15 +13,14 @@ from repro.circuits import blocks
 from repro.circuits.builder import NetlistBuilder
 from repro.circuits.gates import GateType
 from repro.circuits.validate import validate_netlist
-from repro.simulation.logic_sim import BitParallelSimulator
+
+from oracles import simulate_pattern
 
 
 def evaluate_bus(netlist, assignment, bus):
     """Simulate one assignment and read a bus back as an integer."""
-    simulator = BitParallelSimulator(netlist)
-    vector = np.array([[assignment[s] for s in simulator.sources]], dtype=np.uint8)
-    values = simulator.run_patterns(vector)
-    return sum(int(values[net][0]) << i for i, net in enumerate(bus))
+    values = simulate_pattern(netlist, assignment)
+    return sum(values[net] << i for i, net in enumerate(bus))
 
 
 def input_assignment(prefix_values):
@@ -57,11 +55,8 @@ class TestBuilder:
         y = builder.mux2(s, a, b)
         builder.output(y, name="y")
         netlist = builder.build()
-        simulator = BitParallelSimulator(netlist)
         for sv, av, bv in itertools.product([0, 1], repeat=3):
-            vector = np.array([[{"s": sv, "a": av, "b": bv}[n] for n in simulator.sources]],
-                              dtype=np.uint8)
-            out = simulator.run_patterns(vector)["y"][0]
+            out = simulate_pattern(netlist, {"s": sv, "a": av, "b": bv})["y"]
             assert out == (bv if sv else av)
 
     def test_single_input_reduction_becomes_buffer(self):

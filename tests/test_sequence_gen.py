@@ -24,11 +24,12 @@ from repro.core.sequence_gen import (
 from repro.obs.trace import build_tree, load_spans
 from repro.sat.justify import Justifier
 from repro.sat.temporal import replay_fire_cycles
-from repro.simulation.logic_sim import simulate_pattern
 from repro.simulation.rare_nets import RareNet, extract_rare_nets
 from repro.trojan.evaluation import sequence_trigger_coverage
 from repro.trojan.insertion import sample_sequential_trojans
 from repro.trojan.model import SequentialTrigger, TriggerCondition
+
+from oracles import simulate_pattern
 
 CYCLES = 4
 

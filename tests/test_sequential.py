@@ -3,7 +3,7 @@
 Differential coverage for everything the multi-cycle path adds:
 
 - :class:`CompiledSequentialNetlist` must match the naive cycle loop
-  (:func:`simulate_sequences` on the per-gate reference interpreter)
+  (``oracles.simulate_sequences`` on the per-gate reference interpreter)
   bit-for-bit, for any sequence set and any initial state;
 - batched multi-cycle trigger coverage must return exactly the verdicts of
   physically inserting each Trojan's shift-register/counter hardware and
@@ -27,15 +27,13 @@ from repro.simulation.compiled import (
     compile_sequential_netlist,
     unpack_matrix,
 )
-from repro.simulation.logic_sim import simulate_sequences
 from repro.simulation.probability import estimate_sequential_signal_probabilities
 from repro.simulation.rare_nets import extract_rare_nets
-from repro.trojan.evaluation import (
-    sequence_ground_truth_coverage,
-    sequence_trigger_coverage,
-)
+from repro.trojan.evaluation import sequence_trigger_coverage
 from repro.trojan.insertion import insert_sequential_trojan, sample_sequential_trojans
 from repro.trojan.model import SequentialTrigger, SequentialTrojan, TriggerCondition
+
+from oracles import reference_patterns, sequence_ground_truth_coverage, simulate_sequences
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +134,7 @@ class TestCompiledSequentialNetlist:
             )
         tensor, num_sequences = compiled.run_sequences(sequences, initial_state=initial)
         reference = simulate_sequences(
-            controller, sequences, initial_state=initial, engine="reference"
+            controller, sequences, initial_state=initial, simulate=reference_patterns
         )
         assert set(reference) == set(compiled.net_names)
         for index, net in enumerate(compiled.net_names):

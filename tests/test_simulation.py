@@ -7,17 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits import generators
-from repro.circuits.gates import GateType, evaluate_gate
+from repro.circuits.gates import GateType
 from repro.circuits.netlist import Netlist
-from repro.simulation.logic_sim import (
-    BitParallelSimulator,
-    pack_patterns,
-    simulate_pattern,
-    unpack_values,
-)
-from repro.simulation.probability import cop_probabilities, estimate_signal_probabilities
-from repro.simulation.rare_nets import RareNet, extract_rare_nets, rare_net_names, rare_value_map
+from repro.simulation.compiled import compile_netlist, pack_patterns, unpack_matrix
+from repro.simulation.probability import estimate_signal_probabilities
+from repro.simulation.rare_nets import RareNet, extract_rare_nets
 from repro.simulation.testability import scoap_testability
+
+from oracles import evaluate_gate, run_patterns, simulate_pattern
 
 
 def reference_simulate(netlist, assignment):
@@ -35,31 +32,24 @@ class TestPacking:
         packed, count = pack_patterns(patterns)
         assert count == 130
         assert packed.shape == (7, 3)
-        for column in range(7):
-            assert np.array_equal(unpack_values(packed[column], count), patterns[:, column])
+        assert np.array_equal(unpack_matrix(packed, count), patterns.T)
 
     def test_pack_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             pack_patterns(np.zeros(5, dtype=np.uint8))
 
 
-class TestBitParallelSimulator:
-    def test_rejects_sequential_netlist(self):
-        sequential = generators.sequential_controller("s", state_bits=3, data_width=4)
-        with pytest.raises(ValueError, match="full-scan"):
-            BitParallelSimulator(sequential)
-
+class TestCompiledAgainstScalarReference:
     def test_pattern_width_checked(self, c17):
-        simulator = BitParallelSimulator(c17)
         with pytest.raises(ValueError, match="width"):
-            simulator.run_patterns(np.zeros((1, 3), dtype=np.uint8))
+            compile_netlist(c17).run_patterns(np.zeros((1, 3), dtype=np.uint8))
 
     def test_c17_exhaustive_against_reference(self, c17):
-        simulator = BitParallelSimulator(c17)
+        sources = c17.combinational_sources()
         patterns = np.array(list(itertools.product([0, 1], repeat=5)), dtype=np.uint8)
-        values = simulator.run_patterns(patterns)
+        values = run_patterns(c17, patterns)
         for index, pattern in enumerate(patterns):
-            reference = reference_simulate(c17, dict(zip(simulator.sources, pattern)))
+            reference = reference_simulate(c17, dict(zip(sources, pattern)))
             for net in ("22", "23", "10", "16"):
                 assert values[net][index] == reference[net]
 
@@ -69,29 +59,21 @@ class TestBitParallelSimulator:
         netlist = generators.random_logic_circuit(
             "h", num_inputs=6, num_gates=30, num_outputs=4, seed=seed % 50
         )
-        simulator = BitParallelSimulator(netlist)
+        sources = netlist.combinational_sources()
         rng = np.random.default_rng(seed)
-        patterns = rng.integers(0, 2, size=(num_patterns, len(simulator.sources)), dtype=np.uint8)
-        values = simulator.run_patterns(patterns)
+        patterns = rng.integers(0, 2, size=(num_patterns, len(sources)), dtype=np.uint8)
+        values = run_patterns(netlist, patterns)
         check_index = int(rng.integers(num_patterns))
-        reference = reference_simulate(
-            netlist, dict(zip(simulator.sources, patterns[check_index]))
-        )
+        reference = reference_simulate(netlist, dict(zip(sources, patterns[check_index])))
         for net in netlist.outputs:
             assert values[net][check_index] == reference[net]
 
-    def test_count_ones_matches_run_random(self, small_multiplier):
-        simulator = BitParallelSimulator(small_multiplier)
-        counts = simulator.count_ones(512, seed=7)
-        assert set(counts) >= set(small_multiplier.outputs)
-        for net, count in counts.items():
-            assert 0 <= count <= 512
-
-    def test_run_random_returns_patterns_and_values(self, c17):
-        simulator = BitParallelSimulator(c17)
-        patterns, values = simulator.run_random(37, seed=1)
-        assert patterns.shape == (37, 5)
-        assert values["22"].shape == (37,)
+    def test_count_ones_is_bounded_per_net(self, small_multiplier):
+        compiled = compile_netlist(small_multiplier)
+        counts = compiled.count_ones(512, seed=7)
+        assert set(compiled.net_names) >= set(small_multiplier.outputs)
+        assert counts.shape == (compiled.num_nets,)
+        assert ((0 <= counts) & (counts <= 512)).all()
 
     def test_simulate_pattern_requires_all_sources(self, c17):
         with pytest.raises(KeyError):
@@ -105,24 +87,7 @@ class TestBitParallelSimulator:
 
 
 class TestProbabilities:
-    def test_cop_exact_on_tree(self):
-        netlist = Netlist("tree")
-        for name in ("a", "b", "c", "d"):
-            netlist.add_input(name)
-        netlist.add_gate("ab", GateType.AND, ("a", "b"))
-        netlist.add_gate("cd", GateType.OR, ("c", "d"))
-        netlist.add_gate("y", GateType.XOR, ("ab", "cd"))
-        netlist.add_output("y")
-        probabilities = cop_probabilities(netlist)
-        assert probabilities["ab"] == pytest.approx(0.25)
-        assert probabilities["cd"] == pytest.approx(0.75)
-        assert probabilities["y"] == pytest.approx(0.25 * 0.25 + 0.75 * 0.75)
-
-    def test_cop_input_probability_validated(self, c17):
-        with pytest.raises(ValueError):
-            cop_probabilities(c17, input_probability=1.5)
-
-    def test_monte_carlo_close_to_cop_on_tree(self):
+    def test_monte_carlo_close_to_exact_on_tree(self):
         netlist = Netlist("tree2")
         for name in ("a", "b", "c"):
             netlist.add_input(name)
@@ -130,8 +95,9 @@ class TestProbabilities:
         netlist.add_gate("y", GateType.NOR, ("ab", "c"))
         netlist.add_output("y")
         estimated = estimate_signal_probabilities(netlist, num_patterns=8192, seed=0)
-        exact = cop_probabilities(netlist)
-        assert estimated["y"] == pytest.approx(exact["y"], abs=0.03)
+        # Fan-out free: P(y) = P(ab = 0) * P(c = 0) = (1 - 1/4) * (1/2).
+        assert estimated["ab"] == pytest.approx(0.25, abs=0.03)
+        assert estimated["y"] == pytest.approx(0.375, abs=0.03)
 
     def test_estimate_rejects_nonpositive_samples(self, c17):
         with pytest.raises(ValueError):
@@ -159,17 +125,12 @@ class TestRareNets:
 
     def test_rare_nets_exclude_inputs_by_default(self, small_multiplier, multiplier_rare_nets):
         sources = set(small_multiplier.combinational_sources())
-        assert not sources & set(rare_net_names(multiplier_rare_nets))
-
-    def test_rare_value_map_consistent(self, multiplier_rare_nets):
-        mapping = rare_value_map(multiplier_rare_nets)
-        for item in multiplier_rare_nets:
-            assert mapping[item.net] == item.rare_value
+        assert not sources & {item.net for item in multiplier_rare_nets}
 
     def test_higher_threshold_never_reduces_rare_nets(self, small_multiplier):
         low = extract_rare_nets(small_multiplier, threshold=0.08, num_patterns=2048, seed=1)
         high = extract_rare_nets(small_multiplier, threshold=0.2, num_patterns=2048, seed=1)
-        assert set(rare_net_names(low)) <= set(rare_net_names(high))
+        assert {item.net for item in low} <= {item.net for item in high}
 
     def test_deep_and_chain_is_rare(self):
         netlist = Netlist("chain")
@@ -177,7 +138,7 @@ class TestRareNets:
         netlist.add_gate("all", GateType.AND, tuple(inputs))
         netlist.add_output("all")
         rare = extract_rare_nets(netlist, threshold=0.1, num_patterns=4096, seed=0)
-        assert rare_net_names(rare) == ["all"]
+        assert [item.net for item in rare] == ["all"]
         assert rare[0].rare_value == 1
 
 
@@ -208,9 +169,8 @@ class TestScoap:
         levels = small_multiplier.levels()
         deep = max(measures, key=lambda n: levels.get(n, 0))
         shallow = small_multiplier.inputs[0]
-        assert measures[deep].difficulty > measures[shallow].difficulty
 
-    def test_difficulty_is_total(self, c17):
-        measures = scoap_testability(c17)
-        sample = measures["22"]
-        assert sample.difficulty == pytest.approx(sample.cc0 + sample.cc1 + sample.co)
+        def difficulty(net):
+            return measures[net].cc0 + measures[net].cc1 + measures[net].co
+
+        assert difficulty(deep) > difficulty(shallow)

@@ -5,10 +5,11 @@ import pytest
 
 from repro.circuits.validate import validate_netlist
 from repro.core.patterns import PatternSet
-from repro.simulation.logic_sim import BitParallelSimulator, simulate_pattern
 from repro.trojan.evaluation import coverage_curve, trigger_coverage
 from repro.trojan.insertion import insert_trojan, sample_trojans
 from repro.trojan.model import Trojan, TriggerCondition
+
+from oracles import run_patterns, simulate_pattern
 
 
 class TestTriggerCondition:
@@ -149,11 +150,11 @@ class TestCoverage:
     def test_coverage_matches_brute_force(self, small_multiplier, multiplier_compatibility):
         trojans = self._trojans(multiplier_compatibility, count=6)
         rng = np.random.default_rng(0)
-        simulator = BitParallelSimulator(small_multiplier)
-        patterns = rng.integers(0, 2, size=(64, len(simulator.sources)), dtype=np.uint8)
-        pattern_set = PatternSet(sources=simulator.sources, patterns=patterns, technique="rand")
+        sources = small_multiplier.combinational_sources()
+        patterns = rng.integers(0, 2, size=(64, len(sources)), dtype=np.uint8)
+        pattern_set = PatternSet(sources=sources, patterns=patterns, technique="rand")
         result = trigger_coverage(small_multiplier, trojans, pattern_set)
-        values = simulator.run_patterns(patterns)
+        values = run_patterns(small_multiplier, patterns)
         expected = 0
         for trojan in trojans:
             fired = np.ones(64, dtype=bool)
