@@ -19,7 +19,9 @@ from repro.circuits.library import load_benchmark
 from repro.circuits.netlist import Netlist
 from repro.simulation.compiled import (
     CompiledNetlist,
+    batched_conjunctions,
     compile_netlist,
+    conjunction_words,
     pack_patterns,
     unpack_matrix,
 )
@@ -32,6 +34,7 @@ from oracles import (
     evaluate_gate,
     reference_count_ones,
     reference_patterns,
+    reference_values,
     run_patterns,
     sequential_trigger_coverage,
 )
@@ -174,6 +177,136 @@ class TestPackingValidation:
         packed, count = pack_patterns(patterns)
         assert packed.shape == (9, 2)
         assert np.array_equal(unpack_matrix(packed, count), patterns.T)
+
+    def test_pack_bit_layout(self):
+        """Pattern ``p`` lands in bit ``p % 64`` of word ``p // 64``."""
+        patterns = np.zeros((130, 2), dtype=np.uint8)
+        patterns[65, 0] = 1
+        patterns[3, 1] = 1
+        packed, _ = pack_patterns(patterns)
+        assert packed.dtype == np.uint64
+        assert packed.tolist() == [[0, 2, 0], [8, 0, 0]]
+
+    def test_pack_leaves_tail_lanes_zero(self):
+        packed, count = pack_patterns(np.ones((70, 3), dtype=np.uint8))
+        assert count == 70
+        assert np.bitwise_count(packed[:, 0]).tolist() == [64, 64, 64]
+        assert np.bitwise_count(packed[:, 1]).tolist() == [6, 6, 6]
+
+
+class TestCompiledStructure:
+    def test_levelized_gates_order_every_gate_after_its_drivers(self, small_multiplier):
+        compiled = compile_netlist(small_multiplier)
+        order = compiled.levelized_gates()
+        assert sorted(g.output for g in order) == sorted(g.output for g in small_multiplier.gates)
+        seen = set(compiled.sources)
+        for gate in order:
+            assert all(source in seen for source in gate.inputs), gate.output
+            seen.add(gate.output)
+
+    def test_levelized_gates_never_step_back_a_level(self, small_multiplier):
+        levels = small_multiplier.levels()
+        order = [levels[g.output] for g in compile_netlist(small_multiplier).levelized_gates()]
+        assert order == sorted(order)
+
+    def test_contains_every_net_and_nothing_else(self, c17):
+        compiled = compile_netlist(c17)
+        assert set(compiled.net_names) == set(c17.nets)
+        assert all(net in compiled for net in c17.nets)
+        assert "no_such_net" not in compiled
+
+    def test_run_packed_rejects_wrong_shapes(self, c17):
+        compiled = compile_netlist(c17)
+        with pytest.raises(ValueError, match="num_words"):
+            compiled.run_packed(np.zeros(5, dtype=np.uint64))
+        with pytest.raises(ValueError, match="num_words"):
+            compiled.run_packed(np.zeros((4, 2), dtype=np.uint64))
+
+    def test_run_packed_matches_reference_on_raw_words(self, small_random_circuit):
+        compiled = compile_netlist(small_random_circuit)
+        packed = np.random.default_rng(4).integers(
+            0, 2**64 - 1, size=(compiled.num_sources, 3), dtype=np.uint64, endpoint=True
+        )
+        matrix = compiled.run_packed(packed)
+        assert matrix.shape == (compiled.num_nets, 3)
+        reference = reference_values(small_random_circuit, packed)
+        for index, net in enumerate(compiled.net_names):
+            assert np.array_equal(matrix[index], reference[net]), net
+
+    def test_count_ones_masks_tail_lanes(self):
+        """A net and its inverse together count exactly ``num_patterns`` ones."""
+        netlist = Netlist("pair")
+        netlist.add_input("a")
+        netlist.add_gate("na", GateType.NOT, ("a",))
+        netlist.add_output("na")
+        compiled = compile_netlist(netlist)
+        for num_patterns in (1, 63, 64, 70, 129):
+            counts = compiled.count_ones(num_patterns, seed=num_patterns)
+            assert counts[compiled.index_of("a")] + counts[compiled.index_of("na")] == num_patterns
+
+
+class TestActivations:
+    def test_activations_match_reference_values(self, small_multiplier):
+        compiled = compile_netlist(small_multiplier)
+        rng = np.random.default_rng(8)
+        patterns = rng.integers(0, 2, size=(97, compiled.num_sources), dtype=np.uint8)
+        nets = [g.output for g in small_multiplier.gates][::5]
+        requirements = [(net, int(k % 2)) for k, net in enumerate(nets)]
+        active = compiled.activations(patterns, requirements)
+        assert active.shape == (97, len(requirements)) and active.dtype == bool
+        reference = reference_patterns(small_multiplier, patterns)
+        for column, (net, value) in enumerate(requirements):
+            assert np.array_equal(active[:, column], reference[net] == value), net
+
+    def test_no_requirements_gives_an_empty_row_per_pattern(self, c17):
+        active = compile_netlist(c17).activations(np.zeros((4, 5), dtype=np.uint8), [])
+        assert active.shape == (4, 0) and active.dtype == bool
+
+    def test_unknown_requirement_net_raises_keyerror(self, c17):
+        with pytest.raises(KeyError, match="no_such_net"):
+            compile_netlist(c17).activations(np.zeros((1, 5), dtype=np.uint8), [("no_such_net", 1)])
+
+
+class TestConjunctions:
+    def _random_conjunctions(self, compiled, rng):
+        conjunctions = []
+        for width in (1, 2, 2, 3, 4, 1):
+            ids = rng.choice(compiled.num_nets, size=width, replace=False).astype(np.int64)
+            required = rng.integers(0, 2, size=width).astype(np.uint8)
+            conjunctions.append((ids, required))
+        return conjunctions
+
+    def test_batched_conjunctions_match_brute_force(self, small_random_circuit):
+        compiled = compile_netlist(small_random_circuit)
+        rng = np.random.default_rng(12)
+        patterns = rng.integers(0, 2, size=(150, compiled.num_sources), dtype=np.uint8)
+        matrix, num_patterns = compiled.run_patterns(patterns)
+        conjunctions = self._random_conjunctions(compiled, rng)
+        fired = batched_conjunctions(matrix, conjunctions, num_patterns)
+        assert fired.shape == (len(conjunctions), 150) and fired.dtype == bool
+        bits = unpack_matrix(matrix, num_patterns)
+        for row, (ids, required) in enumerate(conjunctions):
+            expected = np.all(bits[ids] == required[:, None], axis=0)
+            assert np.array_equal(fired[row], expected), row
+
+    def test_conjunction_words_unpack_to_batched_conjunctions(self, small_random_circuit):
+        compiled = compile_netlist(small_random_circuit)
+        rng = np.random.default_rng(13)
+        patterns = rng.integers(0, 2, size=(100, compiled.num_sources), dtype=np.uint8)
+        matrix, num_patterns = compiled.run_patterns(patterns)
+        conjunctions = self._random_conjunctions(compiled, rng)
+        words = conjunction_words(matrix, conjunctions)
+        assert words.shape == (len(conjunctions), 2) and words.dtype == np.uint64
+        assert np.array_equal(
+            unpack_matrix(words, num_patterns).astype(bool),
+            batched_conjunctions(matrix, conjunctions, num_patterns),
+        )
+
+    def test_empty_conjunctions_or_patterns(self, c17):
+        matrix, _ = compile_netlist(c17).run_patterns(np.zeros((3, 5), dtype=np.uint8))
+        assert batched_conjunctions(matrix, [], 3).shape == (0, 3)
+        single = [(np.array([0], dtype=np.int64), np.array([1], dtype=np.uint8))]
+        assert batched_conjunctions(matrix, single, 0).shape == (1, 0)
 
 
 class TestBatchedTrojanParity:

@@ -99,6 +99,11 @@ class TestProbabilities:
         assert estimated["ab"] == pytest.approx(0.25, abs=0.03)
         assert estimated["y"] == pytest.approx(0.375, abs=0.03)
 
+    def test_estimate_rejects_sequential_netlist(self):
+        sequential = generators.sequential_controller("s", state_bits=3, data_width=4)
+        with pytest.raises(ValueError, match="full-scan"):
+            estimate_signal_probabilities(sequential, num_patterns=64)
+
     def test_estimate_rejects_nonpositive_samples(self, c17):
         with pytest.raises(ValueError):
             estimate_signal_probabilities(c17, num_patterns=0)
