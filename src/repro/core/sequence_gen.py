@@ -18,8 +18,8 @@ about input *sequences* from reset rather than single patterns:
    by joint unrolled justification — exact, not the pairwise approximation.
 3. **Sequence witnesses** — each set's conjunction is justified as a
    :class:`~repro.trojan.model.SequentialTrigger` and the SAT model is
-   decoded into a per-cycle input sequence.  Witnesses are replay-verified
-   through :class:`~repro.simulation.compiled.CompiledSequentialNetlist`
+   decoded into a per-cycle input sequence.  A cell's witnesses are replayed
+   in one batch through :class:`~repro.simulation.compiled.CompiledSequentialNetlist`
    before they are emitted, and jointly-unsatisfiable sets (possible when a
    caller passes hand-built sets) are repaired by greedily re-adding nets
    rarest-first.
@@ -34,6 +34,7 @@ order on one incremental unrolled solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,12 @@ class SequentialCompatibility:
             count=self.count,
         )
 
+    @cached_property
+    def _rare_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rare net x frame) CNF variables, and each row's rare value as a column."""
+        grid = self.justifier.expansion.variables([r.net for r in self.rare_nets], self.cycles)
+        return np.array(grid), np.array([[r.rare_value == 1] for r in self.rare_nets])
+
     def set_is_satisfiable(self, indices) -> bool:
         """Joint unrolled justification: can the whole set fire together?"""
         if not indices:
@@ -127,17 +134,12 @@ class SequentialCompatibility:
         if result is None:
             return None
         # Per-(rare net, cycle) truth of each rare value in the model.
-        expansion = self.justifier.expansion
-        frames = self.cycles
-        profile = np.zeros((len(self.rare_nets), frames), dtype=bool)
-        for row, rare in enumerate(self.rare_nets):
-            want = bool(rare.rare_value)
-            for frame in range(frames):
-                profile[row, frame] = result.value(expansion.variable(rare.net, frame)) == want
+        grid, wants = self._rare_grid
+        profile = self.justifier.expansion.values(result, grid) == wants
         # Greedy deterministic extension: add index j while the conjunction
         # of per-cycle bits still fires under (mode, count).
         mined = set(indices)
-        bits = np.ones(frames, dtype=bool)
+        bits = np.ones(self.cycles, dtype=bool)
         for index in indices:
             bits &= profile[index]
         for index in range(len(self.rare_nets)):
@@ -239,13 +241,12 @@ def greedy_compatible_sets(
         return []
     rng = make_rng(seed)
     sets: list[tuple[int, ...]] = []
-    seen: set[frozenset[int]] = set()
-    # Singletons passed the pre-filter, so they are satisfiable by definition.
-    verdicts: dict[frozenset[int], bool] = {
-        frozenset((index,)): True for index in range(count)
-    }
-    sat_cover: list[frozenset[int]] = []  # mined jointly-fired sets (maximal)
-    unsat_cover: list[frozenset[int]] = []  # sets proven unable to fire
+    # Sets are bitmasks (bit i: rare net i): ``a`` is within ``b`` iff ``a & b
+    # == a``.  Singletons passed the pre-filter, so they are satisfiable.
+    seen: set[int] = set()
+    verdicts: dict[int, bool] = {1 << index: True for index in range(count)}
+    sat_cover: list[int] = []  # mined jointly-fired sets (maximal)
+    unsat_cover: list[int] = []  # sets proven unable to fire
     first_pass = True
     stall = 0
     while len(sets) < num_sets and stall < STALL_LIMIT:
@@ -255,32 +256,33 @@ def greedy_compatible_sets(
         else:
             order = [int(index) for index in rng.permutation(count)]
         chosen: list[int] = []
+        chosen_mask = 0
         for index in order:
-            candidate = frozenset(chosen) | {index}
+            candidate = chosen_mask | 1 << index
             verdict = verdicts.get(candidate)
             if verdict is None:
                 # Monotonicity: subset of a known-SAT set is SAT, superset
                 # of a known-UNSAT set is UNSAT — no solver call needed.
-                if any(candidate <= known for known in sat_cover):
+                if candidate in map(candidate.__and__, sat_cover):
                     verdict = True
-                elif any(known <= candidate for known in unsat_cover):
+                elif candidate in map(candidate.__or__, unsat_cover):
                     verdict = False
                 else:
-                    mined = compatibility.satisfiable_superset(candidate)
+                    mined = compatibility.satisfiable_superset([*chosen, index])
                     verdict = mined is not None
                     if mined is None:
                         unsat_cover.append(candidate)
-                    elif not any(mined <= known for known in sat_cover):
-                        sat_cover[:] = [
-                            known for known in sat_cover if not known <= mined
-                        ]
-                        sat_cover.append(mined)
+                    else:
+                        mask = sum(1 << member for member in mined)
+                        if mask not in map(mask.__and__, sat_cover):
+                            sat_cover[:] = [known for known in sat_cover if known | mask != mask]
+                            sat_cover.append(mask)
                 verdicts[candidate] = verdict
             if verdict:
                 chosen.append(index)
-        key = frozenset(chosen)
-        if chosen and key not in seen:
-            seen.add(key)
+                chosen_mask = candidate
+        if chosen and chosen_mask not in seen:
+            seen.add(chosen_mask)
             sets.append(tuple(sorted(chosen)))
             stall = 0
         else:
@@ -303,6 +305,8 @@ def sequence_witness_with_repair(
     instantiation of :func:`repro.sat.justify.greedy_maximal_subset`, the
     same policy the combinational repair paths use.  Returns
     ``(sequence or None, first fire cycle or -1, requirements realised)``.
+    The full set's witness is not replayed here (:func:`generate_sequences`
+    replays a cell's witnesses in one batch); a repaired one is.
     """
 
     def _trigger(requirements: OrderedRequirements) -> SequentialTrigger:
@@ -310,7 +314,7 @@ def sequence_witness_with_repair(
             condition=TriggerCondition(requirements), mode=mode, count=count
         )
 
-    witness = justifier.witness(_trigger(ordered_requirements), cycles)
+    witness = justifier.witness(_trigger(ordered_requirements), cycles, verify=False)
     realized = len(ordered_requirements)
     if witness is None:
         kept = greedy_maximal_subset(
@@ -414,6 +418,14 @@ def _generate_sequences(
             )
             for ordered in ordered_sets
         ]
+        full = [
+            (compatibility.trigger(indices), sequence, fire_cycle)
+            for indices, (sequence, fire_cycle, realized) in zip(sets, results)
+            if sequence is not None and realized == len(indices)
+        ]
+        if full:
+            triggers, replays, fire_cycles = zip(*full)
+            compatibility.justifier.check_witnesses(triggers, np.stack(replays), fire_cycles)
     sequences: list[np.ndarray] = []
     for ordered, (sequence, fire_cycle, realized) in zip(ordered_sets, results):
         if sequence is None:

@@ -24,7 +24,7 @@ SAT-guided witness sets — bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
-from repro.sat.native import table
+from repro.sat import native
 
 
 class ActivityHeap:
@@ -34,9 +34,9 @@ class ActivityHeap:
 
     def __init__(self, num_vars: int = 0) -> None:
         # Index 0 of ``_act``/``_pos`` is unused (variables are 1-based).
-        self._act = table("d", [0.0] * (num_vars + 1))
-        self._heap = table("i", range(1, num_vars + 1))
-        self._pos = table("i", range(-1, num_vars))
+        self._act = native.table("d", [0.0] * (num_vars + 1))
+        self._heap = native.table("i", range(1, num_vars + 1))
+        self._pos = native.table("i", range(-1, num_vars))
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -64,7 +64,7 @@ class ActivityHeap:
         """
         fresh = range(len(self._act), num_vars + 1)
         size = len(self._heap)
-        self._act.extend([0.0] * len(fresh))
+        native.extend(self._act, 0.0, len(fresh))
         self._pos.extend(range(size, size + len(fresh)))
         self._heap.extend(fresh)
 

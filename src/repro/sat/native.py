@@ -53,6 +53,16 @@ def table(typecode: str, items=()) -> array | list:
     return list(items) if kernel() is None else array(typecode, items)
 
 
+def extend(table: array | list, value, count: int) -> None:
+    """Append ``count`` copies of ``value`` to a :func:`table`, as one typed block."""
+    table.extend([value] * count if type(table) is list else _item(table.typecode, value) * count)
+
+
+@cache
+def _item(typecode: str, value) -> array:
+    return array(typecode, [value])
+
+
 def load(source: Path, build_dir: Path, flags=FLAGS) -> ModuleType | None:
     """Load the kernel built from ``source`` in ``build_dir``, building it first if absent.
 
@@ -109,4 +119,4 @@ def _compile(source: Path, flags=FLAGS) -> bytes:
         return output.read_bytes()
 
 
-__all__ = ["SOURCE", "kernel", "load", "table"]
+__all__ = ["SOURCE", "extend", "kernel", "load", "table"]

@@ -186,29 +186,29 @@ class SolverStats:
 class SolverResult:
     """Outcome of a SAT query.
 
-    A SAT answer of :class:`CdclSolver` keeps its variables' values (variable
-    ``v`` at index ``v - 1``, 1 for true) and builds :attr:`model` only when
-    it is first read; :meth:`value` reads the values directly.
+    A SAT answer of :class:`CdclSolver` keeps its variables' values in
+    ``values`` (variable ``v`` at index ``v - 1``, 1 for true) and builds
+    :attr:`model` only when it is first read; :meth:`value` reads the values.
     """
 
-    __slots__ = ("satisfiable", "stats", "_model", "_values")
+    __slots__ = ("satisfiable", "stats", "_model", "values")
 
     def __init__(
         self, satisfiable: bool, model: dict[int, bool] | None = None,
         stats: SolverStats | None = None, *, values=None,
     ) -> None:
-        self.satisfiable, self._model, self.stats, self._values = satisfiable, model, stats, values
+        self.satisfiable, self._model, self.stats, self.values = satisfiable, model, stats, values
 
     @property
     def model(self) -> dict[int, bool] | None:
         """``{variable: value}``, or None for an UNSAT answer."""
-        if self._model is None and self._values is not None:
-            self._model = dict(enumerate(map((1).__eq__, self._values), 1))
+        if self._model is None and self.values is not None:
+            self._model = dict(enumerate(map((1).__eq__, self.values), 1))
         return self._model
 
     def value(self, variable: int) -> bool:
         """Value of ``variable`` in the model (SAT results only)."""
-        values = self._values
+        values = self.values
         if values is not None:
             return 0 < variable <= len(values) and values[variable - 1] == 1
         if self._model is None:
@@ -239,7 +239,7 @@ class PairLists:
     def grow(self, extra: int) -> None:
         """Add ``extra`` empty lists."""
         for table in (self.start, self.size, self.capacity):
-            table.extend([0] * extra)
+            native.extend(table, 0, extra)
 
     def append(self, code: int, first: int, second: int) -> None:
         """Append the pair ``(first, second)`` to the list of ``code``."""
@@ -414,14 +414,15 @@ class CdclSolver:
         values so that SAT witnesses opportunistically activate additional
         rare nets beyond the ones explicitly constrained.
 
-        Every variable is checked before any phase changes, so an unknown
-        one raises ValueError and leaves all phases as they were.
+        One min/max test checks every variable before any phase changes, so
+        an unknown one raises ValueError naming it and leaves all phases as they were.
         """
-        for variable in phases:
-            if not 1 <= variable <= self._num_vars:
-                raise ValueError(f"unknown variable {variable}")
+        if phases and not (1 <= min(phases) and max(phases) <= self._num_vars):
+            unknown = next(v for v in phases if not 1 <= v <= self._num_vars)
+            raise ValueError(f"unknown variable {unknown}")
+        phase = self._phase
         for variable, value in phases.items():
-            self._phase[variable] = 0 if value else 1
+            phase[variable] = 0 if value else 1
 
     def stats(self) -> SolverStats:
         """Snapshot of the cumulative solver counters (an independent copy)."""
@@ -431,10 +432,10 @@ class CdclSolver:
         extra = num_vars - self._num_vars
         if extra <= 0:
             return
-        self._value.extend([-1] * (2 * extra))
-        self._level.extend([0] * extra)
-        self._reason.extend([-1] * extra)
-        self._phase.extend([1] * extra)
+        native.extend(self._value, -1, 2 * extra)
+        native.extend(self._level, 0, extra)
+        native.extend(self._reason, -1, extra)
+        native.extend(self._phase, 1, extra)
         self._seen.extend(bytes(extra))
         self._watches.grow(2 * extra)
         self._binary.grow(2 * extra)

@@ -27,11 +27,12 @@ deeper horizons extend the same solver via the expansion's incremental
 
 **Witnesses are self-verifying.** Every witness is replayed bit-for-bit
 through :class:`~repro.simulation.compiled.CompiledSequentialNetlist` before
-it is returned: the claimed firing cycle must be reproduced by the real
+it is used: the claimed first firing cycle must be reproduced by the real
 multi-cycle engine (and, transitively, by the infected-netlist ground-truth
-oracle the engine is differentially tested against).  A divergence would
-indicate an encoding bug and raises immediately instead of emitting a bogus
-test sequence.
+oracle the engine is differentially tested against).  Sequence generation
+replays a cell's witnesses in one packed run (:meth:`SequentialJustifier
+.check_witnesses`).  A divergence would indicate an encoding bug and raises,
+naming the set, instead of emitting a bogus test sequence.
 """
 
 from __future__ import annotations
@@ -78,34 +79,47 @@ class SequenceWitness:
         return self.sequence.shape[0]
 
 
+def replay_condition_bits(
+    netlist: Netlist,
+    conditions: list[TriggerCondition],
+    sequences: np.ndarray,
+    initial_state: dict[str, int] | None = None,
+) -> np.ndarray:
+    """Per-cycle truth of ``conditions[i]`` under ``sequences[i]``, for every ``i``.
+
+    The ``(len(conditions), cycles, num_inputs)`` sequences step together through
+    the compiled engine, 64 to a word, from reset (or ``initial_state``).
+    """
+    from repro.simulation.compiled import compile_sequential_netlist
+
+    compiled = compile_sequential_netlist(netlist)
+    sequences = np.asarray(sequences, dtype=np.uint8)
+    if len(sequences) != len(conditions):
+        raise ValueError(f"{len(conditions)} conditions for {len(sequences)} sequences")
+    state = None
+    if initial_state:
+        row = [initial_state.get(net, 0) for net in compiled.interface.state]
+        state = np.tile(np.array(row, dtype=np.uint8), (len(sequences), 1))
+    tensor, _ = compiled.run_sequences(sequences, initial_state=state)
+    bits = np.empty((len(conditions), tensor.shape[0]), dtype=bool)
+    for lane, condition in enumerate(conditions):
+        rows = [compiled.index_of(net) for net, _ in condition.requirements]
+        wants = np.array([value for _, value in condition.requirements], dtype=np.uint64)
+        lane_bits = (tensor[:, rows, lane >> 6] >> np.uint64(lane & 63)) & np.uint64(1)
+        bits[lane] = (lane_bits == wants).all(axis=1)
+    return bits
+
+
 def condition_bits(
     netlist: Netlist,
     condition: TriggerCondition,
     sequence: np.ndarray,
     initial_state: dict[str, int] | None = None,
 ) -> np.ndarray:
-    """Per-cycle truth of a trigger condition under one input sequence.
-
-    The sequence is stepped through the compiled multi-cycle engine from
-    reset (or ``initial_state``); the result is a boolean vector with one
-    entry per clock cycle.
-    """
-    from repro.simulation.compiled import compile_sequential_netlist
-
-    compiled = compile_sequential_netlist(netlist)
-    sequence = np.atleast_2d(np.asarray(sequence, dtype=np.uint8))
-    state = None
-    if initial_state:
-        state = np.zeros((1, compiled.num_state_bits), dtype=np.uint8)
-        for position, net in enumerate(compiled.interface.state):
-            state[0, position] = initial_state.get(net, 0)
-    tensor, _ = compiled.run_sequences(sequence[None, :, :], initial_state=state)
-    bits = np.ones(tensor.shape[0], dtype=bool)
-    one = np.uint64(1)
-    for net, value in condition.requirements:
-        row = (tensor[:, compiled.index_of(net), 0] & one).astype(bool)
-        bits &= row if value == 1 else ~row
-    return bits
+    """Per-cycle truth of a trigger condition under one input sequence
+    (:func:`replay_condition_bits` on a batch of one)."""
+    sequences = np.atleast_2d(sequence)[None]
+    return replay_condition_bits(netlist, [condition], sequences, initial_state)[0]
 
 
 def temporal_fire_cycles(mode: str, count: int, bits: np.ndarray) -> list[int]:
@@ -268,15 +282,14 @@ class SequentialJustifier:
         reproduced exactly; a divergence raises ``RuntimeError``.
         """
         horizon = self._horizon(trigger, cycles)
-        fired = self._fired_by(trigger, horizon)
-        if fired is None:
-            return None
-        self._apply_preferred()
-        result = self.expansion.solve([fired])
-        if not result.satisfiable:
+        result = self.satisfying_model(trigger, horizon)
+        if result is None:
             return None
         sequence = self.expansion.decode_inputs(result)[:horizon]
-        bits = self._model_condition_bits(trigger.condition, result, horizon)
+        # Per-frame condition truth read off the circuit variables of the model.
+        nets, values = zip(*trigger.condition.requirements)
+        truth = self.expansion.values(result, self.expansion.variables(nets, horizon))
+        bits = (truth == np.array(values, dtype=bool)[:, None]).all(axis=0)
         fires = temporal_fire_cycles(trigger.mode, trigger.count, bits)
         if not fires:  # pragma: no cover - encoding guarantees at least one
             raise RuntimeError(
@@ -284,20 +297,26 @@ class SequentialJustifier:
             )
         fire_cycle = fires[0]
         if verify:
-            replayed = replay_fire_cycles(
-                self.netlist, trigger, sequence, self._initial_state
-            )
-            if not replayed or replayed[0] != fire_cycle:
-                raise RuntimeError(
-                    f"witness replay diverged: model claims first firing at cycle "
-                    f"{fire_cycle}, compiled engine observes {replayed}"
-                )
+            self.check_witnesses([trigger], sequence[None], [fire_cycle])
         return SequenceWitness(
             inputs=self.expansion.inputs,
             sequence=sequence,
             fire_cycle=fire_cycle,
             trigger=trigger,
         )
+
+    def check_witnesses(self, triggers, sequences: np.ndarray, fire_cycles) -> None:
+        """Replay witnesses in one batch from this justifier's initial state; each
+        must first fire at its claimed cycle, or ``RuntimeError`` names its set."""
+        conditions = [trigger.condition for trigger in triggers]
+        bits = replay_condition_bits(self.netlist, conditions, sequences, self._initial_state)
+        for trigger, row, claimed in zip(triggers, bits, fire_cycles):
+            replayed = temporal_fire_cycles(trigger.mode, trigger.count, row)
+            if not replayed or replayed[0] != claimed:
+                raise RuntimeError(
+                    f"witness replay diverged for set {trigger.condition.requirements}: model "
+                    f"claims first firing at cycle {claimed}, compiled engine observes {replayed}"
+                )
 
     # ------------------------------------------------------------------
     # Encoding internals
@@ -316,14 +335,14 @@ class SequentialJustifier:
         self._next_var += 1
         return self._next_var
 
-    def _condition_literals(self, condition: TriggerCondition, frames: int) -> list[Literal]:
-        """Per-frame indicator literals of the condition (cached, lazily grown)."""
-        key = self._condition_key(condition)
+    def _condition_literals(self, key: tuple, frames: int) -> list[Literal]:
+        """Per-frame indicator literals of a condition key (cached, lazily grown)."""
         literals = self._conditions.setdefault(key, [])
-        expansion = self.expansion
-        while len(literals) < frames:
-            frame = len(literals)
-            members = [expansion.literal(net, value, frame) for net, value in key]
+        if len(literals) >= frames:
+            return literals
+        grid = self.expansion.variables([net for net, _ in key], frames)
+        signed = [row if value else [-v for v in row] for (_, value), row in zip(key, grid)]
+        for members in list(zip(*signed))[len(literals):]:
             if len(members) == 1:
                 literals.append(members[0])
                 continue
@@ -343,8 +362,9 @@ class SequentialJustifier:
         self.expansion.extend_to(frames)
         self._next_var = self.expansion.num_vars
         self._clauses = []
-        cond = self._condition_literals(trigger.condition, frames)
-        key = (self._condition_key(trigger.condition), trigger.mode, trigger.count)
+        condition = self._condition_key(trigger.condition)
+        cond = self._condition_literals(condition, frames)
+        key = (condition, trigger.mode, trigger.count)
         chain = self._chains.get(key)
         if chain is None:
             chain = _TemporalChain(levels=[[] for _ in range(trigger.count)])
@@ -422,30 +442,17 @@ class SequentialJustifier:
         chain.fired.append(fired)
 
     # ------------------------------------------------------------------
-    # Decoding internals
+    # Phase preferences
     # ------------------------------------------------------------------
-    def _model_condition_bits(
-        self, condition: TriggerCondition, result: SolverResult, frames: int
-    ) -> np.ndarray:
-        """Per-frame condition truth read off the circuit variables of a SAT result."""
-        bits = np.ones(frames, dtype=bool)
-        for net, value in condition.requirements:
-            for frame in range(frames):
-                assigned = result.value(self.expansion.variable(net, frame))
-                if assigned != bool(value):
-                    bits[frame] = False
-        return bits
-
     def _apply_preferred(self) -> None:
         """Re-apply the preferred phases; the map is built once per unroll depth."""
         if not self._preferred:
             return
         frames = self.expansion.num_frames
         if self._preferred_phases is None or self._preferred_phases[0] != frames:
-            phases: dict[int, bool] = {}
-            for net, value in self._preferred.items():
-                for frame in range(frames):
-                    phases[self.expansion.variable(net, frame)] = bool(value)
+            grid = self.expansion.variables(self._preferred, frames)
+            wants = [bool(value) for value in self._preferred.values()]
+            phases = {variable: want for want, row in zip(wants, grid) for variable in row}
             self._preferred_phases = (frames, phases)
         self.expansion.set_phases(self._preferred_phases[1])
 
@@ -454,6 +461,7 @@ __all__ = [
     "SequenceWitness",
     "SequentialJustifier",
     "condition_bits",
+    "replay_condition_bits",
     "replay_fire_cycles",
     "temporal_fire_cycles",
 ]

@@ -110,16 +110,24 @@ class TimeFrameExpansion:
             )
         return self._frame_base[frame] + self._encoder.variable(net)
 
+    def variables(self, nets, frames: int) -> list[list[int]]:
+        """:meth:`variable` of each net (a row) at each cycle ``t < frames`` (a column)."""
+        if not 0 < frames <= self.num_frames:
+            raise IndexError(f"{frames} frames out of range (expansion has {self.num_frames})")
+        bases = self._frame_base[:frames]
+        return [[base + core for base in bases] for core in map(self._encoder.variable, nets)]
+
+    @staticmethod
+    def values(result: SolverResult, variables) -> np.ndarray:
+        """Truth of every variable of a grid in a SAT result: one gather over its snapshot."""
+        return np.asarray(result.values, dtype=np.int8)[np.asarray(variables, np.intp) - 1] == 1
+
     def literal(self, net: str, value: int, frame: int) -> Literal:
         """Literal asserting ``net`` equals ``value`` at cycle ``frame``."""
         if value not in (0, 1):
             raise ValueError(f"value must be 0 or 1, got {value}")
         variable = self.variable(net, frame)
         return variable if value == 1 else -variable
-
-    def assumptions_for(self, assignment: dict[str, int], frame: int) -> list[Literal]:
-        """Assumption literals for a net -> value mapping at one cycle."""
-        return [self.literal(net, value, frame) for net, value in assignment.items()]
 
     # ------------------------------------------------------------------
     # Growth
@@ -185,12 +193,8 @@ class TimeFrameExpansion:
         the stimulus the model applies at clock cycle ``t`` — directly usable
         as one sequence of a :class:`~repro.core.patterns.SequenceSet`.
         """
-        inputs = self.interface.inputs
-        sequence = np.zeros((self.num_frames, len(inputs)), dtype=np.uint8)
-        for frame in range(self.num_frames):
-            for column, net in enumerate(inputs):
-                sequence[frame, column] = result.value(self.variable(net, frame))
-        return sequence
+        truth = self.values(result, self.variables(self.interface.inputs, self.num_frames))
+        return truth.reshape(-1, self.num_frames).T.astype(np.uint8, order="C")
 
 
 __all__ = ["TimeFrameExpansion"]

@@ -160,6 +160,9 @@ UNREFERENCED_ALLOWED = {
     ),
     "repro/circuits/bench_io.py::load_bench": "library API: read a .bench file from disk",
     "repro/sat/solver.py::solve_cnf": "library API: one-shot solve of a CNF",
+    "repro/sat/temporal.py::replay_fire_cycles": (
+        "library API: replay one sequence against one trigger (a batch of one)"
+    ),
 }
 
 _DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

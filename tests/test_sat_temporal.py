@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,18 +30,20 @@ from repro.sat.justify import Justifier
 from repro.sat.temporal import (
     SequenceWitness,
     SequentialJustifier,
+    replay_condition_bits,
     replay_fire_cycles,
     temporal_fire_cycles,
 )
 from repro.sat.unroll import TimeFrameExpansion
-from repro.circuits.scan import ensure_combinational
+from repro.circuits import generators
+from repro.circuits.scan import ensure_combinational, sequential_interface
 from repro.simulation.compiled import compile_sequential_netlist
 from repro.simulation.rare_nets import extract_rare_nets
 from repro.trojan.evaluation import sequence_trigger_coverage
 from repro.trojan.insertion import sample_sequential_trojans
 from repro.trojan.model import SequentialTrigger, SequentialTrojan, TriggerCondition
 
-from oracles import sequence_ground_truth_coverage
+from oracles import reference_patterns, sequence_ground_truth_coverage, simulate_sequences
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +346,83 @@ class TestSequentialJustifier:
             )
             coverage = sequence_trigger_coverage(controller, [trojan], workload)
             assert coverage.detected == [True]
+
+
+class TestBatchReplay:
+    """One packed replay of many witnesses against the per-sequence oracle loop."""
+
+    @pytest.mark.parametrize("start", ["reset", "seeded"])
+    @pytest.mark.parametrize("batch", [1, 63, 64, 65])
+    def test_batch_matches_the_per_sequence_oracle(self, batch, start):
+        """Sizes 1, 63, 64 and 65 cross the 64-lane word boundary; each lane
+        has its own condition, which must be read from its own lane only.
+        Witness checks in both modes must accept the oracle's first firings."""
+        netlist = generators.sequential_controller("seq", state_bits=3, data_width=4)
+        interface = sequential_interface(netlist)
+        nets = sorted(compile_sequential_netlist(netlist).net_names)
+        rng = np.random.default_rng(batch)
+        cycles = 6
+        sequences = rng.integers(0, 2, size=(batch, cycles, len(interface.inputs)), dtype=np.uint8)
+        initial_state = None
+        if start == "seeded":
+            initial_state = {net: int(rng.integers(2)) for net in interface.state}
+        conditions = [
+            TriggerCondition(tuple(
+                (str(net), int(rng.integers(2)))
+                for net in rng.choice(nets, size=int(rng.integers(1, 3)), replace=False)
+            ))
+            for _ in range(batch)
+        ]
+        bits = replay_condition_bits(netlist, conditions, sequences, initial_state)
+        assert bits.shape == (batch, cycles)
+
+        state = None
+        if initial_state is not None:
+            state = np.array([[initial_state[net] for net in interface.state]], dtype=np.uint8)
+        justifier = SequentialJustifier(netlist, cycles, initial_state=initial_state)
+        oracle = []
+        for lane, condition in enumerate(conditions):
+            values = simulate_sequences(
+                netlist, sequences[lane:lane + 1], state, simulate=reference_patterns
+            )
+            expected = np.ones(cycles, dtype=bool)
+            for net, value in condition.requirements:
+                expected &= values[net][:, 0] == value
+            assert np.array_equal(bits[lane], expected), lane
+            oracle.append(expected)
+        for mode in ("consecutive", "cumulative"):
+            triggers, firing, claims = [], [], []
+            for lane, (condition, expected) in enumerate(zip(conditions, oracle)):
+                fires = temporal_fire_cycles(mode, 2, expected)
+                if fires:
+                    triggers.append(SequentialTrigger(condition, mode, 2))
+                    firing.append(lane)
+                    claims.append(fires[0])
+            if firing:
+                justifier.check_witnesses(triggers, sequences[firing], claims)
+
+    def test_a_flipped_bit_in_a_batch_raises_and_names_its_set(self):
+        netlist = toy_netlist()
+        justifier = SequentialJustifier(netlist, cycles=4)
+        triggers = [
+            mix_trigger("consecutive", 1),
+            SequentialTrigger(TriggerCondition((("obs", 1),)), "cumulative", 2),
+            SequentialTrigger(TriggerCondition((("mix", 1), ("b", 1))), "consecutive", 1),
+        ]
+        witnesses = [justifier.witness(trigger, verify=False) for trigger in triggers]
+        sequences = np.stack([witness.sequence for witness in witnesses])
+        claims = [witness.fire_cycle for witness in witnesses]
+        justifier.check_witnesses(triggers, sequences, claims)
+        # A witness that fires, but first at another cycle than claimed, diverges.
+        late = [claims[0] + 1, *claims[1:]]
+        with pytest.raises(RuntimeError, match="diverged for set"):
+            justifier.check_witnesses(triggers, sequences, late)
+        # ``mix`` at the claimed cycle needs ``a`` there, and no cycle before it
+        # changes, so clearing ``a`` moves the first firing.
+        sequences[2, claims[2], 0] = 0
+        requirements = str(triggers[2].condition.requirements)
+        with pytest.raises(RuntimeError, match=rf"diverged for set {re.escape(requirements)}"):
+            justifier.check_witnesses(triggers, sequences, claims)
 
 
 #: Triggers encoded by the encoding pin below: every rule at k = 1..3 on a

@@ -125,6 +125,40 @@ class TestSequentialCompatibility:
         for indices in sets:
             assert compatibility.set_is_satisfiable(list(indices))
 
+    def test_gathered_mining_reads_what_per_bit_reads_read(
+        self, controller, state_rare, solver_kernel, monkeypatch
+    ):
+        """On both solver paths, every SAT model the greedy search mines gives
+        the same (rare net x frame) profile by one gather over its value
+        snapshot as by one ``result.value`` read per bit."""
+        analysed = analyze_sequential_compatibility(
+            controller, state_rare, CYCLES, mode="cumulative", count=2
+        )
+        justifier = analysed.justifier
+        models = []
+        satisfying_model = justifier.satisfying_model
+
+        def capture(trigger, cycles=None):
+            result = satisfying_model(trigger, cycles)
+            if result is not None:
+                models.append(result)
+            return result
+
+        monkeypatch.setattr(justifier, "satisfying_model", capture)
+        greedy_compatible_sets(analysed, num_sets=16, seed=3)
+        assert len(models) > 5
+        expansion = justifier.expansion
+        grid, wants = analysed._rare_grid
+        for result in models:
+            per_bit = [
+                [
+                    result.value(expansion.variable(rare.net, frame)) == bool(rare.rare_value)
+                    for frame in range(CYCLES)
+                ]
+                for rare in analysed.rare_nets
+            ]
+            assert (expansion.values(result, grid) == wants).tolist() == per_bit
+
     def test_a_lower_stall_limit_stops_the_same_search_earlier(
         self, compatibility, monkeypatch
     ):
@@ -321,6 +355,28 @@ class TestGenerateSequences:
         )
         assert len(from_reset) == 0
         assert from_reset.metadata["num_activatable"] == 0
+
+    def test_a_witness_that_diverges_on_replay_raises_instead_of_emitting(self, monkeypatch):
+        """``a`` must be 1 at cycle 0 for ``mix`` to fire there from ``q = 1``,
+        so a decoder that clears it yields a sequence the engine rejects."""
+        from repro.sat.temporal import SequentialJustifier
+        from repro.sat.unroll import TimeFrameExpansion
+
+        decode_inputs = TimeFrameExpansion.decode_inputs
+
+        def flipped(self, result):
+            sequence = decode_inputs(self, result)
+            sequence[0, 0] ^= 1
+            return sequence
+
+        monkeypatch.setattr(TimeFrameExpansion, "decode_inputs", flipped)
+        netlist = _register_and()
+        with pytest.raises(RuntimeError, match=r"diverged for set \(\('mix', 1\),\)"):
+            generate_sequences(
+                netlist, [RareNet("mix", 1, 0.05)], 2, mode="consecutive", count=2,
+                num_sequences=2, seed=0,
+                justifier=SequentialJustifier(netlist, 2, initial_state={"q": 1}),
+            )
 
     @pytest.mark.parametrize("mode", ["consecutive", "cumulative"])
     def test_every_emitted_set_is_realised_in_full(self, controller, state_rare, mode):

@@ -413,7 +413,7 @@ def test_a_signal_interrupts_a_long_query_and_the_solver_stays_usable(kernel):
     assert solver.stats().conflicts > 0 and solver._queue_head <= len(solver._trail)
     result = solver.solve([-1])
     assert result.satisfiable and result.model[1] is False
-    solver._verify_model(result._values)
+    solver._verify_model(result.values)
 
 
 def _with_trail(solver: CdclSolver, code: int, like: CdclSolver | None = None) -> CdclSolver:
@@ -495,6 +495,42 @@ def test_tables_are_arrays_for_the_kernel_and_lists_without(solver_kernel):
     solver.add_clause([1, 2, 3])
     tables = [solver._arena, solver._value, solver._watches.items, solver._heap._act]
     assert {type(table) for table in tables} == {array if solver_kernel else list}
+
+
+def test_many_small_growths_leave_the_tables_of_one_large_growth(solver_kernel):
+    """Every per-variable and per-code table (values, levels, reasons, phases,
+    marks, both pools, heap order, positions and activities) grows in typed
+    blocks to the same contents as one growth to the final size."""
+    stepped, whole = CdclSolver(), CdclSolver()
+    for num_vars in (1, 2, 2, 15, 28, 28, 41, 100, 113):
+        stepped.reserve_vars(num_vars)
+    whole.reserve_vars(113)
+    assert _state(stepped) == _state(whole)
+    fresh = _state(whole)
+    assert fresh["num_vars"] == 113 and fresh["value"] == [-1] * 228
+    assert (fresh["level"], fresh["reason"], fresh["phase"]) == ([0] * 114, [-1] * 114, [1] * 114)
+    assert fresh["seen"] == bytes(114)
+    for pool in (fresh["watches"], fresh["binary"]):
+        assert pool == [[], [0] * 228, [0] * 228, [0] * 228]
+    assert fresh["heap"] == (list(range(1, 114)), list(range(-1, 113)), [0.0] * 114)
+    kind = array if solver_kernel else list
+    tables = (whole._value, whole._level, whole._reason, whole._phase, whole._heap._act,
+              whole._heap._pos, whole._watches.start, whole._binary.capacity)
+    assert {type(table) for table in tables} == {kind}
+
+
+def test_set_phases_rejects_an_unknown_variable_and_changes_nothing(solver_kernel):
+    solver = CdclSolver()
+    solver.reserve_vars(10)
+    solver.set_phases({1: True, 2: False, 10: True})
+    before = list(solver._phase)
+    assert before[1:3] == [0, 1] and before[10] == 0
+    for unknown in (0, 11, -3):
+        with pytest.raises(ValueError, match=rf"^unknown variable {unknown}$"):
+            solver.set_phases({3: True, unknown: False, 4: True, 9: False})
+        assert list(solver._phase) == before
+    solver.set_phases({})
+    assert list(solver._phase) == before
 
 
 def test_add_clause_branches_on_both_paths(solver_kernel):
