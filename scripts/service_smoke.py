@@ -8,7 +8,9 @@ whole pipeline into one trace), polls it to completion, scrapes
 `/healthz` and `/metrics` in both JSON and Prometheus text exposition,
 validates the exported span tree with `deterrent trace --check`, and
 asserts the second submission of the identical job is answered from the
-artifact cache without re-running anything.
+artifact cache without re-running anything.  It then stops the server the
+way Ctrl-C does (SIGINT) and checks that the server exits cleanly and that
+both of its spawned workers are gone.
 
 Stdlib only, like the service itself.  Exit code 0 on success; any
 failed expectation raises and exits non-zero with the server log dumped
@@ -17,6 +19,9 @@ for diagnosis.
 
 from __future__ import annotations
 
+import ast
+import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -59,6 +64,22 @@ def healthz_up() -> bool:
     return status == 200 and body.get("status") == "ok"
 
 
+def worker_pids(log_path: Path) -> list[int]:
+    """The pids of the workers ``serve`` spawned, from its start-up banner."""
+    for line in log_path.read_text().splitlines():
+        if line.strip().startswith("workers:") and "(pids " in line:
+            return ast.literal_eval(line.split("(pids ", 1)[1].rstrip(")"))
+    return []
+
+
+def pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def main() -> int:
     PAYLOAD["bench"] = dumps_bench(
         load_benchmark("s13207_like", combinational_view=False)
@@ -69,7 +90,8 @@ def main() -> int:
         with log_path.open("w") as log:
             server = subprocess.Popen(
                 [
-                    sys.executable, "-m", "repro", "serve",
+                    # -u: the start-up banner (worker pids) reaches the log now.
+                    sys.executable, "-u", "-m", "repro", "serve",
                     "--queue-dir", f"{tmp}/queue",
                     "--cache-dir", f"{tmp}/cache",
                     "--port", str(PORT),
@@ -157,6 +179,20 @@ def main() -> int:
             first_line = check.stdout.splitlines()[0] if check.stdout else ""
             print(f"trace --check: ok ({first_line})")
 
+            # Stop the server the way Ctrl-C does: it must write the stop
+            # marker, let both workers exit, and return 0.
+            pids = worker_pids(log_path)
+            assert len(pids) == 2, f"expected 2 worker pids in the log, got {pids}"
+            server.send_signal(signal.SIGINT)
+            returncode = server.wait(timeout=10)
+            assert returncode == 0, f"serve exited with {returncode} on SIGINT"
+            wait_for(
+                lambda: not any(pid_alive(pid) for pid in pids),
+                10,
+                "the spawned workers to exit",
+            )
+            print(f"shutdown: serve exited 0 on SIGINT; workers {pids} gone")
+
             print("service smoke: PASS")
             return 0
         except BaseException:
@@ -165,11 +201,12 @@ def main() -> int:
             raise
         finally:
             obs.disable()
-            server.terminate()
-            try:
-                server.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                server.kill()
+            if server.poll() is None:  # a run that already failed
+                server.terminate()
+                try:
+                    server.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    server.kill()
 
 
 if __name__ == "__main__":

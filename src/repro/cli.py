@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_parser.add_argument(
         "--poll-interval", type=float, default=0.1, metavar="S",
-        help="idle sleep between claim attempts",
+        help="longest idle wait between claim attempts (a local put ends it)",
     )
     worker_parser.add_argument(
         "--max-task-seconds", type=float, default=None, metavar="S",

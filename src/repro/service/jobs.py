@@ -56,6 +56,8 @@ class JobRequest:
     options: dict[str, Any]
     bench: str
     netlist: Netlist = field(repr=False, default=None)  # type: ignore[assignment]
+    design: str = ""  # the benchmark name the netlist resolves to
+    cells: list = field(repr=False, default_factory=list)  # the harness grid
 
     def key_parts(self) -> dict[str, Any]:
         """The ArtifactCache key parts identifying this job's result."""
@@ -81,8 +83,9 @@ def validate_job(payload: Mapping[str, Any]) -> JobRequest:
     Raises :class:`JobValidationError` with a client-appropriate message on
     any problem: unknown experiment/profile, reserved or unknown options,
     an unparsable netlist, or a harness that takes no submitted designs.
-    The returned request carries the parsed netlist and the design name it
-    resolves to is decided later (worker side) by :func:`resolve_design`.
+    The returned request carries the parsed netlist, the design name it
+    resolves to (:func:`resolve_design`) and the harness grid cells built
+    for that design.
     """
     if not isinstance(payload, Mapping):
         raise JobValidationError(f"job payload must be a JSON object, got {type(payload).__name__}")
@@ -133,20 +136,13 @@ def validate_job(payload: Mapping[str, Any]) -> JobRequest:
         raise JobValidationError(f"invalid .bench netlist: {error}") from None
     if not netlist.nets:
         raise JobValidationError("submitted netlist is empty")
-    request = JobRequest(
-        experiment=experiment,
-        profile=profile,
-        options=dict(options),
-        bench=bench,
-        netlist=netlist,
-    )
     # Validate the full grid up front (design constraints, option values):
     # a submission that cells() would reject must 400 at the door, not fail
     # later inside a worker.
     design = resolve_design(netlist)
     try:
         cells = spec.build_cells(
-            profile_obj, {**request.options, design_option: _design_value(design_option, design)}
+            profile_obj, {**options, design_option: _design_value(design_option, design)}
         )
     except (TypeError, ValueError) as error:
         raise JobValidationError(str(error)) from None
@@ -154,7 +150,15 @@ def validate_job(payload: Mapping[str, Any]) -> JobRequest:
         raise JobValidationError(
             f"experiment {experiment!r} produced no grid cells for this netlist"
         )
-    return request
+    return JobRequest(
+        experiment=experiment,
+        profile=profile,
+        options=dict(options),
+        bench=bench,
+        netlist=netlist,
+        design=design,
+        cells=cells,
+    )
 
 
 def _design_option(allowed: tuple[str, ...]) -> str | None:
@@ -236,23 +240,16 @@ def run_service_job(payload: dict[str, Any]) -> dict[str, Any]:
     Module-level and picklable, so it is the ``fn`` of every service
     :class:`~repro.service.queue.TaskSpec`.  Re-validates the payload (the
     queue is an open directory; only validated work should run), executes
-    every grid cell serially in this worker, and stores the finished record
+    its grid cells serially in this worker, and stores the finished record
     in the default artifact cache under the job's content address.
     """
     request = validate_job(payload)
-    spec = get_experiment(request.experiment)
-    module = spec.resolve()
+    module = get_experiment(request.experiment).resolve()
     profile_obj = profile_by_name(request.profile)
-    design = resolve_design(request.netlist)
-    design_option = _design_option(getattr(module, "OPTIONS", ()))
-    cells = spec.build_cells(
-        profile_obj,
-        {**request.options, design_option: _design_value(design_option, design)},
-    )
     started = time.perf_counter()
     results = []
     cell_records = []
-    for cell in cells:
+    for cell in request.cells:
         cell_started = time.perf_counter()
         result = module.run_cell(cell.params, profile_obj)
         results.append(result)
@@ -270,11 +267,11 @@ def run_service_job(payload: dict[str, Any]) -> dict[str, Any]:
         "experiment": request.experiment,
         "profile": request.profile,
         "options": _jsonable(request.options),
-        "design": design,
+        "design": request.design,
         "netlist_fingerprint": netlist_fingerprint(request.netlist),
         "cells": cell_records,
         "report": module.report(collected),
-        "test_sets": job_record_test_sets(module, cells, results, profile_obj),
+        "test_sets": job_record_test_sets(module, request.cells, results, profile_obj),
         "elapsed_seconds": round(time.perf_counter() - started, 3),
         "completed_at": time.time(),
     }

@@ -27,6 +27,8 @@ Layout under the queue root::
                              corrupt_result)
     events_totals.lock       flock guarding the counts' read-modify-write
     stop                     cooperative shutdown marker
+    wake                     FIFO: a put or stop writes one byte, which wakes
+                             one idle worker (a hint: without it, workers poll)
 
 Queue events are counted, not logged: each reclaim, corrupt task or corrupt
 result adds one to its count in ``events_totals.json``, a
@@ -57,14 +59,16 @@ import hashlib
 import json
 import os
 import pickle
+import select
 import subprocess
 import sys
 import threading
 import time
 import traceback
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro import obs
 from repro.runner.cache import config_fingerprint
@@ -156,11 +160,14 @@ class DurableQueue:
         self.results_dir = self.root / "results"
         self.workers_dir = self.root / "workers"
         self.stop_path = self.root / "stop"
+        self.wake_path = self.root / "wake"
         self._events = CounterFile(self.root / "events_totals.json")
         for directory in (
             self.tasks_dir, self.leases_dir, self.results_dir, self.workers_dir
         ):
             directory.mkdir(parents=True, exist_ok=True)
+        with suppress(AttributeError, OSError):  # exists, or no FIFOs here: workers poll
+            os.mkfifo(self.wake_path)
 
     # ------------------------------------------------------------------
     # Producer side
@@ -202,6 +209,7 @@ class DurableQueue:
         buffer = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
         buffer += pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
         atomic_write(task_path, buffer)
+        self._wake()
         return job_id
 
     # ------------------------------------------------------------------
@@ -435,11 +443,12 @@ class DurableQueue:
         return liveness
 
     # ------------------------------------------------------------------
-    # Cooperative shutdown
+    # Cooperative shutdown and idle wake-ups
     # ------------------------------------------------------------------
     def request_stop(self) -> None:
         """Ask every worker polling this queue to exit after its current job."""
         atomic_write(self.stop_path, b"stop\n")
+        self._wake()
 
     def clear_stop(self) -> None:
         """Remove the stop marker (e.g. before reusing a queue directory)."""
@@ -451,6 +460,29 @@ class DurableQueue:
     def stop_requested(self) -> bool:
         """Has :meth:`request_stop` been called on this queue directory?"""
         return self.stop_path.exists()
+
+    @contextmanager
+    def waiter(self) -> Iterator[Callable[[float], bool]]:
+        """Yield ``wait(timeout)``: True once it consumed one wake-up byte (a
+        put or stop), False on timeout; without the FIFO it sleeps.  Open it
+        before the first empty ``claim``: bytes wait in the pipe while open."""
+        descriptor = self._open_wake(os.O_RDWR)
+
+        def wait(timeout: float) -> bool:
+            if descriptor is None:
+                time.sleep(timeout)
+                return False
+            deadline = time.monotonic() + timeout
+            while select.select([descriptor], [], [], max(0.0, deadline - time.monotonic()))[0]:
+                with suppress(BlockingIOError):  # else a peer took the byte first
+                    return bool(os.read(descriptor, 1))
+            return False
+
+        try:
+            yield wait
+        finally:
+            if descriptor is not None:
+                os.close(descriptor)
 
     # ------------------------------------------------------------------
     # Internals
@@ -550,6 +582,22 @@ class DurableQueue:
             except OSError:
                 pass
 
+    def _open_wake(self, flags: int) -> int | None:
+        """Open the wake-up FIFO non-blocking; None if missing (or no reader)."""
+        if not self.wake_path.is_fifo():
+            return None  # never write to, or spin on, a regular file
+        with suppress(OSError):  # opening to write fails while no worker waits
+            return os.open(self.wake_path, flags | os.O_NONBLOCK)
+        return None
+
+    def _wake(self) -> None:
+        """Wake one idle worker: a hint, so no reader or a full pipe is ignored."""
+        descriptor = self._open_wake(os.O_WRONLY)
+        if descriptor is not None:
+            with suppress(OSError):  # a full pipe: wake-ups are pending anyway
+                os.write(descriptor, b"w")
+            os.close(descriptor)
+
     def _count_event(self, event: str) -> None:
         """Add one ``event`` to the lifetime counts (``events_totals.json``)."""
         self._events.add({event: 1})
@@ -581,7 +629,8 @@ def worker_loop(queue: DurableQueue, options: WorkerOptions | None = None) -> in
 
     The loop exits when :meth:`DurableQueue.request_stop` has been called,
     after ``max_jobs`` completed jobs, or after ``max_idle_seconds`` without
-    claimable work.
+    claimable work.  After an empty claim it waits at most ``poll_interval``
+    for the queue's wake-up FIFO to signal a put or a stop.
     """
     options = options or WorkerOptions()
     worker_id = options.worker_id or f"worker-{os.getpid()}"
@@ -590,26 +639,29 @@ def worker_loop(queue: DurableQueue, options: WorkerOptions | None = None) -> in
     jobs_done = 0
     if options.cache_dir is not None:
         _install_cache(options.cache_dir)
-    while not queue.stop_requested():
-        if options.parent_pid is not None and os.getppid() != options.parent_pid:
-            break  # supervising process died; don't outlive it
-        _write_worker_heartbeat(queue, worker_id, started, jobs_done, None)
-        lease = queue.claim(worker_id)
-        if lease is None:
-            if (
-                options.max_idle_seconds is not None
-                and time.time() - last_work > options.max_idle_seconds
-            ):
+    with queue.waiter() as wait:
+        while not queue.stop_requested():
+            if options.parent_pid is not None and os.getppid() != options.parent_pid:
+                break  # supervising process died; don't outlive it
+            _write_worker_heartbeat(queue, worker_id, started, jobs_done, None)
+            lease = queue.claim(worker_id)
+            if lease is None:
+                if (
+                    options.max_idle_seconds is not None
+                    and time.time() - last_work > options.max_idle_seconds
+                ):
+                    break
+                wait(options.poll_interval)
+                continue
+            last_work = time.time()
+            _write_worker_heartbeat(queue, worker_id, started, jobs_done, lease.job_id)
+            _run_one(queue, lease, options)
+            jobs_done += 1
+            last_work = time.time()
+            if options.max_jobs is not None and jobs_done >= options.max_jobs:
                 break
-            time.sleep(options.poll_interval)
-            continue
-        last_work = time.time()
-        _write_worker_heartbeat(queue, worker_id, started, jobs_done, lease.job_id)
-        _run_one(queue, lease, options)
-        jobs_done += 1
-        last_work = time.time()
-        if options.max_jobs is not None and jobs_done >= options.max_jobs:
-            break
+    if queue.stop_requested():
+        queue._wake()  # pass the stop request on to the next idle peer
     _write_worker_heartbeat(queue, worker_id, started, jobs_done, None)
     return jobs_done
 

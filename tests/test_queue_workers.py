@@ -13,7 +13,8 @@ through one shared queue directory:
 
 Next to them, the fault-free baseline: spawned workers agree with the
 serial backend, record a failing task as a failed result, and exit on a
-stop request.
+stop request; and an idle worker on a 30 s poll is woken at once by a new
+job or a stop request.
 
 The in-process versions of these transitions, staged step by step, live in
 ``test_service_queue.py``.  Carries the ``faults`` marker so CI runs it with
@@ -66,14 +67,16 @@ def hang_once(marker: str, seconds: float, x: int) -> int:
 
 
 @contextmanager
-def spawned_workers(queue: DurableQueue, count: int, cache_dir: Path, **options):
+def spawned_workers(
+    queue: DurableQueue, count: int, cache_dir: Path, poll_interval: float = 0.02, **options
+):
     """``count`` queue-worker processes, started the way ``serve`` does."""
     processes = [
         spawn_worker(
             queue.root,
             worker_id=f"w{index}",
             lease_seconds=LEASE_SECONDS,
-            poll_interval=0.02,
+            poll_interval=poll_interval,
             cache_dir=str(cache_dir),
             parent_pid=os.getpid(),
             **options,
@@ -101,6 +104,17 @@ def wait_for(predicate, timeout: float = 60.0) -> None:
 
 def jobs_done(queue: DurableQueue) -> int:
     return sum(info["jobs_done"] for info in queue.worker_liveness().values())
+
+
+@contextmanager
+def idle_worker(queue: DurableQueue, cache_dir: Path):
+    """One spawned worker on a 30 s poll, once it sits idle in its wait:
+    only a wake-up can make it act within the tests' 10 s bounds."""
+    with spawned_workers(queue, 1, cache_dir, poll_interval=30.0) as (process,):
+        wait_for(lambda: queue.worker_liveness().get("w0", {}).get("alive"))
+        assert queue.worker_liveness()["w0"]["jobs_done"] == 0
+        time.sleep(0.5)  # past its first, empty claim
+        yield process
 
 
 class TestSpawnedWorkers:
@@ -194,3 +208,18 @@ class TestSpawnedWorkers:
             for process in processes:
                 assert process.wait(timeout=15.0) == 0
         assert jobs_done(queue) == 0
+
+
+class TestWakeUps:
+    def test_an_idle_worker_runs_a_job_enqueued_after_it(self, tmp_path):
+        queue = DurableQueue(tmp_path / "q", lease_seconds=LEASE_SECONDS)
+        with idle_worker(queue, tmp_path / "cache"):
+            job_id = queue.put(TaskSpec(fn=square, args=(7,)))
+            wait_for(lambda: queue.result(job_id) is not None, timeout=10.0)
+        assert queue.result(job_id).value == 49
+
+    def test_a_stop_request_ends_an_idle_worker(self, tmp_path):
+        queue = DurableQueue(tmp_path / "q", lease_seconds=LEASE_SECONDS)
+        with idle_worker(queue, tmp_path / "cache") as process:
+            queue.request_stop()
+            assert process.wait(timeout=10.0) == 0

@@ -12,6 +12,9 @@ touching the queue.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -22,11 +25,13 @@ from repro import obs
 
 from repro.circuits.bench_io import dumps_bench, loads_bench
 from repro.circuits.library import load_benchmark
-from repro.runner.cache import set_default_cache
+from repro.runner.cache import ArtifactCache, set_default_cache
 from repro.runner.execution import run_experiment
+from repro.service import jobs
 from repro.service.jobs import (
     JobValidationError,
     resolve_design,
+    run_service_job,
     validate_job,
 )
 from repro.service.queue import WorkerOptions, worker_loop
@@ -162,6 +167,64 @@ class TestResolveDesign:
         # Registration makes it loadable, and re-resolving is stable.
         assert resolve_design(loads_bench(text, name="submitted")) == name
         assert dumps_bench(load_benchmark(name)).count("NAND") == 1
+
+
+# ----------------------------------------------------------------------
+# The worker side: one resolution, a pinned record
+# ----------------------------------------------------------------------
+def renamed_bench(name: str) -> str:
+    """``name``'s netlist with its first gate output renamed: the same
+    circuit, but no library benchmark matches its content."""
+    text = bench_for(name)
+    net = next(line.split("=")[0].strip() for line in text.splitlines() if "=" in line)
+    return re.sub(rf"\b{re.escape(net)}\b", f"{net}_renamed", text)
+
+
+def record_digest(record: dict) -> str:
+    """SHA-256 of a job record without its wall-clock fields."""
+    timeless = {
+        key: value
+        for key, value in record.items()
+        if key not in ("elapsed_seconds", "completed_at")
+    }
+    timeless["cells"] = strip_elapsed(record["cells"])
+    return hashlib.sha256(json.dumps(timeless, sort_keys=True).encode()).hexdigest()
+
+
+class TestRunServiceJob:
+    @pytest.mark.parametrize(
+        "bench, design, digest",
+        [
+            (
+                lambda: bench_for("s13207_like"),
+                "s13207_like",
+                "d0c6898043aed41ee6de0992b7cfbd283ac8d3e9d594a5eb966227c0ad4fac5c",
+            ),
+            (
+                lambda: renamed_bench("s13207_like"),
+                "submitted_89dfe35c590f",
+                "05a271ee2089b1b76d2a7a8d0412ad1d591106a0cbbf5de67fd1561bcc813831",
+            ),
+        ],
+        ids=["library", "unknown"],
+    )
+    def test_resolves_the_design_once_and_keeps_the_record(
+        self, bench, design, digest, monkeypatch, default_cache, tmp_path
+    ):
+        """The worker reuses the design and cells that validation built;
+        the record (timing aside) is pinned, fresh cache, tiny 1-cell grid."""
+        default_cache(ArtifactCache(tmp_path / "cache"))
+        resolved = []
+
+        def counting_resolve(netlist):
+            resolved.append(resolve_design(netlist))
+            return resolved[-1]
+
+        monkeypatch.setattr(jobs, "resolve_design", counting_resolve)
+        record = run_service_job(seq_payload(bench=bench()))
+        assert resolved == [design]
+        assert record["design"] == design
+        assert record_digest(record) == digest
 
 
 # ----------------------------------------------------------------------

@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import os
 import pickle
+import shutil
+import tempfile
 import threading
 import time
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.runner.resilience import run_tasks
 from repro.service.queue import (
     DurableQueue,
+    Lease,
     LeaseLost,
     QueueResult,
     TaskSpec,
@@ -331,6 +336,301 @@ class TestWorkerLoop:
         assert [producer.result(job_id).value for job_id in ids] == reference
         assert done == [6]
         assert producer.worker_liveness()["ext"]["jobs_done"] == 6
+
+
+class TestWakeUps:
+    """The ``wake`` FIFO: a put or a stop request ends an idle wait at once.
+
+    A wait that must be woken allows far more time than the test's bound,
+    so a wake-up that never arrives fails the test instead of hiding in a
+    short poll.
+    """
+
+    def test_a_put_after_an_empty_claim_wakes_a_waiter_opened_before_it(self, queue):
+        with queue.waiter() as wait:
+            assert queue.claim("w") is None
+            queue.put(TaskSpec(fn=square, args=(1,)))
+            started = time.monotonic()
+            assert wait(30.0)
+            assert time.monotonic() - started < 1.0
+
+    def test_each_put_wakes_one_waiter(self, queue):
+        """One byte per put, one per wake-up: two puts wake two idle
+        waiters.  A waiter that drained the pipe would leave its peer to
+        sleep out its timeout."""
+        with queue.waiter() as first, queue.waiter() as second:
+            assert queue.claim("w0") is None and queue.claim("w1") is None
+            queue.put(TaskSpec(fn=square, args=(1,)))
+            queue.put(TaskSpec(fn=square, args=(2,)))
+            started = time.monotonic()
+            assert first(5.0) and second(5.0)
+            assert time.monotonic() - started < 1.0
+
+    def test_waiters_blocked_in_their_wait_share_the_wake_ups(self, queue):
+        """Two waiters already blocked in their wait both wake for two
+        puts: a waiter whose peer took the byte it was woken for keeps
+        waiting for the next one."""
+        opened = threading.Barrier(3)
+        woken = []
+
+        def idle():
+            with queue.waiter() as wait:
+                opened.wait()
+                woken.append(wait(30.0))
+
+        threads = [threading.Thread(target=idle) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        opened.wait()
+        time.sleep(0.1)  # both are blocked in their wait
+        started = time.monotonic()
+        queue.put(TaskSpec(fn=square, args=(1,)))
+        queue.put(TaskSpec(fn=square, args=(2,)))
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert woken == [True, True]
+        assert time.monotonic() - started < 1.0
+
+    def test_a_wait_with_nothing_written_times_out(self, queue):
+        with queue.waiter() as wait:
+            assert not wait(0.05)
+
+    def test_put_without_a_reader_neither_blocks_nor_raises(self, queue):
+        job_id = queue.put(TaskSpec(fn=square, args=(3,)))
+        assert queue.status(job_id) == "queued"
+
+    def test_put_into_a_full_pipe_neither_blocks_nor_raises(self, queue):
+        with queue.waiter() as wait:
+            writer = os.open(queue.wake_path, os.O_WRONLY | os.O_NONBLOCK)
+            try:
+                with pytest.raises(BlockingIOError):
+                    while True:
+                        os.write(writer, b"x" * 4096)
+                job_id = queue.put(TaskSpec(fn=square, args=(4,)))
+                queue.request_stop()
+            finally:
+                os.close(writer)
+            assert wait(0.0)
+        assert queue.status(job_id) == "queued"
+
+    def test_without_a_fifo_puts_succeed_and_workers_poll(self, tmp_path, monkeypatch):
+        def no_fifos(path):
+            raise OSError("FIFOs are not supported here")
+
+        monkeypatch.setattr(os, "mkfifo", no_fifos)
+        queue = DurableQueue(tmp_path / "q")
+        assert not queue.wake_path.exists()
+        ids = [queue.put(TaskSpec(fn=square, args=(i,))) for i in range(3)]
+        with queue.waiter() as wait:
+            assert not wait(0.01)
+        assert worker_loop(queue, WorkerOptions(poll_interval=0.01, max_idle_seconds=0.0)) == 3
+        assert [queue.result(job_id).value for job_id in ids] == [0, 1, 4]
+
+    def test_a_regular_file_in_place_of_the_fifo_is_left_alone(self, tmp_path):
+        root = tmp_path / "q"
+        root.mkdir()
+        (root / "wake").write_bytes(b"")
+        queue = DurableQueue(root)
+        queue.put(TaskSpec(fn=square, args=(5,)))
+        assert queue.wake_path.read_bytes() == b""
+        with queue.waiter() as wait:
+            started = time.monotonic()
+            assert not wait(0.05)
+            assert time.monotonic() - started >= 0.05
+
+    def test_stop_wakes_every_idle_loop(self, queue):
+        """``request_stop`` writes one byte; each loop that stops passes the
+        wake-up on, so two idle loops both end well before their poll."""
+        done = []
+        loops = [
+            threading.Thread(
+                target=lambda name=name: done.append(
+                    worker_loop(queue, WorkerOptions(worker_id=name, poll_interval=30.0))
+                )
+            )
+            for name in ("w0", "w1")
+        ]
+        for loop in loops:
+            loop.start()
+        deadline = time.monotonic() + 10.0
+        while set(queue.worker_liveness()) != {"w0", "w1"}:
+            assert time.monotonic() < deadline, "the loops never started"
+            time.sleep(0.01)
+        time.sleep(0.1)  # both loops are in their 30 s wait
+        started = time.monotonic()
+        queue.request_stop()
+        for loop in loops:
+            loop.join(timeout=5.0)
+        assert time.monotonic() - started < 1.0
+        assert done == [0, 0]
+
+    def test_the_fifo_does_not_disturb_the_queue_directory(self, tmp_path):
+        root = tmp_path / "q"
+        queue = DurableQueue(root, lease_seconds=5.0)
+        assert queue.wake_path.is_fifo()
+        queue.put(TaskSpec(fn=square, args=(1,)))
+        queue.put(TaskSpec(fn=square, args=(2,)))
+        queue.put(TaskSpec(fn=square, args=(3,)))
+        queue.ack(queue.claim("w0", now=0.0), 1)
+        queue.claim("w1", now=0.0)
+        with_fifo = queue.stats(now=1.0)
+        queue.wake_path.unlink()
+        assert queue.stats(now=1.0) == with_fifo
+        assert (with_fifo["queued"], with_fifo["leased"], with_fifo["done"]) == (1, 1, 1)
+        DurableQueue(root)  # reopening recreates the FIFO
+        assert queue.wake_path.is_fifo()
+        shutil.rmtree(root)
+        assert not root.exists()
+
+
+WORKERS = ("w0", "w1", "w2")
+STATEFUL_LEASE = 10.0
+
+
+def outcome(job: int) -> tuple:
+    """What running job ``job`` yields: even jobs succeed, odd jobs fail.
+    Deterministic, like every service job, so a thief's result and a late
+    finisher's agree."""
+    return (True, job * job, None) if job % 2 == 0 else (False, None, f"boom {job}")
+
+
+class QueueMachine(RuleBasedStateMachine):
+    """Random interleavings of puts, claims, heartbeats, lease expiries,
+    acks, fails and worker deaths on one queue, on a virtual clock.
+
+    The model tracks each job's lease file, the lease each worker holds
+    and every job's first result; the invariants hold after every step.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.root = tempfile.mkdtemp(prefix="queue-machine-")
+        self.queue = DurableQueue(self.root, lease_seconds=STATEFUL_LEASE)
+        self.now = 1000.0
+        self.ids: dict[str, int] = {}  # job id -> job
+        self.lease_files: dict[str, tuple[str, int, float]] = {}  # worker, deliveries, expiry
+        self.held: dict[str, Lease] = {}  # worker -> the lease it runs
+        self.results: dict[str, tuple] = {}  # job id -> first outcome
+        self.reclaims = 0
+
+    def teardown(self):
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    @rule(job=st.integers(0, 3))
+    def put(self, job):
+        job_id = self.queue.put(TaskSpec(fn=square, args=(job,)))
+        self.ids[job_id] = job
+
+    def _pick(self, data, workers) -> str:
+        return data.draw(st.sampled_from(sorted(workers)))
+
+    @precondition(lambda self: len(self.held) < len(WORKERS))
+    @rule(data=st.data())
+    def claim(self, data):
+        worker = self._pick(data, set(WORKERS) - set(self.held))  # one job at a time
+        lease = self.queue.claim(worker, now=self.now)
+        claimable = [
+            job_id
+            for job_id in self.ids
+            if job_id not in self.results
+            and (job_id not in self.lease_files or self.lease_files[job_id][2] <= self.now)
+        ]
+        if lease is None:
+            assert claimable == []
+            return
+        assert lease.job_id in claimable, "claimed a finished or live-leased job"
+        previous = self.lease_files.get(lease.job_id)
+        if previous is not None:
+            self.reclaims += 1
+        assert lease.deliveries == (1 if previous is None else previous[1] + 1)
+        self.lease_files[lease.job_id] = (worker, lease.deliveries, lease.expires_at)
+        self.held[worker] = lease
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def heartbeat(self, data):
+        worker = self._pick(data, self.held)
+        lease = self.held[worker]
+        current = self.lease_files.get(lease.job_id)
+        if current is None or current[0] != worker:
+            with pytest.raises(LeaseLost):
+                self.queue.heartbeat(lease, now=self.now)
+            return
+        self.queue.heartbeat(lease, now=self.now)
+        self.lease_files[lease.job_id] = (worker, current[1], self.now + STATEFUL_LEASE)
+
+    @rule(seconds=st.sampled_from([0.5 * STATEFUL_LEASE, STATEFUL_LEASE + 1.0]))
+    def advance_clock(self, seconds):
+        self.now += seconds
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def finish(self, data):
+        """Ack or fail the held job through ``_run_leased_job``'s guard."""
+        worker = self._pick(data, self.held)
+        lease = self.held.pop(worker)
+        holder = self.lease_files.get(lease.job_id)
+        owns = holder is not None and holder[0] == worker
+        if self.queue.result(lease.job_id) is not None and not self.queue._owns(lease):
+            assert not owns
+            return  # a peer's result stands
+        ok, value, message = outcome(self.ids[lease.job_id])
+        if ok:
+            self.queue.ack(lease, value)
+        else:
+            self.queue.fail(lease, ValueError(message))
+        self.results.setdefault(lease.job_id, outcome(self.ids[lease.job_id]))
+        if owns:
+            del self.lease_files[lease.job_id]
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def die(self, data):
+        """The worker's process is gone: its lease file stays until it expires."""
+        del self.held[self._pick(data, self.held)]
+
+    @invariant()
+    def one_unchanging_result_per_job(self):
+        """The outcome is fixed by the first result.  Who ran the job is
+        not: when a late finisher acks before the peer that stole its
+        lease, the peer's ack replaces that result with its own."""
+        stored = {path.stem for path in self.queue.results_dir.iterdir()}
+        assert stored == set(self.results)
+        for job_id, first in self.results.items():
+            result = self.queue.result(job_id)
+            message = result.error["message"] if result.error else None
+            assert (result.ok, result.value, message) == first
+
+    @invariant()
+    def lease_files_match_the_model(self):
+        for job_id in self.ids:
+            info = self.queue.lease_info(job_id)
+            expected = self.lease_files.get(job_id)
+            if expected is None:
+                assert info is None
+            else:
+                assert (info["worker"], info["deliveries"], info["expires_at"]) == expected
+
+    @invariant()
+    def no_job_has_two_live_leases(self):
+        live = [
+            lease.job_id for lease in self.held.values() if lease.expires_at > self.now
+        ]
+        assert len(live) == len(set(live))
+
+    @invariant()
+    def stats_account_for_every_job(self):
+        stats = self.queue.stats(now=self.now)
+        total = stats["queued"] + stats["leased"] + stats["expired_leases"] + stats["done"]
+        assert total == len(self.ids)
+        assert stats["done"] == len(self.results)
+        assert stats["reclaims"] == self.reclaims
+
+
+TestQueueMachine = QueueMachine.TestCase
+TestQueueMachine.settings = settings(
+    max_examples=120, stateful_step_count=40, deadline=None
+)
 
 
 class TestEventCounts:
